@@ -6,15 +6,14 @@ coupled resolvent limit; factors eps I + tau for positive L-Toeplitz tau;
 and cross-validates everything against the classical one-variable theory.
 """
 
-from .factor import FactorResult, ltoeplitz_check, outer_factor, outer_factor_matrix
+from .factor import FactorResult, ltoeplitz_check, outer_factor
 from .fock import (FockVector, TruncatedOperator, basis_vector, grade_projection,
-                   left_shift, right_shift, transpose_unitary, vacuum,
-                   word_monomial)
+                   graded_inverse, graded_multiplier, left_shift, right_shift,
+                   transpose_unitary, vacuum, word_monomial)
 from .lebesgue import (FormDecomposition, PsdReport, RadialOperator, RNResult,
                        Schedule, StageRecord, fatou_form_check,
                        form_decomposition_diagnostic, majorant_check,
-                       radial_operator, rn_derivative, resolvent,
-                       resolvent_corner)
+                       rn_derivative, resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       cauchy_transform, clark_measure, gns_isometry, gram,
                       gram_matvec, herglotz_eval, herglotz_transform,
@@ -31,6 +30,6 @@ from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      series_at_right_shifts, szego_kernel,
                      szego_kernel_matrix, transpose_conjugate,
                      write_series_csv)
-from .words import Word, WordBasis, concat, enumerate_words, transpose, word_count
+from .words import Word, WordBasis, concat, transpose, word_count
 
 __version__ = "0.1.0"

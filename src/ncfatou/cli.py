@@ -336,7 +336,7 @@ def _build_tau(cfg, base_dir, d, N):
     if tau_cfg["type"] == "radial":
         r = _positive_radius(tau_cfg.get("r", 0.9), "tau.r")
         B = _parse_series(tau_cfg, d, N, base_dir)
-        return RadialOperator.from_schur(B, r, mode="dense", dense_limit=basis.size)
+        return RadialOperator.from_schur(B, r)
     if tau_cfg["type"] == "vector-state":
         from .fock import FockVector
         from .measure import vector_state

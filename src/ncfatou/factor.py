@@ -16,7 +16,6 @@ import scipy.linalg
 
 from .fock import TruncatedOperator, left_shift
 from .series import NCSeries, invert, right_multiplier
-from .words import WordBasis
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,3 @@ def outer_factor(tau: TruncatedOperator, eps: float, *,
         residual=residual, check_grade=check_grade,
         contraction_norm_bound=float(1.0 / np.sqrt(eps)))
 
-
-def outer_factor_matrix(tau_matrix: np.ndarray, basis: WordBasis, eps: float,
-                        **kwargs) -> FactorResult:
-    """Convenience wrapper taking tau as a dense matrix on the word basis."""
-    return outer_factor(TruncatedOperator.from_dense(basis, tau_matrix), eps, **kwargs)

@@ -1,4 +1,5 @@
-"""Truncated full Fock space: vectors, operators, shifts, grade projections.
+"""Truncated full Fock space: vectors, operators, graded products, shifts,
+grade projections.
 
 Everything here is a compression P_N (.) P_N of the corresponding operator
 on l2 of the free monoid; identities that hold on the full space hold here
@@ -9,6 +10,7 @@ Operators are immutable and application is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +82,11 @@ class TruncatedOperator:
 
     Holds a matvec/rmatvec pair acting on raw coefficient arrays; the pair
     must be mutually adjoint.  Dense materialization is opt-in via
-    to_dense() since dim = O(d**N).
+    to_dense() since dim = O(d**N); dense is the matrix, or a function
+    that builds it on the first to_dense() call.
     """
 
-    def __init__(self, basis: WordBasis, matvec, rmatvec, dense: np.ndarray | None = None):
+    def __init__(self, basis: WordBasis, matvec, rmatvec, dense=None):
         self.basis = basis
         self._matvec = matvec
         self._rmatvec = rmatvec
@@ -113,7 +116,7 @@ class TruncatedOperator:
         return self._rmatvec(np.asarray(v, dtype=complex))
 
     def adjoint(self) -> "TruncatedOperator":
-        dense = None if self._dense is None else self._dense.conj().T
+        dense = None if self._dense is None else (lambda: self.to_dense().conj().T)
         return TruncatedOperator(self.basis, self._rmatvec, self._matvec, dense=dense)
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
@@ -145,7 +148,9 @@ class TruncatedOperator:
     __rmul__ = __mul__
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is None:
+        if callable(self._dense):
+            self._dense = self._dense()
+        elif self._dense is None:
             n = self.basis.size
             A = np.empty((n, n), dtype=complex)
             e = np.zeros(n, dtype=complex)
@@ -182,51 +187,165 @@ class TruncatedOperator:
         return worst
 
 
-def left_shift(basis: WordBasis, k: int) -> TruncatedOperator:
-    """Compression of L_k: e_w -> e_{kw}, words of top grade map to 0.
+# ---------------------------------------------------------------------------
+# graded products: multiplication by a coefficient vector, and its inverse
 
-    Stored as a per-grade slice map (one nonzero per column), never dense.
+class _GradedProduct:
+    """Multiplication x -> f x (side 'left') or x -> x f (side 'right').
+
+    f is stored as its nonzero grade blocks f_j (the coefficients of the
+    grade-j words in lex order).  Since rank(a.b) = rank(a) d**|b| +
+    rank(b), the grade-(h+j) block of the product gets outer(f_j, x_h)
+    on the left and outer(x_h, f_j) on the right, flattened.  The product
+    is block lower-triangular in the graded-lex basis, so with f_0 != 0
+    it is inverted by one substitution over grades.
     """
-    if not 1 <= k <= basis.d:
-        raise ValueError(f"shift letter {k} outside 1..{basis.d}")
-    maps = [(basis.grade_slice(g), basis.left_concat_slice((k,), g))
-            for g in range(basis.N)]
 
-    def mv(v):
-        out = np.zeros_like(v)
-        for src, tgt in maps:
-            out[tgt] = v[src]
+    def __init__(self, basis: WordBasis, coeffs, side: str):
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        if coeffs.shape != (basis.size,):
+            raise ValueError(
+                f"coefficient vector has shape {coeffs.shape}, basis size {basis.size}")
+        self.basis, self.left, self.coeffs = basis, side == "left", coeffs
+        # d = 1 multiplies by np.convolve with f cut at its degree
+        self.trimmed = _trim(coeffs) if basis.d == 1 else None
+
+    @cached_property
+    def blocks(self) -> list:
+        """(j, f_j) for the nonzero grade blocks, by increasing j."""
+        b = self.basis
+        blocks = ((j, self.coeffs[b.grade_slice(j)]) for j in range(b.N + 1))
+        return [(j, fj) for j, fj in blocks if fj.any()]
+
+    def _up(self, fj, xh):
+        """Grade-(h+j) contribution of f_j and x_h."""
+        return (np.outer(fj, xh) if self.left else np.outer(xh, fj)).ravel()
+
+    def _down(self, fj, y, h):
+        """Adjoint of _up: the grade-h contribution of the grade-(h+j) y."""
+        d = self.basis.d
+        if self.left:
+            return fj.conj() @ y.reshape(len(fj), d ** h)
+        return y.reshape(d ** h, len(fj)) @ fj.conj()
+
+    def matvec(self, x):
+        b = self.basis
+        out = np.zeros_like(x)
+        if b.d == 1:
+            p = np.convolve(self.trimmed, _trim(x))[:b.size]
+            out[:len(p)] = p
+            return out
+        # zero grades of x are skipped: unit vectors and sparse series
+        # touch one or a few grades
+        hs = [h for h in range(b.N + 1) if x[b.grade_slice(h)].any()]
+        for j, fj in self.blocks:
+            for h in hs:
+                if h + j > b.N:
+                    break
+                out[b.grade_slice(h + j)] += self._up(fj, x[b.grade_slice(h)])
         return out
 
-    def rmv(v):
-        out = np.zeros_like(v)
-        for src, tgt in maps:
-            out[src] = v[tgt]
+    def rmatvec(self, y):
+        b = self.basis
+        if b.d == 1:
+            pad = np.concatenate((y, np.zeros(len(self.trimmed) - 1, dtype=complex)))
+            return np.correlate(pad, self.trimmed, "valid")
+        out = np.zeros_like(y)
+        for j, fj in self.blocks:
+            for h in range(b.N + 1 - j):
+                out[b.grade_slice(h)] += self._down(fj, y[b.grade_slice(h + j)], h)
         return out
 
-    return TruncatedOperator(basis, mv, rmv)
+    def dense(self) -> np.ndarray:
+        b = self.basis
+        A = np.zeros((b.size, b.size), dtype=complex)
+        for j, fj in self.blocks:
+            for h in range(b.N + 1 - j):
+                col, eye = fj[:, None], np.eye(b.d ** h)
+                A[b.grade_slice(h + j), b.grade_slice(h)] += \
+                    np.kron(col, eye) if self.left else np.kron(eye, col)
+        return A
+
+    def solve(self, w, adjoint: bool = False):
+        """x with (f x) = w, or its adjoint: forward over grades, backward
+        for the adjoint, one pass either way."""
+        b = self.basis
+        f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
+        rest = [(j, fj) for j, fj in self.blocks if j > 0]
+        x = np.zeros_like(w)
+        for g in (range(b.N, -1, -1) if adjoint else range(b.N + 1)):
+            acc = w[b.grade_slice(g)].copy()
+            for j, fj in rest:
+                src = g + j if adjoint else g - j
+                if not 0 <= src <= b.N:
+                    break
+                xs = x[b.grade_slice(src)]
+                acc -= self._down(fj, xs, g) if adjoint else self._up(fj, xs)
+            x[b.grade_slice(g)] = acc / f0
+        return x
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    nz = np.flatnonzero(c)
+    return c[:nz[-1] + 1] if nz.size else c[:1]
+
+
+def graded_multiplier(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOperator:
+    """Compression of multiplication by f = sum_a c_a Z^a.
+
+    side 'left': e_b -> sum_a c_a e_{ab}; side 'right': e_b -> sum_a c_a
+    e_{ba}.  coeffs lists c_a over the words of basis.  to_dense() fills
+    one Kronecker block per pair of grades.
+    """
+    k = _GradedProduct(basis, coeffs, side)
+    return TruncatedOperator(basis, k.matvec, k.rmatvec, dense=k.dense)
+
+
+def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOperator:
+    """Inverse of graded_multiplier(basis, coeffs, side); needs c_empty != 0.
+
+    The product is block lower-triangular with diagonal c_empty I, so
+    apply() is one forward substitution over grades and adjoint_apply()
+    one backward substitution.  Exact on the truncation.
+    """
+    k = _GradedProduct(basis, coeffs, side)
+    if k.coeffs[0] == 0:
+        raise ValueError("graded inverse needs a nonzero constant coefficient")
+    return TruncatedOperator(basis, k.solve, lambda w: k.solve(w, adjoint=True))
+
+
+def word_monomial(basis: WordBasis, w: Word) -> TruncatedOperator:
+    """Compression of L^w = L_{w_1} ... L_{w_n}: e_b -> e_{w b}."""
+    if len(w) > basis.N:
+        raise ValueError("monomial word exceeds truncation grade")
+    return _monomial(basis, w, "left")
+
+
+def left_shift(basis: WordBasis, k: int) -> TruncatedOperator:
+    """Compression of L_k: e_w -> e_{kw}, words of top grade map to 0."""
+    _check_letter(basis, k)
+    return _monomial(basis, (k,), "left")
 
 
 def right_shift(basis: WordBasis, k: int) -> TruncatedOperator:
     """Compression of R_k: e_w -> e_{wk}, words of top grade map to 0."""
+    _check_letter(basis, k)
+    return _monomial(basis, (k,), "right")
+
+
+def _check_letter(basis: WordBasis, k: int):
     if not 1 <= k <= basis.d:
         raise ValueError(f"shift letter {k} outside 1..{basis.d}")
-    maps = [(basis.grade_slice(g), basis.right_concat_slice(g, (k,)))
-            for g in range(basis.N)]
 
-    def mv(v):
-        out = np.zeros_like(v)
-        for src, tgt in maps:
-            out[tgt] = v[src]
-        return out
 
-    def rmv(v):
-        out = np.zeros_like(v)
-        for src, tgt in maps:
-            out[src] = v[tgt]
-        return out
-
-    return TruncatedOperator(basis, mv, rmv)
+def _monomial(basis: WordBasis, w: Word, side: str) -> TruncatedOperator:
+    """Multiplication by Z^w on one side; zero when w is longer than N."""
+    c = np.zeros(basis.size, dtype=complex)
+    if len(w) <= basis.N:
+        c[basis.index(w)] = 1.0
+    return graded_multiplier(basis, c, side)
 
 
 def transpose_unitary(basis: WordBasis) -> TruncatedOperator:
@@ -251,26 +370,3 @@ def grade_projection(basis: WordBasis, M: int) -> TruncatedOperator:
         return out
 
     return TruncatedOperator(basis, mv, mv)
-
-
-def word_monomial(basis: WordBasis, w: Word) -> TruncatedOperator:
-    """Compression of L^w = L_{w_1} ... L_{w_n}: e_b -> e_{w b}."""
-    lw = len(w)
-    if lw > basis.N:
-        raise ValueError("monomial word exceeds truncation grade")
-    maps = [(basis.grade_slice(g), basis.left_concat_slice(w, g))
-            for g in range(basis.N - lw + 1)]
-
-    def mv(v):
-        out = np.zeros_like(v)
-        for src, tgt in maps:
-            out[tgt] = v[src]
-        return out
-
-    def rmv(v):
-        out = np.zeros_like(v)
-        for src, tgt in maps:
-            out[src] = v[tgt]
-        return out
-
-    return TruncatedOperator(basis, mv, rmv)

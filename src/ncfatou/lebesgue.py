@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import TruncatedOperator
+from .fock import TruncatedOperator, graded_inverse
 from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
                       herglotz_transform, is_positive)
-from .series import (NCSeries, radial_scale, series_at_right_shifts,
-                     transpose_conjugate)
+from .series import (NCSeries, cayley_to_herglotz, radial_scale,
+                     series_at_right_shifts, transpose_conjugate)
 from .words import WordBasis, word_count
 
 
@@ -98,159 +98,82 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # radial operators T_r = Re H(rR)
 
+#: d >= 2 bases up to this many words hold T_r as a dense matrix.
+DENSE_LIMIT = 2048
+
+
 class RadialOperator(TruncatedOperator):
     """Compression of T_r = Re H_B(rR) on the truncated basis.
 
-    Modes: 'dense' materializes the matrix; 'toeplitz' (d=1) stores the
-    Toeplitz first column and applies by FFT; 'neumann' applies H(rR)
-    matrix-free by the germ-shifted finite Neumann solve of
-    (I - B(rR)) x = (I + B(rR)) v, exact on the truncation because the
-    grade-raising part of B(rR) is nilpotent there.
+    The mode follows from (d, basis.size).  T_r v = (H(rR) v + H(rR)^* v)/2
+    with H(rR) a graded multiplier.  For d = 1 ('toeplitz') T_r is
+    Toeplitz, and its first column is kept for the Levinson solve.  For
+    d >= 2, bases of up to DENSE_LIMIT words hold the dense matrix
+    ('dense'); larger ones apply T_r without it ('matrix-free').  From a
+    Schur symbol that uses K = I - B(rR), block lower-triangular with
+    diagonal (1 - B(0)) I in the graded-lex basis: H(rR) = 2 K^{-1} - I,
+    so T_r v = K^{-1} v + K^{-*} v - v, each term one substitution over
+    grades, exact on the truncation.
     """
 
-    def __init__(self, basis: WordBasis, r: float, mode: str, matvec,
-                 B: NCSeries | None = None, column: np.ndarray | None = None,
-                 dense: np.ndarray | None = None):
+    def __init__(self, basis: WordBasis, r: float, matvec,
+                 column: np.ndarray | None = None, dense=None):
         super().__init__(basis, matvec, matvec, dense=dense)
         self.r = r
-        self.mode = mode
-        self.B = B
         self.column = column
+        self.mode = ("toeplitz" if column is not None else
+                     "matrix-free" if dense is None else "dense")
 
     @staticmethod
-    def from_schur(B: NCSeries, r: float, mode: str = "auto",
-                   dense_limit: int = 2048) -> "RadialOperator":
+    def from_schur(B: NCSeries, r: float) -> "RadialOperator":
         """Build T_r from a Schur-class symbol (germ |B(0)| < 1 checked)."""
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"radius must lie in (0,1), got {r}")
         if abs(B.constant_term()) >= 1.0:
             raise ValueError(
-                f"Neumann solve needs |B(0)| < 1, got {abs(B.constant_term()):.6g}")
-        basis = B.basis
-        mode = _pick_mode(basis, mode, dense_limit)
-        if mode == "neumann":
-            return _radial_neumann(B, r)
-        from .series import cayley_to_herglotz
-        H = cayley_to_herglotz(B)
-        return RadialOperator.from_herglotz(H, r, mode=mode, B=B,
-                                            dense_limit=dense_limit)
+                f"T_r needs |B(0)| < 1, got {abs(B.constant_term()):.6g}")
+        if _mode(B.basis) == "matrix-free":
+            return _radial_matrix_free(B, r)
+        return RadialOperator.from_herglotz(cayley_to_herglotz(B), r)
 
     @staticmethod
-    def from_herglotz(H: NCSeries, r: float, mode: str = "auto",
-                      B: NCSeries | None = None,
-                      dense_limit: int = 2048) -> "RadialOperator":
+    def from_herglotz(H: NCSeries, r: float) -> "RadialOperator":
         """Build T_r = Re H(rR) directly from Herglotz coefficients."""
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"radius must lie in (0,1), got {r}")
         basis = H.basis
-        mode = _pick_mode(basis, mode, dense_limit)
-        if basis.d == 1 and mode in ("toeplitz", "dense"):
-            column = _toeplitz_column(H, r)
-            if mode == "toeplitz":
-                matvec = _toeplitz_matvec(column)
-                return RadialOperator(basis, r, "toeplitz", matvec, B=B, column=column)
-            dense = scipy.linalg.toeplitz(column, column.conj())
-            return RadialOperator(basis, r, "dense", lambda v: dense @ v,
-                                  B=B, column=column, dense=dense)
-        H_r = radial_scale(H, r)
-        if mode == "dense":
-            X = _dense_right_multiplier(transpose_conjugate(H_r))
-            dense = 0.5 * (X + X.conj().T)
-            return RadialOperator(basis, r, "dense", lambda v: dense @ v,
-                                  B=B, dense=dense)
+        H_r = radial_scale(H, r)  # checks 0 < r < 1
         op = series_at_right_shifts(H_r)
+        mode = _mode(basis)
+        if mode == "dense":
+            X = op.to_dense()
+            dense = 0.5 * (X + X.conj().T)
+            return RadialOperator(basis, r, lambda v: dense @ v, dense=dense)
 
         def matvec(v):
             return 0.5 * (op.apply(v) + op.adjoint_apply(v))
 
-        return RadialOperator(basis, r, "neumann", matvec, B=B)
+        if mode == "matrix-free":
+            return RadialOperator(basis, r, matvec)
+        # the same entries as matvec produces, so columns match exactly
+        column = 0.5 * H_r.coeffs
+        column[0] = H.coeffs[0].real
+        return RadialOperator(basis, r, matvec, column=column,
+                              dense=lambda: scipy.linalg.toeplitz(column, column.conj()))
 
 
-def radial_operator(B: NCSeries, r: float, mode: str = "auto",
-                    dense_limit: int = 2048) -> RadialOperator:
-    """T_r = Re H_B(rR) for a Schur-class symbol; see RadialOperator."""
-    return RadialOperator.from_schur(B, r, mode=mode, dense_limit=dense_limit)
+def _mode(basis: WordBasis) -> str:
+    if basis.d == 1:
+        return "toeplitz"
+    return "dense" if basis.size <= DENSE_LIMIT else "matrix-free"
 
 
-def _pick_mode(basis: WordBasis, mode: str, dense_limit: int) -> str:
-    if mode != "auto":
-        if mode not in ("dense", "toeplitz", "neumann"):
-            raise ValueError(f"unknown radial mode {mode!r}")
-        if mode == "toeplitz" and basis.d != 1:
-            raise ValueError("toeplitz mode requires d = 1")
-        return mode
-    if basis.size <= dense_limit:
-        return "dense"
-    return "toeplitz" if basis.d == 1 else "neumann"
-
-
-def _toeplitz_column(H: NCSeries, r: float) -> np.ndarray:
-    N = H.basis.N
-    col = 0.5 * H.coeffs * r ** np.arange(N + 1)
-    col[0] = H.coeffs[0].real
-    return col
-
-
-def _toeplitz_matvec(column: np.ndarray):
-    n = len(column)
-    emb = np.zeros(2 * n, dtype=complex)
-    emb[:n] = column
-    emb[n + 1:] = column[:0:-1].conj()
-    f_emb = np.fft.fft(emb)
-
-    def matvec(v):
-        pad = np.zeros(2 * n, dtype=complex)
-        pad[:n] = v
-        return np.fft.ifft(f_emb * np.fft.fft(pad))[:n]
-
-    return matvec
-
-
-def _dense_right_multiplier(g: NCSeries) -> np.ndarray:
-    basis = g.basis
-    M = np.zeros((basis.size, basis.size), dtype=complex)
-    rows = np.arange(basis.size)
-    for w, c in g.support():
-        for gs in range(basis.N - len(w) + 1):
-            src = basis.grade_slice(gs)
-            tgt = basis.right_concat_slice(gs, w)
-            M[rows[tgt], rows[src]] += c
-    return M
-
-
-def _radial_neumann(B: NCSeries, r: float) -> RadialOperator:
+def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
+    """T_r = K^{-1} + K^{-*} - I with K = I - B(rR), for any d and size."""
     basis = B.basis
-    B_r = radial_scale(B, r)
-    beta = B_r.constant_term()
-    shifted = B_r - NCSeries.from_dict(basis, {(): beta})
-    Bop = series_at_right_shifts(B_r)
-    Sop = series_at_right_shifts(shifted * (1.0 / (1.0 - beta)))
-
-    def solve_one_minus_b(w, adjoint):
-        # (I - B(rR))^{-1} = (1-beta)^{-1} sum_k S^k with S strictly
-        # grade-raising, hence nilpotent on the truncation.
-        acc = w.copy()
-        term = w
-        step = Sop.adjoint_apply if adjoint else Sop.apply
-        for _ in range(basis.N):
-            term = step(term)
-            if not np.any(term):
-                break
-            acc = acc + term
-        scale = 1.0 / np.conj(1.0 - beta) if adjoint else 1.0 / (1.0 - beta)
-        return scale * acc
-
-    def herglotz_apply(v):
-        return solve_one_minus_b(v + Bop.apply(v), adjoint=False)
-
-    def herglotz_adjoint_apply(v):
-        y = solve_one_minus_b(v, adjoint=True)
-        return y + Bop.adjoint_apply(y)
+    K = transpose_conjugate(NCSeries.one(basis) - radial_scale(B, r))
+    K_inv = graded_inverse(basis, K.coeffs, "right")
 
     def matvec(v):
-        return 0.5 * (herglotz_apply(v) + herglotz_adjoint_apply(v))
+        return K_inv.apply(v) + K_inv.adjoint_apply(v) - v
 
-    return RadialOperator(basis, r, "neumann", matvec, B=B)
+    return RadialOperator(basis, r, matvec)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +184,8 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
     """Conjugate gradients for Hermitian positive definite systems.
 
     Returns (x, iterations, relative_residual); raises RuntimeError on
-    non-convergence so that failed solves are never silently used.
+    non-convergence or breakdown (p^H A p not finite and positive, or a
+    non-finite residual) so that failed solves are never silently used.
     """
     x = np.zeros_like(b)
     res = b.copy()
@@ -272,10 +196,17 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
         return x, 0, 0.0
     for it in range(1, maxiter + 1):
         Ap = matvec(p)
-        alpha = rs / float(np.vdot(p, Ap).real)
+        pAp = float(np.vdot(p, Ap).real)
+        if not np.isfinite(pAp) or pAp <= 0.0:
+            raise RuntimeError(
+                f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
+                "operator not positive definite")
+        alpha = rs / pAp
         x = x + alpha * p
         res = res - alpha * Ap
         rs_new = float(np.vdot(res, res).real)
+        if not np.isfinite(rs_new):
+            raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
         if np.sqrt(rs_new) <= tol * bnorm:
             return x, it, np.sqrt(rs_new) / bnorm
         p = res + (rs_new / rs) * p
@@ -283,43 +214,6 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
     raise RuntimeError(
         f"CG did not converge in {maxiter} iterations "
         f"(relative residual {np.sqrt(rs) / bnorm:.3e})")
-
-
-class ResolventOperator(TruncatedOperator):
-    """(eps I + T_r)^{-1} with a mode-matched solver."""
-
-    def __init__(self, Tr: RadialOperator, eps: float,
-                 cg_tol: float = 1e-10, cg_maxiter: int = 2000):
-        if eps <= 0:
-            raise ValueError(f"resolvent parameter must be positive, got {eps}")
-        self.Tr = Tr
-        self.eps = eps
-        self.cg_tol = cg_tol
-        self.cg_maxiter = cg_maxiter
-        self.cg_iterations: list = []
-        basis = Tr.basis
-        if Tr.mode == "dense":
-            A = Tr.to_dense() + eps * np.eye(basis.size)
-            factor = scipy.linalg.cho_factor(0.5 * (A + A.conj().T))
-            solve = lambda v: scipy.linalg.cho_solve(factor, v)
-        elif Tr.mode == "toeplitz":
-            col = Tr.column.copy()
-            col[0] += eps
-            solve = lambda v: scipy.linalg.solve_toeplitz((col, col.conj()), v)
-        else:
-            def solve(v):
-                shifted = lambda u: eps * u + Tr.apply(u)
-                x, iters, _ = hermitian_cg(shifted, v, tol=cg_tol, maxiter=cg_maxiter)
-                self.cg_iterations.append(iters)
-                return x
-        super().__init__(basis, solve, solve)
-        self._solve = solve
-
-
-def resolvent(Tr: RadialOperator, eps: float, cg_tol: float = 1e-10,
-              cg_maxiter: int = 2000) -> ResolventOperator:
-    """Delta_r(eps) = (eps I + T_r)^{-1}."""
-    return ResolventOperator(Tr, eps, cg_tol=cg_tol, cg_maxiter=cg_maxiter)
 
 
 def _gs_inverse_corner(phi: np.ndarray, m: int) -> np.ndarray:
@@ -343,13 +237,16 @@ def _gs_inverse_corner(phi: np.ndarray, m: int) -> np.ndarray:
 
 def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
                      cg_tol: float = 1e-10, cg_maxiter: int = 2000) -> tuple:
-    """P_m Delta_r(eps) P_m as an m x m matrix (m counts basis words).
+    """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
+    m x m matrix (m counts basis words); eps must be positive.
 
     Uses one Levinson solve plus the Gohberg-Semencul corner formula in
     toeplitz mode, a Cholesky solve in dense mode, and per-column CG in
     matrix-free mode (where m must stay small).  Returns the Hermitized
     corner together with the CG iteration counts (empty outside CG mode).
     """
+    if not eps > 0:
+        raise ValueError(f"resolvent parameter must be positive, got {eps}")
     basis = Tr.basis
     if m > basis.size:
         raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
@@ -371,16 +268,18 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
         if m > 256:
             raise ValueError(
                 f"matrix-free corner extraction with {m} columns is not "
-                "practical; use dense or toeplitz mode")
-        delta = resolvent(Tr, eps, cg_tol=cg_tol, cg_maxiter=cg_maxiter)
-        cols = np.zeros((m, m), dtype=complex)
+                "practical; use a smaller corner")
+        corner = np.zeros((m, m), dtype=complex)
         e = np.zeros(basis.size, dtype=complex)
+        iters = []
         for j in range(m):
             e[j] = 1.0
-            cols[:, j] = delta.apply(e)[:m]
+            x, it, _ = hermitian_cg(lambda u: eps * u + Tr.apply(u), e,
+                                    tol=cg_tol, maxiter=cg_maxiter)
+            corner[:, j] = x[:m]
+            iters.append(it)
             e[j] = 0.0
-        corner = cols
-        cg_iters = tuple(delta.cg_iterations)
+        cg_iters = tuple(iters)
     return 0.5 * (corner + corner.conj().T), cg_iters
 
 
@@ -431,13 +330,13 @@ class RNResult:
         return np.array([s.mass for s in self.stages])
 
 
-def _stage_operator(source, d: int, r: float, N: int,
-                    dense_limit: int) -> RadialOperator:
+def _stage_operator(source, d: int, r: float, N: int) -> RadialOperator:
     """T_r at the stage grade, routed by source type.
 
-    Schur-series sources keep their sparse support and go through the
-    Neumann-solve construction; moment sources go through the Herglotz
-    coefficients directly (dense support, viable for d = 1 or small N).
+    Schur-series sources keep their sparse support, which the matrix-free
+    substitution uses on large d >= 2 bases; moment sources go through the
+    Herglotz coefficients directly (dense support, viable for d = 1 or
+    small N).
     """
     basis = WordBasis(d, N)
     if isinstance(source, NCSeries):
@@ -445,14 +344,14 @@ def _stage_operator(source, d: int, r: float, N: int,
         if deg > N:
             raise ValueError(f"symbol degree {deg} exceeds stage grade {N}")
         B = NCSeries.from_dict(basis, dict(source.support()))
-        return RadialOperator.from_schur(B, r, mode="auto", dense_limit=dense_limit)
+        return RadialOperator.from_schur(B, r)
     if isinstance(source, MomentFunctional):
         if source.basis.N < N:
             raise ValueError(
                 f"schedule stage needs moments through grade {N}, functional "
                 f"only reaches {source.basis.N}")
         H = herglotz_transform(source.restricted(N))
-        return RadialOperator.from_herglotz(H, r, mode="auto", dense_limit=dense_limit)
+        return RadialOperator.from_herglotz(H, r)
     raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
 
 
@@ -468,7 +367,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
                   schedule: Schedule | None = None, recovery_buffer: int = 8,
                   cauchy_tol: float = 1e-4, tail_tol: float = 1e-8,
                   j_max: int = 10, j_min: int = 1,
-                  memory_budget_mb: float = 512.0, dense_limit: int = 2048,
+                  memory_budget_mb: float = 512.0,
                   cg_tol: float = 1e-10, cg_maxiter: int = 2000,
                   singular_tol: float = 0.05,
                   positivity_tol: float = 1e-6) -> RNResult:
@@ -505,7 +404,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     converged = False
     Tr_final = None
     for (r, N) in schedule.stages:
-        Tr = _stage_operator(source, d, r, N, dense_limit)
+        Tr = _stage_operator(source, d, r, N)
         rec_grade = min(M + recovery_buffer, N)
         m_rec = word_count(d, rec_grade)
         corner, cg_iters = resolvent_corner(Tr, primary, m_rec, cg_tol=cg_tol,
@@ -595,7 +494,7 @@ def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PsdReport:
     if x.basis != basis:
         raise ValueError("B and x must share a basis")
     m = basis.sub_basis_size(M)
-    Tr = RadialOperator.from_schur(B, r, mode="auto")
+    Tr = RadialOperator.from_schur(B, r)
     xr_op = series_at_right_shifts(radial_scale(x, r))
     e = np.zeros(basis.size, dtype=complex)
     T_block = np.zeros((m, m), dtype=complex)
@@ -627,7 +526,7 @@ def fatou_form_check(B: NCSeries, T_moments: MomentFunctional, M: int) -> PsdRep
         raise ValueError("B and T moments have mismatched alphabet sizes")
     basis = WordBasis(d, need)
     B_loc = NCSeries.from_dict(basis, dict(B.support()))
-    Bop = _dense_right_multiplier(transpose_conjugate(B_loc))
+    Bop = series_at_right_shifts(B_loc).to_dense()
     T_hat = gram(T_moments.restricted(need)).matrix
     eye = np.eye(basis.size)
     lhs = 2.0 * (eye - 0.5 * (Bop + Bop.conj().T))

@@ -202,8 +202,10 @@ def herglotz_transform(mu: MomentFunctional) -> NCSeries:
 def herglotz_eval(mu: MomentFunctional, Z: MatrixPoint) -> EvalResult:
     """(id_n (x) mu) applied to (I + ZL*)(I - ZL*)^{-1}, truncated.
 
-    Computed through the finite Neumann series of the nilpotent
-    grade-lowering contraction ZL* on the truncation; agrees with
+    The grade-lowering contraction ZL* = sum_k Z_k (x) L_k^* is nilpotent
+    on the truncation, so (I - ZL*)^{-1} applied to u = conj(mu) is one
+    substitution from the top grade down: X_w = u_w I + sum_k Z_k X_{kw},
+    and H = 2 X_empty - u_empty I.  Agrees with
     evaluate(herglotz_transform(mu), Z) exactly through grade N.
     """
     basis = mu.basis
@@ -214,29 +216,14 @@ def herglotz_eval(mu: MomentFunctional, Z: MatrixPoint) -> EvalResult:
     d, N, n = basis.d, basis.N, Z.n
     u = np.conj(mu.moments)
     u[0] = mu.moments[0].real  # Im H(0) = 0 gauge
-
-    def shift_down(V):
-        # V has shape (n, size); apply sum_k Z_k (x) L_k^* .
-        out = np.zeros_like(V)
-        for k in range(1, d + 1):
-            for g in range(N):
-                out[:, basis.grade_slice(g)] += \
-                    Z.Z[k - 1] @ V[:, basis.left_concat_slice((k,), g)]
-        return out
-
-    H = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        V = np.zeros((n, basis.size), dtype=complex)
-        V[j, :] = u
-        acc = V.copy()
-        term = V
-        for _ in range(N):
-            term = shift_down(term)
-            if not np.any(term):
-                break
-            acc += term
-        W = 2.0 * acc - V
-        H[:, j] = W[:, 0]
+    eye = np.eye(n, dtype=complex)
+    X = u[basis.grade_slice(N)][:, None, None] * eye
+    for g in range(N - 1, -1, -1):
+        ext = X.reshape(d, d ** g, n, n)  # X at the words k.w, as [k, w]
+        X = u[basis.grade_slice(g)][:, None, None] * eye
+        for k in range(d):
+            X = X + Z.Z[k] @ ext[k]
+    H = 2.0 * X[0] - u[0] * eye
     rho = Z.row_norm
     tail = 2.0 * abs(mu.moments[0]) * rho ** (N + 1) / (1.0 - rho)
     return EvalResult(H, float(tail))
@@ -301,13 +288,7 @@ def gns_isometry(G: GramMatrix, k: int) -> GnsIsometry:
     if not 1 <= k <= basis.d:
         raise ValueError(f"shift letter {k} outside 1..{basis.d}")
     W, _ = _gns_factor(G)
-    Lk = left_shift(basis, k)
-    Lk_mat = np.zeros((basis.size, basis.size), dtype=complex)
-    e = np.zeros(basis.size, dtype=complex)
-    for j in range(basis.size):
-        e[j] = 1.0
-        Lk_mat[:, j] = Lk.apply(e)
-        e[j] = 0.0
+    Lk_mat = left_shift(basis, k).to_dense()
     m_low = basis.sub_basis_size(basis.N - 1) if basis.N >= 1 else basis.size
     W_low = W[:, :m_low]
     rep = np.zeros((basis.size, W.shape[0]), dtype=complex)

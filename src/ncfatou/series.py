@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 
-from .fock import TruncatedOperator
+from .fock import TruncatedOperator, graded_inverse, graded_multiplier
 from .words import Word, WordBasis, word_from_str, word_to_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
@@ -113,50 +113,23 @@ def _coerce(x, basis: WordBasis) -> NCSeries:
 
 def multiply(f: NCSeries, g: NCSeries) -> NCSeries:
     """Graded Cauchy product, exact through grade N."""
-    basis = f.basis
-    g = _coerce(g, basis)
-    d, N = basis.d, basis.N
-    if d == 1:
-        return NCSeries(basis, np.convolve(f.coeffs, g.coeffs)[:N + 1])
-    out = np.zeros(basis.size, dtype=complex)
-    for j in range(N + 1):
-        fj = f.coeffs[basis.grade_slice(j)]
-        if not np.any(fj):
-            continue
-        for k in range(N + 1 - j):
-            gk = g.coeffs[basis.grade_slice(k)]
-            if not np.any(gk):
-                continue
-            sl = basis.grade_slice(j + k)
-            out[sl] += np.outer(fj, gk).ravel()
-    return NCSeries(basis, out)
+    g = _coerce(g, f.basis)
+    return NCSeries(f.basis, graded_multiplier(f.basis, f.coeffs).apply(g.coeffs))
 
 
 def invert(f: NCSeries) -> NCSeries:
     """Multiplicative inverse through grade N; requires a nonzero germ.
 
-    Graded Neumann recursion: with f = c(1 - s), s strictly grade-raising,
-    the inverse is the finite sum (1/c) sum s^k, exact on the truncation.
+    For d >= 2, h solves f h = 1 by forward substitution over grades,
+    h_n = -(1/c) sum_{j >= 1} f_j h_{n-j} with c the germ, exact on the
+    truncation; for d = 1 a Newton iteration doubles the correct prefix.
     """
     basis = f.basis
-    c0 = f.coeffs[0]
-    if c0 == 0:
+    if f.coeffs[0] == 0:
         raise ValueError(_GERM_MSG.format("series has zero constant term, not invertible"))
-    d, N = basis.d, basis.N
-    if d == 1:
-        return NCSeries(basis, _invert_1d(f.coeffs, N))
-    h = np.zeros(basis.size, dtype=complex)
-    h[0] = 1.0 / c0
-    for n in range(1, N + 1):
-        acc = np.zeros(d ** n, dtype=complex)
-        for j in range(1, n + 1):
-            fj = f.coeffs[basis.grade_slice(j)]
-            if not np.any(fj):
-                continue
-            hk = h[basis.grade_slice(n - j)]
-            acc += np.outer(fj, hk).ravel()
-        h[basis.grade_slice(n)] = -acc / c0
-    return NCSeries(basis, h)
+    if basis.d == 1:
+        return NCSeries(basis, _invert_1d(f.coeffs, basis.N))
+    return NCSeries(basis, graded_inverse(basis, f.coeffs).apply(NCSeries.one(basis).coeffs))
 
 
 def _invert_1d(f: np.ndarray, N: int) -> np.ndarray:
@@ -177,10 +150,8 @@ def radial_scale(f: NCSeries, r: float) -> NCSeries:
     if not 0.0 < r < 1.0:
         raise ValueError(f"radial parameter must lie in (0,1), got {r}")
     basis = f.basis
-    out = f.coeffs.copy()
-    for g in range(1, basis.N + 1):
-        out[basis.grade_slice(g)] *= r ** g
-    return NCSeries(basis, out)
+    scale = np.repeat(r ** np.arange(basis.N + 1), np.diff(basis.offsets))
+    return NCSeries(basis, f.coeffs * scale)
 
 
 def transpose_conjugate(f: NCSeries) -> NCSeries:
@@ -286,49 +257,13 @@ def evaluate(f: NCSeries, Z: MatrixPoint) -> EvalResult:
 
 def left_multiplier(f: NCSeries) -> TruncatedOperator:
     """Compression of M^L_f: e_b -> sum_a c_a e_{ab}."""
-    basis = f.basis
-    terms = [(w, c) for w, c in f.support()]
-
-    def mv(v):
-        out = np.zeros_like(v)
-        for w, c in terms:
-            for g in range(basis.N - len(w) + 1):
-                out[basis.left_concat_slice(w, g)] += c * v[basis.grade_slice(g)]
-        return out
-
-    def rmv(v):
-        out = np.zeros_like(v)
-        for w, c in terms:
-            cc = np.conj(c)
-            for g in range(basis.N - len(w) + 1):
-                out[basis.grade_slice(g)] += cc * v[basis.left_concat_slice(w, g)]
-        return out
-
-    return TruncatedOperator(basis, mv, rmv)
+    return graded_multiplier(f.basis, f.coeffs, "left")
 
 
 def right_multiplier(f: NCSeries) -> TruncatedOperator:
     """Compression of M^R_f: e_b -> sum_a c_a e_{ba} (multiplication by f
     on the right)."""
-    basis = f.basis
-    terms = [(w, c) for w, c in f.support()]
-
-    def mv(v):
-        out = np.zeros_like(v)
-        for w, c in terms:
-            for g in range(basis.N - len(w) + 1):
-                out[basis.right_concat_slice(g, w)] += c * v[basis.grade_slice(g)]
-        return out
-
-    def rmv(v):
-        out = np.zeros_like(v)
-        for w, c in terms:
-            cc = np.conj(c)
-            for g in range(basis.N - len(w) + 1):
-                out[basis.grade_slice(g)] += cc * v[basis.right_concat_slice(g, w)]
-        return out
-
-    return TruncatedOperator(basis, mv, rmv)
+    return graded_multiplier(f.basis, f.coeffs, "right")
 
 
 def series_at_right_shifts(f: NCSeries) -> TruncatedOperator:

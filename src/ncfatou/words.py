@@ -192,7 +192,3 @@ class WordBasis:
         start = int(self.offsets[g + lw]) + self.rank(w)
         return slice(start, start + step * self.d ** g, step)
 
-
-def enumerate_words(d: int, N: int) -> WordBasis:
-    """Build the graded-lex word basis; rejects d < 1 or N < 0."""
-    return WordBasis(d, N)

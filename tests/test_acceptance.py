@@ -132,7 +132,7 @@ def test_a5_left_right_asymmetry():
 def test_a6_outer_factorization():
     basis1 = WordBasis(1, 96)
     tau1 = RadialOperator.from_schur(
-        NCSeries.from_dict(basis1, {(1,): 0.5}), 0.9, mode="dense")
+        NCSeries.from_dict(basis1, {(1,): 0.5}), 0.9)
     res1 = outer_factor(tau1, 1.0)
     basis2 = WordBasis(2, 8)
     x = np.zeros(basis2.size, dtype=complex)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncfatou.factor import ltoeplitz_check, outer_factor, outer_factor_matrix
+from ncfatou.factor import ltoeplitz_check, outer_factor
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import RadialOperator
 from ncfatou.measure import gram, vector_state
@@ -22,7 +22,7 @@ def test_outer_factor_trivial():
 def test_outer_factor_radial_toeplitz():
     basis = WordBasis(1, 96)
     B = NCSeries.from_dict(basis, {(1,): 0.5})
-    tau = RadialOperator.from_schur(B, 0.9, mode="dense")
+    tau = RadialOperator.from_schur(B, 0.9)
     res = outer_factor(tau, 1.0)
     assert res.residual <= 1e-8
     assert res.psi.constant_term().real > 0
@@ -35,7 +35,7 @@ def test_outer_factor_vector_state_d2():
     x[basis.index(())] = 1.0
     x[basis.index((1,))] = 0.5
     tau_mat = gram(vector_state(FockVector(basis, x))).matrix
-    res = outer_factor_matrix(tau_mat, basis, 1.0)
+    res = outer_factor(TruncatedOperator.from_dense(basis, tau_mat), 1.0)
     assert res.residual <= 1e-8
 
 
@@ -53,7 +53,7 @@ def test_outer_factor_gauge_and_determinism():
 def test_outer_factor_contraction_bound():
     basis = WordBasis(1, 48)
     B = NCSeries.from_dict(basis, {(1,): 0.5})
-    tau = RadialOperator.from_schur(B, 0.8, mode="dense")
+    tau = RadialOperator.from_schur(B, 0.8)
     for eps in (0.5, 1.0, 2.0):
         res = outer_factor(tau, eps)
         rng = np.random.default_rng(63)
@@ -68,7 +68,7 @@ def test_outer_factor_outerness_rank():
     # exact region: a cyclicity proxy for outerness
     basis = WordBasis(1, 40)
     B = NCSeries.from_dict(basis, {(1,): 0.5})
-    tau = RadialOperator.from_schur(B, 0.8, mode="dense")
+    tau = RadialOperator.from_schur(B, 0.8)
     res = outer_factor(tau, 1.0)
     m = basis.sub_basis_size(res.check_grade)
     cols = np.zeros((basis.size, m), dtype=complex)
@@ -99,8 +99,7 @@ def test_ltoeplitz_check_examples():
     eye = TruncatedOperator.identity(basis)
     assert ltoeplitz_check(eye).max_violation == 0.0
     b1 = WordBasis(1, 16)
-    Tr = RadialOperator.from_schur(NCSeries.from_dict(b1, {(1,): 0.5}), 0.8,
-                                   mode="dense")
+    Tr = RadialOperator.from_schur(NCSeries.from_dict(b1, {(1,): 0.5}), 0.8)
     assert ltoeplitz_check(Tr).max_violation < 1e-12
     bad = TruncatedOperator.from_dense(b1, np.diag(np.arange(1.0, 18.0)))
     assert ltoeplitz_check(bad).max_violation >= 1.0
@@ -112,7 +111,7 @@ def test_gauge_fix_resolves_unimodular_ambiguity():
     # the constant coefficient pins it down
     basis = WordBasis(1, 24)
     B = NCSeries.from_dict(basis, {(1,): 0.5})
-    tau = RadialOperator.from_schur(B, 0.8, mode="dense")
+    tau = RadialOperator.from_schur(B, 0.8)
     res = outer_factor(tau, 1.0)
     phase = np.exp(0.7j)
     from ncfatou.series import invert

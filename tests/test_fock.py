@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncfatou.fock import (FockVector, TruncatedOperator, basis_vector,
-                          grade_projection, left_shift, right_shift,
-                          transpose_unitary, vacuum, word_monomial)
+                          grade_projection, graded_inverse, graded_multiplier,
+                          left_shift, right_shift, transpose_unitary, vacuum,
+                          word_monomial)
+from ncfatou.series import NCSeries, left_multiplier, multiply
 from ncfatou.words import WordBasis
 
 
@@ -131,3 +134,57 @@ def test_dimension_mismatch_rejected(basis):
     other = WordBasis(2, 2)
     with pytest.raises(ValueError):
         left_shift(basis, 1).apply(vacuum(other))
+
+
+# -- graded products ---------------------------------------------------------
+
+def random_symbol(rng, basis, sparsity):
+    """Coefficients with a germ of modulus in [1, 2] and an l1-small rest,
+    so that the product and its inverse stay well conditioned."""
+    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    c[rng.random(basis.size) < sparsity] = 0.0
+    c[0] = rng.uniform(1.0, 2.0) * np.exp(2j * np.pi * rng.random())
+    rest = np.abs(c[1:]).sum()
+    if rest > 0:
+        c[1:] *= 0.5 * abs(c[0]) / rest
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), N=st.integers(0, 4),
+       side=st.sampled_from(["left", "right"]),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_graded_product_kernel_properties(d, N, side, sparsity, seed):
+    rng = np.random.default_rng(seed)
+    basis = WordBasis(d, N)
+    c = random_symbol(rng, basis, sparsity)
+    op = graded_multiplier(basis, c, side)
+    inv = graded_inverse(basis, c, side)
+    # the Kronecker fill agrees with column-by-column application
+    cols = np.column_stack([op.apply(e) for e in np.eye(basis.size)])
+    assert np.abs(op.to_dense() - cols).max() < 1e-14
+    assert op.adjoint_residual(rng) < 1e-12
+    assert inv.adjoint_residual(rng) < 1e-12
+    x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    assert np.abs(inv.apply(op.apply(x)) - x).max() < 1e-12
+    assert np.abs(inv.adjoint_apply(op.adjoint_apply(x)) - x).max() < 1e-12
+    assert np.abs(op.apply(inv.apply(x)) - x).max() < 1e-12
+    f = NCSeries(basis, c)
+    g = NCSeries(basis, rng.standard_normal(basis.size))
+    assert np.abs(multiply(f, g).coeffs - left_multiplier(f).apply(g.coeffs)).max() < 1e-12
+
+
+def test_graded_product_sides_and_germ():
+    basis = WordBasis(2, 2)
+    c = np.zeros(basis.size, dtype=complex)
+    c[basis.index((1,))] = 1.0
+    # multiplication by Z_1 on either side is the matching shift
+    assert np.array_equal(graded_multiplier(basis, c, "left").to_dense(),
+                          left_shift(basis, 1).to_dense())
+    assert np.array_equal(graded_multiplier(basis, c, "right").to_dense(),
+                          right_shift(basis, 1).to_dense())
+    with pytest.raises(ValueError):
+        graded_inverse(basis, c)
+    with pytest.raises(ValueError):
+        graded_multiplier(basis, c, "middle")

@@ -3,10 +3,10 @@ import pytest
 from scipy.linalg import toeplitz
 
 from ncfatou.fock import TruncatedOperator
-from ncfatou.lebesgue import (RadialOperator, Schedule, fatou_form_check,
+from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
+                              _radial_matrix_free, fatou_form_check,
                               form_decomposition_diagnostic, hermitian_cg,
-                              majorant_check, resolvent, resolvent_corner,
-                              rn_derivative)
+                              majorant_check, resolvent_corner, rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram,
                              nc_lebesgue)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
@@ -49,9 +49,16 @@ def test_schedule_validation():
 
 # -- radial operators --------------------------------------------------------
 
+def fatou_toeplitz(coeff, r, N):
+    """Oracle T_r for b = coeff z: Fourier coefficients of Re H(r zeta)."""
+    z = coeff * r * circle_grid(4096)
+    return toeplitz_from_symbol(np.real((1 + z) / (1 - z)), N)
+
+
 def test_radial_operator_identity_for_zero_symbol():
     basis = WordBasis(2, 4)
-    Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.6, mode="dense")
+    Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.6)
+    assert Tr.mode == "dense"
     assert np.abs(Tr.to_dense() - np.eye(basis.size)).max() < 1e-14
 
 
@@ -60,7 +67,8 @@ def test_radial_operator_entries_match_fft_oracle():
     # whole matrix against Fourier coefficients of Re (1+r zeta)/(1-r zeta)
     basis = WordBasis(1, 12)
     r = 0.7
-    Tr = RadialOperator.from_schur(schur_z(basis), r, mode="dense")
+    Tr = RadialOperator.from_schur(schur_z(basis), r)
+    assert Tr.mode == "toeplitz"
     grid = circle_grid(512)
     hvals = np.real((1 + r * grid) / (1 - r * grid))
     oracle = toeplitz_from_symbol(hvals, 12)
@@ -75,7 +83,7 @@ def test_radial_operator_vacuum_moment_is_r_independent():
     e0 = np.zeros(basis.size, dtype=complex)
     e0[0] = 1.0
     for r in (0.3, 0.6, 0.9):
-        Tr = RadialOperator.from_schur(B, r, mode="neumann")
+        Tr = _radial_matrix_free(B, r)
         assert np.vdot(e0, Tr.apply(e0)).real == pytest.approx(mu_mass, abs=1e-12)
 
 
@@ -84,26 +92,37 @@ def test_radial_operator_modes_agree_and_are_self_adjoint_psd():
     B = schur_z(basis, 0.8)
     rng = np.random.default_rng(41)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    dense = RadialOperator.from_schur(B, 0.85, mode="dense")
-    toep = RadialOperator.from_schur(B, 0.85, mode="toeplitz")
-    neu = RadialOperator.from_schur(B, 0.85, mode="neumann")
-    ref = dense.apply(v)
+    toep = RadialOperator.from_schur(B, 0.85)
+    free = _radial_matrix_free(B, 0.85)
+    ref = fatou_toeplitz(0.8, 0.85, 40) @ v
     assert np.abs(toep.apply(v) - ref).max() < 1e-10
-    assert np.abs(neu.apply(v) - ref).max() < 1e-10
-    assert dense.adjoint_residual(rng) < 1e-12
-    lam = np.linalg.eigvalsh(dense.to_dense()).min()
+    assert np.abs(free.apply(v) - ref).max() < 1e-10
+    assert toep.adjoint_residual(rng) < 1e-12
+    assert free.adjoint_residual(rng) < 1e-12
+    lam = np.linalg.eigvalsh(toep.to_dense()).min()
     assert lam >= -1e-10
 
 
 def test_radial_operator_nonzero_germ_neumann():
-    # the germ-shifted Neumann solve must stay exact when B(0) != 0
+    # the matrix-free substitution must stay exact when B(0) != 0
     basis = WordBasis(2, 4)
     B = NCSeries.from_dict(basis, {(): 0.4, (1,): 0.3, (2,): -0.2j})
-    dense = RadialOperator.from_schur(B, 0.7, mode="dense")
-    neu = RadialOperator.from_schur(B, 0.7, mode="neumann")
+    dense = RadialOperator.from_schur(B, 0.7)
+    free = _radial_matrix_free(B, 0.7)
     rng = np.random.default_rng(43)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    assert np.abs(dense.apply(v) - neu.apply(v)).max() < 1e-12
+    assert np.abs(dense.apply(v) - free.apply(v)).max() < 1e-12
+
+
+def test_radial_operator_mode_follows_basis_size():
+    small = WordBasis(2, 10)
+    large = WordBasis(2, 11)
+    assert small.size <= DENSE_LIMIT < large.size
+    B = NCSeries.from_dict(large, {(1,): 0.5, (2,): 0.25})
+    assert RadialOperator.from_schur(
+        NCSeries.from_dict(small, {(1,): 0.5, (2,): 0.25}), 0.6).mode == "dense"
+    assert RadialOperator.from_schur(B, 0.6).mode == "matrix-free"
+    assert RadialOperator.from_schur(schur_z(WordBasis(1, 3000)), 0.6).mode == "toeplitz"
 
 
 def test_radial_operator_rejects_bad_inputs():
@@ -118,20 +137,20 @@ def test_radial_operator_rejects_bad_inputs():
 
 def test_resolvent_examples():
     basis = WordBasis(2, 3)
-    Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.5, mode="dense")
-    delta = resolvent(Tr, 1.0)
+    Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.5)
+    delta, _ = resolvent_corner(Tr, 1.0, basis.size)
     rng = np.random.default_rng(47)
     v = rng.standard_normal(basis.size)
-    assert np.abs(delta.apply(v) - 0.5 * v).max() < 1e-13
+    assert np.abs(delta @ v - 0.5 * v).max() < 1e-13
     with pytest.raises(ValueError):
-        resolvent(Tr, 0.0)
+        resolvent_corner(Tr, 0.0, basis.size)
 
 
 def test_resolvent_spectrum_containment():
     basis = WordBasis(1, 20)
-    Tr = RadialOperator.from_schur(schur_z(basis, 0.9), 0.8, mode="dense")
-    delta = resolvent(Tr, 1.0)
-    lam = np.linalg.eigvalsh(delta.to_dense())
+    Tr = RadialOperator.from_schur(schur_z(basis, 0.9), 0.8)
+    delta, _ = resolvent_corner(Tr, 1.0, basis.size)
+    lam = np.linalg.eigvalsh(delta)
     assert lam.min() > 0.0 and lam.max() <= 1.0 + 1e-12
 
 
@@ -139,7 +158,7 @@ def test_resolvent_rank_one_trap_documents_order_of_limits():
     # fixed N, r -> 1: the truncated resolvent tends to I - J/(N+2), not I
     N = 6
     basis = WordBasis(1, N)
-    Tr = RadialOperator.from_schur(schur_z(basis), 1 - 1e-9, mode="dense")
+    Tr = RadialOperator.from_schur(schur_z(basis), 1 - 1e-9)
     corner, _ = resolvent_corner(Tr, 1.0, basis.size)
     J = np.ones((N + 1, N + 1))
     assert np.abs(corner - (np.eye(N + 1) - J / (N + 2))).max() < 1e-6
@@ -148,15 +167,25 @@ def test_resolvent_rank_one_trap_documents_order_of_limits():
 def test_resolvent_corner_modes_agree():
     basis = WordBasis(1, 30)
     B = schur_z(basis, 0.5)
-    dense = RadialOperator.from_schur(B, 0.9, mode="dense")
-    toep = RadialOperator.from_schur(B, 0.9, mode="toeplitz")
-    neu = RadialOperator.from_schur(B, 0.9, mode="neumann")
-    c1, _ = resolvent_corner(dense, 0.5, 6)
-    c2, _ = resolvent_corner(toep, 0.5, 6)
-    c3, it = resolvent_corner(neu, 0.5, 6)
-    assert np.abs(c1 - c2).max() < 1e-12
-    assert np.abs(c1 - c3).max() < 1e-9
+    toep = RadialOperator.from_schur(B, 0.9)
+    free = _radial_matrix_free(B, 0.9)
+    ref = np.linalg.inv(fatou_toeplitz(0.5, 0.9, 30) + 0.5 * np.eye(31))[:6, :6]
+    c1, _ = resolvent_corner(toep, 0.5, 6)
+    c2, it = resolvent_corner(free, 0.5, 6)
+    assert np.abs(c1 - ref).max() < 1e-12
+    assert np.abs(c2 - ref).max() < 1e-9
     assert len(it) == 6 and all(n > 0 for n in it)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_resolvent_corner_rejects_nonpositive_eps_in_every_mode(eps):
+    ops = [RadialOperator.from_schur(schur_z(WordBasis(1, 8), 0.5), 0.7),
+           RadialOperator.from_schur(schur_z(WordBasis(2, 3), 0.5), 0.7),
+           _radial_matrix_free(schur_z(WordBasis(2, 3), 0.5), 0.7)]
+    assert [Tr.mode for Tr in ops] == ["toeplitz", "dense", "matrix-free"]
+    for Tr in ops:
+        with pytest.raises(ValueError, match="must be positive"):
+            resolvent_corner(Tr, eps, 2)
 
 
 def test_hermitian_cg_solves_and_reports():
@@ -168,6 +197,24 @@ def test_hermitian_cg_solves_and_reports():
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
     with pytest.raises(RuntimeError):
         hermitian_cg(lambda v: A @ v, b, tol=1e-14, maxiter=2)
+
+
+def test_hermitian_cg_zero_operator_breaks_down():
+    b = np.ones(5, dtype=complex)
+    with pytest.raises(RuntimeError, match="breakdown"):
+        hermitian_cg(lambda v: 0.0 * v, b)
+
+
+def test_hermitian_cg_nan_operator_stops_at_once():
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    with pytest.raises(RuntimeError, match="breakdown"):
+        hermitian_cg(matvec, np.ones(5, dtype=complex), maxiter=2000)
+    assert len(calls) == 1
 
 
 # -- the coupled limit --------------------------------------------------------
@@ -221,12 +268,10 @@ def test_rn_derivative_moment_source_d2_matches_schur_source():
     B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): -0.3j})
     mu = clark_measure(B)
     sched = Schedule.explicit([(0.5, 8)])
-    res_mu = rn_derivative(mu, M=2, eps_grid=(0.5,), schedule=sched,
-                           dense_limit=4096)
+    res_mu = rn_derivative(mu, M=2, eps_grid=(0.5,), schedule=sched)
     res_B = rn_derivative(NCSeries.from_dict(WordBasis(2, 1),
                                              {(1,): 0.4, (2,): -0.3j}),
-                          M=2, eps_grid=(0.5,), schedule=sched,
-                          dense_limit=4096)
+                          M=2, eps_grid=(0.5,), schedule=sched)
     assert np.abs(res_mu.T_compression - res_B.T_compression).max() < 1e-12
 
 

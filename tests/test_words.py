@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfatou.words import (WordBasis, concat, enumerate_words, transpose,
+from ncfatou.words import (WordBasis, concat, transpose,
                            word_count, word_from_str, word_to_str)
 
 
@@ -18,18 +18,18 @@ def test_transpose_examples():
 
 
 def test_enumerate_examples():
-    b = enumerate_words(2, 2)
+    b = WordBasis(2, 2)
     assert [word_to_str(w) for w in b] == ["e", "1", "2", "11", "12", "21", "22"]
     assert b.size == 7
-    assert [word_to_str(w) for w in enumerate_words(1, 3)] == ["e", "1", "11", "111"]
-    assert enumerate_words(3, 1).size == 4
+    assert [word_to_str(w) for w in WordBasis(1, 3)] == ["e", "1", "11", "111"]
+    assert WordBasis(3, 1).size == 4
 
 
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        enumerate_words(0, 3)
+        WordBasis(0, 3)
     with pytest.raises(ValueError):
-        enumerate_words(2, -1)
+        WordBasis(2, -1)
 
 
 def test_word_count_formula():
