@@ -2,20 +2,30 @@
 
 Usage:
     ncfatou run <config.json> [--threads K] [--quiet]
-    ncfatou verify --suite core [--quiet]
+    ncfatou verify --suite core [--output-dir DIR] [--quiet]
 
-Exit codes: 0 success, 2 config validation failure, 3 numerical-diagnostic
-failure (CG non-convergence, PSD floor or residual beyond tolerance).
-Identical configs produce bit-identical CSV outputs: fixed reduction
-order, seeded probes, and the seed recorded in every output header.
+Exit codes: 0 success, 2 config validation failure (the message names the
+field path), 3 numerical-diagnostic failure (CG non-convergence, PSD floor
+or residual beyond tolerance).  Identical configs produce bit-identical CSV
+outputs: fixed reduction order, seeded probes, and the seed recorded in
+every output header.
+
+Config keys by experiment, as `key: type = default`.  An interval such as
+[0,inf) bounds a number and may name another field, [t, ...] is a nonempty
+list, `coeffs <= N` is {word: [re, im]} with words of length <= N, and of
+the keys marked "(one of)" exactly one is given.  Any other key exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
+import textwrap
+from collections import ChainMap
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,17 +33,13 @@ import numpy as np
 
 from . import oracle1d
 from .factor import outer_factor
-from .fock import TruncatedOperator
-from .lebesgue import (RadialOperator, Schedule, majorant_check, rn_derivative)
-from .measure import (MomentFunctional, clark_measure, gram,
-                      read_moments_csv)
+from .fock import FockVector, TruncatedOperator
+from .lebesgue import RadialOperator, Schedule, majorant_check, rn_derivative
+from .measure import clark_measure, gram, read_moments_csv, vector_state
 from .series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                      cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
                      read_series_csv, szego_kernel_matrix)
-from .words import WordBasis, word_to_str
-
-EXPERIMENTS = ("classical-fatou", "inner-singular", "decompose", "factor",
-               "majorant", "kernels", "verify")
+from .words import WordBasis, word_from_str, word_to_str
 
 
 class ConfigError(Exception):
@@ -41,139 +47,187 @@ class ConfigError(Exception):
 
 
 def _fail(path: str, msg: str):
-    raise ConfigError(f"{path}: {msg}")
+    raise ConfigError(f"{path.removeprefix('.') or 'config'}: {msg}")
 
 
-def _get(cfg: dict, key: str, kind, path: str, default=None, required=False):
-    full = f"{path}.{key}" if path else key
-    if key not in cfg:
-        if required:
-            _fail(full, "missing required field")
-        return default
-    val = cfg[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        _fail(full, f"expected {kind.__name__}, got {type(val).__name__}")
-    return val
+# ---------------------------------------------------------------------------
+# config validation against SCHEMAS, the experiment table at the end
+#
+# An object maps each key, in checking order, to (type, default).  Types:
+#   "int I", "real I"  a number in the interval I, such as "(0,1)"; a bound
+#                      may name a field checked before, as in "[M,inf)"
+#   "str", "a|b"       a string; one of the strings a, b
+#   "file"             a file, relative to the config, that must exist
+#   "coeffs <= N"      {word: [re, im]} over the letters 1..d, |word| <= N
+#   [t], (t, u)        a nonempty list of t; a list [t, u]
+#   {...}, Variants    a nested object; one of several
+# A default is REQUIRED, OPTIONAL (the key stays absent), ONE_OF (exactly
+# one such key is given), a function of the fields checked before it, or
+# a value that is checked like a given one.
+
+REQUIRED, OPTIONAL, ONE_OF = "(required)", "(optional)", "(one of)"
 
 
-def _positive_radius(r, path):
-    if not isinstance(r, (int, float)) or not 0.0 < float(r) < 1.0:
-        _fail(path, f"radius must lie strictly inside (0,1), got {r}")
-    return float(r)
+class Variants(dict):
+    """Object shapes by name; pick(value) names the one that applies."""
+
+    def __init__(self, pick, shapes):
+        super().__init__(shapes)
+        self.pick = pick
 
 
-def _parse_schedule(cfg: dict, d: int, path: str = "schedule") -> Schedule:
-    sched = cfg.get("schedule")
-    if sched is None:
-        if "N" in cfg:
-            _fail("N", "a bare N needs an explicit r; use schedule.stages")
-        return Schedule.coupled(d)
-    if not isinstance(sched, dict):
-        _fail(path, "expected an object")
-    if "stages" in sched:
-        stages = sched["stages"]
-        if not isinstance(stages, list) or not stages:
-            _fail(f"{path}.stages", "expected a nonempty list of [r, N] pairs")
-        parsed = []
-        for i, st in enumerate(stages):
-            if not isinstance(st, list) or len(st) != 2:
-                _fail(f"{path}.stages[{i}]", "expected [r, N]")
-            r = _positive_radius(st[0], f"{path}.stages[{i}][0]")
-            if not isinstance(st[1], int) or st[1] < 0:
-                _fail(f"{path}.stages[{i}][1]", f"bad truncation grade {st[1]}")
-            parsed.append((r, st[1]))
-        return Schedule.explicit(parsed)
-    return Schedule.coupled(
-        d,
-        tail_tol=_get(sched, "tail_tol", float, path, default=1e-8),
-        j_max=_get(sched, "j_max", int, path, default=10),
-        j_min=_get(sched, "j_min", int, path, default=1),
-        memory_budget_mb=_get(sched, "memory_budget_mb", float, path, default=512.0))
+def validate(cfg, base_dir=Path(".")) -> dict:
+    """Check a parsed config against SCHEMAS before any numerics run.
+
+    Returns it with every default filled in, coefficients as {word:
+    complex} and files joined to base_dir, or raises ConfigError.
+    """
+    if not isinstance(cfg, dict):
+        _fail("", "top-level config must be an object")
+    exp = cfg.get("experiment")
+    if not isinstance(exp, str) or exp not in SCHEMAS:
+        _fail("experiment", f"expected one of {', '.join(SCHEMAS)}, got {exp!r}")
+    return _check(SCHEMAS[exp][0], cfg, "", ChainMap({"base_dir": Path(base_dir)}))
 
 
-def _parse_series(cfg: dict, d: int, N: int, base_dir: Path) -> NCSeries:
-    basis = WordBasis(d, N)
-    if "schur_series_file" in cfg:
-        p = base_dir / cfg["schur_series_file"]
-        if not p.exists():
-            _fail("schur_series_file", f"file not found: {p}")
-        return read_series_csv(p, basis)
-    if "schur_coeffs" in cfg:
-        entries = cfg["schur_coeffs"]
-        if not isinstance(entries, dict):
-            _fail("schur_coeffs", "expected an object of word -> [re, im]")
+def _check(t, v, path, ctx):
+    """v checked against t and converted; ctx maps "base_dir" and the fields
+    checked so far to their values."""
+    if isinstance(t, dict):
+        if not isinstance(v, dict):
+            _fail(path, "expected an object")
+        if isinstance(t, Variants):
+            shape = t.pick(v)
+            if not isinstance(shape, str) or shape not in t:
+                _fail(f"{path}.type", f"expected one of {', '.join(t)}, got {shape!r}")
+            t = t[shape]
+        for key in v:
+            if key not in t:
+                _fail(f"{path}.{key}", "unknown key; expected one of " + ", ".join(t))
+        group = [k for k, (_, default) in t.items() if default == ONE_OF]
+        if group and sum(k in v for k in group) != 1:
+            _fail(f"{path}.{group[0]}", f"give exactly one of {', '.join(group)}")
         out = {}
-        for ws, pair in entries.items():
-            try:
-                from .words import word_from_str
-                w = word_from_str(ws, d=d)
-            except ValueError as exc:
-                _fail(f"schur_coeffs.{ws}", str(exc))
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"schur_coeffs.{ws}", "expected [re, im]")
-            out[w] = pair[0] + 1j * pair[1]
-        return NCSeries.from_dict(basis, out)
-    _fail("schur_series_file", "experiment needs schur_series_file or schur_coeffs")
+        inner = ctx.new_child(out)
+        for key, (kind, default) in t.items():
+            if key not in v and default == REQUIRED:
+                _fail(f"{path}.{key}", "missing required field")
+            if key in v or default not in (OPTIONAL, ONE_OF):
+                value = v[key] if key in v else default(inner) if callable(default) else default
+                out[key] = _check(kind, value, f"{path}.{key}", inner)
+        return out
+    if isinstance(t, (list, tuple)):
+        if not isinstance(v, list) or not v or isinstance(t, tuple) and len(v) != len(t):
+            _fail(path, f"expected {_doc(t)}")
+        items = t * len(v) if isinstance(t, list) else t
+        return [_check(s, x, f"{path}[{i}]", ctx) for i, (s, x) in enumerate(zip(items, v))]
+    kind, _, arg = t.partition(" ")
+    if kind in ("int", "real"):
+        return _number(t, v, path, ctx)
+    if kind == "coeffs":
+        return _coeffs(ctx[arg.split()[-1]], v, path, ctx)
+    if not isinstance(v, str):
+        _fail(path, f"expected {t}, got {type(v).__name__}")
+    if kind == "file":
+        v = ctx["base_dir"] / v
+        if not os.path.isfile(v):
+            _fail(path, f"file not found: {v}")
+    elif kind != "str" and v not in kind.split("|"):
+        _fail(path, f"expected one of {kind.replace('|', ', ')}, got {v!r}")
+    return v
 
 
-def _parse_measure(cfg: dict, N: int, base_dir: Path) -> MomentFunctional:
-    if "moments_file" in cfg:
-        p = base_dir / cfg["moments_file"]
-        if not p.exists():
-            _fail("moments_file", f"file not found: {p}")
-        return read_moments_csv(p, WordBasis(1, N))
-    spec = cfg.get("measure_spec")
-    if spec is None:
-        _fail("measure_spec", "experiment needs moments_file or measure_spec")
-    if not isinstance(spec, dict):
-        _fail("measure_spec", "expected an object")
-    masses = []
-    for i, pm in enumerate(spec.get("point_masses", [])):
-        if not isinstance(pm, list) or len(pm) != 2 or pm[1] < 0:
-            _fail(f"measure_spec.point_masses[{i}]", "expected [angle, weight >= 0]")
-        masses.append((float(pm[0]), float(pm[1])))
-    # the grid must resolve moments through the largest scheduled grade
-    grid = int(spec.get("grid", oracle1d.DEFAULT_GRID))
-    while grid < 4 * (N + 1):
-        grid *= 2
-    density = None
-    dens = spec.get("density")
-    if dens is not None:
-        if not isinstance(dens, dict) or "type" not in dens:
-            _fail("measure_spec.density", "expected an object with a type")
-        if dens["type"] == "constant":
-            density = np.full(grid, float(dens.get("value", 1.0)))
-        elif dens["type"] == "poisson":
-            density = dens.get("weight", 1.0) * oracle1d.poisson_density(
-                _positive_radius(dens.get("r", 0.5), "measure_spec.density.r"),
-                float(dens.get("angle", 0.0)), grid)
-        else:
-            _fail("measure_spec.density.type",
-                  f"unknown density type {dens['type']!r}")
-    mspec = oracle1d.MeasureSpec(tuple(masses), density, grid)
-    return oracle1d.classical_moments(mspec, N)
+def _number(t, v, path, ctx):
+    kind, _, interval = t.partition(" ")
+    if isinstance(v, bool) or not isinstance(v, (int, float) if kind == "real" else int):
+        _fail(path, f"expected {t}, got {type(v).__name__}")
+    try:
+        v = float(v) if kind == "real" else v
+        ok = math.isfinite(v)
+    except OverflowError:
+        ok = False
+    bounds = (interval or "(-inf,inf)")[1:-1].split(",")
+    lo, hi = (ctx[b] if b in ctx else float(b) for b in bounds)
+    ok = ok and (lo < v if interval[:1] == "(" else lo <= v)
+    if not (ok and (v < hi if interval[-1:] == ")" else v <= hi)):
+        where = "".join(f" with {b} = {ctx[b]}" for b in bounds if b in ctx)
+        _fail(path, f"expected {t}{where}, got {v!r}")
+    return v
 
 
-def _eps_grid(cfg: dict):
-    grid = cfg.get("epsilon_grid", [0.25, 1.0])
-    if not isinstance(grid, list) or not grid or any(
-            not isinstance(e, (int, float)) or e <= 0 for e in grid):
-        _fail("epsilon_grid", "expected a nonempty list of positive numbers")
-    return tuple(float(e) for e in grid)
-
-
-def _tolerances(cfg: dict) -> dict:
-    tols = cfg.get("tolerances", {})
-    if not isinstance(tols, dict):
-        _fail("tolerances", "expected an object")
-    out = {"null_tol": 1e-10, "cg_tol": 1e-10, "singular_tol": 0.05}
-    for key in tols:
-        if key not in out:
-            _fail(f"tolerances.{key}", "unknown tolerance")
-        out[key] = float(tols[key])
+def _coeffs(grade, v, path, ctx):
+    if not isinstance(v, dict):
+        _fail(path, "expected an object of word -> [re, im]")
+    out = {}
+    for key, pair in v.items():
+        try:
+            w = word_from_str(key, d=ctx["d"])
+        except ValueError as exc:
+            _fail(f"{path}.{key}", str(exc))
+        if len(w) > grade:
+            _fail(f"{path}.{key}", f"word longer than the grade {grade}")
+        re, im = _check(("real", "real"), pair, f"{path}.{key}", ctx)
+        out[w] = re + 1j * im
     return out
+
+
+def _doc(t, top=True) -> str:
+    if isinstance(t, str):
+        return t
+    if isinstance(t, (list, tuple)):
+        return "[" + ", ".join(map(_doc, t)) + (", ...]" if isinstance(t, list) else "]")
+    if not top and any(t is n for n in NESTED.values()):
+        return "object"
+    if isinstance(t, Variants):
+        return " or ".join(map(_doc, t.values()))
+    return "{" + ", ".join(f"{k}: {_doc(s, False)} " + (
+        f"= {d.__doc__}" if callable(d) else d if d in (REQUIRED, OPTIONAL, ONE_OF)
+        else f"= {json.dumps(d)}") for k, (s, d) in t.items()) + "}"
+
+
+def schema_doc() -> str:
+    """The keys of each experiment and nested object, rendered from SCHEMAS."""
+    paras = [("every experiment", COMMON), *(
+        (name, {k: f for k, f in fields.items() if k not in COMMON})
+        for name, (fields, _) in SCHEMAS.items() if name != "verify"), *NESTED.items()]
+    return "\n".join(textwrap.fill(f"{name}: {_doc(t)}", 79, initial_indent="- ",
+                                   subsequent_indent="  ", break_on_hyphens=False)
+                     for name, t in paras)
+
+
+# ---------------------------------------------------------------------------
+# reading validated fields
+
+def _schedule(c) -> Schedule:
+    s = c["schedule"]
+    if "stages" in s:  # their grades were checked against M
+        return Schedule.explicit(s["stages"])
+    sched = Schedule.coupled(c["d"], **s)
+    if sched.stages[0][1] < c["M"]:
+        _fail("schedule", f"coupled stage grade {sched.stages[0][1]} is below M = {c['M']}")
+    return sched
+
+
+def _read(reader, src, key, basis, prefix=""):
+    """Read a word,re,im file; its contents are config, so a fault exits 2."""
+    try:
+        return reader(src[key], basis)
+    except (OSError, ValueError, TypeError, csv.Error) as exc:
+        _fail(prefix + key, f"{src[key]}: {exc}")
+
+
+def _symbol_series(src, d, grade, prefix="") -> NCSeries:
+    basis = WordBasis(d, grade)
+    if "schur_coeffs" in src:
+        return NCSeries.from_dict(basis, src["schur_coeffs"])
+    return _read(read_series_csv, src, "schur_series_file", basis, prefix)
+
+
+def _rn_derivative(source, c, **kw):
+    tols = c["tolerances"]
+    return rn_derivative(source, M=c["M"], eps_grid=c["epsilon_grid"],
+                         schedule=_schedule(c), cg_tol=tols["cg_tol"],
+                         singular_tol=tols["singular_tol"], **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -195,246 +249,130 @@ def _write_csv(path: Path, header, rows, seed: int, experiment: str):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _out_dir(cfg: dict, base_dir: Path) -> Path:
-    out = os.environ.get("NCFATOU_OUTDIR") or cfg.get("output_dir", "out")
-    path = Path(out)
-    if not path.is_absolute():
-        path = base_dir / path
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each takes a validated config and the thread count and
+# returns (tables, summary lines, passed); a table is (file, header, rows)
 
 def _convergence_rows(result, eps):
     # one row per stage for the resolvent vacuum entry, then the recovered
     # T compression of the final stage, entry by entry
-    rows = [[eps, st.r, st.N, result.M, 0, 0, st.vacuum_delta, 0.0]
-            for st in result.stages]
-    basis_M = WordBasis(result.d, result.M)
-    final = result.stages[-1]
-    for i in range(basis_M.size):
-        for j in range(basis_M.size):
-            v = result.T_compression[i, j]
-            rows.append([eps, final.r, final.N, result.M, i, j, v.real, v.imag])
-    return rows
+    final, T = result.stages[-1], result.T_compression
+    return [[eps, st.r, st.N, result.M, 0, 0, st.vacuum_delta, 0.0] for st in result.stages] + [
+        [eps, final.r, final.N, result.M, i, j, T[i, j].real, T[i, j].imag]
+        for i in range(len(T)) for j in range(len(T))]
 
 
-def _summary_rows(result):
-    rows = []
-    basis_M = WordBasis(result.d, result.M)
-    for i in range(basis_M.size):
-        w = word_to_str(basis_M.word(i))
-        ac = result.mu_ac.moments[i]
-        s = result.mu_s.moments[i]
-        rows.append([w, ac.real, ac.imag, s.real, s.imag])
-    return rows
+def _summary_table(name, result):
+    basis, ac, s = WordBasis(result.d, result.M), result.mu_ac.moments, result.mu_s.moments
+    return (name, ["word", "mu_ac_re", "mu_ac_im", "mu_s_re", "mu_s_im"],
+            [[word_to_str(basis.word(i)), ac[i].real, ac[i].imag, s[i].real, s[i].imag]
+             for i in range(basis.size)])
 
 
-def run_classical_fatou(cfg, base_dir, out, threads, quiet):
-    d = _get(cfg, "d", int, "", default=1)
-    if d != 1:
-        _fail("d", "classical-fatou is the d=1 oracle experiment")
-    M = _get(cfg, "M", int, "", default=8)
-    seed = _get(cfg, "seed", int, "", default=0)
-    tols = _tolerances(cfg)
-    schedule = _parse_schedule(cfg, d)
-    B = _parse_series(cfg, d, max(1, _get(cfg, "symbol_grade", int, "", default=4)), base_dir)
-    result = rn_derivative(B, M=M, eps_grid=_eps_grid(cfg), schedule=schedule,
-                           cg_tol=tols["cg_tol"], singular_tol=tols["singular_tol"])
-    # oracle comparison through the Fatou symbol on the circle grid
-    grid = oracle1d.circle_grid()
-    b_coeffs = np.zeros(B.basis.N + 1, dtype=complex)
-    for w, c in B.support():
-        b_coeffs[len(w)] = c
-    symbol = oracle1d.fatou_symbol(b_coeffs, grid)
-    T_oracle = oracle1d.toeplitz_from_symbol(symbol, M)
+def _classical_fatou(c, threads):
+    B = _symbol_series(c, c["d"], c["symbol_grade"])
+    result = _rn_derivative(B, c)
+    # oracle comparison through the Fatou symbol on the circle grid; for
+    # d = 1 the k-th coefficient belongs to the word 1^k
+    symbol = oracle1d.fatou_symbol(B.coeffs, oracle1d.circle_grid())
+    T_oracle = oracle1d.toeplitz_from_symbol(symbol, c["M"])
     err = float(np.abs(result.T_compression - T_oracle).max())
-    _write_csv(out / "classical_fatou_convergence.csv",
-               ["epsilon", "r", "N", "M", "entry_row", "entry_col", "re", "im"],
-               _convergence_rows(result, result.primary_eps), seed, "classical-fatou")
-    _write_csv(out / "classical_fatou_summary.csv",
-               ["word", "mu_ac_re", "mu_ac_im", "mu_s_re", "mu_s_im"],
-               _summary_rows(result), seed, "classical-fatou")
-    lines = [f"classical-fatou: max entry error vs oracle = {err!r}",
-             f"eps consistency = {result.eps_consistency!r}",
-             f"achieved r_max = {result.achieved_r_max!r}"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    return 0
+    return [("classical_fatou_convergence.csv",
+             ["epsilon", "r", "N", "M", "entry_row", "entry_col", "re", "im"],
+             _convergence_rows(result, result.primary_eps)),
+            _summary_table("classical_fatou_summary.csv", result)], [
+        f"classical-fatou: max entry error vs oracle = {err!r}",
+        f"eps consistency = {result.eps_consistency!r}",
+        f"achieved r_max = {result.achieved_r_max!r}"], True
 
 
-def run_inner_singular(cfg, base_dir, out, threads, quiet):
-    d = _get(cfg, "d", int, "", default=1)
-    M = _get(cfg, "M", int, "", default=0)
-    seed = _get(cfg, "seed", int, "", default=0)
-    tols = _tolerances(cfg)
-    schedule = _parse_schedule(cfg, d)
-    B = _parse_series(cfg, d, max(1, _get(cfg, "symbol_grade", int, "", default=4)), base_dir)
-    buffer = _get(cfg, "recovery_buffer", int, "", default=8 if d == 1 else 0)
-    result = rn_derivative(B, M=M, eps_grid=_eps_grid(cfg), schedule=schedule,
-                           recovery_buffer=buffer, cauchy_tol=0.0,
-                           cg_tol=tols["cg_tol"], singular_tol=tols["singular_tol"])
+def _inner_singular(c, threads):
+    B = _symbol_series(c, c["d"], c["symbol_grade"])
+    result = _rn_derivative(B, c, recovery_buffer=c["recovery_buffer"], cauchy_tol=0.0)
     rows = [[result.primary_eps, st.r, st.N, st.vacuum_delta, st.mass,
              len(st.cg_iterations), max(st.cg_iterations, default=0)]
             for st in result.stages]
-    _write_csv(out / "inner_singular_trend.csv",
-               ["epsilon", "r", "N", "vacuum_delta", "mu_ac_mass",
-                "cg_solves", "cg_max_iters"], rows, seed, "inner-singular")
-    lines = [
+    return [("inner_singular_trend.csv", ["epsilon", "r", "N", "vacuum_delta",
+                                          "mu_ac_mass", "cg_solves", "cg_max_iters"], rows)], [
         f"inner-singular: final mu_ac(I) = {float(result.mass_trend[-1])!r}",
         f"mu_s(I) = {result.mu_s.mass()!r}",
         f"mass strictly decreasing = {result.mass_strictly_decreasing}",
         f"vacuum resolvent strictly increasing = {result.vacuum_strictly_increasing}",
-        f"singular verdict = {result.singular}",
-    ]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    return 0
+        f"singular verdict = {result.singular}"], True
 
 
-def run_decompose(cfg, base_dir, out, threads, quiet):
-    d = _get(cfg, "d", int, "", default=1)
-    if d != 1:
-        _fail("d", "decompose drives measures through the d=1 oracle")
-    M = _get(cfg, "M", int, "", default=4)
-    seed = _get(cfg, "seed", int, "", default=0)
-    tols = _tolerances(cfg)
-    schedule = _parse_schedule(cfg, d)
-    mu = _parse_measure(cfg, schedule.max_grade(), base_dir)
-    result = rn_derivative(mu, M=M, eps_grid=_eps_grid(cfg), schedule=schedule,
-                           cg_tol=tols["cg_tol"], singular_tol=tols["singular_tol"])
-    _write_csv(out / "decompose_summary.csv",
-               ["word", "mu_ac_re", "mu_ac_im", "mu_s_re", "mu_s_im"],
-               _summary_rows(result), seed, "decompose")
-    lines = [f"decompose: mu_ac(I) = {result.mu_ac.mass()!r}",
-             f"mu_s(I) = {result.mu_s.mass()!r}",
-             f"mu_ac positivity floor = {result.positivity_ac.min_eigenvalue!r}",
-             f"singular verdict = {result.singular}"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    return 0
+def _decompose(c, threads):
+    N = _schedule(c).max_grade()
+    if "moments_file" in c:
+        mu = _read(read_moments_csv, c, "moments_file", WordBasis(1, N))
+    else:
+        spec, density = c["measure_spec"], None
+        grid = 1 << (max(spec["grid"], 4 * (N + 1)) - 1).bit_length()
+        dens = spec.get("density", {})
+        if dens.get("type") == "constant":
+            density = np.full(grid, dens["value"])
+        elif dens.get("type") == "poisson":
+            density = dens["weight"] * oracle1d.poisson_density(dens["r"], dens["angle"], grid)
+        masses = tuple(tuple(pm) for pm in spec.get("point_masses", ()))
+        mu = oracle1d.classical_moments(oracle1d.MeasureSpec(masses, density, grid), N)
+    result = _rn_derivative(mu, c)
+    return [_summary_table("decompose_summary.csv", result)], [
+        f"decompose: mu_ac(I) = {result.mu_ac.mass()!r}",
+        f"mu_s(I) = {result.mu_s.mass()!r}",
+        f"mu_ac positivity floor = {result.positivity_ac.min_eigenvalue!r}",
+        f"singular verdict = {result.singular}"], True
 
 
-def _build_tau(cfg, base_dir, d, N):
-    """tau for the factor experiment: a radial operator or a vector-state Gram."""
-    tau_cfg = cfg.get("tau")
-    if not isinstance(tau_cfg, dict) or "type" not in tau_cfg:
-        _fail("tau", "expected an object with a type")
-    basis = WordBasis(d, N)
-    if tau_cfg["type"] == "radial":
-        r = _positive_radius(tau_cfg.get("r", 0.9), "tau.r")
-        B = _parse_series(tau_cfg, d, N, base_dir)
-        return RadialOperator.from_schur(B, r)
-    if tau_cfg["type"] == "vector-state":
-        from .fock import FockVector
-        from .measure import vector_state
-        entries = tau_cfg.get("coeffs")
-        if not isinstance(entries, dict):
-            _fail("tau.coeffs", "expected an object of word -> [re, im]")
-        from .words import word_from_str
-        x = np.zeros(basis.size, dtype=complex)
-        for ws, pair in entries.items():
-            x[basis.index(word_from_str(ws, d=d))] = pair[0] + 1j * pair[1]
-        mu = vector_state(FockVector(basis, x))
-        return TruncatedOperator.from_dense(basis, gram(mu).matrix)
-    _fail("tau.type", f"unknown tau type {tau_cfg['type']!r}")
+def _factor(c, threads):
+    tau, basis = c["tau"], WordBasis(c["d"], c["N"])
+    if tau["type"] == "radial":
+        op = RadialOperator.from_schur(_symbol_series(tau, c["d"], c["N"], "tau."), tau["r"])
+    else:  # the Gram matrix of a vector state
+        x = FockVector(basis, NCSeries.from_dict(basis, tau["coeffs"]).coeffs)
+        op = TruncatedOperator.from_dense(basis, gram(vector_state(x)).matrix)
+    result = outer_factor(op, c["epsilon"], seed=c["seed"])
+    rows = [[word_to_str(w), coef.real, coef.imag] for w, coef in result.psi.support()]
+    return [("factor_psi.csv", ["word", "re", "im"], rows)], [
+        f"factor: residual = {result.residual!r} on grades <= {result.check_grade}",
+        f"psi constant coefficient = {result.psi.constant_term().real!r}",
+        f"contraction bound 1/sqrt(eps) = {result.contraction_norm_bound!r}",
+    ], result.residual <= c["residual_tol"]
 
 
-def run_factor(cfg, base_dir, out, threads, quiet):
-    d = _get(cfg, "d", int, "", default=1)
-    N = _get(cfg, "N", int, "", required=True)
-    seed = _get(cfg, "seed", int, "", default=0)
-    eps = float(cfg.get("epsilon", 1.0))
-    if eps <= 0:
-        _fail("epsilon", f"must be positive, got {eps}")
-    tau = _build_tau(cfg, base_dir, d, N)
-    result = outer_factor(tau, eps, seed=seed)
-    rows = [[word_to_str(w), c.real, c.imag] for w, c in result.psi.support()]
-    _write_csv(out / "factor_psi.csv", ["word", "re", "im"], rows, seed, "factor")
-    lines = [f"factor: residual = {result.residual!r} on grades <= {result.check_grade}",
-             f"psi constant coefficient = {result.psi.constant_term().real!r}",
-             f"contraction bound 1/sqrt(eps) = {result.contraction_norm_bound!r}"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    residual_tol = float(cfg.get("residual_tol", 1e-8))
-    return 0 if result.residual <= residual_tol else 3
-
-
-def run_majorant(cfg, base_dir, out, threads, quiet):
-    d = _get(cfg, "d", int, "", default=1)
-    N = _get(cfg, "N", int, "", required=True)
-    M = _get(cfg, "M", int, "", default=6)
-    seed = _get(cfg, "seed", int, "", default=0)
-    r_grid = cfg.get("r_grid", [0.9])
-    if not isinstance(r_grid, list) or not r_grid:
-        _fail("r_grid", "expected a nonempty list of radii")
-    r_grid = [_positive_radius(r, f"r_grid[{i}]") for i, r in enumerate(r_grid)]
-    B = _parse_series(cfg, d, N, base_dir)
-    tau_mode = cfg.get("tau_mode", "zero")
-    basis = B.basis
-    if tau_mode == "zero":
-        x = NCSeries.one(basis)
-    elif tau_mode == "clark-gram":
+def _majorant(c, threads):
+    B = _symbol_series(c, c["d"], c["N"])
+    if c["tau_mode"] == "zero":
+        x = NCSeries.one(B.basis)
+    else:
         # exact for purely absolutely continuous Clark measures, where the
         # Radon-Nikodym compression equals the moment Gram matrix
-        tau = TruncatedOperator.from_dense(basis, gram(clark_measure(B)).matrix)
-        x = outer_factor(tau, 1.0, seed=seed).y_series
-    else:
-        _fail("tau_mode", f"unknown tau_mode {tau_mode!r}")
-
-    def one(r):
-        return majorant_check(B, x, r, M)
-
-    reports = _parallel_map(one, r_grid, threads)
-    rows = [[r, rep.min_eigenvalue, rep.grade, rep.size]
-            for r, rep in zip(r_grid, reports)]
-    _write_csv(out / "majorant_floors.csv",
-               ["r", "min_eigenvalue", "M", "size"], rows, seed, "majorant")
+        tau = TruncatedOperator.from_dense(B.basis, gram(clark_measure(B)).matrix)
+        x = outer_factor(tau, 1.0, seed=c["seed"]).y_series
+    r_grid = c["r_grid"]
+    with ThreadPoolExecutor(max(threads, 1)) as pool:  # results do not depend on threads
+        reports = list(pool.map(lambda r: majorant_check(B, x, r, c["M"]), r_grid))
+    rows = [[r, rep.min_eigenvalue, rep.grade, rep.size] for r, rep in zip(r_grid, reports)]
     floor = min(rep.min_eigenvalue for rep in reports)
-    lines = [f"majorant: worst PSD floor = {floor!r} over r grid {r_grid}"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    floor_tol = float(cfg.get("floor_tol", 1e-8))
-    return 0 if floor >= -floor_tol else 3
+    return [("majorant_floors.csv", ["r", "min_eigenvalue", "M", "size"], rows)], [
+        f"majorant: worst PSD floor = {floor!r} over r grid {r_grid}"
+    ], floor >= -c["floor_tol"]
 
 
-def run_kernels(cfg, base_dir, out, threads, quiet):
-    d = _get(cfg, "d", int, "", default=2)
-    N = _get(cfg, "N", int, "", default=20)
-    seed = _get(cfg, "seed", int, "", default=0)
-    n_pairs = _get(cfg, "point_pairs", int, "", default=10)
-    max_level = _get(cfg, "max_level", int, "", default=3)
-    row_cap = float(cfg.get("row_norm_cap", 0.2))
-    B = _parse_series(cfg, d, N, base_dir)
+def _kernels(c, threads):
+    d, N = c["d"], c["N"]
+    B = _symbol_series(c, d, N)
     H = cayley_to_herglotz(B)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(c["seed"])
 
     def random_point(level):
-        mats = []
-        for _ in range(d):
-            A = rng.standard_normal((level, level)) + 1j * rng.standard_normal((level, level))
-            mats.append(A)
-        pt = MatrixPoint(tuple(mats))
-        scale = row_cap * rng.uniform(0.5, 1.0) / pt.row_norm
+        pt = MatrixPoint(tuple(rng.standard_normal((level, level))
+                               + 1j * rng.standard_normal((level, level)) for _ in range(d)))
+        scale = c["row_norm_cap"] * rng.uniform(0.5, 1.0) / pt.row_norm
         return MatrixPoint(tuple(scale * M for M in pt.Z))
 
-    def one(_):
-        nz = int(rng.integers(1, max_level + 1))
-        nw = int(rng.integers(1, max_level + 1))
+    def one():
+        nz = int(rng.integers(1, c["max_level"] + 1))
+        nw = int(rng.integers(1, c["max_level"] + 1))
         Z, W = random_point(nz), random_point(nw)
         P = rng.standard_normal((nz, nw)) + 1j * rng.standard_normal((nz, nw))
         left = dbr_kernel(B, Z, W, P, N)
@@ -448,21 +386,15 @@ def run_kernels(cfg, base_dir, out, threads, quiet):
         return resid, left.tail + right.tail, floor
 
     # draws happen sequentially for determinism; only the arithmetic varies
-    results = [one(i) for i in range(n_pairs)]
+    results = [one() for _ in range(c["point_pairs"])]
     rows = [[i, r, t, f] for i, (r, t, f) in enumerate(results)]
-    _write_csv(out / "kernel_identity.csv",
-               ["pair", "residual", "tail_bound", "szego_psd_floor"],
-               rows, seed, "kernels")
     worst = max(r for r, _, _ in results)
     floor = min(f for _, _, f in results)
-    lines = [f"kernels: worst identity residual = {worst!r}",
-             f"worst szego PSD floor = {floor!r}"]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
-    ok = worst <= float(cfg.get("residual_tol", 1e-9)) and \
-        floor >= -float(cfg.get("floor_tol", 1e-10))
-    return 0 if ok else 3
+    return [("kernel_identity.csv",
+             ["pair", "residual", "tail_bound", "szego_psd_floor"], rows)], [
+        f"kernels: worst identity residual = {worst!r}",
+        f"worst szego PSD floor = {floor!r}",
+    ], worst <= c["residual_tol"] and floor >= -c["floor_tol"]
 
 
 # ---------------------------------------------------------------------------
@@ -534,59 +466,125 @@ def _core_checks():
     return checks
 
 
-def run_verify(cfg, base_dir, out, threads, quiet):
-    seed = _get(cfg, "seed", int, "", default=0) if cfg else 0
+def _verify(c, threads):
     checks = _core_checks()
     rows = [[name, value, thr, int(value <= thr)] for name, value, thr in checks]
-    _write_csv(out / "verify_core.csv",
-               ["check", "value", "threshold", "pass"], rows, seed, "verify")
-    bad = [name for name, value, thr in checks if value > thr]
-    if not quiet:
-        for name, value, thr in checks:
-            print(f"{'PASS' if value <= thr else 'FAIL'} {name}: {value:.3e} (<= {thr:.0e})")
-    return 0 if not bad else 3
+    lines = [f"{'PASS' if value <= thr else 'FAIL'} {name}: {value:.3e} (<= {thr:.0e})"
+             for name, value, thr in checks]
+    return [("verify_core.csv", ["check", "value", "threshold", "pass"], rows)], \
+        lines, all(value <= thr for _, value, thr in checks)
 
 
-RUNNERS = {
-    "classical-fatou": run_classical_fatou,
-    "inner-singular": run_inner_singular,
-    "decompose": run_decompose,
-    "factor": run_factor,
-    "majorant": run_majorant,
-    "kernels": run_kernels,
-    "verify": run_verify,
+# ---------------------------------------------------------------------------
+# the experiment table: for each experiment its fields and its runner
+
+def _symbol(grade):
+    """The Schur symbol: a word,re,im file or inline coefficients."""
+    return {"schur_series_file": ("file", ONE_OF),
+            "schur_coeffs": (f"coeffs <= {grade}", ONE_OF)}
+
+
+def _recovery_buffer(c):
+    """8 if d = 1 else 0"""
+    return 8 if c["d"] == 1 else 0
+
+
+SCHEDULE = Variants(lambda v: "stages" if "stages" in v else "coupled", {
+    "stages": {"stages": ([("real (0,1)", "int [M,inf)")], REQUIRED)},
+    "coupled": {"tail_tol": ("real (0,1)", 1e-8), "j_min": ("int [1,inf)", 1),
+                "j_max": ("int [j_min,inf)", 10),
+                "memory_budget_mb": ("real (0,inf)", 512.0)}})
+TOLERANCES = {"cg_tol": ("real (0,inf)", 1e-10), "singular_tol": ("real [0,inf)", 0.05)}
+DENSITY = Variants(lambda v: v.get("type"), {
+    "constant": {"type": ("constant", REQUIRED), "value": ("real [0,inf)", 1.0)},
+    "poisson": {"type": ("poisson", REQUIRED), "weight": ("real [0,inf)", 1.0),
+                "r": ("real (0,1)", 0.5), "angle": ("real", 0.0)}})
+# the grid is rounded up to a power of two >= 4 (N + 1), N the largest stage grade
+MEASURE_SPEC = {"point_masses": ([("real", "real [0,inf)")], OPTIONAL),
+                "grid": ("int [1,inf)", oracle1d.DEFAULT_GRID),
+                "density": (DENSITY, OPTIONAL)}
+TAU = Variants(lambda v: v.get("type"), {
+    "radial": {"type": ("radial", REQUIRED), "r": ("real (0,1)", 0.9), **_symbol("N")},
+    "vector-state": {"type": ("vector-state", REQUIRED),
+                     "coeffs": ("coeffs <= N", REQUIRED)}})
+NESTED = {"schedule": SCHEDULE, "tolerances": TOLERANCES, "tau": TAU,
+          "measure_spec": MEASURE_SPEC, "density": DENSITY}
+COMMON = {"experiment": ("str", REQUIRED), "output_dir": ("str", "out"),
+          "seed": ("int [0,inf)", 0)}
+
+
+def _rn(d, M, **extra):
+    """Fields of the experiments that run the coupled limit."""
+    return {**COMMON, "d": (d, 1), "M": ("int [0,inf)", M),
+            "epsilon_grid": (["real (0,inf)"], [0.25, 1.0]),
+            "schedule": (SCHEDULE, {}), "tolerances": (TOLERANCES, {}), **extra}
+
+
+SCHEMAS = {
+    "classical-fatou": (_rn("int [1,1]", 8, symbol_grade=("int [1,inf)", 4),
+                            **_symbol("symbol_grade")), _classical_fatou),
+    "inner-singular": (_rn("int [1,inf)", 0, symbol_grade=("int [1,inf)", 4),
+                           recovery_buffer=("int [0,inf)", _recovery_buffer),
+                           **_symbol("symbol_grade")), _inner_singular),
+    "decompose": (_rn("int [1,1]", 4, moments_file=("file", ONE_OF),
+                      measure_spec=(MEASURE_SPEC, ONE_OF)), _decompose),
+    "factor": ({**COMMON, "d": ("int [1,inf)", 1), "N": ("int [0,inf)", REQUIRED),
+                "epsilon": ("real (0,inf)", 1.0), "tau": (TAU, REQUIRED),
+                "residual_tol": ("real [0,inf)", 1e-8)}, _factor),
+    "majorant": ({**COMMON, "d": ("int [1,inf)", 1), "N": ("int [0,inf)", REQUIRED),
+                  "M": ("int [0,N]", 6), "r_grid": (["real (0,1)"], [0.9]),
+                  "tau_mode": ("zero|clark-gram", "zero"),
+                  "floor_tol": ("real [0,inf)", 1e-8), **_symbol("N")}, _majorant),
+    "kernels": ({**COMMON, "d": ("int [1,inf)", 2), "N": ("int [0,inf)", 20),
+                 "point_pairs": ("int [1,inf)", 10), "max_level": ("int [1,inf)", 3),
+                 "row_norm_cap": ("real (0,1)", 0.2), "residual_tol": ("real [0,inf)", 1e-9),
+                 "floor_tol": ("real [0,inf)", 1e-10), **_symbol("N")}, _kernels),
+    "verify": (COMMON, _verify),
 }
+__doc__ = (__doc__ or "") + schema_doc()
 
 
-def run_config(path: str, threads: int = 1, quiet: bool = False) -> int:
-    cfg_path = Path(path)
-    if not cfg_path.exists():
-        print(f"config: file not found: {path}", file=sys.stderr)
-        return 2
+def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool) -> int:
+    """Validate cfg, run it and write its tables and summary.txt (the verify
+    suite has its CSV alone); returns the exit code."""
     try:
-        cfg = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"config: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if not isinstance(cfg, dict):
-            _fail("", "top-level config must be an object")
-        experiment = _get(cfg, "experiment", str, "", required=True)
-        if experiment not in EXPERIMENTS:
-            _fail("experiment", f"unknown experiment {experiment!r}; "
-                                f"choose from {', '.join(EXPERIMENTS)}")
-        out = _out_dir(cfg, cfg_path.parent)
-        return RUNNERS[experiment](cfg, cfg_path.parent, out, threads, quiet)
+        c = validate(cfg, base_dir)
+        if out is None:  # NCFATOU_OUTDIR, else output_dir relative to the config
+            out = base_dir / (os.environ.get("NCFATOU_OUTDIR") or c["output_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        tables, lines, passed = SCHEMAS[c["experiment"]][1](c, threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"numerical diagnostic failure: {exc}", file=sys.stderr)
         return 3
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows, c["seed"], c["experiment"])
+    if c["experiment"] != "verify":
+        (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    if not quiet:
+        print("\n".join(lines))
+    return 0 if passed else 3
+
+
+def run_config(path: str, threads: int = 1, quiet: bool = False) -> int:
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        print(f"config: {exc}", file=sys.stderr)
+        return 2
+    return _execute(cfg, Path(path).parent, None, threads, quiet)
+
+
+def run_verify(out, quiet: bool = False) -> int:
+    """The core invariant suite, written to the directory out."""
+    return _execute({"experiment": "verify"}, Path("."), Path(out), 1, quiet)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="ncfatou", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ncfatou", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a named experiment from a JSON config")
     p_run.add_argument("config")
@@ -594,15 +592,12 @@ def main(argv=None) -> int:
     p_run.add_argument("--quiet", action="store_true")
     p_ver = sub.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("--suite", default="core", choices=["core"])
-    p_ver.add_argument("--threads", type=int, default=1)
     p_ver.add_argument("--quiet", action="store_true")
     p_ver.add_argument("--output-dir", default="out")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_config(args.config, threads=args.threads, quiet=args.quiet)
-    out = Path(os.environ.get("NCFATOU_OUTDIR") or args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return run_verify({}, Path("."), out, args.threads, args.quiet)
+    return run_verify(os.environ.get("NCFATOU_OUTDIR") or args.output_dir, args.quiet)
 
 
 if __name__ == "__main__":

@@ -163,32 +163,3 @@ class WordBasis:
             raise ValueError(f"grade {M} outside 0..{self.N}")
         return int(self.offsets[M + 1])
 
-    def left_concat_slice(self, w: Word, g: int) -> slice:
-        """Indices of {w . beta : |beta| = g} as a contiguous slice.
-
-        Valid when len(w) + g <= N; the block is contiguous because the
-        lex rank of w.beta is rank(w)*d**g + rank(beta).
-        """
-        lw = len(w)
-        if lw + g > self.N:
-            raise ValueError("concatenated grade exceeds truncation")
-        if any(not 1 <= l <= self.d for l in w):
-            raise ValueError(f"word {w} has letters outside 1..{self.d}")
-        start = int(self.offsets[lw + g]) + self.rank(w) * self.d ** g
-        return slice(start, start + self.d ** g)
-
-    def right_concat_slice(self, g: int, w: Word) -> slice:
-        """Indices of {beta . w : |beta| = g} as a strided slice.
-
-        rank(beta.w) = rank(beta)*d**len(w) + rank(w), an arithmetic
-        progression over beta.
-        """
-        lw = len(w)
-        if lw + g > self.N:
-            raise ValueError("concatenated grade exceeds truncation")
-        if any(not 1 <= l <= self.d for l in w):
-            raise ValueError(f"word {w} has letters outside 1..{self.d}")
-        step = self.d ** lw
-        start = int(self.offsets[g + lw]) + self.rank(w)
-        return slice(start, start + step * self.d ** g, step)
-

@@ -259,8 +259,8 @@ def test_a11_determinism(tmp_path):
     out2 = tmp_path / "second"
     out1.mkdir()
     out2.mkdir()
-    assert run_verify({}, tmp_path, out1, 1, True) == 0
-    assert run_verify({}, tmp_path, out2, 1, True) == 0
+    assert run_verify(out1, quiet=True) == 0
+    assert run_verify(out2, quiet=True) == 0
     b1 = (out1 / "verify_core.csv").read_bytes()
     b2 = (out2 / "verify_core.csv").read_bytes()
     verdict("A11", b1 == b2,

@@ -1,8 +1,15 @@
+import copy
 import json
+import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ncfatou.cli import main, run_config
+from ncfatou import cli
+from ncfatou.cli import ConfigError, main, run_config, schema_doc, validate
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -98,3 +105,257 @@ def test_inner_singular_d2_small(tmp_path):
     assert run_config(p, quiet=True) == 0
     lines = (tmp_path / "out" / "summary.txt").read_text()
     assert "vacuum resolvent strictly increasing = True" in lines
+
+
+# ---------------------------------------------------------------------------
+# schema validation: malformed configs exit 2, naming the field, before any
+# numerics run
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+COMMITTED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+
+
+def _no_numerics(c, threads):
+    raise AssertionError(f"{c['experiment']} reached numerics")
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    for name, (fields, _) in list(cli.SCHEMAS.items()):
+        monkeypatch.setitem(cli.SCHEMAS, name, (fields, _no_numerics))
+
+
+FACTOR = {"experiment": "factor", "d": 1, "N": 4,
+          "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}
+KERNELS = {"experiment": "kernels", "d": 2, "N": 4, "schur_coeffs": {"1": [0.3, 0.0]}}
+INNER = {"experiment": "inner-singular", "d": 1, "M": 0,
+         "schedule": {"stages": [[0.5, 8]]}, "schur_coeffs": {"1": [1.0, 0.0]}}
+MAJORANT = {"experiment": "majorant", "d": 1, "N": 4, "M": 2,
+            "schur_coeffs": {"1": [0.5, 0.0]}}
+DECOMPOSE = {"experiment": "decompose", "M": 2, "schedule": {"stages": [[0.5, 4]]},
+             "measure_spec": {"point_masses": [[0.0, 1.0]]}}
+
+
+def _with(base, **changes):
+    cfg = copy.deepcopy(base)
+    for path, value in changes.items():
+        *head, last = path.split("__")
+        node = cfg
+        for key in head:
+            node = node[key]
+        node[last] = value
+    return cfg
+
+
+# each must exit 2 naming its field; without the schema table most of them
+# exited 3 or 0, hung (grid <= 0) or ended in a traceback
+MALFORMED = [
+    (_with(FACTOR, epsilon="x"), "epsilon"),
+    (_with(FACTOR, residual_tol="x"), "residual_tol"),
+    (_with(INNER, tolerances={"cg_tol": "x"}), "tolerances.cg_tol"),
+    (_with(KERNELS, row_norm_cap="x"), "row_norm_cap"),
+    (_with(FACTOR, d=0), "d"),
+    (_with(KERNELS, seed=-1), "seed"),
+    (_with(FACTOR, tau__coeffs={"7": [1.0, 0.0]}), "tau.coeffs.7"),
+    (_with(KERNELS, max_level=0), "max_level"),
+    (_with(MAJORANT, M=6), "M"),
+    (_with(KERNELS, schur_coeffs={"1": ["a", 0]}), "schur_coeffs.1[0]"),
+    (_with(FACTOR, tau__coeffs={"e": ["a", 0]}), "tau.coeffs.e[0]"),
+    (_with(FACTOR, N=True), "N"),
+    (_with(INNER, epsilon_grid=[0.25, True]), "epsilon_grid[1]"),
+    (_with(FACTOR, tyop=1), "tyop"),
+    (_with(DECOMPOSE, measure_spec={"grid": 0}), "measure_spec.grid"),
+    (_with(DECOMPOSE, measure_spec={"grid": -4}), "measure_spec.grid"),
+    (_with(INNER, M=9), "schedule.stages[0][1]"),
+    (_with(INNER, tolerances={"null_tol": 1e-10}), "tolerances.null_tol"),
+    (_with(FACTOR, tau__coeffs={"11111": [1.0, 0.0]}), "tau.coeffs.11111"),
+    (_with(INNER, schedule={"tail_tol": 1e-8, "j_min": 4, "j_max": 2}), "schedule.j_max"),
+    (_with(DECOMPOSE, measure_spec={"density": {"type": "poisson", "value": 1.0}}),
+     "measure_spec.density.value"),
+    (_with(FACTOR, tau={"type": "radial", "coeffs": {"e": [1.0, 0.0]}}), "tau.coeffs"),
+    (_with(FACTOR, epsilon=0), "epsilon"),
+    (_with(KERNELS, schur_series_file="b.csv"), "schur_series_file"),
+    ({"experiment": "classical-fatou", "schur_series_file": "x" * 300}, "schur_series_file"),
+]
+
+
+@pytest.mark.parametrize("cfg,field", MALFORMED, ids=[f for _, f in MALFORMED])
+def test_malformed_config_exits_2_naming_the_field(cfg, field, tmp_path, capsys, no_numerics):
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_grid_is_rounded_up_to_a_power_of_two(tmp_path):
+    # a grid is rounded up to the power of two the moments need, so 3 and 32
+    # give the same result
+    results = []
+    for grid in (3, 32):
+        cfg = _with(DECOMPOSE, measure_spec={"grid": grid, "point_masses": [[0.5, 1.0]]})
+        assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 0
+        results.append((tmp_path / "out" / "decompose_summary.csv").read_text())
+    assert results[0] == results[1]
+
+
+def test_validate_fills_every_default():
+    c = validate(dict(INNER, d=2, schur_coeffs={"2": [0.5, 0.0]}))
+    assert c["recovery_buffer"] == 0 and c["symbol_grade"] == 4 and c["seed"] == 0
+    assert c["epsilon_grid"] == [0.25, 1.0] and c["output_dir"] == "out"
+    assert c["tolerances"] == {"cg_tol": 1e-10, "singular_tol": 0.05}
+    assert c["schur_coeffs"] == {(2,): 0.5 + 0j}
+    c = validate({k: v for k, v in INNER.items() if k != "schedule"})
+    assert c["recovery_buffer"] == 8
+    assert c["schedule"] == {"tail_tol": 1e-8, "j_min": 1, "j_max": 10,
+                             "memory_budget_mb": 512.0}
+
+
+def test_coupled_schedule_below_M_exits_2(tmp_path, capsys):
+    cfg = _with(INNER, M=9, schedule={"tail_tol": 0.1, "j_max": 2})
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    assert "config error: schedule:" in capsys.readouterr().err
+
+
+def test_verify_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# file contents are config too
+
+BAD_FILES = {
+    "header": "word,real,imag\n1,0.5,0.0\n",
+    "long word": "word,re,im\ne,1.0,0.0\n11111,0.5,0.0\n",
+    "value": "word,re,im\ne,1.0,0.0\n1,half,0.0\n",
+    "short row": "word,re,im\ne,1.0,0.0\n1,0.5\n",
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_FILES))
+@pytest.mark.parametrize("cfg,field", [
+    ({"experiment": "classical-fatou", "schur_series_file": "b.csv"}, "schur_series_file"),
+    ({**FACTOR, "tau": {"type": "radial", "schur_series_file": "b.csv"}},
+     "tau.schur_series_file"),
+    ({**DECOMPOSE, "measure_spec": None, "moments_file": "b.csv"}, "moments_file"),
+], ids=["symbol", "tau", "moments"])
+def test_bad_file_contents_exit_2(cfg, field, problem, tmp_path, capsys):
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    (tmp_path / "b.csv").write_text(BAD_FILES[problem])
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err and "b.csv" in err
+
+
+# ---------------------------------------------------------------------------
+# mutated copies of the committed configs
+
+def _paths(node, path=()):
+    """Every (path, is_leaf) in a JSON tree."""
+    if isinstance(node, (dict, list)):
+        if isinstance(node, dict):
+            yield path, False
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+    else:
+        yield path, True
+
+
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _still_valid(path, value):
+    """Leaves where a mutation gives another valid config: coefficient
+    parts and angles are signed reals, and any string names an output
+    directory."""
+    if value == -1 and not isinstance(value, bool):
+        return "schur_coeffs" in path or "coeffs" in path or path[-3:-2] == ("point_masses",) \
+            and path[-1] == 0
+    return value == "x" and path == ("output_dir",)
+
+
+def _required(name, path):
+    top = {"experiment", "schur_series_file", "schur_coeffs", "measure_spec", "tau"}
+    return (len(path) == 1 and (path[0] in top or path[0] == "N" and
+                                COMMITTED[name]["experiment"] in ("factor", "majorant"))
+            or path in {("tau", "type"), ("tau", "coeffs"), ("tau", "schur_series_file"),
+                        ("measure_spec", "density", "type")})
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(COMMITTED)))
+    cfg = copy.deepcopy(COMMITTED[name])
+    paths = list(_paths(cfg))
+    kind = draw(st.sampled_from(["replace", "add", "drop"]))
+    drops = [p for p, _ in paths if p and _required(name, p)]
+    if kind == "drop" and drops:
+        path = draw(st.sampled_from(drops))
+        del _get(cfg, path[:-1])[path[-1]]
+        return name, cfg, True
+    if kind == "add":
+        path = draw(st.sampled_from([p for p, leaf in paths if not leaf]))
+        _get(cfg, path)["tyop"] = 1
+        return name, cfg, True
+    path = draw(st.sampled_from([p for p, leaf in paths if leaf]))
+    value = draw(st.sampled_from(["x", True, None, -1, [], {}]))
+    _get(cfg, path[:-1])[path[-1]] = value
+    return name, cfg, not _still_valid(path, value)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=mutations())
+def test_mutated_configs_exit_2_before_numerics(mutation, tmp_path, no_numerics):
+    name, cfg, invalid = mutation
+    if not invalid:
+        validate(cfg, CONFIGS)
+        return
+    with pytest.raises(ConfigError):
+        validate(cfg, CONFIGS)
+    for csv_file in CONFIGS.glob("*.csv"):
+        shutil.copy(csv_file, tmp_path)
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+
+
+# ---------------------------------------------------------------------------
+# committed configs and their golden outputs
+
+def _read_table(path):
+    lines = path.read_text().splitlines()
+    return lines[:2], [line.split(",") for line in lines[2:]]
+
+
+@pytest.mark.parametrize("name", ["factor_toeplitz", "factor_vector_state", "majorant_d1"])
+def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("NCFATOU_OUTDIR", str(tmp_path))
+    assert run_config(str(CONFIGS / f"{name}.json"), quiet=True) == 0
+    golden = sorted((CONFIGS / "out" / name).glob("*.csv"))
+    assert golden and [p.name for p in golden] == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for path in golden:
+        (head, rows), (new_head, new_rows) = _read_table(path), _read_table(tmp_path / path.name)
+        assert new_head == head and len(new_rows) == len(rows)
+        text = [i for i, col in enumerate(head[1].split(",")) if col == "word"]
+        num = [i for i in range(len(head[1].split(","))) if i not in text]
+        for row, new_row in zip(rows, new_rows):
+            assert [row[i] for i in text] == [new_row[i] for i in text]
+            np.testing.assert_allclose([float(new_row[i]) for i in num],
+                                       [float(row[i]) for i in num], rtol=1e-9, atol=1e-12)
+
+
+def test_committed_configs_validate():
+    assert len(COMMITTED) == 10  # the nine experiments and verify
+    for name, cfg in COMMITTED.items():
+        assert validate(cfg, CONFIGS)["experiment"] == cfg["experiment"], name
+
+
+def test_docs_list_the_schema_table():
+    doc = schema_doc()
+    assert cli.__doc__.endswith(doc + "\n") or cli.__doc__.endswith(doc)
+    readme = (ROOT / "README.md").read_text()
+    assert doc in readme
+    for gone in ("null_tol", "verify --threads"):
+        assert gone not in readme and gone not in cli.__doc__

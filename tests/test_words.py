@@ -79,16 +79,6 @@ def test_transpose_permutation_matches_word_reversal():
             assert b.word(int(p[i])) == transpose(b.word(i))
 
 
-def test_concat_slices_match_index_arithmetic():
-    b = WordBasis(2, 5)
-    w = (2, 1)
-    left = b.left_concat_slice(w, 2)
-    right = b.right_concat_slice(2, w)
-    betas = [b.word(i) for i in range(*b.grade_slice(2).indices(b.size))]
-    assert list(range(*left.indices(b.size))) == [b.index(w + beta) for beta in betas]
-    assert list(range(*right.indices(b.size))) == [b.index(beta + w) for beta in betas]
-
-
 words_strategy = st.lists(st.integers(min_value=1, max_value=3),
                           min_size=0, max_size=6).map(tuple)
 
