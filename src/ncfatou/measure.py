@@ -206,7 +206,10 @@ def herglotz_eval(mu: MomentFunctional, Z: MatrixPoint) -> EvalResult:
     on the truncation, so (I - ZL*)^{-1} applied to u = conj(mu) is one
     substitution from the top grade down: X_w = u_w I + sum_k Z_k X_{kw},
     and H = 2 X_empty - u_empty I.  Agrees with
-    evaluate(herglotz_transform(mu), Z) exactly through grade N.
+    evaluate(herglotz_transform(mu), Z) exactly through grade N.  It is
+    kept independent of evaluate, which extends words on the right
+    (X_w from X_{wk}) and splits the trie at mid depth, because the tests
+    and the benchmark use each as the cross-check of the other.
     """
     basis = mu.basis
     if Z.d != basis.d:

@@ -227,29 +227,48 @@ def _require_interior(Z: MatrixPoint, who: str):
 
 
 def evaluate(f: NCSeries, Z: MatrixPoint) -> EvalResult:
-    """sum_{|a| <= N} c_a Z^a with the geometric tail bound.
+    """sum_{|a| <= N} c_a Z^a, Z^a = Z_{a_1} ... Z_{a_|a|}, with a tail bound.
+
+    N is the degree of f; higher grades are exactly zero.  The word trie
+    is split baby-step/giant-step (Paterson & Stockmeyer 1973): with
+    j = ceil(N/2) and g0 = N - j, every word of length >= g0 is w v with
+    |w| = g0 and |v| <= j.  The blocks X_w = sum_{|v| <= j} c_{wv} Z^v
+    come from a table of Z^v (Z^{v'k} = Z^{v'} Z_k) and one BLAS product
+    per grade g0 + i, the coefficients viewed without a copy as a
+    d^g0 x d^i matrix: about |basis| n^2 multiply-adds.  Horner over
+    grades g0-1..0, X_w = c_w I + sum_k Z_k X_{wk}, and the table take
+    about (d^j + d^g0) n^3, and the working memory beyond the coefficients
+    is about (d^j + d^g0) n^2 numbers.
 
     The tail bound is ||f|| * rho^(N+1) / sqrt(1 - rho^2) with rho the row
-    norm of Z, valid for the dropped grades of any l2 coefficient sequence.
+    norm of Z and N the truncation grade of the basis, valid for the
+    dropped grades of any l2 coefficient sequence.
     """
     _require_interior(Z, "evaluate")
     basis = f.basis
     if Z.d != basis.d:
         raise ValueError(f"point has {Z.d} components, basis expects {basis.d}")
     d, n = basis.d, Z.n
-    N = f.degree()  # grades above the support are exactly zero
+    N = f.degree()
+    j = (N + 1) // 2
+    g0 = N - j
     eye = np.eye(n, dtype=complex)
-    # Backward grade recursion over the word trie: the block of partial sums
-    # at grade m is  c_m I + sum_k Z_k (block at m+1 restricted to children k).
-    res = f.coeffs[basis.grade_slice(N)][:, None, None] * eye
-    for m in range(N - 1, -1, -1):
-        kids = res.reshape(d ** m, d, n, n)
-        res = f.coeffs[basis.grade_slice(m)][:, None, None] * eye
-        for k in range(d):
-            res = res + np.einsum("ij,wjk->wik", Z.Z[k], kids[:, k])
+    Zs = np.stack(Z.Z)
+    powers = eye[None]  # Z^v over the words v of grade i, in rank order
+    X = f.coeffs[basis.grade_slice(g0)][:, None] * eye.reshape(1, n * n)
+    for i in range(1, j + 1):
+        powers = (powers[:, None] @ Zs[None]).reshape(d ** i, n, n)
+        c = f.coeffs[basis.grade_slice(g0 + i)].reshape(d ** g0, d ** i)
+        X += c @ powers.reshape(d ** i, n * n)
+    X = X.reshape(d ** g0, n, n)
+    for m in range(g0 - 1, -1, -1):
+        kids = X.reshape(d ** m, d, n, n)
+        X = f.coeffs[basis.grade_slice(m)][:, None, None] * eye
+        for k in range(d):  # einsum, not @, rounds as configs/out was computed
+            X = X + np.einsum("ij,wjk->wik", Z.Z[k], kids[:, k])
     rho = Z.row_norm
     tail = f.norm() * rho ** (basis.N + 1) / np.sqrt(1.0 - rho ** 2)
-    return EvalResult(res[0], float(tail))
+    return EvalResult(X[0], float(tail))
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,21 @@ def test_herglotz_eval_matches_series_evaluation():
     assert lam >= -lhs.tail - 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_herglotz_eval_matches_series_evaluation_deep_trie(n):
+    # N = 16 splits the trie of evaluate at grade 8 with 2^8 leaf blocks
+    rng = np.random.default_rng(23 + n)
+    basis = WordBasis(2, 16)
+    B = NCSeries.from_dict(basis, {(1,): 0.3, (2,): 0.25j, (1, 2): 0.2})
+    mu = clark_measure(B)
+    Z = MatrixPoint(tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                          for _ in range(2)))
+    Z = Z.scaled(0.6 / Z.row_norm)
+    lhs = herglotz_eval(mu, Z).value
+    rhs = evaluate(herglotz_transform(mu), Z).value
+    assert np.abs(lhs - rhs).max() < 1e-13
+
+
 def test_herglotz_eval_identity_for_vacuum_state():
     basis = WordBasis(2, 4)
     Z = MatrixPoint((0.2 * np.eye(2), 0.1 * np.ones((2, 2))))

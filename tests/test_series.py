@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncfatou.fock import transpose_unitary
 from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
@@ -231,6 +231,47 @@ def test_evaluate_examples():
     val, tail = evaluate(geo, MatrixPoint((np.array([[0.5]]),)))
     assert abs(val[0, 0] - 2.0) <= tail + 1e-12
     assert tail < 1e-10
+
+
+def brute_evaluate(f: NCSeries, Z: MatrixPoint):
+    """sum_a c_a Z_{a_1} ... Z_{a_|a|} by explicit products; also returns
+    sum_a |c_a| ||Z^a||, the scale of the rounding errors."""
+    n = Z.n
+    total = np.zeros((n, n), dtype=complex)
+    scale = 0.0
+    for i in np.flatnonzero(f.coeffs):
+        term = np.eye(n, dtype=complex)
+        for letter in f.basis.word(int(i)):
+            term = term @ Z.Z[letter - 1]
+        total += f.coeffs[i] * term
+        scale += abs(f.coeffs[i]) * np.linalg.norm(term)
+    return total, scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3), N=st.integers(0, 6), deg=st.integers(0, 6),
+       n=st.integers(1, 3), rho=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 16))
+@example(d=2, N=5, deg=0, n=2, rho=0.5, seed=0)  # degree 0 below N: no split
+@example(d=3, N=6, deg=6, n=3, rho=0.9, seed=1)  # even degree
+@example(d=2, N=6, deg=5, n=2, rho=0.7, seed=2)  # odd degree below N
+@example(d=1, N=6, deg=3, n=1, rho=0.6, seed=3)
+def test_evaluate_matches_explicit_products(d, N, deg, n, rho, seed):
+    deg = min(deg, N)
+    rng = np.random.default_rng(seed)
+    basis = WordBasis(d, N)
+    m = basis.sub_basis_size(deg)
+    coeffs = np.zeros(basis.size, dtype=complex)
+    coeffs[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    f = NCSeries(basis, coeffs)
+    assert f.degree() == deg
+    Z = MatrixPoint(tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                          for _ in range(d)))
+    Z = Z.scaled(rho / Z.row_norm)
+    value, tail = evaluate(f, Z)
+    ref, scale = brute_evaluate(f, Z)
+    assert np.linalg.norm(value - ref) <= 1e-12 * scale
+    r = Z.row_norm
+    assert tail == np.linalg.norm(coeffs) * r ** (N + 1) / np.sqrt(1.0 - r ** 2)
 
 
 def test_evaluate_rejects_boundary_point():
