@@ -13,6 +13,13 @@ T_r directly: T_hat = Delta_hat(eps)^{-1} - eps I on an enlarged corner
 corner of the resolvent is a Schur complement of eps I + T, and the
 enlargement buffer pushes its systematic deficit below tolerance for
 symbols whose moments decay.
+
+With eps I + T_r = U U^H, U upper triangular (the Cholesky factor of the
+index-reversed matrix, flipped back), that Schur complement is exactly
+U_mm U_mm^H and every smaller resolvent corner is (U_kk U_kk^H)^{-1}
+(Golub & Van Loan, Matrix Computations, 4.2).  Dense mode reads all of
+it off one such factor; the Toeplitz (Levinson with Gohberg-Semencul)
+and matrix-free (CG) modes compute the corner and invert it.
 """
 
 from __future__ import annotations
@@ -235,15 +242,53 @@ def _gs_inverse_corner(phi: np.ndarray, m: int) -> np.ndarray:
     return (A @ A.conj().T - Bm @ Bm.conj().T) / phi[0]
 
 
+def _reversed_cholesky(Tr: RadialOperator, eps: float) -> np.ndarray:
+    """Upper-triangular U with eps I + T_r = U U^H (dense mode).
+
+    This is the lower Cholesky factor L of the index-reversed matrix
+    J (eps I + T_r) J, flipped back: U = J L J.
+    """
+    A = np.array(Tr.to_dense()[::-1, ::-1], order="F")  # a copy, factored in place
+    A[np.diag_indices_from(A)] += eps
+    return scipy.linalg.cholesky(A, lower=True, overwrite_a=True)[::-1, ::-1]
+
+
+def _triangular_corner(U: np.ndarray, k: int) -> np.ndarray:
+    """(U_kk U_kk^H)^{-1} = U_kk^{-H} U_kk^{-1}, by one triangular solve."""
+    W = scipy.linalg.solve_triangular(U[:k, :k], np.eye(k))
+    return W.conj().T @ W
+
+
+def _dense_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
+    """One stage of the recovery from the factor eps I + T_r = U U^H.
+
+    Returns the recovered block (P_m Delta P_m)^{-1} - eps I = U_mm U_mm^H
+    - eps I (Hermitian; U U^H by LAPACK lauum), the increment corner
+    P_m_out Delta P_m_out = (U_oo U_oo^H)^{-1} and the vacuum delta
+    1/|U_00|^2.
+    """
+    U = _reversed_cholesky(Tr, eps)
+    UU = scipy.linalg.lapack.zlauum(U[:m, :m])[0]  # U U^H in the upper triangle
+    # the strict lower triangle still holds the zeros of U, so UU + UU^H
+    # is the Hermitian product off the diagonal
+    T = UU.conj().T
+    T += UU
+    T[np.diag_indices(m)] = UU.diagonal() - eps
+    corner = _triangular_corner(U, m_out)
+    return T, 0.5 * (corner + corner.conj().T), float(1.0 / U[0, 0].real ** 2)
+
+
 def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
                      cg_tol: float = 1e-10, cg_maxiter: int = 2000) -> tuple:
     """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
     m x m matrix (m counts basis words); eps must be positive.
 
     Uses one Levinson solve plus the Gohberg-Semencul corner formula in
-    toeplitz mode, a Cholesky solve in dense mode, and per-column CG in
-    matrix-free mode (where m must stay small).  Returns the Hermitized
-    corner together with the CG iteration counts (empty outside CG mode).
+    toeplitz mode, and per-column CG in matrix-free mode (where m must
+    stay small).  Dense mode factors eps I + T_r = U U^H once (reversed
+    Cholesky) and returns (U_mm U_mm^H)^{-1} from one triangular solve.
+    Returns the Hermitized corner together with the CG iteration counts
+    (empty outside CG mode).
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -259,11 +304,7 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
         phi = scipy.linalg.solve_toeplitz((col, col.conj()), e0)
         corner = _gs_inverse_corner(phi, m)
     elif Tr.mode == "dense":
-        A = Tr.to_dense() + eps * np.eye(basis.size)
-        factor = scipy.linalg.cho_factor(0.5 * (A + A.conj().T))
-        E = np.zeros((basis.size, m), dtype=complex)
-        E[:m, :] = np.eye(m)
-        corner = scipy.linalg.cho_solve(factor, E)[:m, :]
+        corner = _triangular_corner(_reversed_cholesky(Tr, eps), m)
     else:
         if m > 256:
             raise ValueError(
@@ -375,12 +416,17 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     source is either a Schur-class NCSeries (the symbol B) or a positive
     MomentFunctional with moments through the largest scheduled grade.
-    For each stage, the corner of (eps I + T_r)^{-1} is computed at the
-    recovery grade M + recovery_buffer; the iteration stops early once
-    consecutive corners differ by less than cauchy_tol in max norm.  The
-    reported T_hat comes from the smallest eps in the grid (least upward
-    bias on near-singular directions); the other grid values only feed
-    the eps-consistency cross-check.
+    For each stage, T_stage = (P Delta_r(eps) P)^{-1} - eps I is recovered
+    on the words of grade <= M + recovery_buffer; the iteration stops
+    early once consecutive grade-M resolvent corners differ by less than
+    cauchy_tol in max norm.  In dense mode the inverted corner is the
+    Schur complement U_mm U_mm^H of one reversed Cholesky factor
+    eps I + T_r = U U^H, so no corner is solved for and nothing is
+    inverted; the Toeplitz and matrix-free modes compute the corner with
+    resolvent_corner and invert it.  The reported T_hat comes from the
+    smallest eps in the grid (least upward bias on near-singular
+    directions); the other grid values only feed the eps-consistency
+    cross-check.
     """
     if isinstance(source, NCSeries):
         d = source.basis.d
@@ -388,6 +434,10 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         d = source.basis.d
     else:
         raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    if recovery_buffer < 0:
+        raise ValueError(f"recovery_buffer must be >= 0, got {recovery_buffer}")
     eps_grid = tuple(sorted(float(e) for e in eps_grid))
     if not eps_grid or eps_grid[0] <= 0:
         raise ValueError(f"eps grid must be positive, got {eps_grid}")
@@ -399,46 +449,40 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         raise ValueError("schedule stage grade below the output grade M")
 
     m_out = word_count(d, M)
+
+    def recover(Tr, eps, m):
+        # (Hermitian T block on m words, grade-M corner, vacuum delta, CG counts)
+        if Tr.mode == "dense":
+            T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
+            return T, corner, vacuum, ()
+        corner, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol,
+                                            cg_maxiter=cg_maxiter)
+        T = np.linalg.inv(corner) - eps * np.eye(m)
+        return (0.5 * (T + T.conj().T), corner[:m_out, :m_out],
+                float(corner[0, 0].real), cg_iters)
+
     records = []
-    corners = []
+    prev = None
     converged = False
-    Tr_final = None
     for (r, N) in schedule.stages:
         Tr = _stage_operator(source, d, r, N)
         rec_grade = min(M + recovery_buffer, N)
         m_rec = word_count(d, rec_grade)
-        corner, cg_iters = resolvent_corner(Tr, primary, m_rec, cg_tol=cg_tol,
-                                            cg_maxiter=cg_maxiter)
-        T_stage = np.linalg.inv(corner) - primary * np.eye(m_rec)
-        if corners:
-            prev = corners[-1][:m_out, :m_out]
-            increment = float(np.abs(corner[:m_out, :m_out] - prev).max())
-        else:
-            increment = np.inf
+        T_rec, corner, vacuum, cg_iters = recover(Tr, primary, m_rec)
+        increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
-            r=r, N=N, vacuum_delta=float(corner[0, 0].real),
-            mass=float(T_stage[0, 0].real), increment=increment,
-            cg_iterations=cg_iters))
-        corners.append(corner)
-        Tr_final = Tr
+            r=r, N=N, vacuum_delta=vacuum, mass=float(T_rec[0, 0].real),
+            increment=increment, cg_iterations=cg_iters))
+        prev = corner
         if increment < cauchy_tol:
             converged = True
             break
-
-    rec_grade = min(M + recovery_buffer, records[-1].N)
-    m_rec = word_count(d, rec_grade)
-    corner = corners[-1]
-    T_rec = np.linalg.inv(corner) - primary * np.eye(m_rec)
-    T_rec = 0.5 * (T_rec + T_rec.conj().T)
 
     # cross-check the recovery against the other resolvent parameters
     eps_consistency = 0.0
     blocks = {primary: T_rec[:m_out, :m_out]}
     for eps in eps_grid[1:]:
-        c, _ = resolvent_corner(Tr_final, eps, m_rec, cg_tol=cg_tol,
-                                cg_maxiter=cg_maxiter)
-        t = np.linalg.inv(c) - eps * np.eye(m_rec)
-        blocks[eps] = 0.5 * (t + t.conj().T)[:m_out, :m_out]
+        blocks[eps] = recover(Tr, eps, m_rec)[0][:m_out, :m_out]
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:

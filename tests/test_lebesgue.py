@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
-from ncfatou.fock import TruncatedOperator
+from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
-                              _radial_matrix_free, fatou_form_check,
-                              form_decomposition_diagnostic, hermitian_cg,
-                              majorant_check, resolvent_corner, rn_derivative)
+                              _dense_recovery, _radial_matrix_free,
+                              fatou_form_check, form_decomposition_diagnostic,
+                              hermitian_cg, majorant_check, resolvent_corner,
+                              rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram,
-                             nc_lebesgue)
+                             nc_lebesgue, vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
 from ncfatou.series import NCSeries
@@ -188,6 +190,47 @@ def test_resolvent_corner_rejects_nonpositive_eps_in_every_mode(eps):
             resolvent_corner(Tr, eps, 2)
 
 
+def _close(a, b, rel):
+    return np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), eps=st.floats(0.1, 2.0), r=st.floats(0.3, 0.95),
+       l1=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, seed, data):
+    # bases of at most 400 words: d = 2 up to N = 7 (255), d = 3 up to N = 5 (364)
+    basis = WordBasis(d, data.draw(st.integers(0, 7 if d == 2 else 5)))
+    n = basis.size
+    m = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    m_out = data.draw(st.integers(1, m))
+    # a few words of grade <= 2 with l1 norm below 1: a Schur symbol
+    rng = np.random.default_rng(seed)
+    pool = basis.sub_basis_size(min(basis.N, 2))
+    k = int(rng.integers(1, min(pool, 4) + 1))
+    c = np.zeros(n, dtype=complex)
+    c[rng.choice(pool, size=k, replace=False)] = \
+        rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    B = NCSeries(basis, c * (l1 / np.abs(c).sum()))
+    Tr = RadialOperator.from_schur(B, r)
+    assert Tr.mode == "dense"
+    T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
+    assert np.array_equal(T, T.conj().T)
+    # against the explicit inverse of eps I + T_r
+    delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
+    assert _close(T, np.linalg.inv(delta[:m, :m]) - eps * np.eye(m), 1e-10)
+    assert _close(corner, delta[:m_out, :m_out], 1e-10)
+    assert vacuum == pytest.approx(delta[0, 0].real, rel=1e-10)
+    # against the matrix-free T_r, one CG solve per corner column
+    free = _radial_matrix_free(B, r)
+    cg = np.column_stack([
+        hermitian_cg(lambda v: eps * v + free.apply(v), e, tol=1e-12)[0][:m]
+        for e in np.eye(n, m, dtype=complex).T])
+    cg = 0.5 * (cg + cg.conj().T)
+    assert _close(T, np.linalg.inv(cg) - eps * np.eye(m), 1e-8)
+    assert _close(corner, cg[:m_out, :m_out], 1e-8)
+    assert vacuum == pytest.approx(cg[0, 0].real, rel=1e-8)
+
+
 def test_hermitian_cg_solves_and_reports():
     rng = np.random.default_rng(53)
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
@@ -227,6 +270,29 @@ def test_rn_derivative_vacuum_identity():
     assert abs(res.mu_s.mass()) < 1e-12
     assert not res.singular
     assert res.positivity_ac.positive
+
+
+@pytest.mark.parametrize("kw", [{"M": -1}, {"recovery_buffer": -2}])
+def test_rn_derivative_names_a_negative_argument(kw):
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+        rn_derivative(NCSeries.zero(WordBasis(2, 1)), eps_grid=(0.5,),
+                      schedule=Schedule.explicit([(0.5, 2)]), **kw)
+
+
+@pytest.mark.parametrize("r", [0.75, 0.9])
+def test_rn_derivative_vector_state_d2_approaches_its_gram_matrix(r):
+    # m_x(p* q) = <x(R) p, x(R) q> for a polynomial x, so the RN
+    # compression of the vector state m_x is its own Gram matrix; one
+    # stage at radius r misses it at first order in 1 - r
+    basis = WordBasis(2, 8)
+    x = NCSeries.from_dict(basis, {(): 1.0, (1,): 0.5, (1, 2): 0.3j})
+    mu = vector_state(FockVector(basis, x.coeffs))
+    res = rn_derivative(mu, M=2, eps_grid=(0.25,),
+                        schedule=Schedule.explicit([(r, 8)]))
+    err = np.abs(res.T_compression - gram(mu.restricted(2)).matrix).max()
+    assert 0.4 <= err / (1 - r) <= 0.7
+    assert abs(res.mu_s.mass()) <= 1e-12
 
 
 def test_rn_derivative_classical_fatou_small():
