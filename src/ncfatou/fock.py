@@ -47,17 +47,10 @@ class FockVector:
         _same_basis(self.basis, other.basis)
         return FockVector(self.basis, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        _same_basis(self.basis, other.basis)
-        return FockVector(self.basis, self.coeffs - other.coeffs)
-
     def __mul__(self, c: complex) -> "FockVector":
         return FockVector(self.basis, self.coeffs * c)
 
     __rmul__ = __mul__
-
-    def coefficient(self, w: Word) -> complex:
-        return complex(self.coeffs[self.basis.index(w)])
 
 
 def vacuum(basis: WordBasis) -> FockVector:
@@ -115,10 +108,6 @@ class TruncatedOperator:
             return FockVector(self.basis, self._rmatvec(v.coeffs))
         return self._rmatvec(np.asarray(v, dtype=complex))
 
-    def adjoint(self) -> "TruncatedOperator":
-        dense = None if self._dense is None else (lambda: self.to_dense().conj().T)
-        return TruncatedOperator(self.basis, self._rmatvec, self._matvec, dense=dense)
-
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         _same_basis(self.basis, other.basis)
         return TruncatedOperator(
@@ -135,18 +124,6 @@ class TruncatedOperator:
             lambda v: self._rmatvec(v) + other._rmatvec(v),
         )
 
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self + (-1.0) * other
-
-    def __mul__(self, c: complex) -> "TruncatedOperator":
-        return TruncatedOperator(
-            self.basis,
-            lambda v: c * self._matvec(v),
-            lambda v: np.conj(c) * self._rmatvec(v),
-        )
-
-    __rmul__ = __mul__
-
     def to_dense(self) -> np.ndarray:
         if callable(self._dense):
             self._dense = self._dense()
@@ -160,17 +137,6 @@ class TruncatedOperator:
                 e[j] = 0.0
             self._dense = A
         return self._dense
-
-    def compress(self, M: int) -> np.ndarray:
-        """Dense matrix of P_M A P_M on the words of length <= M."""
-        m = self.basis.sub_basis_size(M)
-        cols = np.zeros((self.basis.size, m), dtype=complex)
-        e = np.zeros(self.basis.size, dtype=complex)
-        for j in range(m):
-            e[j] = 1.0
-            cols[:, j] = self._matvec(e)
-            e[j] = 0.0
-        return cols[:m, :]
 
     def adjoint_residual(self, rng: np.random.Generator, probes: int = 4) -> float:
         """max |<u, Av> - <A*u, v>| over random unit probes."""

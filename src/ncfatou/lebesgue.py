@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import TruncatedOperator, graded_inverse
+from .fock import FockVector, TruncatedOperator, graded_inverse
 from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
-                      herglotz_transform, is_positive)
+                      herglotz_transform, is_positive, vector_state)
 from .series import (NCSeries, cayley_to_herglotz, radial_scale,
                      series_at_right_shifts, transpose_conjugate)
 from .words import WordBasis, word_count
@@ -262,18 +262,17 @@ def _triangular_corner(U: np.ndarray, k: int) -> np.ndarray:
 def _dense_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
     """One stage of the recovery from the factor eps I + T_r = U U^H.
 
-    Returns the recovered block (P_m Delta P_m)^{-1} - eps I = U_mm U_mm^H
-    - eps I (Hermitian; U U^H by LAPACK lauum), the increment corner
+    The recovered block on m words is (P_m Delta P_m)^{-1} - eps I =
+    U_mm U_mm^H - eps I; its grade-M part on the first m_out words is
+    W W^H - eps I with W = U[:m_out, :m], since U is upper triangular.
+    Returns that block, Hermitized, the increment corner
     P_m_out Delta P_m_out = (U_oo U_oo^H)^{-1} and the vacuum delta
     1/|U_00|^2.
     """
     U = _reversed_cholesky(Tr, eps)
-    UU = scipy.linalg.lapack.zlauum(U[:m, :m])[0]  # U U^H in the upper triangle
-    # the strict lower triangle still holds the zeros of U, so UU + UU^H
-    # is the Hermitian product off the diagonal
-    T = UU.conj().T
-    T += UU
-    T[np.diag_indices(m)] = UU.diagonal() - eps
+    W = U[:m_out, :m]
+    T = W @ W.conj().T
+    T = 0.5 * (T + T.conj().T) - eps * np.eye(m_out)
     corner = _triangular_corner(U, m_out)
     return T, 0.5 * (corner + corner.conj().T), float(1.0 / U[0, 0].real ** 2)
 
@@ -343,8 +342,8 @@ class RNResult:
 
     T_compression is the recovered Radon-Nikodym compression on words of
     length <= M; mu_ac its moment functional read off the vacuum row, and
-    mu_s = mu - mu_ac exactly.  T_recovered keeps the enlarged recovery
-    block (grade <= recovery_grade) for downstream form checks.
+    mu_s = mu - mu_ac exactly.  Each stage recovers T on an enlarged
+    corner, but only its grade-M block is formed and kept.
     """
 
     d: int
@@ -352,8 +351,6 @@ class RNResult:
     eps_grid: tuple
     primary_eps: float
     T_compression: np.ndarray
-    T_recovered: np.ndarray
-    recovery_grade: int
     mu: MomentFunctional
     mu_ac: MomentFunctional
     mu_s: MomentFunctional
@@ -419,12 +416,13 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     For each stage, T_stage = (P Delta_r(eps) P)^{-1} - eps I is recovered
     on the words of grade <= M + recovery_buffer; the iteration stops
     early once consecutive grade-M resolvent corners differ by less than
-    cauchy_tol in max norm.  In dense mode the inverted corner is the
-    Schur complement U_mm U_mm^H of one reversed Cholesky factor
-    eps I + T_r = U U^H, so no corner is solved for and nothing is
-    inverted; the Toeplitz and matrix-free modes compute the corner with
-    resolvent_corner and invert it.  The reported T_hat comes from the
-    smallest eps in the grid (least upward bias on near-singular
+    cauchy_tol in max norm.  Only the grade-M block of T_stage is formed.
+    In dense mode the inverted corner is the Schur complement U_mm U_mm^H
+    of one reversed Cholesky factor eps I + T_r = U U^H, whose grade-M
+    block is U[:m_out, :m] U[:m_out, :m]^H, so no corner is solved for and
+    nothing is inverted; the Toeplitz and matrix-free modes compute the
+    corner with resolvent_corner and invert it.  The reported T_hat comes
+    from the smallest eps in the grid (least upward bias on near-singular
     directions); the other grid values only feed the eps-consistency
     cross-check.
     """
@@ -451,13 +449,13 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     m_out = word_count(d, M)
 
     def recover(Tr, eps, m):
-        # (Hermitian T block on m words, grade-M corner, vacuum delta, CG counts)
+        # (Hermitian grade-M T block, grade-M corner, vacuum delta, CG counts)
         if Tr.mode == "dense":
             T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
             return T, corner, vacuum, ()
         corner, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol,
                                             cg_maxiter=cg_maxiter)
-        T = np.linalg.inv(corner) - eps * np.eye(m)
+        T = (np.linalg.inv(corner) - eps * np.eye(m))[:m_out, :m_out]
         return (0.5 * (T + T.conj().T), corner[:m_out, :m_out],
                 float(corner[0, 0].real), cg_iters)
 
@@ -466,12 +464,11 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     converged = False
     for (r, N) in schedule.stages:
         Tr = _stage_operator(source, d, r, N)
-        rec_grade = min(M + recovery_buffer, N)
-        m_rec = word_count(d, rec_grade)
-        T_rec, corner, vacuum, cg_iters = recover(Tr, primary, m_rec)
+        m_rec = word_count(d, min(M + recovery_buffer, N))
+        T_hat, corner, vacuum, cg_iters = recover(Tr, primary, m_rec)
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
-            r=r, N=N, vacuum_delta=vacuum, mass=float(T_rec[0, 0].real),
+            r=r, N=N, vacuum_delta=vacuum, mass=float(T_hat[0, 0].real),
             increment=increment, cg_iterations=cg_iters))
         prev = corner
         if increment < cauchy_tol:
@@ -480,16 +477,15 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     # cross-check the recovery against the other resolvent parameters
     eps_consistency = 0.0
-    blocks = {primary: T_rec[:m_out, :m_out]}
+    blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = recover(Tr, eps, m_rec)[0][:m_out, :m_out]
+        blocks[eps] = recover(Tr, eps, m_rec)[0]
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:
                 eps_consistency = max(eps_consistency, float(
                     np.abs(blocks[ea] - blocks[eb]).max()))
 
-    T_hat = T_rec[:m_out, :m_out]
     basis_M = WordBasis(d, M)
     mu = _source_moments(source, d, M)
     moments_ac = T_hat[0, :].copy()
@@ -505,7 +501,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     return RNResult(
         d=d, M=M, eps_grid=eps_grid, primary_eps=primary,
-        T_compression=T_hat, T_recovered=T_rec, recovery_grade=rec_grade,
+        T_compression=T_hat,
         mu=mu, mu_ac=mu_ac, mu_s=mu_s, stages=tuple(records),
         eps_consistency=eps_consistency, cauchy_converged=converged,
         achieved_r_max=schedule.achieved_r_max,
@@ -533,22 +529,25 @@ def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PsdReport:
     x must come from the outer factorization of I + tau for an L-Toeplitz
     tau dominated by the Clark measure of B; then the harmonic-majorant
     inequality makes the compression PSD up to numerical error.
+
+    Both terms are exact compressions of the operators on the full Fock
+    space, built on the grade-M basis alone.  K = I - B(rR) is block
+    lower-triangular in the graded-lex basis, so the T_r block depends on
+    B only through grade M and is the same at every truncation N >= M.
+    x is a polynomial, so <x(rR) e_a, x(rR) e_b> is the (a, b) entry of
+    the Gram matrix of the vector state of y, the transpose of the
+    rescaled x (x(rR) is right multiplication by y), with no truncation
+    at grade N.
     """
     basis = B.basis
     if x.basis != basis:
         raise ValueError("B and x must share a basis")
     m = basis.sub_basis_size(M)
-    Tr = RadialOperator.from_schur(B, r)
-    xr_op = series_at_right_shifts(radial_scale(x, r))
-    e = np.zeros(basis.size, dtype=complex)
-    T_block = np.zeros((m, m), dtype=complex)
-    X_cols = np.zeros((basis.size, m), dtype=complex)
-    for j in range(m):
-        e[j] = 1.0
-        T_block[:, j] = Tr.apply(e)[:m]
-        X_cols[:, j] = xr_op.apply(e)
-        e[j] = 0.0
-    D = np.eye(m) + T_block - X_cols.conj().T @ X_cols
+    T_block = RadialOperator.from_schur(
+        NCSeries(WordBasis(basis.d, M), B.coeffs[:m]), r).to_dense()
+    y = FockVector(basis, transpose_conjugate(radial_scale(x, r)).coeffs)
+    X_block = gram(vector_state(y).restricted(M)).matrix
+    D = np.eye(m) + T_block - X_block
     lam = float(np.linalg.eigvalsh(0.5 * (D + D.conj().T)).min())
     return PsdReport(lam, M, m)
 

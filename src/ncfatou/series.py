@@ -25,7 +25,12 @@ _GERM_MSG = "germ condition violated: {}"
 
 @dataclass(frozen=True)
 class NCSeries:
-    """Truncated NC power series sum_{|a| <= N} c_a Z^a over a word basis."""
+    """Truncated NC power series sum_{|a| <= N} c_a Z^a over a word basis.
+
+    norm() and degree() are computed once per series; the first call
+    makes coeffs read-only, so that an in-place write after it raises
+    instead of leaving a stale value.
+    """
 
     basis: WordBasis
     coeffs: np.ndarray
@@ -62,10 +67,14 @@ class NCSeries:
 
     def degree(self, floor: float = 0.0) -> int:
         """Largest grade with a coefficient of modulus > floor."""
-        for g in range(self.basis.N, -1, -1):
-            if np.max(np.abs(self.coeffs[self.basis.grade_slice(g)])) > floor:
-                return g
-        return 0
+        above = np.flatnonzero(self._grade_max > floor)
+        return int(above[-1]) if above.size else 0
+
+    @cached_property
+    def _grade_max(self) -> np.ndarray:
+        """Largest coefficient modulus of each grade."""
+        self.coeffs.setflags(write=False)
+        return np.maximum.reduceat(np.abs(self.coeffs), self.basis.offsets[:-1])
 
     def support(self):
         """Yield (word, coefficient) over exactly-nonzero entries."""
@@ -73,6 +82,11 @@ class NCSeries:
             yield self.basis.word(int(i)), complex(self.coeffs[i])
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
+        self.coeffs.setflags(write=False)
         return float(np.linalg.norm(self.coeffs))
 
     def __add__(self, other):

@@ -105,6 +105,20 @@ def test_ltoeplitz_check_examples():
     assert ltoeplitz_check(bad).max_violation >= 1.0
 
 
+@pytest.mark.parametrize("row, col", [((2, 2, 2, 1, 2), (1, 1, 2, 2, 1)),
+                                      ((2, 2, 2, 1, 2), (2, 1, 2, 2, 1))])
+def test_ltoeplitz_check_finds_a_single_entry_defect(row, col):
+    # one entry <L_j g, A L_k h> off the identity, g and h of grade 4: only
+    # the pair (g, h) sees it, and a random sample of 400 of the 961 pairs
+    # may miss it
+    basis = WordBasis(2, 5)
+    A = np.eye(basis.size, dtype=complex)
+    A[basis.index(row), basis.index(col)] = 1.0
+    rep = ltoeplitz_check(TruncatedOperator.from_dense(basis, A))
+    assert rep.max_violation == 1.0
+    assert rep.pairs_checked == basis.sub_basis_size(4) ** 2
+
+
 def test_gauge_fix_resolves_unimodular_ambiguity():
     # rotating psi by a unimodular constant leaves y*y unchanged, so the
     # factorization is unique only up to phase; the positive-real gauge on

@@ -13,7 +13,7 @@ from ncfatou.measure import (MomentFunctional, clark_measure, gram,
                              nc_lebesgue, vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
-from ncfatou.series import NCSeries
+from ncfatou.series import NCSeries, radial_scale, series_at_right_shifts
 from ncfatou.words import WordBasis
 
 
@@ -214,10 +214,12 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     Tr = RadialOperator.from_schur(B, r)
     assert Tr.mode == "dense"
     T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
+    assert T.shape == (m_out, m_out)
     assert np.array_equal(T, T.conj().T)
-    # against the explicit inverse of eps I + T_r
+    # against the grade-M block of the explicit inverse of eps I + T_r
     delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
-    assert _close(T, np.linalg.inv(delta[:m, :m]) - eps * np.eye(m), 1e-10)
+    assert _close(T, (np.linalg.inv(delta[:m, :m]) - eps * np.eye(m))[:m_out, :m_out],
+                  1e-10)
     assert _close(corner, delta[:m_out, :m_out], 1e-10)
     assert vacuum == pytest.approx(delta[0, 0].real, rel=1e-10)
     # against the matrix-free T_r, one CG solve per corner column
@@ -226,7 +228,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
         hermitian_cg(lambda v: eps * v + free.apply(v), e, tol=1e-12)[0][:m]
         for e in np.eye(n, m, dtype=complex).T])
     cg = 0.5 * (cg + cg.conj().T)
-    assert _close(T, np.linalg.inv(cg) - eps * np.eye(m), 1e-8)
+    assert _close(T, (np.linalg.inv(cg) - eps * np.eye(m))[:m_out, :m_out], 1e-8)
     assert _close(corner, cg[:m_out, :m_out], 1e-8)
     assert vacuum == pytest.approx(cg[0, 0].real, rel=1e-8)
 
@@ -401,6 +403,45 @@ def test_majorant_check_trivial_and_scaled():
     x = outer_factor(tau, 1.0).y_series
     rep2 = majorant_check(B, x, 0.9, 6)
     assert rep2.min_eigenvalue >= -1e-10
+
+
+def _majorant_reference(B, x, r, M):
+    """The floor from T_r and x(rR) applied to each grade-<= M unit vector
+    on the whole basis; exact once the basis reaches grade deg(x) + M."""
+    basis = B.basis
+    m = basis.sub_basis_size(M)
+    Tr = RadialOperator.from_schur(B, r)
+    xr = series_at_right_shifts(radial_scale(x, r))
+    units = np.eye(basis.size, m, dtype=complex).T
+    T_block = np.column_stack([Tr.apply(e)[:m] for e in units])
+    X = np.column_stack([xr.apply(e) for e in units])
+    D = np.eye(m) + T_block - X.conj().T @ X
+    return float(np.linalg.eigvalsh(0.5 * (D + D.conj().T)).min())
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), N=st.integers(1, 4), M=st.integers(0, 4),
+       k=st.integers(1, 3), r=st.floats(0.2, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+def test_majorant_check_is_the_exact_compression(d, N, M, k, r, seed):
+    # B with l1 norm 0.9 and x of degree N, on the basis of grade N and
+    # of grade N + k, against the column loop on the grade N + M basis
+    M = min(M, N)
+    rng = np.random.default_rng(seed)
+    n = WordBasis(d, N).size
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b *= 0.9 / np.abs(b).sum()
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
+
+    def on(grade):
+        basis = WordBasis(d, grade)
+        return (NCSeries(basis, np.pad(b, (0, basis.size - n))),
+                NCSeries(basis, np.pad(c, (0, basis.size - n))))
+
+    ref = _majorant_reference(*on(N + M), r, M)
+    for grade in (N, N + k):
+        rep = majorant_check(*on(grade), r, M)
+        assert (rep.grade, rep.size) == (M, WordBasis(d, M).size)
+        assert abs(rep.min_eigenvalue - ref) <= 1e-12
 
 
 def test_fatou_form_check_examples():

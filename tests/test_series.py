@@ -360,6 +360,15 @@ def test_series_csv_round_trip(tmp_path):
         read_series_csv(path, WordBasis(1, 3))
 
 
+def test_norm_and_degree_are_cached_and_cannot_go_stale():
+    basis = WordBasis(2, 3)
+    f = NCSeries(basis, np.zeros(basis.size, dtype=complex))
+    f.coeffs[basis.index((1, 2))] = 3.0 + 4.0j  # in place, before the first read
+    assert (f.norm(), f.degree(), f.degree(floor=5.0)) == (5.0, 2, 0)
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 1.0
+
+
 small_series = st.lists(
     st.tuples(st.integers(0, 6), st.floats(-2, 2), st.floats(-2, 2)),
     min_size=0, max_size=5)
