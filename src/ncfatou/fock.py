@@ -225,13 +225,19 @@ class _GradedProduct:
         return out
 
     def dense(self) -> np.ndarray:
+        """Index fill, one block f_j at a time: f_j[k] times x_h[i] lands at
+        rank k d**h + i (left) or i d**j + k (right) of grade h+j, for all
+        words of grade h <= N - j at once."""
         b = self.basis
         A = np.zeros((b.size, b.size), dtype=complex)
+        count = np.diff(b.offsets)  # d**h
+        grade = np.repeat(np.arange(b.N + 1), count)[:, None]
         for j, fj in self.blocks:
-            for h in range(b.N + 1 - j):
-                col, eye = fj[:, None], np.eye(b.d ** h)
-                A[b.grade_slice(h + j), b.grade_slice(h)] += \
-                    np.kron(col, eye) if self.left else np.kron(eye, col)
+            col = np.arange(b.sub_basis_size(b.N - j))[:, None]
+            h = grade[:len(col)]
+            i, k = col - b.offsets[h], np.arange(len(fj))
+            rank = k * count[h] + i if self.left else i * len(fj) + k
+            A[b.offsets[h + j] + rank, col] = fj
         return A
 
     def solve(self, w, adjoint: bool = False):
@@ -262,8 +268,10 @@ def graded_multiplier(basis: WordBasis, coeffs, side: str = "left") -> Truncated
     """Compression of multiplication by f = sum_a c_a Z^a.
 
     side 'left': e_b -> sum_a c_a e_{ab}; side 'right': e_b -> sum_a c_a
-    e_{ba}.  coeffs lists c_a over the words of basis.  to_dense() fills
-    one Kronecker block per pair of grades.
+    e_{ba}.  coeffs lists c_a over the words of basis.  to_dense() writes
+    the nonzero entries by index, one coefficient block at a time.  The Gram
+    matrix, vector state and sum-of-squares split of measure are all
+    built on this kernel.
     """
     k = _GradedProduct(basis, coeffs, side)
     return TruncatedOperator(basis, k.matvec, k.rmatvec, dense=k.dense)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, left_shift
-from .series import EvalResult, MatrixPoint, NCSeries, evaluate
-from .words import WordBasis, word_from_str, word_to_str
+from .fock import FockVector, graded_multiplier, left_shift
+from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
+                     evaluate, read_word_csv)
+from .words import WordBasis, word_to_str
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,11 @@ def vector_state(x: FockVector) -> MomentFunctional:
     """m_x(L^w) = <x, L^w x>; always positive.
 
     Exact on the truncation since x is a genuine polynomial: the moment at
-    w is sum_b conj(x_{wb}) x_b over words b with |w| + |b| <= N.
+    w is sum_b conj(x_{wb}) x_b over words b with |w| + |b| <= N, which is
+    conj(R_x^* x) for R_x right multiplication by x.
     """
-    basis = x.basis
-    d, N = basis.d, basis.N
-    out = np.zeros(basis.size, dtype=complex)
-    for g in range(N + 1):
-        acc = np.zeros(d ** g, dtype=complex)
-        for j in range(N + 1 - g):
-            block = x.coeffs[basis.grade_slice(g + j)].reshape(d ** g, d ** j)
-            acc += block.conj() @ x.coeffs[basis.grade_slice(j)]
-        out[basis.grade_slice(g)] = acc
-    return MomentFunctional(basis, out)
+    R = graded_multiplier(x.basis, x.coeffs, "right")
+    return MomentFunctional(x.basis, np.conj(R.adjoint_apply(x.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,45 +98,25 @@ class GramMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
+def _gram_half(mu: MomentFunctional):
+    """Y with G = conj(Y + Y^H): right multiplication by mu with mu(I)/2 at
+    the empty word, so Y[b.g, b] = mu(g) = G[b, b.g]."""
+    c = mu.moments.copy()
+    c[0] = 0.5 * mu.moments[0].real
+    return graded_multiplier(mu.basis, c, "right")
+
+
 def gram(mu: MomentFunctional, null_tol: float = 1e-10) -> GramMatrix:
-    """Assemble the Gram matrix blockwise from the fill rule."""
-    basis = mu.basis
-    d, N = basis.d, basis.N
-    G = np.zeros((basis.size, basis.size), dtype=complex)
-    for ga in range(N + 1):
-        na = d ** ga
-        r0 = int(basis.offsets[ga])
-        for gg in range(1, N + 1 - ga):
-            vals = mu.moments[basis.grade_slice(gg)]
-            if not np.any(vals):
-                continue
-            ng = d ** gg
-            c0 = int(basis.offsets[ga + gg])
-            ii = np.repeat(np.arange(na), ng)
-            kk = np.tile(np.arange(ng), na)
-            G[r0 + ii, c0 + ii * ng + kk] = vals[kk]
-    G = G + G.conj().T
-    G[np.diag_indices_from(G)] = mu.moments[0].real
-    return GramMatrix(basis, G, null_tol)
+    """Assemble G = Y^T + conj(Y) from the dense half Y."""
+    Y = _gram_half(mu).to_dense()
+    return GramMatrix(mu.basis, Y.T + Y.conj(), null_tol)
 
 
 def gram_matvec(mu: MomentFunctional, v: np.ndarray) -> np.ndarray:
-    """Apply the Gram matrix without materializing it."""
-    basis = mu.basis
-    d, N = basis.d, basis.N
-    v = np.asarray(v, dtype=complex)
-    out = np.zeros_like(v)
-    for ga in range(N + 1):
-        na = d ** ga
-        va = v[basis.grade_slice(ga)]
-        acc = mu.moments[0].real * va
-        for gg in range(1, N + 1 - ga):
-            vals = mu.moments[basis.grade_slice(gg)]
-            ext = v[basis.grade_slice(ga + gg)].reshape(na, d ** gg)
-            acc += ext @ vals
-            out[basis.grade_slice(ga + gg)] += np.outer(va, vals.conj()).ravel()
-        out[basis.grade_slice(ga)] += acc
-    return out
+    """Apply G v = conj(Y w + Y^H w), w = conj(v), without materializing G."""
+    Y = _gram_half(mu)
+    w = np.conj(np.asarray(v, dtype=complex))
+    return np.conj(Y.apply(w) + Y.adjoint_apply(w))
 
 
 @dataclass(frozen=True)
@@ -175,16 +149,10 @@ def clark_measure(B: NCSeries) -> MomentFunctional:
     Cayley transform H of B.  Schur-class membership of B is the caller's
     assertion; only the germ condition |B(0)| < 1 is checked here.
     """
-    from .series import cayley_to_herglotz
     H = cayley_to_herglotz(B)
-    return _clark_from_herglotz(H)
-
-
-def _clark_from_herglotz(H: NCSeries) -> MomentFunctional:
-    basis = H.basis
-    moments = 0.5 * np.conj(H.coeffs[basis.transpose_permutation])
+    moments = 0.5 * np.conj(H.coeffs[H.basis.transpose_permutation])
     moments[0] = H.coeffs[0].real
-    return MomentFunctional(basis, moments)
+    return MomentFunctional(H.basis, moments)
 
 
 def herglotz_transform(mu: MomentFunctional) -> NCSeries:
@@ -327,19 +295,12 @@ def sos_split(p: FockVector) -> NCSeries:
 
     u_g = sum_a conj(p_a) p_{a.g} for g nonempty and u at the empty word is
     half the coefficient energy, so mu(p*p) = 2 Re sum_g u_g mu(L^g) for
-    every moment functional on the same basis.
+    every moment functional on the same basis.  u is L_p^* p, with L_p
+    left multiplication by p.
     """
-    basis = p.basis
-    d, N = basis.d, basis.N
-    u = np.zeros(basis.size, dtype=complex)
-    u[0] = 0.5 * float(np.vdot(p.coeffs, p.coeffs).real)
-    for g in range(1, N + 1):
-        acc = np.zeros(d ** g, dtype=complex)
-        for j in range(N + 1 - g):
-            block = p.coeffs[basis.grade_slice(j + g)].reshape(d ** j, d ** g)
-            acc += p.coeffs[basis.grade_slice(j)].conj() @ block
-        u[basis.grade_slice(g)] = acc
-    return NCSeries(basis, u)
+    u = graded_multiplier(p.basis, p.coeffs, "left").adjoint_apply(p.coeffs)
+    u[0] = 0.5 * u[0].real
+    return NCSeries(p.basis, u)
 
 
 def quadratic_form(mu: MomentFunctional, p: FockVector) -> float:
@@ -363,16 +324,10 @@ def write_moments_csv(mu: MomentFunctional, path):
 
 
 def read_moments_csv(path, basis: WordBasis) -> MomentFunctional:
-    moments = np.zeros(basis.size, dtype=complex)
-    seen_unit = False
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["word", "re", "im"]:
-            raise ValueError(f"{path}: expected header word,re,im")
-        for row in reader:
-            w = word_from_str(row["word"], d=basis.d)
-            seen_unit = seen_unit or w == ()
-            moments[basis.index(w)] = float(row["re"]) + 1j * float(row["im"])
-    if not seen_unit:
+    values = read_word_csv(path, basis)
+    if 0 not in values:
         raise ValueError(f"{path}: moment file must contain the unit word 'e'")
+    moments = np.zeros(basis.size, dtype=complex)
+    for i, c in values.items():
+        moments[i] = c
     return MomentFunctional(basis, moments)

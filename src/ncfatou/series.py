@@ -419,13 +419,24 @@ def write_series_csv(f: NCSeries, path):
             writer.writerow([word_to_str(w), repr(float(c.real)), repr(float(c.imag))])
 
 
-def read_series_csv(path, basis: WordBasis) -> NCSeries:
-    coeffs = np.zeros(basis.size, dtype=complex)
+def read_word_csv(path, basis: WordBasis) -> dict:
+    """{basis index: value} over the rows of a word,re,im file; a word
+    given twice raises instead of keeping its last row."""
+    values = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["word", "re", "im"]:
             raise ValueError(f"{path}: expected header word,re,im")
         for row in reader:
-            w = word_from_str(row["word"], d=basis.d)
-            coeffs[basis.index(w)] = float(row["re"]) + 1j * float(row["im"])
+            i = basis.index(word_from_str(row["word"], d=basis.d))
+            if i in values:
+                raise ValueError(f"{path}: repeated word {row['word'].strip()!r}")
+            values[i] = float(row["re"]) + 1j * float(row["im"])
+    return values
+
+
+def read_series_csv(path, basis: WordBasis) -> NCSeries:
+    coeffs = np.zeros(basis.size, dtype=complex)
+    for i, c in read_word_csv(path, basis).items():
+        coeffs[i] = c
     return NCSeries(basis, coeffs)

@@ -16,8 +16,6 @@ import numpy as np
 
 Word = tuple  # tuple of int letters, each in 1..d
 
-EMPTY_WORD: Word = ()
-
 
 def concat(a: Word, b: Word) -> Word:
     """Concatenation a followed by b; the monoid product."""
@@ -128,13 +126,6 @@ class WordBasis:
         for g in range(1, self.N + 1):
             for w in itertools.product(range(1, self.d + 1), repeat=g):
                 yield w
-
-    def grades(self) -> np.ndarray:
-        """Array mapping basis index -> word length."""
-        out = np.empty(self.size, dtype=np.int64)
-        for g in range(self.N + 1):
-            out[self.grade_slice(g)] = g
-        return out
 
     @cached_property
     def transpose_permutation(self) -> np.ndarray:

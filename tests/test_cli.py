@@ -229,6 +229,7 @@ BAD_FILES = {
     "long word": "word,re,im\ne,1.0,0.0\n11111,0.5,0.0\n",
     "value": "word,re,im\ne,1.0,0.0\n1,half,0.0\n",
     "short row": "word,re,im\ne,1.0,0.0\n1,0.5\n",
+    "repeated word": "word,re,im\ne,1.0,0.0\n1,0.5,0\n1,0.3,0\n",
 }
 
 

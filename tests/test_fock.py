@@ -161,7 +161,7 @@ def test_graded_product_kernel_properties(d, N, side, sparsity, seed):
     c = random_symbol(rng, basis, sparsity)
     op = graded_multiplier(basis, c, side)
     inv = graded_inverse(basis, c, side)
-    # the Kronecker fill agrees with column-by-column application
+    # the index fill agrees with column-by-column application
     cols = np.column_stack([op.apply(e) for e in np.eye(basis.size)])
     assert np.abs(op.to_dense() - cols).max() < 1e-14
     assert op.adjoint_residual(rng) < 1e-12

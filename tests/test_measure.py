@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncfatou.fock import FockVector, basis_vector, left_shift, vacuum
 from ncfatou.measure import (MomentFunctional, cauchy_transform,
@@ -226,6 +227,43 @@ def test_gram_examples_and_fill_rule():
     assert np.abs(G - G.conj().T).max() == 0.0
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     assert np.abs(G @ v - gram_matvec(mu2, v)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), N=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_graded_kernel_forms_match_word_arithmetic(d, N, seed):
+    """gram, gram_matvec, vector_state and sos_split against sums over
+    explicit pairs of words s, t."""
+    rng = np.random.default_rng(seed)
+    basis = WordBasis(d, N)
+    n = basis.size
+
+    def unit():
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return z / np.linalg.norm(z)
+
+    mu = MomentFunctional(basis, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x, p, v = unit(), unit(), unit()
+    G = np.zeros((n, n), dtype=complex)
+    m_x = np.zeros(n, dtype=complex)
+    u = np.zeros(n, dtype=complex)
+    for i, s in enumerate(basis):
+        for j, t in enumerate(basis):
+            if t[:len(s)] == s:  # t = s.g: G[s, t] = mu(g), G[t, s] = conj(mu(g))
+                g = t[len(s):]
+                if g:
+                    G[i, j], G[j, i] = mu(g), np.conj(mu(g))
+                else:
+                    G[i, i] = mu.mass()
+                u[basis.index(g)] += np.conj(p[i]) * p[j]
+            if t[len(t) - len(s):] == s:  # t = w.s: m_x(w) gets conj(x_t) x_s
+                m_x[basis.index(t[:len(t) - len(s)])] += np.conj(x[j]) * x[i]
+    u[0] *= 0.5
+    assert np.array_equal(gram(mu).matrix, G)
+    assert np.abs(gram_matvec(mu, v) - G @ v).max() < 1e-13
+    assert np.abs(vector_state(FockVector(basis, x)).moments - m_x).max() < 1e-13
+    assert np.abs(sos_split(FockVector(basis, p)).coeffs - u).max() < 1e-13
 
 
 def test_gram_cone_structure():
