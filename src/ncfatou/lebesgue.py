@@ -18,8 +18,11 @@ With eps I + T_r = U U^H, U upper triangular (the Cholesky factor of the
 index-reversed matrix, flipped back), that Schur complement is exactly
 U_mm U_mm^H and every smaller resolvent corner is (U_kk U_kk^H)^{-1}
 (Golub & Van Loan, Matrix Computations, 4.2).  Dense mode reads all of
-it off one such factor; the Toeplitz (Levinson with Gohberg-Semencul)
-and matrix-free (CG) modes compute the corner and invert it.
+it off one such factor.  The Toeplitz mode computes
+phi = (eps I + T_r)^{-1} e_0 by one circulant-preconditioned CG solve
+with FFT matvecs, reads the corner off phi by Gohberg-Semencul and
+inverts it; the matrix-free mode computes the corner by CG, one column
+at a time, and inverts it.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class RadialOperator(TruncatedOperator):
 
     The mode follows from (d, basis.size).  T_r v = (H(rR) v + H(rR)^* v)/2
     with H(rR) a graded multiplier.  For d = 1 ('toeplitz') T_r is
-    Toeplitz, and its first column is kept for the Levinson solve.  For
+    Toeplitz, and its first column is kept for its FFT-based solve.  For
     d >= 2, bases of up to DENSE_LIMIT words hold the dense matrix
     ('dense'); larger ones apply T_r without it ('matrix-free').  From a
     Schur symbol that uses K = I - B(rR), block lower-triangular with
@@ -150,7 +153,8 @@ class RadialOperator(TruncatedOperator):
         mode = _mode(basis)
         if mode == "dense":
             X = op.to_dense()
-            dense = 0.5 * (X + X.conj().T)
+            dense = X + X.conj().T
+            dense *= 0.5
             return RadialOperator(basis, r, lambda v: dense @ v, dense=dense)
 
         def matvec(v):
@@ -187,16 +191,24 @@ def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
 # resolvents
 
 def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
-                 maxiter: int = 2000) -> tuple:
+                 maxiter: int = 2000, precond=None) -> tuple:
     """Conjugate gradients for Hermitian positive definite systems.
 
-    Returns (x, iterations, relative_residual); raises RuntimeError on
-    non-convergence or breakdown (p^H A p not finite and positive, or a
-    non-finite residual) so that failed solves are never silently used.
+    precond, if given, applies a Hermitian positive definite approximate
+    inverse M^{-1} of the operator (preconditioned CG); None is the
+    identity.  Either way the stopping rule is on the relative residual
+    ||b - A x|| / ||b||.  Returns (x, iterations, relative_residual);
+    raises RuntimeError on non-convergence or breakdown (p^H A p or
+    r^H M^{-1} r not finite and positive, or a non-finite residual) so
+    that failed solves are never silently used.
     """
+    if precond is None:
+        def precond(v):
+            return v
     x = np.zeros_like(b)
     res = b.copy()
-    p = res.copy()
+    p = precond(res)
+    rz = float(np.vdot(res, p).real)
     rs = float(np.vdot(res, res).real)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -208,19 +220,73 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
             raise RuntimeError(
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
-        alpha = rs / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         res = res - alpha * Ap
-        rs_new = float(np.vdot(res, res).real)
-        if not np.isfinite(rs_new):
+        rs = float(np.vdot(res, res).real)
+        if not np.isfinite(rs):
             raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
-        if np.sqrt(rs_new) <= tol * bnorm:
-            return x, it, np.sqrt(rs_new) / bnorm
-        p = res + (rs_new / rs) * p
-        rs = rs_new
+        if np.sqrt(rs) <= tol * bnorm:
+            return x, it, np.sqrt(rs) / bnorm
+        z = precond(res)
+        rz_new = float(np.vdot(res, z).real)
+        if not np.isfinite(rz_new) or rz_new <= 0.0:
+            raise RuntimeError(
+                f"CG breakdown at iteration {it}: r^H M^-1 r = {rz_new:.3e}, "
+                "preconditioner not positive definite")
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     raise RuntimeError(
         f"CG did not converge in {maxiter} iterations "
         f"(relative residual {np.sqrt(rs) / bnorm:.3e})")
+
+
+#: Relative residual of the one CG solve behind each Toeplitz corner, the
+#: accuracy of a direct (Levinson) solve; tolerances.cg_tol governs only
+#: the matrix-free d >= 2 solves.
+TOEPLITZ_TOL = 1e-14
+
+
+def _flip_conj(c: np.ndarray) -> np.ndarray:
+    """(0, conj c_{n-1}, ..., conj c_1): the entries t_{k-n} for k < n."""
+    return np.concatenate(([0.0], c[:0:-1].conj()))
+
+
+def _chan_eigenvalues(col: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T. Chan's optimal circulant for the Hermitian Toeplitz
+    matrix with first column col, c_k = ((n - k) t_k + k t_{k-n}) / n.
+
+    Each is the Rayleigh quotient of the Toeplitz matrix at a Fourier
+    vector, so all are positive whenever the matrix is positive definite.
+    """
+    n = len(col)
+    k = np.arange(n)
+    return np.fft.fft(((n - k) * col + k * _flip_conj(col)) / n).real
+
+
+def _toeplitz_phi(col: np.ndarray, maxiter: int) -> tuple:
+    """phi = T^{-1} e_0 for the Hermitian PD Toeplitz T with first column col.
+
+    Circulant-preconditioned CG (T. F. Chan, SIAM J. Sci. Stat. Comput.
+    1988; R. Chan & Ng, SIAM Review 1996): T is applied by FFT after its
+    embedding in a circulant of length L >= 2n - 1, T. Chan's circulant
+    preconditions it, and the solve runs to TOEPLITZ_TOL.  Returns
+    (phi, CG iterations).
+    """
+    n = len(col)
+    L = 1 << (2 * n - 2).bit_length()
+    c = np.zeros(L, dtype=complex)
+    c[:n] = col
+    c[L - n + 1:] = _flip_conj(col)[1:]
+    embed = np.fft.fft(c)
+    chan = _chan_eigenvalues(col)
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    phi, it, _ = hermitian_cg(
+        lambda v: np.fft.ifft(embed * np.fft.fft(v, L))[:n], e0,
+        tol=TOEPLITZ_TOL, maxiter=maxiter,
+        precond=lambda v: np.fft.ifft(np.fft.fft(v) / chan))
+    return phi, it
 
 
 def _gs_inverse_corner(phi: np.ndarray, m: int) -> np.ndarray:
@@ -228,17 +294,15 @@ def _gs_inverse_corner(phi: np.ndarray, m: int) -> np.ndarray:
 
     Gohberg-Semencul: from phi = T^{-1} e_0, the inverse is
     (A A^H - B B^H)/phi_0 with A, B lower-triangular Toeplitz built from
-    phi and the flipped conjugate of phi.
+    phi and _flip_conj(phi).  The m x m corner reads only their leading
+    m x m blocks, that is phi[:m] and phi[n-m+1:].
     """
     n = len(phi)
     if m > n:
         raise ValueError("corner larger than the matrix")
-    psi = np.concatenate(([0.0], phi[:0:-1].conj()))
-    A = np.zeros((m, n), dtype=complex)
-    Bm = np.zeros((m, n), dtype=complex)
-    for row in range(m):
-        A[row, :row + 1] = phi[row::-1]
-        Bm[row, :row + 1] = psi[row::-1]
+    zero = np.zeros(m)
+    A = scipy.linalg.toeplitz(phi[:m], zero)
+    Bm = scipy.linalg.toeplitz(_flip_conj(phi[n - m:]), zero)
     return (A @ A.conj().T - Bm @ Bm.conj().T) / phi[0]
 
 
@@ -282,12 +346,14 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
     """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
     m x m matrix (m counts basis words); eps must be positive.
 
-    Uses one Levinson solve plus the Gohberg-Semencul corner formula in
-    toeplitz mode, and per-column CG in matrix-free mode (where m must
-    stay small).  Dense mode factors eps I + T_r = U U^H once (reversed
+    In toeplitz mode phi = (eps I + T_r)^{-1} e_0 comes from one
+    circulant-preconditioned CG solve to TOEPLITZ_TOL (at most cg_maxiter
+    iterations) and the corner from the Gohberg-Semencul formula; in
+    matrix-free mode each column is one CG solve to cg_tol (m must stay
+    small).  Dense mode factors eps I + T_r = U U^H once (reversed
     Cholesky) and returns (U_mm U_mm^H)^{-1} from one triangular solve.
     Returns the Hermitized corner together with the CG iteration counts
-    (empty outside CG mode).
+    (empty in dense mode).
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -298,10 +364,9 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
     if Tr.mode == "toeplitz":
         col = Tr.column.copy()
         col[0] += eps
-        e0 = np.zeros(basis.size, dtype=complex)
-        e0[0] = 1.0
-        phi = scipy.linalg.solve_toeplitz((col, col.conj()), e0)
+        phi, it = _toeplitz_phi(col, cg_maxiter)
         corner = _gs_inverse_corner(phi, m)
+        cg_iters = (it,)
     elif Tr.mode == "dense":
         corner = _triangular_corner(_reversed_cholesky(Tr, eps), m)
     else:
@@ -420,11 +485,12 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     In dense mode the inverted corner is the Schur complement U_mm U_mm^H
     of one reversed Cholesky factor eps I + T_r = U U^H, whose grade-M
     block is U[:m_out, :m] U[:m_out, :m]^H, so no corner is solved for and
-    nothing is inverted; the Toeplitz and matrix-free modes compute the
-    corner with resolvent_corner and invert it.  The reported T_hat comes
-    from the smallest eps in the grid (least upward bias on near-singular
-    directions); the other grid values only feed the eps-consistency
-    cross-check.
+    nothing is inverted; the Toeplitz mode (one preconditioned CG solve
+    with FFT matvecs, then Gohberg-Semencul) and the matrix-free mode (CG
+    per column) compute the corner with resolvent_corner and invert it.
+    The reported T_hat comes from the smallest eps in the grid (least
+    upward bias on near-singular directions); the other grid values only
+    feed the eps-consistency cross-check.
     """
     if isinstance(source, NCSeries):
         d = source.basis.d

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 
-from .fock import TruncatedOperator, graded_inverse, graded_multiplier
+from .fock import TruncatedOperator, _trim, graded_inverse, graded_multiplier
 from .words import Word, WordBasis, word_from_str, word_to_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
@@ -152,8 +152,10 @@ def _invert_1d(f: np.ndarray, N: int) -> np.ndarray:
     prec = 1
     while prec < N + 1:
         prec = min(2 * prec, N + 1)
-        fh = np.convolve(f[:prec], h)[:prec]
-        corr = -fh
+        # f is cut at its degree, so f h may be shorter than prec: pad it
+        fh = np.convolve(_trim(f[:prec]), h)[:prec]
+        corr = np.zeros(prec, dtype=complex)
+        corr[:len(fh)] = -fh
         corr[0] += 2.0
         h = np.convolve(h, corr)[:prec]
     return h

@@ -330,7 +330,8 @@ def _read_table(path):
     return lines[:2], [line.split(",") for line in lines[2:]]
 
 
-@pytest.mark.parametrize("name", ["factor_toeplitz", "factor_vector_state", "majorant_d1",
+@pytest.mark.parametrize("name", ["classical_fatou", "inner_singular", "decompose_mixture",
+                                  "factor_toeplitz", "factor_vector_state", "majorant_d1",
                                   "majorant_d2"])
 def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
     monkeypatch.setenv("NCFATOU_OUTDIR", str(tmp_path))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_toeplitz, toeplitz
 
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
-                              _dense_recovery, _radial_matrix_free,
+                              _chan_eigenvalues, _dense_recovery,
+                              _radial_matrix_free, _toeplitz_phi,
                               fatou_form_check, form_decomposition_diagnostic,
                               hermitian_cg, majorant_check, resolvent_corner,
                               rn_derivative)
@@ -172,11 +173,62 @@ def test_resolvent_corner_modes_agree():
     toep = RadialOperator.from_schur(B, 0.9)
     free = _radial_matrix_free(B, 0.9)
     ref = np.linalg.inv(fatou_toeplitz(0.5, 0.9, 30) + 0.5 * np.eye(31))[:6, :6]
-    c1, _ = resolvent_corner(toep, 0.5, 6)
+    c1, it1 = resolvent_corner(toep, 0.5, 6)
     c2, it = resolvent_corner(free, 0.5, 6)
     assert np.abs(c1 - ref).max() < 1e-12
     assert np.abs(c2 - ref).max() < 1e-9
+    assert len(it1) == 1 and it1[0] > 0  # one preconditioned solve
     assert len(it) == 6 and all(n > 0 for n in it)
+
+
+def _psd_toeplitz_column(n, rho, seed):
+    # t_k = sum_j g_{j+k} conj(g_j) for g_j ~ rho^j with random phases: the
+    # Toeplitz matrices of |g|^2 on the circle, PSD at every n, with t_0 = 1
+    rng = np.random.default_rng(seed)
+    L = min(n, 400)
+    g = rho ** np.arange(L) * np.exp(2j * np.pi * rng.random(L))
+    g /= np.linalg.norm(g)
+    t = np.zeros(n, dtype=complex)
+    t[:L] = np.correlate(g, g, "full")[L - 1:]
+    return t
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4000), rho=st.floats(0.0, 0.9), eps=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_toeplitz_corner_matches_levinson(n, rho, eps, seed, data):
+    m = data.draw(st.integers(1, min(n, 6)))
+    t = _psd_toeplitz_column(n, rho, seed)
+    col = t.copy()
+    col[0] += eps
+    chan = _chan_eigenvalues(col)
+    assert chan.min() > 0.0
+    if n <= 64:  # T. Chan's eigenvalues are Rayleigh quotients at Fourier vectors
+        k = np.arange(n)
+        F = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+        rayleigh = np.einsum("ij,ik,kj->j", F.conj(), toeplitz(col, col.conj()), F)
+        assert np.abs(chan - rayleigh.real).max() <= 1e-12 * np.abs(chan).max()
+    # Levinson (scipy) is the reference for phi and, column by column, for
+    # the corner of the inverse
+    e = np.eye(n, m, dtype=complex)
+    ref = solve_toeplitz((col, col.conj()), e)
+    phi, it = _toeplitz_phi(col, 2000)
+    assert _close(phi, ref[:, 0], 1e-12)
+    Tr = RadialOperator(WordBasis(1, n - 1), 0.5, None, column=t)
+    corner, iters = resolvent_corner(Tr, eps, m)
+    assert iters == (it,) and it >= 1
+    assert _close(corner, 0.5 * (ref[:m] + ref[:m].conj().T), 1e-12)
+
+
+def test_toeplitz_solve_is_preconditioned_and_bounded():
+    # an inner symbol near the boundary: eps I + T_r has condition number
+    # near 8000, plain CG needs over 300 iterations and T. Chan's
+    # preconditioner about a dozen; cg_maxiter bounds the solve
+    Tr = RadialOperator.from_schur(schur_z(WordBasis(1, 4707)), 0.99609375)
+    _, iters = resolvent_corner(Tr, 0.25, 17)
+    assert 1 <= iters[0] <= 20
+    with pytest.raises(RuntimeError, match="did not converge"):
+        resolvent_corner(Tr, 0.25, 17, cg_maxiter=iters[0] - 1)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
@@ -242,6 +294,36 @@ def test_hermitian_cg_solves_and_reports():
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
     with pytest.raises(RuntimeError):
         hermitian_cg(lambda v: A @ v, b, tol=1e-14, maxiter=2)
+
+
+def _cg_run(A, b, **kw):
+    # the solve together with every vector the matvec was applied to
+    seen = []
+
+    def matvec(v):
+        seen.append(v.copy())
+        return A @ v
+
+    return hermitian_cg(matvec, b, **kw), seen
+
+
+def test_hermitian_cg_without_preconditioner_is_identity_preconditioned():
+    rng = np.random.default_rng(59)
+    A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    A = A @ A.conj().T + np.eye(30)
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    (x0, it0, rel0), seen0 = _cg_run(A, b, tol=1e-12, maxiter=500)
+    (x1, it1, rel1), seen1 = _cg_run(A, b, tol=1e-12, maxiter=500,
+                                     precond=lambda v: v)
+    assert (it0, rel0) == (it1, rel1) and np.array_equal(x0, x1)
+    assert len(seen0) == len(seen1) == it0
+    assert all(np.array_equal(u, v) for u, v in zip(seen0, seen1))
+    # a Jacobi preconditioner changes the iterates, not the answer
+    d = A.diagonal().real
+    (x2, _, _), _ = _cg_run(A, b, tol=1e-12, maxiter=500, precond=lambda v: v / d)
+    assert np.linalg.norm(A @ x2 - b) < 1e-10 * np.linalg.norm(b)
+    with pytest.raises(RuntimeError, match="preconditioner not positive definite"):
+        hermitian_cg(lambda v: A @ v, b, precond=lambda v: -v)
 
 
 def test_hermitian_cg_zero_operator_breaks_down():
@@ -317,6 +399,9 @@ def test_rn_derivative_inner_singular_trend_small():
     assert res.mass_strictly_decreasing
     assert res.vacuum_strictly_increasing
     assert res.mass_trend[-1] < 0.45
+    # each d = 1 stage is one preconditioned CG solve
+    assert all(len(stage.cg_iterations) == 1 and stage.cg_iterations[0] > 0
+               for stage in res.stages)
 
 
 def test_rn_derivative_moment_source_matches_schur_source():
