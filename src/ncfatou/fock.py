@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import ztbtrs
 
 from .words import Word, WordBasis
 
@@ -164,7 +165,8 @@ class _GradedProduct:
     rank(b), the grade-(h+j) block of the product gets outer(f_j, x_h)
     on the left and outer(x_h, f_j) on the right, flattened.  The product
     is block lower-triangular in the graded-lex basis, so with f_0 != 0
-    it is inverted by one substitution over grades.
+    it is inverted by one substitution over grades; at d = 1 it is the
+    banded lower-triangular Toeplitz matrix of f, solved by LAPACK ztbtrs.
     """
 
     def __init__(self, basis: WordBasis, coeffs, side: str):
@@ -175,7 +177,8 @@ class _GradedProduct:
             raise ValueError(
                 f"coefficient vector has shape {coeffs.shape}, basis size {basis.size}")
         self.basis, self.left, self.coeffs = basis, side == "left", coeffs
-        # d = 1 multiplies by np.convolve with f cut at its degree
+        # d = 1 multiplies by np.convolve, and solves on the band, with f
+        # cut at its degree
         self.trimmed = _trim(coeffs) if basis.d == 1 else None
 
     @cached_property
@@ -244,18 +247,26 @@ class _GradedProduct:
         """x with (f x) = w, or its adjoint: forward over grades, backward
         for the adjoint, one pass either way."""
         b = self.basis
+        if b.d == 1:
+            # lower band storage: row k holds f_k, the k-th subdiagonal
+            band = np.tile(self.trimmed, (b.size, 1)).T
+            x, info = ztbtrs(band, w[:, None], uplo="L", trans="C" if adjoint else "N")
+            if info:
+                raise RuntimeError(f"banded triangular solve failed: ztbtrs info = {info}")
+            return x[:, 0]
         f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
         rest = [(j, fj) for j, fj in self.blocks if j > 0]
-        x = np.zeros_like(w)
+        x = np.empty_like(w)
         for g in (range(b.N, -1, -1) if adjoint else range(b.N + 1)):
-            acc = w[b.grade_slice(g)].copy()
+            acc = x[b.grade_slice(g)]
+            acc[:] = w[b.grade_slice(g)]
             for j, fj in rest:
                 src = g + j if adjoint else g - j
                 if not 0 <= src <= b.N:
                     break
                 xs = x[b.grade_slice(src)]
                 acc -= self._down(fj, xs, g) if adjoint else self._up(fj, xs)
-            x[b.grade_slice(g)] = acc / f0
+            acc /= f0
         return x
 
 
@@ -282,7 +293,9 @@ def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOpe
 
     The product is block lower-triangular with diagonal c_empty I, so
     apply() is one forward substitution over grades and adjoint_apply()
-    one backward substitution.  Exact on the truncation.
+    one backward substitution.  At d = 1 each is one banded LAPACK
+    substitution, O(N deg f), on a band of (deg f + 1)(N + 1) numbers.
+    Exact on the truncation.
     """
     k = _GradedProduct(basis, coeffs, side)
     if k.coeffs[0] == 0:

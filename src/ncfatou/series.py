@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse.linalg
 
-from .fock import TruncatedOperator, _trim, graded_inverse, graded_multiplier
+from .fock import TruncatedOperator, graded_inverse, graded_multiplier
 from .words import Word, WordBasis, word_from_str, word_to_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
@@ -134,31 +134,13 @@ def multiply(f: NCSeries, g: NCSeries) -> NCSeries:
 def invert(f: NCSeries) -> NCSeries:
     """Multiplicative inverse through grade N; requires a nonzero germ.
 
-    For d >= 2, h solves f h = 1 by forward substitution over grades,
+    h solves f h = 1 by forward substitution over grades,
     h_n = -(1/c) sum_{j >= 1} f_j h_{n-j} with c the germ, exact on the
-    truncation; for d = 1 a Newton iteration doubles the correct prefix.
+    truncation (graded_inverse; at d = 1 one banded substitution).
     """
-    basis = f.basis
     if f.coeffs[0] == 0:
         raise ValueError(_GERM_MSG.format("series has zero constant term, not invertible"))
-    if basis.d == 1:
-        return NCSeries(basis, _invert_1d(f.coeffs, basis.N))
-    return NCSeries(basis, graded_inverse(basis, f.coeffs).apply(NCSeries.one(basis).coeffs))
-
-
-def _invert_1d(f: np.ndarray, N: int) -> np.ndarray:
-    # Newton iteration h <- h(2 - f h); correct prefix doubles each round.
-    h = np.array([1.0 / f[0]], dtype=complex)
-    prec = 1
-    while prec < N + 1:
-        prec = min(2 * prec, N + 1)
-        # f is cut at its degree, so f h may be shorter than prec: pad it
-        fh = np.convolve(_trim(f[:prec]), h)[:prec]
-        corr = np.zeros(prec, dtype=complex)
-        corr[:len(fh)] = -fh
-        corr[0] += 2.0
-        h = np.convolve(h, corr)[:prec]
-    return h
+    return NCSeries(f.basis, graded_inverse(f.basis, f.coeffs).apply(NCSeries.one(f.basis).coeffs))
 
 
 def radial_scale(f: NCSeries, r: float) -> NCSeries:

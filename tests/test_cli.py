@@ -332,7 +332,7 @@ def _read_table(path):
 
 @pytest.mark.parametrize("name", ["classical_fatou", "inner_singular", "decompose_mixture",
                                   "factor_toeplitz", "factor_vector_state", "majorant_d1",
-                                  "majorant_d2"])
+                                  "majorant_d2", "inner_singular_d2", "kernels_d2"])
 def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
     monkeypatch.setenv("NCFATOU_OUTDIR", str(tmp_path))
     assert run_config(str(CONFIGS / f"{name}.json"), quiet=True) == 0

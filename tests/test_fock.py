@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ncfatou.fock import (FockVector, TruncatedOperator, basis_vector,
@@ -188,3 +189,24 @@ def test_graded_product_sides_and_germ():
         graded_inverse(basis, c)
     with pytest.raises(ValueError):
         graded_multiplier(basis, c, "middle")
+
+
+@pytest.mark.parametrize("kind", ["degree 1", "full degree"])
+def test_graded_inverse_d1_matches_dense_triangular_solve(kind):
+    # the d = 1 product is the lower-triangular Toeplitz matrix of f; its
+    # dense triangular solve is the reference for the banded one
+    basis = WordBasis(1, 2999)
+    n = basis.size
+    if kind == "degree 1":  # |f_1| > |f_0|: the solution grows along the band
+        c = np.zeros(n, dtype=complex)
+        c[:2] = 0.8 - 0.3j, 0.9 * np.exp(1.1j)
+    else:  # geometric decay; f_N is about 1e-291, so the band is the full matrix
+        c = (1.5 + 0.5j) * (0.8 * np.exp(0.7j)) ** np.arange(n)
+        assert c[-1] != 0
+    A = scipy.linalg.toeplitz(c, np.zeros(n))
+    inv = graded_inverse(basis, c)
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for got, trans in ((inv.apply(w), "N"), (inv.adjoint_apply(w), "C")):
+        ref = scipy.linalg.solve_triangular(A, w, lower=True, trans=trans)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -62,20 +62,21 @@ def test_geometric_inverse_d1():
     assert np.allclose(multiply(f, g).coeffs, NCSeries.one(basis).coeffs)
 
 
-def test_invert_matches_brute_oracle_on_remark_symbol():
-    # B(Z) = (Z_2 - Z_2 Z_1)/sqrt(2); invert 1 - B and compare with the
-    # word-convolution oracle, coefficient by coefficient.
-    basis = WordBasis(2, 6)
-    c = 2 ** -0.5
-    one_minus_B = {(): 1.0, (2,): -c, (2, 1): c}
-    f = series_from(basis, one_minus_B)
-    g = invert(f)
-    oracle = brute_invert(one_minus_B, 2, 6)
-    for w, val in oracle.items():
-        assert g.coefficient(w) == pytest.approx(val, abs=1e-14)
-    assert np.abs(multiply(f, g).coeffs - NCSeries.one(basis).coeffs).max() < 1e-14
-    assert g.coefficient((2, 1)) == pytest.approx(
-        oracle[(2, 1)], abs=1e-15)
+@pytest.mark.parametrize("d, N, f, tol", [
+    # B(Z) = (Z_2 - Z_2 Z_1)/sqrt(2); invert 1 - B
+    (2, 6, {(): 1.0, (2,): -2 ** -0.5, (2, 1): 2 ** -0.5}, 1e-15),
+    # |f_1| > |f_0|: the inverse grows like 1.05^n
+    (1, 40, {(): 0.8 - 0.3j, (1,): 0.9 * np.exp(1.1j)}, 1e-14),
+    (1, 12, {(): 1.0, (1,): -0.5, (1, 1): 0.25j, (1, 1, 1, 1, 1): -0.125}, 1e-14),
+], ids=["remark-d2", "d1-growing", "d1-gapped"])
+def test_invert_matches_brute_oracle(d, N, f, tol):
+    # compare with the word-convolution oracle, coefficient by coefficient
+    basis = WordBasis(d, N)
+    g = invert(series_from(basis, f))
+    for w, val in brute_invert(f, d, N).items():
+        assert g.coefficient(w) == pytest.approx(val, abs=tol * max(1.0, abs(val)))
+    assert np.abs(multiply(series_from(basis, f), g).coeffs
+                  - NCSeries.one(basis).coeffs).max() < 1e-14
 
 
 def test_invert_rejects_zero_germ():
