@@ -18,11 +18,15 @@ With eps I + T_r = U U^H, U upper triangular (the Cholesky factor of the
 index-reversed matrix, flipped back), that Schur complement is exactly
 U_mm U_mm^H and every smaller resolvent corner is (U_kk U_kk^H)^{-1}
 (Golub & Van Loan, Matrix Computations, 4.2).  Dense mode reads all of
-it off one such factor.  The Toeplitz mode computes
-phi = (eps I + T_r)^{-1} e_0 by one circulant-preconditioned CG solve
-with FFT matvecs, reads the corner off phi by Gohberg-Semencul and
-inverts it; the matrix-free mode computes the corner by CG, one column
-at a time, and inverts it.
+it off one such factor, once per stage.  The eps cross-check needs only
+the grade-M block, a Schur complement in the words beyond the recovery
+corner, so each extra eps factors just that block; when the corner is
+the whole basis the block is T_r's own grade-M block for every eps.
+
+The Toeplitz mode computes phi = (eps I + T_r)^{-1} e_0 by one
+circulant-preconditioned CG solve with FFT matvecs, reads the corner off
+phi by Gohberg-Semencul and inverts it; the matrix-free mode computes
+the corner by CG, one column at a time, and inverts it.
 """
 
 from __future__ import annotations
@@ -152,8 +156,8 @@ class RadialOperator(TruncatedOperator):
         op = series_at_right_shifts(H_r)
         mode = _mode(basis)
         if mode == "dense":
-            X = op.to_dense()
-            dense = X + X.conj().T
+            dense = op.to_dense()  # op is local: Hermitize its matrix in place
+            dense += dense.conj().T
             dense *= 0.5
             return RadialOperator(basis, r, lambda v: dense @ v, dense=dense)
 
@@ -341,6 +345,24 @@ def _dense_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple
     return T, 0.5 * (corner + corner.conj().T), float(1.0 / U[0, 0].real ** 2)
 
 
+def _dense_eps_block(Tr: RadialOperator, eps: float, m: int, m_out: int) -> np.ndarray:
+    """The recovered grade-M block alone: _dense_recovery(...)[0], Hermitized.
+
+    With o the first m_out words and r = [m, n) the words beyond the corner,
+    it is the Schur complement T_r[o,o] - V^H V, V = L^{-1} T_r[r,o] with
+    L L^H = eps I + T_r[r,r]: one Cholesky of size n - m, none when m = n.
+    """
+    A = Tr.to_dense()
+    T = A[:m_out, :m_out]
+    if m < len(A):
+        S = np.array(A[m:, m:], order="F")  # a copy, factored in place
+        S[np.diag_indices_from(S)] += eps
+        L = scipy.linalg.cholesky(S, lower=True, overwrite_a=True)
+        V = scipy.linalg.solve_triangular(L, A[m:, :m_out], lower=True)
+        T = T - V.conj().T @ V
+    return 0.5 * (T + T.conj().T)
+
+
 def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
                      cg_tol: float = 1e-10, cg_maxiter: int = 2000) -> tuple:
     """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
@@ -490,7 +512,10 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     per column) compute the corner with resolvent_corner and invert it.
     The reported T_hat comes from the smallest eps in the grid (least
     upward bias on near-singular directions); the other grid values only
-    feed the eps-consistency cross-check.
+    feed the eps-consistency cross-check, which repeats the last stage.
+    In dense mode it forms only the grade-M block, from the block of
+    eps I + T_r beyond the recovery corner (_dense_eps_block); when
+    m_rec = n that is T_r's own grade-M block for every eps.
     """
     if isinstance(source, NCSeries):
         d = source.basis.d
@@ -545,7 +570,8 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = recover(Tr, eps, m_rec)[0]
+        blocks[eps] = (_dense_eps_block(Tr, eps, m_rec, m_out) if Tr.mode == "dense"
+                       else recover(Tr, eps, m_rec)[0])
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_toeplitz, toeplitz
 
+from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
-                              _chan_eigenvalues, _dense_recovery,
+                              _chan_eigenvalues, _dense_eps_block, _dense_recovery,
                               _radial_matrix_free, _toeplitz_phi,
                               fatou_form_check, form_decomposition_diagnostic,
                               hermitian_cg, majorant_check, resolvent_corner,
@@ -246,10 +247,9 @@ def _close(a, b, rel):
     return np.abs(a - b).max() <= rel * np.abs(b).max()
 
 
-@settings(max_examples=20, deadline=None)
-@given(d=st.sampled_from([2, 3]), eps=st.floats(0.1, 2.0), r=st.floats(0.3, 0.95),
-       l1=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, seed, data):
+def _dense_recovery_case(d, l1, seed, data):
+    """A Schur symbol on a dense-mode basis with a corner of m words and an
+    output block of m_out <= m words."""
     # bases of at most 400 words: d = 2 up to N = 7 (255), d = 3 up to N = 5 (364)
     basis = WordBasis(d, data.draw(st.integers(0, 7 if d == 2 else 5)))
     n = basis.size
@@ -262,7 +262,19 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     c = np.zeros(n, dtype=complex)
     c[rng.choice(pool, size=k, replace=False)] = \
         rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    B = NCSeries(basis, c * (l1 / np.abs(c).sum()))
+    return NCSeries(basis, c * (l1 / np.abs(c).sum())), m, m_out
+
+
+dense_recovery_draws = given(
+    d=st.sampled_from([2, 3]), eps=st.floats(0.1, 2.0), r=st.floats(0.3, 0.95),
+    l1=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+
+
+@settings(max_examples=20, deadline=None)
+@dense_recovery_draws
+def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, seed, data):
+    B, m, m_out = _dense_recovery_case(d, l1, seed, data)
+    n = B.basis.size
     Tr = RadialOperator.from_schur(B, r)
     assert Tr.mode == "dense"
     T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
@@ -283,6 +295,69 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     assert _close(T, (np.linalg.inv(cg) - eps * np.eye(m))[:m_out, :m_out], 1e-8)
     assert _close(corner, cg[:m_out, :m_out], 1e-8)
     assert vacuum == pytest.approx(cg[0, 0].real, rel=1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@dense_recovery_draws
+def test_dense_eps_block_reads_the_block_beyond_the_corner(d, eps, r, l1, seed, data):
+    B, m, m_out = _dense_recovery_case(d, l1, seed, data)
+    n = B.basis.size
+    Tr = RadialOperator.from_schur(B, r)
+    T = _dense_eps_block(Tr, eps, m, m_out)
+    assert T.shape == (m_out, m_out)
+    assert np.array_equal(T, T.conj().T)
+    assert _close(T, _dense_recovery(Tr, eps, m, m_out)[0], 1e-10)
+    delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
+    assert _close(T, (np.linalg.inv(delta[:m, :m]) - eps * np.eye(m))[:m_out, :m_out],
+                  1e-10)
+
+
+@pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
+def test_dense_eps_block_of_the_whole_basis_is_the_t_block(eps):
+    # m = n: no word lies beyond the corner, so nothing is factored
+    basis = WordBasis(2, 4)
+    B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): 0.3j, (1, 2): 0.2})
+    Tr = RadialOperator.from_schur(B, 0.8)
+    X = Tr.to_dense()[:7, :7]
+    assert np.array_equal(_dense_eps_block(Tr, eps, basis.size, 7),
+                          0.5 * (X + X.conj().T))
+
+
+def _count_cholesky(monkeypatch):
+    sizes = []
+    factor = lebesgue.scipy.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(lebesgue.scipy.linalg, "cholesky", counted)
+    return sizes
+
+
+def test_rn_derivative_dense_factors_once_per_stage(monkeypatch):
+    # the recovery corner is the whole basis at both stages (511 and 2047
+    # words), so the eps = 1.0 and 2.0 cross-checks factor nothing
+    sizes = _count_cholesky(monkeypatch)
+    rn_derivative(NCSeries.zero(WordBasis(2, 1)), M=2, eps_grid=(0.5, 1.0, 2.0),
+                  schedule=Schedule.explicit([(0.5, 8), (0.75, 10)]))
+    assert sizes == [511, 2047]
+
+
+def test_rn_derivative_dense_cross_check_factors_beyond_the_corner(monkeypatch):
+    # N = 4: 31 words, recovery corner of grade M + buffer = 2 (7 words)
+    sizes = _count_cholesky(monkeypatch)
+    symbol = {(1,): 0.5, (2,): 0.3j}
+    res = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), symbol), M=1,
+                        recovery_buffer=1, eps_grid=(0.25, 1.0, 2.0),
+                        schedule=Schedule.explicit([(0.6, 4)]))
+    assert sizes == [31, 24, 24]
+    # the same cross-check from the full factor at every eps
+    Tr = RadialOperator.from_schur(NCSeries.from_dict(WordBasis(2, 4), symbol), 0.6)
+    blocks = [_dense_recovery(Tr, eps, 7, 3)[0] for eps in (0.25, 1.0, 2.0)]
+    spread = max(np.abs(a - b).max() for a in blocks for b in blocks)
+    assert spread > 1e-6
+    assert res.eps_consistency == pytest.approx(spread, rel=1e-9)
 
 
 def test_hermitian_cg_solves_and_reports():
