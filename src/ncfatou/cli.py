@@ -5,12 +5,13 @@ Usage:
     ncfatou verify --suite core [--output-dir DIR] [--quiet]
 
 Exit codes: 0 success, 2 config validation failure (the message names the
-field path), 3 numerical-diagnostic failure (CG non-convergence, PSD floor
-or residual beyond tolerance).  Identical configs produce bit-identical CSV
-outputs at a fixed BLAS thread count: fixed reduction order, seeded probes,
-and the seed recorded in every output header.  Threaded BLAS reductions
-(norms over 2^21 coefficients, say) round differently at another thread
-count, so values may then differ in the last digits.
+field path), 3 numerical-diagnostic failure (CG non-convergence, a d=1
+symbol that is not positive, PSD floor or residual beyond tolerance).
+Identical configs produce bit-identical CSV outputs at a fixed BLAS thread
+count: fixed reduction order, seeded probes, and the seed recorded in
+every output header.  Threaded BLAS reductions (norms over 2^21
+coefficients, say) round differently at another thread count, so values
+may then differ in the last digits.
 
 Config keys by experiment, as `key: type = default`.  An interval such as
 [0,inf) bounds a number and may name another field, [t, ...] is a nonempty

@@ -23,10 +23,15 @@ the grade-M block, a Schur complement in the words beyond the recovery
 corner, so each extra eps factors just that block; when the corner is
 the whole basis the block is T_r's own grade-M block for every eps.
 
-The Toeplitz mode computes phi = (eps I + T_r)^{-1} e_0 by one
-circulant-preconditioned CG solve with FFT matvecs, reads the corner off
-phi by Gohberg-Semencul and inverts it; the matrix-free mode computes
-the corner by CG, one column at a time, and inverts it.
+For d = 1, eps I + T_r is the Toeplitz operator of the positive symbol
+s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s) its outer
+factor (Szego-Kolmogorov), computed by a few FFTs.  On the untruncated
+operator eps I + T_r = Y^H Y, Y lower triangular, so a Toeplitz stage
+reads its recovered block, corner and vacuum delta off y with no solve
+and no truncation at grade N.  When the recovery corner is the whole
+truncated basis (m_rec = n) no word lies beyond it, and the stage is the
+dense one above.  The matrix-free mode computes the corner by CG, one
+column at a time, and inverts it.
 """
 
 from __future__ import annotations
@@ -112,7 +117,8 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # radial operators T_r = Re H(rR)
 
-#: d >= 2 bases up to this many words hold T_r as a dense matrix.
+#: d >= 2 bases up to this many words hold T_r as a dense matrix; the
+#: dense reference corner (resolvent_corner) takes no larger d = 1 basis.
 DENSE_LIMIT = 2048
 
 
@@ -121,7 +127,8 @@ class RadialOperator(TruncatedOperator):
 
     The mode follows from (d, basis.size).  T_r v = (H(rR) v + H(rR)^* v)/2
     with H(rR) a graded multiplier.  For d = 1 ('toeplitz') T_r is
-    Toeplitz, and its first column is kept for its FFT-based solve.  For
+    Toeplitz, and its first column is kept: it is the symbol the stages of
+    rn_derivative factor, and its dense matrix is built on demand.  For
     d >= 2, bases of up to DENSE_LIMIT words hold the dense matrix
     ('dense'); larger ones apply T_r without it ('matrix-free').  From a
     Schur symbol that uses K = I - B(rR), block lower-triangular with
@@ -195,24 +202,17 @@ def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
 # resolvents
 
 def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
-                 maxiter: int = 2000, precond=None) -> tuple:
+                 maxiter: int = 2000) -> tuple:
     """Conjugate gradients for Hermitian positive definite systems.
 
-    precond, if given, applies a Hermitian positive definite approximate
-    inverse M^{-1} of the operator (preconditioned CG); None is the
-    identity.  Either way the stopping rule is on the relative residual
-    ||b - A x|| / ||b||.  Returns (x, iterations, relative_residual);
-    raises RuntimeError on non-convergence or breakdown (p^H A p or
-    r^H M^{-1} r not finite and positive, or a non-finite residual) so
-    that failed solves are never silently used.
+    The stopping rule is on the relative residual ||b - A x|| / ||b||.
+    Returns (x, iterations, relative_residual); raises RuntimeError on
+    non-convergence or breakdown (p^H A p not finite and positive, or a
+    non-finite residual) so that failed solves are never silently used.
     """
-    if precond is None:
-        def precond(v):
-            return v
     x = np.zeros_like(b)
     res = b.copy()
-    p = precond(res)
-    rz = float(np.vdot(res, p).real)
+    p = res.copy()
     rs = float(np.vdot(res, res).real)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -224,90 +224,55 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
             raise RuntimeError(
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
-        alpha = rz / pAp
+        alpha = rs / pAp
         x = x + alpha * p
         res = res - alpha * Ap
-        rs = float(np.vdot(res, res).real)
-        if not np.isfinite(rs):
+        rs_new = float(np.vdot(res, res).real)
+        if not np.isfinite(rs_new):
             raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
-        if np.sqrt(rs) <= tol * bnorm:
-            return x, it, np.sqrt(rs) / bnorm
-        z = precond(res)
-        rz_new = float(np.vdot(res, z).real)
-        if not np.isfinite(rz_new) or rz_new <= 0.0:
-            raise RuntimeError(
-                f"CG breakdown at iteration {it}: r^H M^-1 r = {rz_new:.3e}, "
-                "preconditioner not positive definite")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        if np.sqrt(rs_new) <= tol * bnorm:
+            return x, it, np.sqrt(rs_new) / bnorm
+        p = res + (rs_new / rs) * p
+        rs = rs_new
     raise RuntimeError(
         f"CG did not converge in {maxiter} iterations "
         f"(relative residual {np.sqrt(rs) / bnorm:.3e})")
 
 
-#: Relative residual of the one CG solve behind each Toeplitz corner, the
-#: accuracy of a direct (Levinson) solve; tolerances.cg_tol governs only
-#: the matrix-free d >= 2 solves.
-TOEPLITZ_TOL = 1e-14
+def _spectral_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
+    """One untruncated d = 1 stage from the outer factor of its symbol.
 
-
-def _flip_conj(c: np.ndarray) -> np.ndarray:
-    """(0, conj c_{n-1}, ..., conj c_1): the entries t_{k-n} for k < n."""
-    return np.concatenate(([0.0], c[:0:-1].conj()))
-
-
-def _chan_eigenvalues(col: np.ndarray) -> np.ndarray:
-    """Eigenvalues of T. Chan's optimal circulant for the Hermitian Toeplitz
-    matrix with first column col, c_k = ((n - k) t_k + k t_{k-n}) / n.
-
-    Each is the Rayleigh quotient of the Toeplitz matrix at a Fourier
-    vector, so all are positive whenever the matrix is positive definite.
+    eps I + T_r is the Toeplitz operator of s = eps + Re H(r e^{it}), read
+    off Tr.column on a grid of G points, G the smallest power of two
+    >= 2n.  Its outer factor y = exp(P_+ log s), the analytic half of the
+    cepstrum with a_0 halved, gives eps I + T_r = Y^H Y with Y the
+    lower-triangular Toeplitz operator of y (Szego-Kolmogorov; the
+    cepstral method of Oppenheim & Schafer, ch. 13).  So the inverted
+    corner is Y_m^H Y_m, the corner P_o Delta P_o is Psi_o Psi_o^H with
+    psi = 1/y, and the vacuum delta is 1/|y_0|^2 = exp(-mean log s).
+    Returns what _dense_recovery returns; raises RuntimeError if s is not
+    positive on the grid.
     """
+    col = Tr.column
     n = len(col)
-    k = np.arange(n)
-    return np.fft.fft(((n - k) * col + k * _flip_conj(col)) / n).real
-
-
-def _toeplitz_phi(col: np.ndarray, maxiter: int) -> tuple:
-    """phi = T^{-1} e_0 for the Hermitian PD Toeplitz T with first column col.
-
-    Circulant-preconditioned CG (T. F. Chan, SIAM J. Sci. Stat. Comput.
-    1988; R. Chan & Ng, SIAM Review 1996): T is applied by FFT after its
-    embedding in a circulant of length L >= 2n - 1, T. Chan's circulant
-    preconditions it, and the solve runs to TOEPLITZ_TOL.  Returns
-    (phi, CG iterations).
-    """
-    n = len(col)
-    L = 1 << (2 * n - 2).bit_length()
-    c = np.zeros(L, dtype=complex)
-    c[:n] = col
-    c[L - n + 1:] = _flip_conj(col)[1:]
-    embed = np.fft.fft(c)
-    chan = _chan_eigenvalues(col)
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    phi, it, _ = hermitian_cg(
-        lambda v: np.fft.ifft(embed * np.fft.fft(v, L))[:n], e0,
-        tol=TOEPLITZ_TOL, maxiter=maxiter,
-        precond=lambda v: np.fft.ifft(np.fft.fft(v) / chan))
-    return phi, it
-
-
-def _gs_inverse_corner(phi: np.ndarray, m: int) -> np.ndarray:
-    """Corner of the inverse of a Hermitian PD Toeplitz matrix.
-
-    Gohberg-Semencul: from phi = T^{-1} e_0, the inverse is
-    (A A^H - B B^H)/phi_0 with A, B lower-triangular Toeplitz built from
-    phi and _flip_conj(phi).  The m x m corner reads only their leading
-    m x m blocks, that is phi[:m] and phi[n-m+1:].
-    """
-    n = len(phi)
-    if m > n:
-        raise ValueError("corner larger than the matrix")
-    zero = np.zeros(m)
-    A = scipy.linalg.toeplitz(phi[:m], zero)
-    Bm = scipy.linalg.toeplitz(_flip_conj(phi[n - m:]), zero)
-    return (A @ A.conj().T - Bm @ Bm.conj().T) / phi[0]
+    G = 1 << (2 * n - 1).bit_length()
+    s = G * np.fft.irfft(col.conj(), G) + eps
+    if not s.min() > 0.0:
+        raise RuntimeError(
+            f"symbol eps + Re H(r e^it) is not positive at r = {Tr.r!r}, "
+            f"N = {n - 1}: min s = {s.min():.3e}")
+    a = np.fft.rfft(np.log(s)).conj() / G
+    vacuum = float(np.exp(-a[0].real))
+    a[0] *= 0.5
+    y = np.fft.ifft(np.exp(np.fft.fft(a[:G // 2], G)))[:m]
+    Y = scipy.linalg.toeplitz(y, np.zeros(m))
+    W = Y[:, :m_out]
+    T = W.conj().T @ W
+    T = 0.5 * (T + T.conj().T) - eps * np.eye(m_out)
+    psi = scipy.linalg.solve_triangular(Y[:m_out, :m_out], np.eye(m_out, 1), lower=True)
+    Psi = scipy.linalg.toeplitz(psi[:, 0], np.zeros(m_out))
+    corner = Psi @ Psi.conj().T
+    return T, 0.5 * (corner + corner.conj().T), vacuum
 
 
 def _reversed_cholesky(Tr: RadialOperator, eps: float) -> np.ndarray:
@@ -368,14 +333,13 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
     """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
     m x m matrix (m counts basis words); eps must be positive.
 
-    In toeplitz mode phi = (eps I + T_r)^{-1} e_0 comes from one
-    circulant-preconditioned CG solve to TOEPLITZ_TOL (at most cg_maxiter
-    iterations) and the corner from the Gohberg-Semencul formula; in
-    matrix-free mode each column is one CG solve to cg_tol (m must stay
-    small).  Dense mode factors eps I + T_r = U U^H once (reversed
-    Cholesky) and returns (U_mm U_mm^H)^{-1} from one triangular solve.
-    Returns the Hermitized corner together with the CG iteration counts
-    (empty in dense mode).
+    This is the exact corner of the truncated resolvent, the reference the
+    coupled limit is checked against.  In dense and Toeplitz mode it
+    factors the dense eps I + T_r = U U^H once (reversed Cholesky) and
+    returns (U_mm U_mm^H)^{-1} from one triangular solve, so the basis may
+    hold at most DENSE_LIMIT words; in matrix-free mode each column is one
+    CG solve to cg_tol (m must stay small).  Returns the Hermitized corner
+    together with the CG iteration counts (empty unless matrix-free).
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -383,13 +347,11 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
     if m > basis.size:
         raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
     cg_iters: tuple = ()
-    if Tr.mode == "toeplitz":
-        col = Tr.column.copy()
-        col[0] += eps
-        phi, it = _toeplitz_phi(col, cg_maxiter)
-        corner = _gs_inverse_corner(phi, m)
-        cg_iters = (it,)
-    elif Tr.mode == "dense":
+    if Tr.mode != "matrix-free":
+        if basis.size > DENSE_LIMIT:
+            raise ValueError(
+                f"the dense reference corner needs at most {DENSE_LIMIT} basis "
+                f"words, got {basis.size}")
         corner = _triangular_corner(_reversed_cholesky(Tr, eps), m)
     else:
         if m > 256:
@@ -507,15 +469,20 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     In dense mode the inverted corner is the Schur complement U_mm U_mm^H
     of one reversed Cholesky factor eps I + T_r = U U^H, whose grade-M
     block is U[:m_out, :m] U[:m_out, :m]^H, so no corner is solved for and
-    nothing is inverted; the Toeplitz mode (one preconditioned CG solve
-    with FFT matvecs, then Gohberg-Semencul) and the matrix-free mode (CG
-    per column) compute the corner with resolvent_corner and invert it.
-    The reported T_hat comes from the smallest eps in the grid (least
-    upward bias on near-singular directions); the other grid values only
-    feed the eps-consistency cross-check, which repeats the last stage.
-    In dense mode it forms only the grade-M block, from the block of
-    eps I + T_r beyond the recovery corner (_dense_eps_block); when
-    m_rec = n that is T_r's own grade-M block for every eps.
+    nothing is inverted.  A Toeplitz (d = 1) stage reads the same outputs
+    off the outer factor y of its symbol (_spectral_recovery): the block
+    is Y_m^H Y_m - eps I cut to grade M, on the untruncated operator, with
+    no solve and no CG; it raises RuntimeError if the symbol is not
+    positive.  A Toeplitz stage whose recovery corner is the whole basis
+    (m_rec = n) has no word beyond the corner and takes the dense route.
+    The matrix-free mode (CG per column) computes the corner with
+    resolvent_corner and inverts it.  The reported T_hat comes from the
+    smallest eps in the grid (least upward bias on near-singular
+    directions); the other grid values only feed the eps-consistency
+    cross-check, which repeats the last stage.  On the dense route it forms
+    only the grade-M block, from the block of eps I + T_r beyond the
+    recovery corner (_dense_eps_block); when m_rec = n that is T_r's own
+    grade-M block for every eps.
     """
     if isinstance(source, NCSeries):
         d = source.basis.d
@@ -539,11 +506,16 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     m_out = word_count(d, M)
 
+    def dense(Tr, m):
+        # a d = 1 corner of the whole basis leaves no word beyond it to factor
+        return Tr.mode == "dense" or Tr.mode == "toeplitz" and m == Tr.basis.size
+
     def recover(Tr, eps, m):
         # (Hermitian grade-M T block, grade-M corner, vacuum delta, CG counts)
-        if Tr.mode == "dense":
-            T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
-            return T, corner, vacuum, ()
+        if dense(Tr, m):
+            return (*_dense_recovery(Tr, eps, m, m_out), ())
+        if Tr.mode == "toeplitz":
+            return (*_spectral_recovery(Tr, eps, m, m_out), ())
         corner, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol,
                                             cg_maxiter=cg_maxiter)
         T = (np.linalg.inv(corner) - eps * np.eye(m))[:m_out, :m_out]
@@ -570,7 +542,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = (_dense_eps_block(Tr, eps, m_rec, m_out) if Tr.mode == "dense"
+        blocks[eps] = (_dense_eps_block(Tr, eps, m_rec, m_out) if dense(Tr, m_rec)
                        else recover(Tr, eps, m_rec)[0])
     for ea in eps_grid:
         for eb in eps_grid:

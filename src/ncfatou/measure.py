@@ -226,9 +226,6 @@ class GnsIsometry:
     letter: int
     isometry_residual: float
 
-    def apply_to_poly(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ (self.coords @ v)
-
 
 def _gns_factor(G: GramMatrix):
     lam, V = np.linalg.eigh(G.matrix)

@@ -97,12 +97,6 @@ class MeasureSpec:
                 raise ValueError(f"negative density sample {dens.min()}")
             object.__setattr__(self, "density", dens)
 
-    def total_mass(self) -> float:
-        mass = sum(w for _, w in self.point_masses)
-        if self.density is not None:
-            mass += float(self.density.mean())
-        return float(mass)
-
 
 def classical_moments(spec: MeasureSpec, N: int) -> MomentFunctional:
     """mu(S^k) = int zeta^k dmu for k = 0..N, point masses done exactly."""

@@ -248,6 +248,19 @@ def test_bad_file_contents_exit_2(cfg, field, problem, tmp_path, capsys):
     assert f"config error: {field}: " in err and "b.csv" in err
 
 
+def test_non_positive_symbol_exits_3(tmp_path, capsys):
+    # the moments (1, 2) belong to no positive measure: at r = 0.5 the
+    # symbol eps + Re H(r e^it) = 1.25 + 2 cos t of the first stage dips
+    # below zero, and N = 16 leaves words beyond the recovery corner
+    (tmp_path / "m.csv").write_text("word,re,im\ne,1,0\n1,2,0\n")
+    cfg = {**DECOMPOSE, "measure_spec": None, "moments_file": "m.csv",
+           "schedule": {"stages": [[0.5, 16]]}}
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 3
+    err = capsys.readouterr().err
+    assert "not positive at r = 0.5, N = 16: min s = -7.500e-01" in err
+
+
 # ---------------------------------------------------------------------------
 # mutated copies of the committed configs
 

@@ -6,8 +6,8 @@ from scipy.linalg import solve_toeplitz, toeplitz
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
-                              _chan_eigenvalues, _dense_eps_block, _dense_recovery,
-                              _radial_matrix_free, _toeplitz_phi,
+                              _dense_eps_block, _dense_recovery,
+                              _radial_matrix_free, _spectral_recovery,
                               fatou_form_check, form_decomposition_diagnostic,
                               hermitian_cg, majorant_check, resolvent_corner,
                               rn_derivative)
@@ -174,12 +174,19 @@ def test_resolvent_corner_modes_agree():
     toep = RadialOperator.from_schur(B, 0.9)
     free = _radial_matrix_free(B, 0.9)
     ref = np.linalg.inv(fatou_toeplitz(0.5, 0.9, 30) + 0.5 * np.eye(31))[:6, :6]
-    c1, it1 = resolvent_corner(toep, 0.5, 6)
+    c1, _ = resolvent_corner(toep, 0.5, 6)
     c2, it = resolvent_corner(free, 0.5, 6)
     assert np.abs(c1 - ref).max() < 1e-12
     assert np.abs(c2 - ref).max() < 1e-9
-    assert len(it1) == 1 and it1[0] > 0  # one preconditioned solve
     assert len(it) == 6 and all(n > 0 for n in it)
+
+
+def test_resolvent_corner_refuses_a_toeplitz_basis_beyond_dense_limit(monkeypatch):
+    # the d = 1 reference is dense; it must not build a multi-GB matrix
+    Tr = RadialOperator.from_schur(schur_z(WordBasis(1, DENSE_LIMIT)), 0.5)
+    monkeypatch.setattr(Tr, "to_dense", lambda: pytest.fail("densified"))
+    with pytest.raises(ValueError, match=f"at most {DENSE_LIMIT} basis words"):
+        resolvent_corner(Tr, 0.25, 3)
 
 
 def _psd_toeplitz_column(n, rho, seed):
@@ -195,41 +202,50 @@ def _psd_toeplitz_column(n, rho, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 4000), rho=st.floats(0.0, 0.9), eps=st.floats(0.05, 2.0),
-       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_toeplitz_corner_matches_levinson(n, rho, eps, seed, data):
-    m = data.draw(st.integers(1, min(n, 6)))
-    t = _psd_toeplitz_column(n, rho, seed)
-    col = t.copy()
-    col[0] += eps
-    chan = _chan_eigenvalues(col)
-    assert chan.min() > 0.0
-    if n <= 64:  # T. Chan's eigenvalues are Rayleigh quotients at Fourier vectors
-        k = np.arange(n)
-        F = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-        rayleigh = np.einsum("ij,ik,kj->j", F.conj(), toeplitz(col, col.conj()), F)
-        assert np.abs(chan - rayleigh.real).max() <= 1e-12 * np.abs(chan).max()
-    # Levinson (scipy) is the reference for phi and, column by column, for
-    # the corner of the inverse
-    e = np.eye(n, m, dtype=complex)
-    ref = solve_toeplitz((col, col.conj()), e)
-    phi, it = _toeplitz_phi(col, 2000)
-    assert _close(phi, ref[:, 0], 1e-12)
-    Tr = RadialOperator(WordBasis(1, n - 1), 0.5, None, column=t)
-    corner, iters = resolvent_corner(Tr, eps, m)
-    assert iters == (it,) and it >= 1
-    assert _close(corner, 0.5 * (ref[:m] + ref[:m].conj().T), 1e-12)
+@given(r=st.floats(0.3, 0.95), eps=st.floats(0.25, 2.0), l1=st.floats(0.05, 0.999),
+       psd=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd, seed,
+                                                                 data):
+    # at r^N <= 1e-14 the truncated stage (dense factor) and the untruncated
+    # one (outer factor of the symbol) agree to roundoff; eps >= 0.25 keeps
+    # the PSD columns' symbols away from zero, whose factors decay slower
+    N = int(np.ceil(np.log(1e-14) / np.log(r)))
+    basis = WordBasis(1, N)
+    if psd:
+        t = _psd_toeplitz_column(basis.size, r, seed)
+        Tr = RadialOperator(basis, r, None, column=t, dense=toeplitz(t, t.conj()))
+    else:  # a Schur symbol of degree <= 3
+        rng = np.random.default_rng(seed)
+        c = np.zeros(basis.size, dtype=complex)
+        c[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        Tr = RadialOperator.from_schur(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
+    m = data.draw(st.integers(1, N))  # m_rec < n: words beyond the corner
+    m_out = data.draw(st.integers(1, min(m, 9)))
+    T, corner, vacuum = _spectral_recovery(Tr, eps, m, m_out)
+    T_ref, corner_ref, vacuum_ref = _dense_recovery(Tr, eps, m, m_out)
+    assert np.array_equal(T, T.conj().T)
+    assert _close(T, T_ref, 1e-12)
+    assert _close(corner, corner_ref, 1e-12)
+    assert vacuum == pytest.approx(vacuum_ref, rel=1e-12)
 
 
-def test_toeplitz_solve_is_preconditioned_and_bounded():
-    # an inner symbol near the boundary: eps I + T_r has condition number
-    # near 8000, plain CG needs over 300 iterations and T. Chan's
-    # preconditioner about a dozen; cg_maxiter bounds the solve
+def test_spectral_recovery_of_an_inner_stage_matches_levinson():
+    # the inner symbol z at r = 1 - 2^-8, N = 4707: the symbol of
+    # eps I + T_r spans [0.252, 511.25].  Levinson gives
+    # phi = (eps I + T_r)^{-1} e_0 on the truncated basis; its tail
+    # vanishes, so by Gohberg-Semencul the corner of the inverse is
+    # A A^H / phi_0, A lower-triangular Toeplitz
     Tr = RadialOperator.from_schur(schur_z(WordBasis(1, 4707)), 0.99609375)
-    _, iters = resolvent_corner(Tr, 0.25, 17)
-    assert 1 <= iters[0] <= 20
-    with pytest.raises(RuntimeError, match="did not converge"):
-        resolvent_corner(Tr, 0.25, 17, cg_maxiter=iters[0] - 1)
+    col = Tr.column.copy()
+    col[0] += 0.25
+    phi = solve_toeplitz((col, col.conj()), np.eye(len(col), 1, dtype=complex))[:, 0]
+    assert np.abs(phi[-17:]).max() < 1e-16 * abs(phi[0])
+    A = toeplitz(phi[:17], np.zeros(17))
+    ref = A @ A.conj().T / phi[0].real
+    T, corner, vacuum = _spectral_recovery(Tr, 0.25, 17, 9)
+    assert _close(T, (np.linalg.inv(ref) - 0.25 * np.eye(17))[:9, :9], 1e-12)
+    assert _close(corner, ref[:9, :9], 1e-12)
+    assert vacuum == pytest.approx(phi[0].real, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
@@ -382,23 +398,15 @@ def _cg_run(A, b, **kw):
     return hermitian_cg(matvec, b, **kw), seen
 
 
-def test_hermitian_cg_without_preconditioner_is_identity_preconditioned():
+def test_hermitian_cg_applies_the_operator_once_per_iteration():
     rng = np.random.default_rng(59)
     A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     A = A @ A.conj().T + np.eye(30)
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    (x0, it0, rel0), seen0 = _cg_run(A, b, tol=1e-12, maxiter=500)
-    (x1, it1, rel1), seen1 = _cg_run(A, b, tol=1e-12, maxiter=500,
-                                     precond=lambda v: v)
-    assert (it0, rel0) == (it1, rel1) and np.array_equal(x0, x1)
-    assert len(seen0) == len(seen1) == it0
-    assert all(np.array_equal(u, v) for u, v in zip(seen0, seen1))
-    # a Jacobi preconditioner changes the iterates, not the answer
-    d = A.diagonal().real
-    (x2, _, _), _ = _cg_run(A, b, tol=1e-12, maxiter=500, precond=lambda v: v / d)
-    assert np.linalg.norm(A @ x2 - b) < 1e-10 * np.linalg.norm(b)
-    with pytest.raises(RuntimeError, match="preconditioner not positive definite"):
-        hermitian_cg(lambda v: A @ v, b, precond=lambda v: -v)
+    (x, it, rel), seen = _cg_run(A, b, tol=1e-12, maxiter=500)
+    assert len(seen) == it and np.array_equal(seen[0], b)
+    assert rel <= 1e-12
+    assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
 
 
 def test_hermitian_cg_zero_operator_breaks_down():
@@ -467,16 +475,29 @@ def test_rn_derivative_classical_fatou_small():
                   - res.mu.moments).max() == 0.0
 
 
-def test_rn_derivative_inner_singular_trend_small():
+def test_rn_derivative_inner_singular_trend_small(monkeypatch):
+    monkeypatch.setattr(lebesgue, "hermitian_cg", lambda *a, **k: pytest.fail("CG ran"))
     basis = WordBasis(1, 1)
     res = rn_derivative(NCSeries.from_dict(basis, {(1,): 1.0}), M=0,
                         eps_grid=(0.25,), j_max=7, cauchy_tol=0.0)
     assert res.mass_strictly_decreasing
     assert res.vacuum_strictly_increasing
     assert res.mass_trend[-1] < 0.45
-    # each d = 1 stage is one preconditioned CG solve
-    assert all(len(stage.cg_iterations) == 1 and stage.cg_iterations[0] > 0
-               for stage in res.stages)
+    # d = 1 stages read the outer factor of their symbol and run no CG
+    assert all(stage.cg_iterations == () for stage in res.stages)
+
+
+def test_rn_derivative_d1_corner_of_the_whole_basis_is_the_truncated_stage():
+    # N <= M + buffer (m_rec = n): no word lies beyond the corner, so the
+    # d = 1 stage is the truncated one and equals the one-letter embedding
+    # in d = 2; at r^N = 0.1 the untruncated stage differs by 7.5e-7
+    sched = Schedule.explicit([(0.75, 8)])
+    one = rn_derivative(NCSeries.from_dict(WordBasis(1, 1), {(1,): 0.5}), M=2,
+                        eps_grid=(0.5,), schedule=sched)
+    two = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), {(1,): 0.5}), M=2,
+                        eps_grid=(0.5,), schedule=sched)
+    idx = [WordBasis(2, 2).index(w) for w in ((), (1,), (1, 1))]
+    assert np.abs(two.T_compression[np.ix_(idx, idx)] - one.T_compression).max() <= 1e-12
 
 
 def test_rn_derivative_moment_source_matches_schur_source():
