@@ -7,9 +7,9 @@ and cross-validates everything against the classical one-variable theory.
 """
 
 from .factor import FactorResult, ltoeplitz_check, outer_factor
-from .fock import (FockVector, TruncatedOperator, basis_vector, grade_projection,
-                   graded_inverse, graded_multiplier, left_shift, right_shift,
-                   transpose_unitary, vacuum, word_monomial)
+from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
+                   graded_multiplier, left_shift, right_shift, transpose_unitary,
+                   vacuum)
 from .lebesgue import (FormDecomposition, PsdReport, RadialOperator, RNResult,
                        Schedule, StageRecord, fatou_form_check,
                        form_decomposition_diagnostic, majorant_check,

@@ -1,5 +1,4 @@
-"""Truncated full Fock space: vectors, operators, graded products, shifts,
-grade projections.
+"""Truncated full Fock space: vectors, operators, graded products, shifts.
 
 Everything here is a compression P_N (.) P_N of the corresponding operator
 on l2 of the free monoid; identities that hold on the full space hold here
@@ -93,10 +92,6 @@ class TruncatedOperator:
             raise ValueError(f"matrix shape {A.shape} does not match basis size {basis.size}")
         return TruncatedOperator(basis, lambda v: A @ v, lambda v: A.conj().T @ v, dense=A)
 
-    @staticmethod
-    def identity(basis: WordBasis) -> "TruncatedOperator":
-        return TruncatedOperator(basis, lambda v: v.copy(), lambda v: v.copy())
-
     def apply(self, v):
         if isinstance(v, FockVector):
             _same_basis(v.basis, self.basis)
@@ -108,22 +103,6 @@ class TruncatedOperator:
             _same_basis(v.basis, self.basis)
             return FockVector(self.basis, self._rmatvec(v.coeffs))
         return self._rmatvec(np.asarray(v, dtype=complex))
-
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        _same_basis(self.basis, other.basis)
-        return TruncatedOperator(
-            self.basis,
-            lambda v: self._matvec(other._matvec(v)),
-            lambda v: other._rmatvec(self._rmatvec(v)),
-        )
-
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        _same_basis(self.basis, other.basis)
-        return TruncatedOperator(
-            self.basis,
-            lambda v: self._matvec(v) + other._matvec(v),
-            lambda v: self._rmatvec(v) + other._rmatvec(v),
-        )
 
     def to_dense(self) -> np.ndarray:
         if callable(self._dense):
@@ -303,13 +282,6 @@ def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOpe
     return TruncatedOperator(basis, k.solve, lambda w: k.solve(w, adjoint=True))
 
 
-def word_monomial(basis: WordBasis, w: Word) -> TruncatedOperator:
-    """Compression of L^w = L_{w_1} ... L_{w_n}: e_b -> e_{w b}."""
-    if len(w) > basis.N:
-        raise ValueError("monomial word exceeds truncation grade")
-    return _monomial(basis, w, "left")
-
-
 def left_shift(basis: WordBasis, k: int) -> TruncatedOperator:
     """Compression of L_k: e_w -> e_{kw}, words of top grade map to 0."""
     _check_letter(basis, k)
@@ -346,14 +318,3 @@ def transpose_unitary(basis: WordBasis) -> TruncatedOperator:
 
     return TruncatedOperator(basis, mv, mv)
 
-
-def grade_projection(basis: WordBasis, M: int) -> TruncatedOperator:
-    """Orthogonal projection onto the span of words of length <= M."""
-    m = basis.sub_basis_size(M)
-
-    def mv(v):
-        out = np.zeros_like(v)
-        out[:m] = v[:m]
-        return out
-
-    return TruncatedOperator(basis, mv, mv)

@@ -14,24 +14,27 @@ corner of the resolvent is a Schur complement of eps I + T, and the
 enlargement buffer pushes its systematic deficit below tolerance for
 symbols whose moments decay.
 
-With eps I + T_r = U U^H, U upper triangular (the Cholesky factor of the
-index-reversed matrix, flipped back), that Schur complement is exactly
-U_mm U_mm^H and every smaller resolvent corner is (U_kk U_kk^H)^{-1}
-(Golub & Van Loan, Matrix Computations, 4.2).  Dense mode reads all of
-it off one such factor, once per stage.  The eps cross-check needs only
-the grade-M block, a Schur complement in the words beyond the recovery
-corner, so each extra eps factors just that block; when the corner is
-the whole basis the block is T_r's own grade-M block for every eps.
+Every stage therefore computes one matrix, S = (P_m Delta P_m)^{-1}, the
+Schur complement of eps I + T_r in the words beyond the recovery corner
+(Golub & Van Loan, Matrix Computations, ch. 4), and each stage mode
+provides only its first k columns:
 
-For d = 1, eps I + T_r is the Toeplitz operator of the positive symbol
-s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s) its outer
-factor (Szego-Kolmogorov), computed by a few FFTs.  On the untruncated
-operator eps I + T_r = Y^H Y, Y lower triangular, so a Toeplitz stage
-reads its recovered block, corner and vacuum delta off y with no solve
-and no truncation at grade N.  When the recovery corner is the whole
-truncated basis (m_rec = n) no word lies beyond it, and the stage is the
-dense one above.  The matrix-free mode computes the corner by CG, one
-column at a time, and inverts it.
+- dense: eps I + A[:k, :k] - V^H V, V = L^{-1} A[m:, :k] with
+  L L^H = eps I + A[m:, m:] (A = T_r), one Cholesky of size n - m and
+  none when m = n;
+- Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
+  symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
+  its outer factor (Szego-Kolmogorov), computed by a few FFTs; on the
+  untruncated operator eps I + T_r = Y^H Y, Y lower triangular, so
+  S = Y_m^H Y_m with no solve and no truncation at grade N.  When the
+  recovery corner is the whole truncated basis (m_rec = n) no word lies
+  beyond it, and the stage is the dense one;
+- matrix-free: the corner by CG, one column at a time, inverted.
+
+One tail reads the rest off S: the grade-M block T_hat = S[o, o] - eps I,
+the grade-M corner (S^{-1})[o, o] from one Cholesky factor of S, and the
+vacuum delta, its (0, 0) entry.  The eps cross-check forms only the
+grade-M columns of S for each extra eps.
 """
 
 from __future__ import annotations
@@ -239,19 +242,43 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
         f"(relative residual {np.sqrt(rs) / bnorm:.3e})")
 
 
-def _spectral_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
-    """One untruncated d = 1 stage from the outer factor of its symbol.
+def _herm(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X + X.conj().T)
+
+
+def _schur_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarray:
+    """S[:k, :k] for S = (P_m Delta_r(eps) P_m)^{-1}, from the dense T_r.
+
+    S is the Schur complement of eps I + T_r in the words r = [m, n)
+    beyond the corner, so its first k columns are
+    eps I + A[:k, :k] - V^H V with A = T_r, V = L^{-1} A[r, :k] and
+    L L^H = eps I + A[r, r]: one Cholesky of size n - m, none when m = n.
+    Returns a fresh array in F order, which the caller may overwrite.
+    """
+    A = Tr.to_dense()
+    S = A[:k, :k].conj().T  # A is Hermitian: an F-order copy in one pass
+    S[np.diag_indices_from(S)] += eps
+    if m < len(A):
+        C = np.array(A[m:, m:], order="F")  # a copy, factored in place
+        C[np.diag_indices_from(C)] += eps
+        L = scipy.linalg.cholesky(C, lower=True, overwrite_a=True)
+        V = scipy.linalg.solve_triangular(L, A[m:, :k], lower=True)
+        S -= V.conj().T @ V
+    return S
+
+
+def _spectral_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarray:
+    """S[:k, :k] for S = (P_m Delta_r(eps) P_m)^{-1} on the untruncated d = 1 operator.
 
     eps I + T_r is the Toeplitz operator of s = eps + Re H(r e^{it}), read
     off Tr.column on a grid of G points, G the smallest power of two
     >= 2n.  Its outer factor y = exp(P_+ log s), the analytic half of the
     cepstrum with a_0 halved, gives eps I + T_r = Y^H Y with Y the
     lower-triangular Toeplitz operator of y (Szego-Kolmogorov; the
-    cepstral method of Oppenheim & Schafer, ch. 13).  So the inverted
-    corner is Y_m^H Y_m, the corner P_o Delta P_o is Psi_o Psi_o^H with
-    psi = 1/y, and the vacuum delta is 1/|y_0|^2 = exp(-mean log s).
-    Returns what _dense_recovery returns; raises RuntimeError if s is not
-    positive on the grid.
+    cepstral method of Oppenheim & Schafer, ch. 13).  Y is lower
+    triangular, so S = Y_m^H Y_m and its first k columns are W^H W with W
+    the first k columns of Y_m.  Raises RuntimeError if s is not positive
+    on the grid.
     """
     col = Tr.column
     n = len(col)
@@ -262,70 +289,43 @@ def _spectral_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tu
             f"symbol eps + Re H(r e^it) is not positive at r = {Tr.r!r}, "
             f"N = {n - 1}: min s = {s.min():.3e}")
     a = np.fft.rfft(np.log(s)).conj() / G
-    vacuum = float(np.exp(-a[0].real))
     a[0] *= 0.5
     y = np.fft.ifft(np.exp(np.fft.fft(a[:G // 2], G)))[:m]
-    Y = scipy.linalg.toeplitz(y, np.zeros(m))
-    W = Y[:, :m_out]
-    T = W.conj().T @ W
-    T = 0.5 * (T + T.conj().T) - eps * np.eye(m_out)
-    psi = scipy.linalg.solve_triangular(Y[:m_out, :m_out], np.eye(m_out, 1), lower=True)
-    Psi = scipy.linalg.toeplitz(psi[:, 0], np.zeros(m_out))
-    corner = Psi @ Psi.conj().T
-    return T, 0.5 * (corner + corner.conj().T), vacuum
-
-
-def _reversed_cholesky(Tr: RadialOperator, eps: float) -> np.ndarray:
-    """Upper-triangular U with eps I + T_r = U U^H (dense mode).
-
-    This is the lower Cholesky factor L of the index-reversed matrix
-    J (eps I + T_r) J, flipped back: U = J L J.
-    """
-    A = np.array(Tr.to_dense()[::-1, ::-1], order="F")  # a copy, factored in place
-    A[np.diag_indices_from(A)] += eps
-    return scipy.linalg.cholesky(A, lower=True, overwrite_a=True)[::-1, ::-1]
-
-
-def _triangular_corner(U: np.ndarray, k: int) -> np.ndarray:
-    """(U_kk U_kk^H)^{-1} = U_kk^{-H} U_kk^{-1}, by one triangular solve."""
-    W = scipy.linalg.solve_triangular(U[:k, :k], np.eye(k))
+    W = scipy.linalg.toeplitz(y, np.zeros(k))
     return W.conj().T @ W
 
 
-def _dense_recovery(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
-    """One stage of the recovery from the factor eps I + T_r = U U^H.
+def _stage_block(Tr: RadialOperator, eps: float, m: int, k: int,
+                 cg_tol: float, cg_maxiter: int) -> tuple:
+    """S[:k, :k] for S = (P_m Delta_r(eps) P_m)^{-1} by the stage mode,
+    with the CG iteration counts (empty unless matrix-free).
 
-    The recovered block on m words is (P_m Delta P_m)^{-1} - eps I =
-    U_mm U_mm^H - eps I; its grade-M part on the first m_out words is
-    W W^H - eps I with W = U[:m_out, :m], since U is upper triangular.
-    Returns that block, Hermitized, the increment corner
-    P_m_out Delta P_m_out = (U_oo U_oo^H)^{-1} and the vacuum delta
-    1/|U_00|^2.
+    A d = 1 corner of the whole basis (m = n) leaves no word beyond it,
+    so that stage is the truncated one and takes the dense route.
     """
-    U = _reversed_cholesky(Tr, eps)
-    W = U[:m_out, :m]
-    T = W @ W.conj().T
-    T = 0.5 * (T + T.conj().T) - eps * np.eye(m_out)
-    corner = _triangular_corner(U, m_out)
-    return T, 0.5 * (corner + corner.conj().T), float(1.0 / U[0, 0].real ** 2)
+    if Tr.mode == "dense" or Tr.mode == "toeplitz" and m == Tr.basis.size:
+        return _schur_block(Tr, eps, m, k), ()
+    if Tr.mode == "toeplitz":
+        return _spectral_block(Tr, eps, m, k), ()
+    corner, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol, cg_maxiter=cg_maxiter)
+    return np.linalg.inv(corner)[:k, :k], cg_iters
 
 
-def _dense_eps_block(Tr: RadialOperator, eps: float, m: int, m_out: int) -> np.ndarray:
-    """The recovered grade-M block alone: _dense_recovery(...)[0], Hermitized.
+def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
+    """The grade-M block T_hat, the grade-M corner and the vacuum delta
+    from the m x m matrix S = (P_m Delta_r(eps) P_m)^{-1}.
 
-    With o the first m_out words and r = [m, n) the words beyond the corner,
-    it is the Schur complement T_r[o,o] - V^H V, V = L^{-1} T_r[r,o] with
-    L L^H = eps I + T_r[r,r]: one Cholesky of size n - m, none when m = n.
+    T_hat = S[o, o] - eps I on the first m_out words o.  With S = L L^H
+    (factored in place, so S is consumed) the corner P_o Delta P_o is
+    (S^{-1})[o, o] = X^H X with X = L^{-1} E_o, and the vacuum delta is
+    its (0, 0) entry.
     """
-    A = Tr.to_dense()
-    T = A[:m_out, :m_out]
-    if m < len(A):
-        S = np.array(A[m:, m:], order="F")  # a copy, factored in place
-        S[np.diag_indices_from(S)] += eps
-        L = scipy.linalg.cholesky(S, lower=True, overwrite_a=True)
-        V = scipy.linalg.solve_triangular(L, A[m:, :m_out], lower=True)
-        T = T - V.conj().T @ V
-    return 0.5 * (T + T.conj().T)
+    T = _herm(S[:m_out, :m_out]) - eps * np.eye(m_out)
+    L = scipy.linalg.cholesky(np.asfortranarray(S), lower=True, overwrite_a=True)
+    X = scipy.linalg.solve_triangular(L, np.eye(len(L), m_out), lower=True,
+                                      check_finite=False)  # cholesky checked S
+    corner = _herm(X.conj().T @ X)
+    return T, corner, float(corner[0, 0].real)
 
 
 def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
@@ -334,12 +334,13 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
     m x m matrix (m counts basis words); eps must be positive.
 
     This is the exact corner of the truncated resolvent, the reference the
-    coupled limit is checked against.  In dense and Toeplitz mode it
-    factors the dense eps I + T_r = U U^H once (reversed Cholesky) and
-    returns (U_mm U_mm^H)^{-1} from one triangular solve, so the basis may
-    hold at most DENSE_LIMIT words; in matrix-free mode each column is one
-    CG solve to cg_tol (m must stay small).  Returns the Hermitized corner
-    together with the CG iteration counts (empty unless matrix-free).
+    coupled limit is checked against, computed independently of the stage
+    blocks of rn_derivative.  In dense and Toeplitz mode it solves the
+    dense eps I + T_r for the first m unit vectors (one Cholesky solve),
+    so the basis may hold at most DENSE_LIMIT words; in matrix-free mode
+    each column is one CG solve to cg_tol (m must stay small).  Returns
+    the Hermitized corner together with the CG iteration counts (empty
+    unless matrix-free).
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -352,7 +353,8 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
             raise ValueError(
                 f"the dense reference corner needs at most {DENSE_LIMIT} basis "
                 f"words, got {basis.size}")
-        corner = _triangular_corner(_reversed_cholesky(Tr, eps), m)
+        A = Tr.to_dense() + eps * np.eye(basis.size)
+        corner = scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m]
     else:
         if m > 256:
             raise ValueError(
@@ -369,7 +371,7 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
             iters.append(it)
             e[j] = 0.0
         cg_iters = tuple(iters)
-    return 0.5 * (corner + corner.conj().T), cg_iters
+    return _herm(corner), cg_iters
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +467,24 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     For each stage, T_stage = (P Delta_r(eps) P)^{-1} - eps I is recovered
     on the words of grade <= M + recovery_buffer; the iteration stops
     early once consecutive grade-M resolvent corners differ by less than
-    cauchy_tol in max norm.  Only the grade-M block of T_stage is formed.
-    In dense mode the inverted corner is the Schur complement U_mm U_mm^H
-    of one reversed Cholesky factor eps I + T_r = U U^H, whose grade-M
-    block is U[:m_out, :m] U[:m_out, :m]^H, so no corner is solved for and
-    nothing is inverted.  A Toeplitz (d = 1) stage reads the same outputs
-    off the outer factor y of its symbol (_spectral_recovery): the block
-    is Y_m^H Y_m - eps I cut to grade M, on the untruncated operator, with
-    no solve and no CG; it raises RuntimeError if the symbol is not
-    positive.  A Toeplitz stage whose recovery corner is the whole basis
-    (m_rec = n) has no word beyond the corner and takes the dense route.
-    The matrix-free mode (CG per column) computes the corner with
-    resolvent_corner and inverts it.  The reported T_hat comes from the
-    smallest eps in the grid (least upward bias on near-singular
-    directions); the other grid values only feed the eps-consistency
-    cross-check, which repeats the last stage.  On the dense route it forms
-    only the grade-M block, from the block of eps I + T_r beyond the
-    recovery corner (_dense_eps_block); when m_rec = n that is T_r's own
-    grade-M block for every eps.
+    cauchy_tol in max norm.  Each stage mode returns
+    S = (P_m Delta_r(eps) P_m)^{-1} on the m = m_rec recovery words
+    (_stage_block: a Schur complement of the dense T_r, the outer factor
+    of the d = 1 symbol, or the inverse of the CG corner), and one tail
+    (_read_stage) reads the grade-M block of T_stage, the grade-M corner
+    and the vacuum delta off it.  A Toeplitz (d = 1) stage works on the
+    untruncated operator and raises RuntimeError if its symbol is not
+    positive; one whose recovery corner is the whole basis (m_rec = n)
+    has no word beyond the corner and takes the dense route.  The
+    reported T_hat comes from the smallest eps in the grid (least upward
+    bias on near-singular directions); the other grid values only feed
+    the eps-consistency cross-check, which repeats the last stage and
+    forms only the grade-M columns of S; on the dense route with
+    m_rec = n that is eps I + T_r's own grade-M block.
     """
-    if isinstance(source, NCSeries):
-        d = source.basis.d
-    elif isinstance(source, MomentFunctional):
-        d = source.basis.d
-    else:
+    if not isinstance(source, (NCSeries, MomentFunctional)):
         raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
+    d = source.basis.d
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
     if recovery_buffer < 0:
@@ -506,29 +501,15 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     m_out = word_count(d, M)
 
-    def dense(Tr, m):
-        # a d = 1 corner of the whole basis leaves no word beyond it to factor
-        return Tr.mode == "dense" or Tr.mode == "toeplitz" and m == Tr.basis.size
-
-    def recover(Tr, eps, m):
-        # (Hermitian grade-M T block, grade-M corner, vacuum delta, CG counts)
-        if dense(Tr, m):
-            return (*_dense_recovery(Tr, eps, m, m_out), ())
-        if Tr.mode == "toeplitz":
-            return (*_spectral_recovery(Tr, eps, m, m_out), ())
-        corner, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol,
-                                            cg_maxiter=cg_maxiter)
-        T = (np.linalg.inv(corner) - eps * np.eye(m))[:m_out, :m_out]
-        return (0.5 * (T + T.conj().T), corner[:m_out, :m_out],
-                float(corner[0, 0].real), cg_iters)
-
     records = []
     prev = None
     converged = False
     for (r, N) in schedule.stages:
         Tr = _stage_operator(source, d, r, N)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        T_hat, corner, vacuum, cg_iters = recover(Tr, primary, m_rec)
+        S, cg_iters = _stage_block(Tr, primary, m_rec, m_rec, cg_tol, cg_maxiter)
+        T_hat, corner, vacuum = _read_stage(S, primary, m_out)
+        del S  # consumed by the tail; it must not meet the next stage's S
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
             r=r, N=N, vacuum_delta=vacuum, mass=float(T_hat[0, 0].real),
@@ -542,8 +523,8 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = (_dense_eps_block(Tr, eps, m_rec, m_out) if dense(Tr, m_rec)
-                       else recover(Tr, eps, m_rec)[0])
+        S = _stage_block(Tr, eps, m_rec, m_out, cg_tol, cg_maxiter)[0]  # m_out x m_out
+        blocks[eps] = _herm(S) - eps * np.eye(m_out)
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:

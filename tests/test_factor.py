@@ -96,7 +96,7 @@ def test_outer_factor_rejects_bad_tau():
 
 def test_ltoeplitz_check_examples():
     basis = WordBasis(2, 3)
-    eye = TruncatedOperator.identity(basis)
+    eye = TruncatedOperator.from_dense(basis, np.eye(basis.size))
     assert ltoeplitz_check(eye).max_violation == 0.0
     b1 = WordBasis(1, 16)
     Tr = RadialOperator.from_schur(NCSeries.from_dict(b1, {(1,): 0.5}), 0.8)

@@ -6,13 +6,12 @@ from scipy.linalg import solve_toeplitz, toeplitz
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
-                              _dense_eps_block, _dense_recovery,
-                              _radial_matrix_free, _spectral_recovery,
-                              fatou_form_check, form_decomposition_diagnostic,
-                              hermitian_cg, majorant_check, resolvent_corner,
-                              rn_derivative)
+                              _radial_matrix_free, _read_stage, _schur_block,
+                              _spectral_block, fatou_form_check,
+                              form_decomposition_diagnostic, hermitian_cg,
+                              majorant_check, resolvent_corner, rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram,
-                             nc_lebesgue, vector_state)
+                             herglotz_transform, nc_lebesgue, vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
 from ncfatou.series import NCSeries, radial_scale, series_at_right_shifts
@@ -221,8 +220,10 @@ def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd
         Tr = RadialOperator.from_schur(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
     m = data.draw(st.integers(1, N))  # m_rec < n: words beyond the corner
     m_out = data.draw(st.integers(1, min(m, 9)))
-    T, corner, vacuum = _spectral_recovery(Tr, eps, m, m_out)
-    T_ref, corner_ref, vacuum_ref = _dense_recovery(Tr, eps, m, m_out)
+    S = _spectral_block(Tr, eps, m, m)
+    assert _close(_spectral_block(Tr, eps, m, m_out), S[:m_out, :m_out], 1e-14)
+    T, corner, vacuum = _read_stage(S, eps, m_out)
+    T_ref, corner_ref, vacuum_ref = _read_stage(_schur_block(Tr, eps, m, m), eps, m_out)
     assert np.array_equal(T, T.conj().T)
     assert _close(T, T_ref, 1e-12)
     assert _close(corner, corner_ref, 1e-12)
@@ -242,7 +243,7 @@ def test_spectral_recovery_of_an_inner_stage_matches_levinson():
     assert np.abs(phi[-17:]).max() < 1e-16 * abs(phi[0])
     A = toeplitz(phi[:17], np.zeros(17))
     ref = A @ A.conj().T / phi[0].real
-    T, corner, vacuum = _spectral_recovery(Tr, 0.25, 17, 9)
+    T, corner, vacuum = _read_stage(_spectral_block(Tr, 0.25, 17, 17), 0.25, 9)
     assert _close(T, (np.linalg.inv(ref) - 0.25 * np.eye(17))[:9, :9], 1e-12)
     assert _close(corner, ref[:9, :9], 1e-12)
     assert vacuum == pytest.approx(phi[0].real, rel=1e-12)
@@ -293,7 +294,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     n = B.basis.size
     Tr = RadialOperator.from_schur(B, r)
     assert Tr.mode == "dense"
-    T, corner, vacuum = _dense_recovery(Tr, eps, m, m_out)
+    T, corner, vacuum = _read_stage(_schur_block(Tr, eps, m, m), eps, m_out)
     assert T.shape == (m_out, m_out)
     assert np.array_equal(T, T.conj().T)
     # against the grade-M block of the explicit inverse of eps I + T_r
@@ -316,27 +317,28 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
 @settings(max_examples=20, deadline=None)
 @dense_recovery_draws
 def test_dense_eps_block_reads_the_block_beyond_the_corner(d, eps, r, l1, seed, data):
+    # the first m_out columns of S = (P_m Delta P_m)^{-1}, a fresh F-order
+    # array, against the explicit inverse and against all m columns
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
     Tr = RadialOperator.from_schur(B, r)
-    T = _dense_eps_block(Tr, eps, m, m_out)
-    assert T.shape == (m_out, m_out)
-    assert np.array_equal(T, T.conj().T)
-    assert _close(T, _dense_recovery(Tr, eps, m, m_out)[0], 1e-10)
+    S = _schur_block(Tr, eps, m, m_out)
+    assert S.shape == (m_out, m_out) and S.flags.f_contiguous
+    assert not np.shares_memory(S, Tr.to_dense())
+    assert _close(S, _schur_block(Tr, eps, m, m)[:m_out, :m_out], 1e-12)
     delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
-    assert _close(T, (np.linalg.inv(delta[:m, :m]) - eps * np.eye(m))[:m_out, :m_out],
-                  1e-10)
+    assert _close(S, np.linalg.inv(delta[:m, :m])[:m_out, :m_out], 1e-10)
 
 
 @pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
 def test_dense_eps_block_of_the_whole_basis_is_the_t_block(eps):
-    # m = n: no word lies beyond the corner, so nothing is factored
+    # m = n: no word lies beyond the corner, so nothing is factored and
+    # S is eps I + T_r on the block
     basis = WordBasis(2, 4)
     B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): 0.3j, (1, 2): 0.2})
     Tr = RadialOperator.from_schur(B, 0.8)
     X = Tr.to_dense()[:7, :7]
-    assert np.array_equal(_dense_eps_block(Tr, eps, basis.size, 7),
-                          0.5 * (X + X.conj().T))
+    assert np.array_equal(_schur_block(Tr, eps, basis.size, 7), X + eps * np.eye(7))
 
 
 def _count_cholesky(monkeypatch):
@@ -353,7 +355,8 @@ def _count_cholesky(monkeypatch):
 
 def test_rn_derivative_dense_factors_once_per_stage(monkeypatch):
     # the recovery corner is the whole basis at both stages (511 and 2047
-    # words), so the eps = 1.0 and 2.0 cross-checks factor nothing
+    # words): S = eps I + T_r needs no Schur complement, the tail factors
+    # S once per stage, and the eps = 1.0 and 2.0 cross-checks factor nothing
     sizes = _count_cholesky(monkeypatch)
     rn_derivative(NCSeries.zero(WordBasis(2, 1)), M=2, eps_grid=(0.5, 1.0, 2.0),
                   schedule=Schedule.explicit([(0.5, 8), (0.75, 10)]))
@@ -361,16 +364,19 @@ def test_rn_derivative_dense_factors_once_per_stage(monkeypatch):
 
 
 def test_rn_derivative_dense_cross_check_factors_beyond_the_corner(monkeypatch):
-    # N = 4: 31 words, recovery corner of grade M + buffer = 2 (7 words)
+    # N = 4: 31 words, recovery corner of grade M + buffer = 2 (7 words):
+    # the primary stage factors the 24 words beyond it and then its 7 x 7
+    # S, and each other eps factors the 24 words again
     sizes = _count_cholesky(monkeypatch)
     symbol = {(1,): 0.5, (2,): 0.3j}
     res = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), symbol), M=1,
                         recovery_buffer=1, eps_grid=(0.25, 1.0, 2.0),
                         schedule=Schedule.explicit([(0.6, 4)]))
-    assert sizes == [31, 24, 24]
-    # the same cross-check from the full factor at every eps
+    assert sizes == [24, 7, 24, 24]
+    # the same cross-check from the reference corner at every eps
     Tr = RadialOperator.from_schur(NCSeries.from_dict(WordBasis(2, 4), symbol), 0.6)
-    blocks = [_dense_recovery(Tr, eps, 7, 3)[0] for eps in (0.25, 1.0, 2.0)]
+    blocks = [np.linalg.inv(resolvent_corner(Tr, eps, 7)[0])[:3, :3] - eps * np.eye(3)
+              for eps in (0.25, 1.0, 2.0)]
     spread = max(np.abs(a - b).max() for a in blocks for b in blocks)
     assert spread > 1e-6
     assert res.eps_consistency == pytest.approx(spread, rel=1e-9)
@@ -460,6 +466,39 @@ def test_rn_derivative_vector_state_d2_approaches_its_gram_matrix(r):
     err = np.abs(res.T_compression - gram(mu.restricted(2)).matrix).max()
     assert 0.4 <= err / (1 - r) <= 0.7
     assert abs(res.mu_s.mass()) <= 1e-12
+
+
+def test_rn_derivative_vector_state_d2_inverts_a_corner_below_the_basis():
+    # recovery_buffer = 0: the corner is the 7 words of grade <= 2 out of
+    # 511, so the stage inverts a genuine Schur complement; against the
+    # inverse of the reference corner
+    basis = WordBasis(2, 8)
+    x = NCSeries.from_dict(basis, {(): 1.0, (1,): 0.5, (1, 2): 0.3j})
+    mu = vector_state(FockVector(basis, x.coeffs))
+    res = rn_derivative(mu, M=2, eps_grid=(0.25,), recovery_buffer=0,
+                        schedule=Schedule.explicit([(0.75, 8)]))
+    Tr = RadialOperator.from_herglotz(herglotz_transform(mu), 0.75)
+    corner, _ = resolvent_corner(Tr, 0.25, 7)
+    assert np.abs(res.T_compression - (np.linalg.inv(corner) - 0.25 * np.eye(7))).max() <= 1e-10
+    assert res.stages[0].vacuum_delta == pytest.approx(corner[0, 0].real, abs=1e-10)
+
+
+def test_rn_derivative_matrix_free_stages_match_the_dense_run(monkeypatch):
+    # the same N = 4 stages (31 words) once dense and once matrix-free, with
+    # DENSE_LIMIT moved below the basis; CG solves each corner column
+    symbol = NCSeries.from_dict(WordBasis(2, 1), {(1,): 0.5, (2,): 0.3j})
+    kw = dict(M=1, recovery_buffer=1, eps_grid=(0.25, 1.0),
+              schedule=Schedule.explicit([(0.5, 4), (0.6, 4)]), cauchy_tol=0.0)
+    dense = rn_derivative(symbol, **kw)
+    monkeypatch.setattr(lebesgue, "DENSE_LIMIT", 30)
+    free = rn_derivative(symbol, **kw)
+    assert all(stage.cg_iterations == () for stage in dense.stages)
+    assert all(len(stage.cg_iterations) == 7 for stage in free.stages)
+    assert np.abs(free.T_compression - dense.T_compression).max() <= 1e-8
+    assert np.abs(np.array([s.vacuum_delta for s in free.stages])
+                  - [s.vacuum_delta for s in dense.stages]).max() <= 1e-8
+    assert dense.eps_consistency > 1e-3
+    assert free.eps_consistency == pytest.approx(dense.eps_consistency, abs=1e-8)
 
 
 def test_rn_derivative_classical_fatou_small():

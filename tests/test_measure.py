@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfatou.fock import FockVector, basis_vector, left_shift, vacuum
+from ncfatou.fock import (FockVector, basis_vector, graded_multiplier, left_shift,
+                          vacuum)
 from ncfatou.measure import (MomentFunctional, cauchy_transform,
                              clark_measure, gns_isometry, gns_row_residual,
                              gram, gram_matvec, herglotz_eval,
@@ -56,12 +57,14 @@ def test_vector_state_gram_is_shifted_inner_products():
     big = WordBasis(2, 6)
     x_big = np.zeros(big.size, dtype=complex)
     x_big[:basis.size] = x.coeffs
-    from ncfatou.fock import word_monomial
+    shifted = []  # Z^w x, left multiplication by the monomial of each word w
+    for i in range(basis.size):
+        c = np.zeros(big.size, dtype=complex)
+        c[big.index(basis.word(i))] = 1.0
+        shifted.append(graded_multiplier(big, c).apply(x_big))
     for i in range(basis.size):
         for j in range(basis.size):
-            a = word_monomial(big, basis.word(i)).apply(x_big)
-            b = word_monomial(big, basis.word(j)).apply(x_big)
-            assert G[i, j] == pytest.approx(np.vdot(a, b), abs=1e-12)
+            assert G[i, j] == pytest.approx(np.vdot(shifted[i], shifted[j]), abs=1e-12)
 
 
 def test_is_positive_examples():
