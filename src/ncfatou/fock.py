@@ -146,15 +146,18 @@ class _GradedProduct:
     is block lower-triangular in the graded-lex basis, so with f_0 != 0
     it is inverted by one substitution over grades; at d = 1 it is the
     banded lower-triangular Toeplitz matrix of f, solved by LAPACK ztbtrs.
+    coeffs may stop after the words of some grade g, the higher ones being
+    zero; graded_multiplier and graded_inverse take the whole basis.
     """
 
     def __init__(self, basis: WordBasis, coeffs, side: str):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        if coeffs.shape != (basis.size,):
+        if coeffs.ndim != 1 or len(coeffs) not in basis.offsets[1:]:
             raise ValueError(
-                f"coefficient vector has shape {coeffs.shape}, basis size {basis.size}")
+                f"coefficient vector has shape {coeffs.shape}, not the words of "
+                f"grade <= g of a basis of size {basis.size}")
         self.basis, self.left, self.coeffs = basis, side == "left", coeffs
         # d = 1 multiplies by np.convolve, and solves on the band, with f
         # cut at its degree
@@ -254,6 +257,13 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[:nz[-1] + 1] if nz.size else c[:1]
 
 
+def _full(basis: WordBasis, coeffs):
+    if np.shape(coeffs) != (basis.size,):
+        raise ValueError(
+            f"coefficient vector has shape {np.shape(coeffs)}, basis size {basis.size}")
+    return coeffs
+
+
 def graded_multiplier(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOperator:
     """Compression of multiplication by f = sum_a c_a Z^a.
 
@@ -263,7 +273,7 @@ def graded_multiplier(basis: WordBasis, coeffs, side: str = "left") -> Truncated
     matrix, vector state and sum-of-squares split of measure are all
     built on this kernel.
     """
-    k = _GradedProduct(basis, coeffs, side)
+    k = _GradedProduct(basis, _full(basis, coeffs), side)
     return TruncatedOperator(basis, k.matvec, k.rmatvec, dense=k.dense)
 
 
@@ -276,7 +286,7 @@ def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOpe
     substitution, O(N deg f), on a band of (deg f + 1)(N + 1) numbers.
     Exact on the truncation.
     """
-    k = _GradedProduct(basis, coeffs, side)
+    k = _GradedProduct(basis, _full(basis, coeffs), side)
     if k.coeffs[0] == 0:
         raise ValueError("graded inverse needs a nonzero constant coefficient")
     return TruncatedOperator(basis, k.solve, lambda w: k.solve(w, adjoint=True))

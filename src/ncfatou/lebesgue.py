@@ -213,8 +213,8 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
     non-convergence or breakdown (p^H A p not finite and positive, or a
     non-finite residual) so that failed solves are never silently used.
     """
-    x = np.zeros_like(b)
-    res = b.copy()
+    res = np.array(b, dtype=complex)  # x, res and p are updated in place
+    x = np.zeros_like(res)
     p = res.copy()
     rs = float(np.vdot(res, res).real)
     bnorm = float(np.linalg.norm(b))
@@ -228,14 +228,15 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
         alpha = rs / pAp
-        x = x + alpha * p
-        res = res - alpha * Ap
+        x += alpha * p
+        res -= alpha * Ap
         rs_new = float(np.vdot(res, res).real)
         if not np.isfinite(rs_new):
             raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
         if np.sqrt(rs_new) <= tol * bnorm:
             return x, it, np.sqrt(rs_new) / bnorm
-        p = res + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += res
         rs = rs_new
     raise RuntimeError(
         f"CG did not converge in {maxiter} iterations "

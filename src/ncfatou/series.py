@@ -13,9 +13,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .fock import TruncatedOperator, graded_inverse, graded_multiplier
+from .fock import TruncatedOperator, _GradedProduct, graded_inverse, graded_multiplier
 from .words import Word, WordBasis, word_from_str, word_to_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
@@ -162,8 +161,7 @@ def cayley_to_herglotz(B: NCSeries) -> NCSeries:
     if abs(B.constant_term()) >= 1.0:
         raise ValueError(_GERM_MSG.format(
             f"|B(0)| = {abs(B.constant_term()):.6g} >= 1"))
-    one = NCSeries.one(B.basis)
-    return multiply(invert(one - B), one + B)
+    return _cayley(B, 1.0)
 
 
 def cayley_to_schur(H: NCSeries) -> NCSeries:
@@ -171,8 +169,20 @@ def cayley_to_schur(H: NCSeries) -> NCSeries:
     if H.constant_term().real <= -1.0:
         raise ValueError(_GERM_MSG.format(
             f"Re H(0) = {H.constant_term().real:.6g} <= -1"))
-    one = NCSeries.one(H.basis)
-    return multiply(invert(H + one), H - one)
+    return _cayley(H, -1.0)
+
+
+def _cayley(f: NCSeries, s: float) -> NCSeries:
+    """s (1 - s f)^{-1}(1 + s f) = s (2 (1 - s f)^{-1} - 1), since
+    1 + s f = 2 - (1 - s f): one graded solve against the vacuum, with
+    1 - s f cut at the degree of f, scaled in place, and no product.
+    s = 1 maps B to H, s = -1 maps H back to B."""
+    k = f.coeffs[:f.basis.sub_basis_size(f.degree())] * -s
+    k[0] += 1.0
+    h = _GradedProduct(f.basis, k, "left").solve(NCSeries.one(f.basis).coeffs)
+    h *= 2.0 * s
+    h[0] -= s
+    return NCSeries(f.basis, h)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +329,7 @@ def left_multiplier_norm(f: NCSeries, tol: float = 1e-12) -> float:
             e[j] = 0.0
         lam = float(np.linalg.eigvalsh(A).max())
     else:
+        import scipy.sparse.linalg  # here only: importing ncfatou need not load scipy.sparse
         lin = scipy.sparse.linalg.LinearOperator((m, m), matvec=gram_mv, dtype=complex)
         v0 = np.ones(m) / np.sqrt(m)
         lam = float(scipy.sparse.linalg.eigsh(

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +210,15 @@ def test_validate_fills_every_default():
     assert c["recovery_buffer"] == 8
     assert c["schedule"] == {"tail_tol": 1e-8, "j_min": 1, "j_max": 10,
                              "memory_budget_mb": 512.0}
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import sys, ncfatou.cli; "
+                           "print('scipy.sparse' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_coupled_schedule_below_M_exits_2(tmp_path, capsys):

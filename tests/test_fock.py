@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from ncfatou import fock
 from ncfatou.fock import (FockVector, basis_vector, graded_inverse,
                           graded_multiplier, left_shift, right_shift,
                           transpose_unitary, vacuum)
@@ -173,6 +174,33 @@ def test_graded_product_sides_and_germ():
         graded_inverse(basis, c)
     with pytest.raises(ValueError):
         graded_multiplier(basis, c, "middle")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_graded_product_takes_the_coefficients_through_a_grade(d):
+    # the private product, given f through grade 2 of a grade-6 basis, acts
+    # as f padded with zeros, bit for bit; a vector that stops inside a grade
+    # or runs past the basis is rejected, and the public kernels take the
+    # whole basis only
+    rng = np.random.default_rng(7)
+    basis = WordBasis(d, 6)
+    m = basis.sub_basis_size(2)
+    c = np.zeros(basis.size, dtype=complex)
+    c[:m] = random_symbol(rng, WordBasis(d, 2), 0.0)
+    x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    for side in ("left", "right"):
+        full = fock._GradedProduct(basis, c, side)
+        cut = fock._GradedProduct(basis, c[:m], side)
+        assert np.array_equal(full.matvec(x), cut.matvec(x))
+        assert np.array_equal(full.rmatvec(x), cut.rmatvec(x))
+        for adjoint in (False, True):
+            assert np.array_equal(full.solve(x, adjoint), cut.solve(x, adjoint))
+    for bad in (c[:m + 1] if d > 1 else c[:0], np.ones(basis.size + 1)):
+        with pytest.raises(ValueError):
+            fock._GradedProduct(basis, bad, "left")
+    for make in (graded_multiplier, graded_inverse):
+        with pytest.raises(ValueError, match="basis size"):
+            make(basis, c[:m])
 
 
 @pytest.mark.parametrize("kind", ["degree 1", "full degree"])

@@ -389,6 +389,10 @@ def test_hermitian_cg_solves_and_reports():
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     x, iters, rel = hermitian_cg(lambda v: A @ v, b, tol=1e-12, maxiter=500)
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
+    # a real right-hand side of a complex operator: the in-place updates
+    # work on complex arrays
+    x, _, _ = hermitian_cg(lambda v: A @ v, b.real, tol=1e-12, maxiter=500)
+    assert np.linalg.norm(A @ x - b.real) < 1e-10 * np.linalg.norm(b.real)
     with pytest.raises(RuntimeError):
         hermitian_cg(lambda v: A @ v, b, tol=1e-14, maxiter=2)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ncfatou import fock
 from ncfatou.fock import transpose_unitary
 from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                             cayley_to_schur, dbr_kernel, evaluate,
@@ -12,6 +13,7 @@ from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                             szego_kernel_matrix, transpose_conjugate,
                             write_series_csv)
 from ncfatou.words import WordBasis
+from test_measure import brute_cayley_herglotz
 
 
 # -- independent brute-force oracle for the graded algebra ------------------
@@ -122,6 +124,43 @@ def test_cayley_rejects_boundary_germ():
         cayley_to_herglotz(series_from(basis, {(): 1.0}))
     with pytest.raises(ValueError):
         cayley_to_schur(series_from(basis, {(): -1.0}))
+
+
+symbols = st.lists(st.tuples(st.integers(1, 14), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                   min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 2), terms=symbols, germ=st.complex_numbers(max_magnitude=0.9))
+def test_cayley_matches_brute_product_oracle(d, terms, germ):
+    # H = 2 (1 - B)^{-1} - 1 against (1 - B)^{-1}(1 + B) by word convolution
+    basis = WordBasis(d, 4 if d == 1 else 3)
+    B = {(): germ}
+    for i, re, im in terms:
+        w = basis.word(1 + i % (basis.size - 1))  # the germ stays put
+        B[w] = B.get(w, 0.0) + re + 1j * im
+    H = cayley_to_herglotz(series_from(basis, B))
+    for w, val in brute_cayley_herglotz(B, d, basis.N).items():
+        assert abs(H.coefficient(w) - val) <= 1e-13 * max(1.0, abs(val))
+    back = cayley_to_schur(H)
+    assert np.abs(back.coeffs - series_from(basis, B).coeffs).max() < 1e-12
+
+
+def test_cayley_is_one_solve_and_no_product(monkeypatch):
+    calls = []
+    for name in ("solve", "matvec", "rmatvec"):
+        real = getattr(fock._GradedProduct, name)
+
+        def counted(self, *args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(fock._GradedProduct, name, counted)
+    B = series_from(WordBasis(2, 6), {(1,): 0.4, (2, 1): -0.3j})
+    H = cayley_to_herglotz(B)
+    assert calls == ["solve"]
+    cayley_to_schur(H)
+    assert calls == ["solve", "solve"]
 
 
 def test_radial_scale():
