@@ -14,27 +14,34 @@ corner of the resolvent is a Schur complement of eps I + T, and the
 enlargement buffer pushes its systematic deficit below tolerance for
 symbols whose moments decay.
 
-Every stage therefore computes one matrix, S = (P_m Delta P_m)^{-1}, the
-Schur complement of eps I + T_r in the words beyond the recovery corner
-(Golub & Van Loan, Matrix Computations, ch. 4), and each stage mode
-provides only its first k columns:
+Every stage therefore works with one matrix, S = (P_m Delta_r(eps) P_m)^{-1},
+the Schur complement of eps I + T_r in the words beyond the recovery
+corner (Golub & Van Loan, Matrix Computations, ch. 4), by one of three
+stage modes:
 
-- dense: eps I + A[:k, :k] - V^H V, V = L^{-1} A[m:, :k] with
-  L L^H = eps I + A[m:, m:] (A = T_r), one Cholesky of size n - m and
-  none when m = n;
+- elimination (d >= 2 on at most DENSE_LIMIT words): T_r vanishes on
+  every pair of words neither of which is a prefix of the other, since
+  L_i^* L_j = delta_ij I.  Eliminating the words of grades N, N-1, ...
+  (leaves first on the tree of prefixes) therefore creates no fill
+  (Parter 1961; Rose, Tarjan & Lueker, SIAM J. Comput. 1976), and each
+  grade keeps only its diagonal and its entries to its own prefixes,
+  read straight off T_r's first column: O(n N^2) work, no dense matrix.
+  It stops at the recovery grade for S and goes on to grade M for the
+  corner.  A d = 1 stage whose recovery corner is the whole truncated
+  basis (m_rec = n) leaves no word beyond the corner and takes this
+  route too;
 - Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
   symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
   its outer factor (Szego-Kolmogorov), computed by a few FFTs; on the
   untruncated operator eps I + T_r = Y^H Y, Y lower triangular, so
-  S = Y_m^H Y_m with no solve and no truncation at grade N.  When the
-  recovery corner is the whole truncated basis (m_rec = n) no word lies
-  beyond it, and the stage is the dense one;
+  S = Y_m^H Y_m with no solve and no truncation at grade N;
 - matrix-free: the corner by CG, one column at a time, inverted.
 
-One tail reads the rest off S: the grade-M block T_hat = S[o, o] - eps I,
-the grade-M corner (S^{-1})[o, o] from one Cholesky factor of S, and the
-vacuum delta, its (0, 0) entry.  The eps cross-check forms only the
-grade-M columns of S for each extra eps.
+Each stage reads three things: the grade-M block T_hat = S[o, o] - eps I,
+the grade-M corner (S^{-1})[o, o] and the vacuum delta, its (0, 0) entry.
+The Toeplitz and matrix-free modes read the corner from one Cholesky
+factor of S; the elimination reads it as the inverse of the block its
+sweep leaves at grade M.  The eps cross-check forms only T_hat.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import scipy.linalg
 from .fock import FockVector, TruncatedOperator, graded_inverse
 from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
                       herglotz_transform, is_positive, vector_state)
-from .series import (NCSeries, cayley_to_herglotz, radial_scale,
+from .series import (NCSeries, cayley_to_herglotz, radial_scale, right_multiplier,
                      series_at_right_shifts, transpose_conjugate)
 from .words import WordBasis, word_count
 
@@ -120,24 +127,27 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # radial operators T_r = Re H(rR)
 
-#: d >= 2 bases up to this many words hold T_r as a dense matrix; the
-#: dense reference corner (resolvent_corner) takes no larger d = 1 basis.
+#: d >= 2 stages on bases up to this many words run the elimination over
+#: grades, larger ones run CG; the dense reference corner
+#: (resolvent_corner) takes no larger d = 1 basis.
 DENSE_LIMIT = 2048
 
 
 class RadialOperator(TruncatedOperator):
     """Compression of T_r = Re H_B(rR) on the truncated basis.
 
-    The mode follows from (d, basis.size).  T_r v = (H(rR) v + H(rR)^* v)/2
-    with H(rR) a graded multiplier.  For d = 1 ('toeplitz') T_r is
-    Toeplitz, and its first column is kept: it is the symbol the stages of
-    rn_derivative factor, and its dense matrix is built on demand.  For
-    d >= 2, bases of up to DENSE_LIMIT words hold the dense matrix
-    ('dense'); larger ones apply T_r without it ('matrix-free').  From a
-    Schur symbol that uses K = I - B(rR), block lower-triangular with
-    diagonal (1 - B(0)) I in the graded-lex basis: H(rR) = 2 K^{-1} - I,
-    so T_r v = K^{-1} v + K^{-*} v - v, each term one substitution over
-    grades, exact on the truncation.
+    T_r v = (H(rR) v + H(rR)^* v)/2 with H(rR) a graded multiplier.  Built
+    from Herglotz coefficients, it keeps its first column T_r e_0, which
+    determines it: T_r[b.v, b] = column[v] and T_r[b, b.v] = conj(column[v])
+    for every word b and nonempty word v, and every other entry vanishes.
+    The stages of rn_derivative read the column; the dense matrix is built
+    on the first to_dense() call.  The mode follows from (d, basis.size):
+    'toeplitz' for d = 1, where T_r is Toeplitz; 'elimination' for d >= 2
+    bases of up to DENSE_LIMIT words; 'matrix-free' beyond, with no column.
+    From a Schur symbol the matrix-free mode uses K = I - B(rR), block
+    lower-triangular with diagonal (1 - B(0)) I in the graded-lex basis:
+    H(rR) = 2 K^{-1} - I, so T_r v = K^{-1} v + K^{-*} v - v, each term
+    one substitution over grades, exact on the truncation.
     """
 
     def __init__(self, basis: WordBasis, r: float, matvec,
@@ -145,8 +155,8 @@ class RadialOperator(TruncatedOperator):
         super().__init__(basis, matvec, matvec, dense=dense)
         self.r = r
         self.column = column
-        self.mode = ("toeplitz" if column is not None else
-                     "matrix-free" if dense is None else "dense")
+        self.mode = ("matrix-free" if column is None else
+                     "toeplitz" if basis.d == 1 else "elimination")
 
     @staticmethod
     def from_schur(B: NCSeries, r: float) -> "RadialOperator":
@@ -162,31 +172,34 @@ class RadialOperator(TruncatedOperator):
     def from_herglotz(H: NCSeries, r: float) -> "RadialOperator":
         """Build T_r = Re H(rR) directly from Herglotz coefficients."""
         basis = H.basis
-        H_r = radial_scale(H, r)  # checks 0 < r < 1
-        op = series_at_right_shifts(H_r)
-        mode = _mode(basis)
-        if mode == "dense":
-            dense = op.to_dense()  # op is local: Hermitize its matrix in place
-            dense += dense.conj().T
-            dense *= 0.5
-            return RadialOperator(basis, r, lambda v: dense @ v, dense=dense)
+        c = transpose_conjugate(radial_scale(H, r))  # radial_scale checks 0 < r < 1
+        op = right_multiplier(c)
 
         def matvec(v):
             return 0.5 * (op.apply(v) + op.adjoint_apply(v))
 
-        if mode == "matrix-free":
+        if _mode(basis) == "matrix-free":
             return RadialOperator(basis, r, matvec)
         # the same entries as matvec produces, so columns match exactly
-        column = 0.5 * H_r.coeffs
+        column = 0.5 * c.coeffs
         column[0] = H.coeffs[0].real
-        return RadialOperator(basis, r, matvec, column=column,
-                              dense=lambda: scipy.linalg.toeplitz(column, column.conj()))
+        if basis.d == 1:
+            return RadialOperator(basis, r, matvec, column=column,
+                                  dense=lambda: scipy.linalg.toeplitz(column, column.conj()))
+
+        def dense():  # only this reads op's dense matrix: Hermitize it in place
+            A = op.to_dense()
+            A += A.conj().T
+            A *= 0.5
+            return A
+
+        return RadialOperator(basis, r, matvec, column=column, dense=dense)
 
 
 def _mode(basis: WordBasis) -> str:
     if basis.d == 1:
         return "toeplitz"
-    return "dense" if basis.size <= DENSE_LIMIT else "matrix-free"
+    return "elimination" if basis.size <= DENSE_LIMIT else "matrix-free"
 
 
 def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
@@ -247,25 +260,65 @@ def _herm(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().T)
 
 
-def _schur_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarray:
-    """S[:k, :k] for S = (P_m Delta_r(eps) P_m)^{-1}, from the dense T_r.
+def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int,
+               corner: bool = True) -> tuple:
+    """T_hat, the grade-M corner and the vacuum delta of an elimination
+    stage, with the corner and the delta None unless corner is set.
 
-    S is the Schur complement of eps I + T_r in the words r = [m, n)
-    beyond the corner, so its first k columns are
-    eps I + A[:k, :k] - V^H V with A = T_r, V = L^{-1} A[r, :k] and
-    L L^H = eps I + A[r, r]: one Cholesky of size n - m, none when m = n.
-    Returns a fresh array in F order, which the caller may overwrite.
+    m and m_out count the words of grade <= M_rec and <= M.  Each grade g
+    keeps the diagonal D_g of T_r and, for k = 1..g, the entries E_g[k-1]
+    from its words to their k-th prefixes: the word of rank q has its
+    k-th prefix at rank q // d^k and the entry conj(column[v]), v its
+    suffix of length k.  Eliminating grade g subtracts
+    E_g[j-1] conj(E_g[i-1]) / (eps + D_g), summed over the words below each
+    prefix, from the entries between their i-th and j-th prefixes
+    (i <= j), all of them again prefix pairs; eps stays off D, so the
+    elimination works on S - eps I.  After grades N..M_rec + 1 the grade-M
+    block is T_hat; after grades M_rec..M + 1 it is the inverse of the
+    corner less eps I.  Raises LinAlgError if a pivot is not positive.
     """
-    A = Tr.to_dense()
-    S = A[:k, :k].conj().T  # A is Hermitian: an F-order copy in one pass
-    S[np.diag_indices_from(S)] += eps
-    if m < len(A):
-        C = np.array(A[m:, m:], order="F")  # a copy, factored in place
-        C[np.diag_indices_from(C)] += eps
-        L = scipy.linalg.cholesky(C, lower=True, overwrite_a=True)
-        V = scipy.linalg.solve_triangular(L, A[m:, :k], lower=True)
-        S -= V.conj().T @ V
-    return S
+    b, col = Tr.basis, Tr.column
+    d = b.d
+    grade_rec, M = (int(np.searchsorted(b.offsets, k)) - 1 for k in (m, m_out))
+    D = [np.full(d ** g, col[0].real) for g in range(b.N + 1)]
+    E = [np.array([np.tile(col[b.grade_slice(k)].conj(), d ** (g - k))
+                   for k in range(1, g + 1)], dtype=complex).reshape(g, d ** g)
+         for g in range(b.N + 1)]
+
+    def eliminate(top, stop):
+        for g in range(top, stop, -1):
+            pivot = D[g] + eps
+            if not pivot.min() > 0.0:
+                raise np.linalg.LinAlgError(
+                    f"eps I + T_r is not positive definite at r = {Tr.r!r}: "
+                    f"pivot {pivot.min():.3e} at grade {g}")
+            for i in range(1, g + 1):
+                f = E[g][i - 1].conj() / pivot
+                below = (d ** (g - i), d ** i)  # prefix rank, rank below it
+                D[g - i] -= (E[g][i - 1] * f).real.reshape(below).sum(1)
+                E[g - i] -= (E[g][i:] * f).reshape(g - i, *below).sum(2)
+
+    def block():
+        X = np.zeros((m_out, m_out), dtype=complex)
+        for g in range(M + 1):
+            rank = np.arange(d ** g)
+            w = b.offsets[g] + rank
+            X[w, w] = D[g]
+            for k in range(1, g + 1):
+                p = b.offsets[g - k] + rank // d ** k
+                X[p, w] = E[g][k - 1]
+                X[w, p] = E[g][k - 1].conj()
+        return X
+
+    eliminate(b.N, grade_rec)
+    T = block()
+    if not corner:
+        return T, None, None
+    eliminate(grade_rec, M)
+    C = block()
+    C[np.diag_indices_from(C)] += eps
+    delta = _inverse_corner(C, m_out)
+    return T, delta, float(delta[0, 0].real)
 
 
 def _spectral_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarray:
@@ -296,37 +349,47 @@ def _spectral_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarra
     return W.conj().T @ W
 
 
-def _stage_block(Tr: RadialOperator, eps: float, m: int, k: int,
-                 cg_tol: float, cg_maxiter: int) -> tuple:
-    """S[:k, :k] for S = (P_m Delta_r(eps) P_m)^{-1} by the stage mode,
-    with the CG iteration counts (empty unless matrix-free).
-
-    A d = 1 corner of the whole basis (m = n) leaves no word beyond it,
-    so that stage is the truncated one and takes the dense route.
-    """
-    if Tr.mode == "dense" or Tr.mode == "toeplitz" and m == Tr.basis.size:
-        return _schur_block(Tr, eps, m, k), ()
-    if Tr.mode == "toeplitz":
-        return _spectral_block(Tr, eps, m, k), ()
-    corner, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol, cg_maxiter=cg_maxiter)
-    return np.linalg.inv(corner)[:k, :k], cg_iters
+def _inverse_corner(S: np.ndarray, k: int) -> np.ndarray:
+    """(S^{-1})[:k, :k] = X^H X with X = L^{-1} E_k, from S = L L^H
+    (factored in place, so S is consumed); Hermitized."""
+    L = scipy.linalg.cholesky(np.asfortranarray(S), lower=True, overwrite_a=True)
+    X = scipy.linalg.solve_triangular(L, np.eye(len(L), k), lower=True,
+                                      check_finite=False)  # cholesky checked S
+    return _herm(X.conj().T @ X)
 
 
 def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
     """The grade-M block T_hat, the grade-M corner and the vacuum delta
     from the m x m matrix S = (P_m Delta_r(eps) P_m)^{-1}.
 
-    T_hat = S[o, o] - eps I on the first m_out words o.  With S = L L^H
-    (factored in place, so S is consumed) the corner P_o Delta P_o is
-    (S^{-1})[o, o] = X^H X with X = L^{-1} E_o, and the vacuum delta is
-    its (0, 0) entry.
+    T_hat = S[o, o] - eps I on the first m_out words o; the corner
+    P_o Delta P_o is (S^{-1})[o, o], and the vacuum delta is its (0, 0)
+    entry.  S is consumed.
     """
     T = _herm(S[:m_out, :m_out]) - eps * np.eye(m_out)
-    L = scipy.linalg.cholesky(np.asfortranarray(S), lower=True, overwrite_a=True)
-    X = scipy.linalg.solve_triangular(L, np.eye(len(L), m_out), lower=True,
-                                      check_finite=False)  # cholesky checked S
-    corner = _herm(X.conj().T @ X)
+    corner = _inverse_corner(S, m_out)
     return T, corner, float(corner[0, 0].real)
+
+
+def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int, cg_tol: float,
+           cg_maxiter: int, corner: bool = True) -> tuple:
+    """(T_hat, corner, vacuum delta, CG iteration counts) of one stage at
+    eps, on a recovery corner of m words and an output block of m_out.
+    With corner=False only T_hat is formed and the corner and the delta
+    are None.  A d = 1 corner of the whole basis (m = n) leaves no word
+    beyond it, so that truncated stage is eliminated like a d >= 2 one.
+    """
+    if Tr.mode == "elimination" or Tr.mode == "toeplitz" and m == Tr.basis.size:
+        return (*_eliminate(Tr, eps, m, m_out, corner), ())
+    cg_iters: tuple = ()
+    if Tr.mode == "toeplitz":
+        S = _spectral_block(Tr, eps, m, m if corner else m_out)
+    else:
+        c, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol, cg_maxiter=cg_maxiter)
+        S = np.linalg.inv(c)
+    if not corner:
+        return _herm(S[:m_out, :m_out]) - eps * np.eye(m_out), None, None, cg_iters
+    return (*_read_stage(S, eps, m_out), cg_iters)
 
 
 def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
@@ -336,12 +399,12 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
 
     This is the exact corner of the truncated resolvent, the reference the
     coupled limit is checked against, computed independently of the stage
-    blocks of rn_derivative.  In dense and Toeplitz mode it solves the
-    dense eps I + T_r for the first m unit vectors (one Cholesky solve),
-    so the basis may hold at most DENSE_LIMIT words; in matrix-free mode
-    each column is one CG solve to cg_tol (m must stay small).  Returns
-    the Hermitized corner together with the CG iteration counts (empty
-    unless matrix-free).
+    stages of rn_derivative.  In elimination and Toeplitz mode it solves
+    the dense eps I + T_r (built by to_dense()) for the first m unit
+    vectors (one Cholesky solve), so the basis may hold at most
+    DENSE_LIMIT words; in matrix-free mode each column is one CG solve to
+    cg_tol (m must stay small).  Returns the Hermitized corner together
+    with the CG iteration counts (empty unless matrix-free).
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -468,20 +531,21 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     For each stage, T_stage = (P Delta_r(eps) P)^{-1} - eps I is recovered
     on the words of grade <= M + recovery_buffer; the iteration stops
     early once consecutive grade-M resolvent corners differ by less than
-    cauchy_tol in max norm.  Each stage mode returns
-    S = (P_m Delta_r(eps) P_m)^{-1} on the m = m_rec recovery words
-    (_stage_block: a Schur complement of the dense T_r, the outer factor
-    of the d = 1 symbol, or the inverse of the CG corner), and one tail
-    (_read_stage) reads the grade-M block of T_stage, the grade-M corner
-    and the vacuum delta off it.  A Toeplitz (d = 1) stage works on the
-    untruncated operator and raises RuntimeError if its symbol is not
-    positive; one whose recovery corner is the whole basis (m_rec = n)
-    has no word beyond the corner and takes the dense route.  The
-    reported T_hat comes from the smallest eps in the grid (least upward
-    bias on near-singular directions); the other grid values only feed
-    the eps-consistency cross-check, which repeats the last stage and
-    forms only the grade-M columns of S; on the dense route with
-    m_rec = n that is eps I + T_r's own grade-M block.
+    cauchy_tol in max norm.  Each stage (_stage) reads the grade-M block
+    of T_stage, the grade-M corner and the vacuum delta: d >= 2 stages of
+    at most DENSE_LIMIT words by one elimination over grades that reads
+    T_r's first column and never forms the dense T_r (_eliminate), d = 1
+    stages from the outer factor of their symbol and larger d >= 2
+    stages from the inverse of the CG corner, both through one tail
+    (_read_stage).  A Toeplitz (d = 1) stage works on the untruncated
+    operator and raises RuntimeError if its symbol is not positive; one
+    whose recovery corner is the whole basis (m_rec = n) has no word
+    beyond the corner and is eliminated.  The reported T_hat comes from
+    the smallest eps in the grid (least upward bias on near-singular
+    directions); the other grid values only feed the eps-consistency
+    cross-check, which repeats the last stage and forms only T_hat: the
+    elimination stops at the recovery grade, the other modes form only
+    the grade-M columns of S.
     """
     if not isinstance(source, (NCSeries, MomentFunctional)):
         raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
@@ -508,9 +572,8 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     for (r, N) in schedule.stages:
         Tr = _stage_operator(source, d, r, N)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        S, cg_iters = _stage_block(Tr, primary, m_rec, m_rec, cg_tol, cg_maxiter)
-        T_hat, corner, vacuum = _read_stage(S, primary, m_out)
-        del S  # consumed by the tail; it must not meet the next stage's S
+        T_hat, corner, vacuum, cg_iters = _stage(Tr, primary, m_rec, m_out,
+                                                 cg_tol, cg_maxiter)
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
             r=r, N=N, vacuum_delta=vacuum, mass=float(T_hat[0, 0].real),
@@ -524,8 +587,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        S = _stage_block(Tr, eps, m_rec, m_out, cg_tol, cg_maxiter)[0]  # m_out x m_out
-        blocks[eps] = _herm(S) - eps * np.eye(m_out)
+        blocks[eps] = _stage(Tr, eps, m_rec, m_out, cg_tol, cg_maxiter, corner=False)[0]
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,16 +7,17 @@ from scipy.linalg import solve_toeplitz, toeplitz
 
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator
-from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule,
-                              _radial_matrix_free, _read_stage, _schur_block,
-                              _spectral_block, fatou_form_check,
+from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule, _eliminate,
+                              _radial_matrix_free, _read_stage, _spectral_block,
+                              fatou_form_check,
                               form_decomposition_diagnostic, hermitian_cg,
                               majorant_check, resolvent_corner, rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram,
                              herglotz_transform, nc_lebesgue, vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
-from ncfatou.series import NCSeries, radial_scale, series_at_right_shifts
+from ncfatou.series import (NCSeries, cayley_to_herglotz, radial_scale,
+                            series_at_right_shifts)
 from ncfatou.words import WordBasis
 
 
@@ -61,7 +64,7 @@ def fatou_toeplitz(coeff, r, N):
 def test_radial_operator_identity_for_zero_symbol():
     basis = WordBasis(2, 4)
     Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.6)
-    assert Tr.mode == "dense"
+    assert Tr.mode == "elimination"
     assert np.abs(Tr.to_dense() - np.eye(basis.size)).max() < 1e-14
 
 
@@ -123,7 +126,7 @@ def test_radial_operator_mode_follows_basis_size():
     assert small.size <= DENSE_LIMIT < large.size
     B = NCSeries.from_dict(large, {(1,): 0.5, (2,): 0.25})
     assert RadialOperator.from_schur(
-        NCSeries.from_dict(small, {(1,): 0.5, (2,): 0.25}), 0.6).mode == "dense"
+        NCSeries.from_dict(small, {(1,): 0.5, (2,): 0.25}), 0.6).mode == "elimination"
     assert RadialOperator.from_schur(B, 0.6).mode == "matrix-free"
     assert RadialOperator.from_schur(schur_z(WordBasis(1, 3000)), 0.6).mode == "toeplitz"
 
@@ -134,6 +137,66 @@ def test_radial_operator_rejects_bad_inputs():
         RadialOperator.from_schur(schur_z(basis), 1.0)
     with pytest.raises(ValueError):
         RadialOperator.from_schur(NCSeries.from_dict(basis, {(): 1.0}), 0.5)
+
+
+def _prefix_pairs(basis):
+    """Indices (w, p, v) over every word w and every k = 1..|w|: p its
+    prefix of length |w| - k and v its suffix of length k."""
+    grade = np.repeat(np.arange(basis.N + 1), np.diff(basis.offsets))
+    rank = np.arange(basis.size) - basis.offsets[grade]
+    pairs = []
+    for k in range(1, basis.N + 1):
+        w = np.flatnonzero(grade >= k)
+        pairs.append((w, basis.offsets[grade[w] - k] + rank[w] // basis.d ** k,
+                      basis.offsets[k] + rank[w] % basis.d ** k))
+    return [np.concatenate(a) for a in zip(*pairs)]
+
+
+def _radial_sources(basis):
+    """Herglotz series of a Schur symbol, of its Clark measure and of a
+    vector state, with the symbol."""
+    B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): -0.3j, (1, 2): 0.2})
+    x = NCSeries.from_dict(basis, {(): 1.0, (1,): 0.5, (1, 2): 0.3j})
+    return B, (cayley_to_herglotz(B), herglotz_transform(clark_measure(B)),
+               herglotz_transform(vector_state(FockVector(basis, x.coeffs))))
+
+
+@pytest.mark.parametrize("d, N", [(2, 5), (3, 3)])
+def test_radial_operator_vanishes_off_prefix_comparable_pairs(d, N):
+    # L_i^* L_j = delta_ij I: T_r is exactly 0.0 on every pair of words
+    # neither of which is a prefix of the other, as its matvec computes it
+    # (one column per unit vector), for every source; on the pairs of a
+    # word w = p.v and its prefix p it is conj(column[v]), as _eliminate
+    # reads it, and column[0] on the diagonal
+    basis = WordBasis(d, N)
+    w, p, v = _prefix_pairs(basis)
+    off = ~np.eye(basis.size, dtype=bool)
+    off[w, p] = off[p, w] = False
+    assert off.mean() > 0.5
+    B, herglotz = _radial_sources(basis)
+    ops = [RadialOperator.from_herglotz(H, 0.8) for H in herglotz]
+    ops.append(_radial_matrix_free(B, 0.8))
+    for Tr in ops:
+        columns = TruncatedOperator(basis, Tr.apply, Tr.apply).to_dense()
+        assert np.all(columns[off] == 0.0)
+        assert np.abs(columns[~off]).max() > 0.0
+        if Tr.column is not None:
+            assert np.array_equal(Tr.to_dense(), columns)
+            assert np.array_equal(columns[p, w], Tr.column[v].conj())
+            assert np.all(np.diag(columns) == Tr.column[0])
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (3, 4), (2, 10)])
+def test_radial_operator_to_dense_is_the_hermitized_multiplier_bit_for_bit(d, N):
+    # the matrix built on the first to_dense() call against the dense
+    # H(rR) Hermitized as (A + A^H) 0.5, on the raw bytes (signed zeros
+    # included), so that the majorant and factor outputs stay byte-identical
+    for H in _radial_sources(WordBasis(d, N))[1]:
+        A = series_at_right_shifts(radial_scale(H, 0.7)).to_dense()
+        ref = hashlib.sha256(((A + A.conj().T) * 0.5).tobytes()).hexdigest()
+        del A
+        got = RadialOperator.from_herglotz(H, 0.7).to_dense()
+        assert hashlib.sha256(got.tobytes()).hexdigest() == ref
 
 
 # -- resolvents ---------------------------------------------------------------
@@ -205,9 +268,10 @@ def _psd_toeplitz_column(n, rho, seed):
        psd=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd, seed,
                                                                  data):
-    # at r^N <= 1e-14 the truncated stage (dense factor) and the untruncated
-    # one (outer factor of the symbol) agree to roundoff; eps >= 0.25 keeps
-    # the PSD columns' symbols away from zero, whose factors decay slower
+    # at r^N <= 1e-14 the truncated stage (the dense reference corner) and
+    # the untruncated one (outer factor of the symbol) agree to roundoff;
+    # eps >= 0.25 keeps the PSD columns' symbols away from zero, whose
+    # factors decay slower
     N = int(np.ceil(np.log(1e-14) / np.log(r)))
     basis = WordBasis(1, N)
     if psd:
@@ -223,7 +287,8 @@ def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd
     S = _spectral_block(Tr, eps, m, m)
     assert _close(_spectral_block(Tr, eps, m, m_out), S[:m_out, :m_out], 1e-14)
     T, corner, vacuum = _read_stage(S, eps, m_out)
-    T_ref, corner_ref, vacuum_ref = _read_stage(_schur_block(Tr, eps, m, m), eps, m_out)
+    T_ref, corner_ref, vacuum_ref = _read_stage(
+        np.linalg.inv(resolvent_corner(Tr, eps, m)[0]), eps, m_out)
     assert np.array_equal(T, T.conj().T)
     assert _close(T, T_ref, 1e-12)
     assert _close(corner, corner_ref, 1e-12)
@@ -254,7 +319,7 @@ def test_resolvent_corner_rejects_nonpositive_eps_in_every_mode(eps):
     ops = [RadialOperator.from_schur(schur_z(WordBasis(1, 8), 0.5), 0.7),
            RadialOperator.from_schur(schur_z(WordBasis(2, 3), 0.5), 0.7),
            _radial_matrix_free(schur_z(WordBasis(2, 3), 0.5), 0.7)]
-    assert [Tr.mode for Tr in ops] == ["toeplitz", "dense", "matrix-free"]
+    assert [Tr.mode for Tr in ops] == ["toeplitz", "elimination", "matrix-free"]
     for Tr in ops:
         with pytest.raises(ValueError, match="must be positive"):
             resolvent_corner(Tr, eps, 2)
@@ -265,13 +330,15 @@ def _close(a, b, rel):
 
 
 def _dense_recovery_case(d, l1, seed, data):
-    """A Schur symbol on a dense-mode basis with a corner of m words and an
-    output block of m_out <= m words."""
+    """A Schur symbol on an elimination-mode basis with a corner of the m
+    words of grade <= M_rec and an output block of the m_out words of
+    grade <= M <= M_rec."""
     # bases of at most 400 words: d = 2 up to N = 7 (255), d = 3 up to N = 5 (364)
     basis = WordBasis(d, data.draw(st.integers(0, 7 if d == 2 else 5)))
     n = basis.size
-    m = data.draw(st.one_of(st.just(n), st.integers(1, n)))
-    m_out = data.draw(st.integers(1, m))
+    grade_rec = data.draw(st.one_of(st.just(basis.N), st.integers(0, basis.N)))
+    m = basis.sub_basis_size(grade_rec)
+    m_out = basis.sub_basis_size(data.draw(st.integers(0, grade_rec)))
     # a few words of grade <= 2 with l1 norm below 1: a Schur symbol
     rng = np.random.default_rng(seed)
     pool = basis.sub_basis_size(min(basis.N, 2))
@@ -293,8 +360,8 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
     Tr = RadialOperator.from_schur(B, r)
-    assert Tr.mode == "dense"
-    T, corner, vacuum = _read_stage(_schur_block(Tr, eps, m, m), eps, m_out)
+    assert Tr.mode == "elimination"
+    T, corner, vacuum = _eliminate(Tr, eps, m, m_out)
     assert T.shape == (m_out, m_out)
     assert np.array_equal(T, T.conj().T)
     # against the grade-M block of the explicit inverse of eps I + T_r
@@ -317,28 +384,73 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
 @settings(max_examples=20, deadline=None)
 @dense_recovery_draws
 def test_dense_eps_block_reads_the_block_beyond_the_corner(d, eps, r, l1, seed, data):
-    # the first m_out columns of S = (P_m Delta P_m)^{-1}, a fresh F-order
-    # array, against the explicit inverse and against all m columns
+    # the eps cross-check stops its sweep at the recovery grade and reads
+    # T_hat = S[o, o] - eps I there, S = (P_m Delta P_m)^{-1}: the primary
+    # stage's T_hat exactly, and against the block of all m words and the
+    # explicit inverse
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
     Tr = RadialOperator.from_schur(B, r)
-    S = _schur_block(Tr, eps, m, m_out)
-    assert S.shape == (m_out, m_out) and S.flags.f_contiguous
-    assert not np.shares_memory(S, Tr.to_dense())
-    assert _close(S, _schur_block(Tr, eps, m, m)[:m_out, :m_out], 1e-12)
+    T, corner, vacuum = _eliminate(Tr, eps, m, m_out, corner=False)
+    assert T.shape == (m_out, m_out) and corner is None and vacuum is None
+    assert np.array_equal(T, _eliminate(Tr, eps, m, m_out)[0])
+    assert _close(T, _eliminate(Tr, eps, m, m, corner=False)[0][:m_out, :m_out], 1e-12)
     delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
-    assert _close(S, np.linalg.inv(delta[:m, :m])[:m_out, :m_out], 1e-10)
+    assert _close(T + eps * np.eye(m_out), np.linalg.inv(delta[:m, :m])[:m_out, :m_out],
+                  1e-10)
 
 
 @pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
 def test_dense_eps_block_of_the_whole_basis_is_the_t_block(eps):
-    # m = n: no word lies beyond the corner, so nothing is factored and
-    # S is eps I + T_r on the block
+    # m = n: no word lies beyond the corner, so nothing is eliminated and
+    # T_hat is T_r's own block, read off its column
     basis = WordBasis(2, 4)
     B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): 0.3j, (1, 2): 0.2})
     Tr = RadialOperator.from_schur(B, 0.8)
     X = Tr.to_dense()[:7, :7]
-    assert np.array_equal(_schur_block(Tr, eps, basis.size, 7), X + eps * np.eye(7))
+    assert np.array_equal(_eliminate(Tr, eps, basis.size, 7, corner=False)[0], X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), eps=st.floats(0.1, 2.0), r=st.floats(0.3, 0.95),
+       l1=st.floats(0.05, 0.95), state=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_elimination_matches_the_dense_reference_corner(d, eps, r, l1, state, seed, data):
+    # every corner a stage can have, m_rec < n and m_rec = n, with
+    # recovery_buffer = 0 among them, so that the inversion below the basis
+    # is checked; the source is a Schur symbol or a vector state
+    basis = WordBasis(d, data.draw(st.integers(0, {1: 12, 2: 7, 3: 5}[d])))
+    grade_rec = data.draw(st.one_of(st.just(basis.N), st.integers(0, basis.N)))
+    buffer = data.draw(st.one_of(st.just(0), st.integers(0, grade_rec)))
+    m, m_out = (basis.sub_basis_size(g) for g in (grade_rec, grade_rec - buffer))
+    rng = np.random.default_rng(seed)
+    pool = basis.sub_basis_size(min(basis.N, 2))
+    c = np.zeros(basis.size, dtype=complex)
+    c[:pool] = rng.standard_normal(pool) + 1j * rng.standard_normal(pool)
+    if state:
+        c[0] = 1.0
+        Tr = RadialOperator.from_herglotz(
+            herglotz_transform(vector_state(FockVector(basis, c))), r)
+    else:
+        Tr = RadialOperator.from_schur(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
+    ref, _ = resolvent_corner(Tr, eps, m)
+    T, corner, vacuum = _eliminate(Tr, eps, m, m_out)
+    assert np.array_equal(T, T.conj().T)
+    assert _close(T, (np.linalg.inv(ref) - eps * np.eye(m))[:m_out, :m_out], 1e-10)
+    assert _close(corner, ref[:m_out, :m_out], 1e-10)
+    assert vacuum == pytest.approx(ref[0, 0].real, rel=1e-10)
+
+
+@pytest.mark.parametrize("grade_rec", [1, 2])
+def test_elimination_rejects_a_pivot_that_is_not_positive(grade_rec):
+    # a column whose T_r is negative definite: the first eliminated grade
+    # (beyond the corner, or beyond grade M when m_rec = n) stops the sweep
+    basis = WordBasis(2, 2)
+    column = np.zeros(basis.size, dtype=complex)
+    column[0] = -1.0
+    Tr = RadialOperator(basis, 0.5, None, column=column)
+    with pytest.raises(np.linalg.LinAlgError, match="pivot -7.500e-01 at grade 2"):
+        _eliminate(Tr, 0.25, basis.sub_basis_size(grade_rec), 1)
 
 
 def _count_cholesky(monkeypatch):
@@ -353,26 +465,39 @@ def _count_cholesky(monkeypatch):
     return sizes
 
 
+def _count_densify(monkeypatch):
+    densified = []
+    to_dense = RadialOperator.to_dense
+    monkeypatch.setattr(RadialOperator, "to_dense",
+                        lambda self: densified.append(self.basis) or to_dense(self))
+    return densified
+
+
 def test_rn_derivative_dense_factors_once_per_stage(monkeypatch):
     # the recovery corner is the whole basis at both stages (511 and 2047
-    # words): S = eps I + T_r needs no Schur complement, the tail factors
-    # S once per stage, and the eps = 1.0 and 2.0 cross-checks factor nothing
+    # words): the elimination never forms the dense T_r, each stage factors
+    # only its m_out x m_out block (grade M = 2, 7 words), and the eps = 1.0
+    # and 2.0 cross-checks factor nothing
     sizes = _count_cholesky(monkeypatch)
+    densified = _count_densify(monkeypatch)
     rn_derivative(NCSeries.zero(WordBasis(2, 1)), M=2, eps_grid=(0.5, 1.0, 2.0),
                   schedule=Schedule.explicit([(0.5, 8), (0.75, 10)]))
-    assert sizes == [511, 2047]
+    assert sizes == [7, 7]
+    assert densified == []
 
 
 def test_rn_derivative_dense_cross_check_factors_beyond_the_corner(monkeypatch):
     # N = 4: 31 words, recovery corner of grade M + buffer = 2 (7 words):
-    # the primary stage factors the 24 words beyond it and then its 7 x 7
-    # S, and each other eps factors the 24 words again
+    # the elimination reads every eps's block beyond the corner off the same
+    # sweep, so the stage factors only its 3 x 3 output block, once
     sizes = _count_cholesky(monkeypatch)
+    densified = _count_densify(monkeypatch)
     symbol = {(1,): 0.5, (2,): 0.3j}
     res = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), symbol), M=1,
                         recovery_buffer=1, eps_grid=(0.25, 1.0, 2.0),
                         schedule=Schedule.explicit([(0.6, 4)]))
-    assert sizes == [24, 7, 24, 24]
+    assert sizes == [3]
+    assert densified == []
     # the same cross-check from the reference corner at every eps
     Tr = RadialOperator.from_schur(NCSeries.from_dict(WordBasis(2, 4), symbol), 0.6)
     blocks = [np.linalg.inv(resolvent_corner(Tr, eps, 7)[0])[:3, :3] - eps * np.eye(3)
