@@ -170,16 +170,18 @@ class _GradedProduct:
         blocks = ((j, self.coeffs[b.grade_slice(j)]) for j in range(b.N + 1))
         return [(j, fj) for j, fj in blocks if fj.any()]
 
-    def _up(self, fj, xh):
-        """Grade-(h+j) contribution of f_j and x_h."""
-        return (np.outer(fj, xh) if self.left else np.outer(xh, fj)).ravel()
+    def _up(self, fj, xh, out=None):
+        """Grade-(h+j) contribution of f_j and x_h (into out, if given)."""
+        a, c = (fj, xh) if self.left else (xh, fj)
+        return np.multiply(a[:, None], c, out=None if out is None else
+                           out.reshape(len(a), len(c))).ravel()
 
-    def _down(self, fj, y, h):
+    def _down(self, fj, y, h, out=None):
         """Adjoint of _up: the grade-h contribution of the grade-(h+j) y."""
         d = self.basis.d
         if self.left:
-            return fj.conj() @ y.reshape(len(fj), d ** h)
-        return y.reshape(d ** h, len(fj)) @ fj.conj()
+            return np.matmul(fj.conj(), y.reshape(len(fj), d ** h), out=out)
+        return np.matmul(y.reshape(d ** h, len(fj)), fj.conj(), out=out)
 
     def matvec(self, x):
         b = self.basis
@@ -225,9 +227,11 @@ class _GradedProduct:
             A[b.offsets[h + j] + rank, col] = fj
         return A
 
-    def solve(self, w, adjoint: bool = False):
+    def solve(self, w, adjoint: bool = False, out=None):
         """x with (f x) = w, or its adjoint: forward over grades, backward
-        for the adjoint, one pass either way."""
+        for the adjoint, one pass either way, into out (not w) if given,
+        else one new array.  At d >= 2 every product goes into one scratch
+        row of the top grade's length; dividing by f_0 = 1 is skipped."""
         b = self.basis
         if b.d == 1:
             # lower band storage: row k holds f_k, the k-th subdiagonal
@@ -235,20 +239,26 @@ class _GradedProduct:
             x, info = ztbtrs(band, w[:, None], uplo="L", trans="C" if adjoint else "N")
             if info:
                 raise RuntimeError(f"banded triangular solve failed: ztbtrs info = {info}")
-            return x[:, 0]
+            if out is None:
+                return x[:, 0]
+            out[:] = x[:, 0]
+            return out
+        x = np.empty_like(w) if out is None else out
         f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
         rest = [(j, fj) for j, fj in self.blocks if j > 0]
-        x = np.empty_like(w)
+        row = np.empty(b.d ** b.N, dtype=complex)
         for g in (range(b.N, -1, -1) if adjoint else range(b.N + 1)):
             acc = x[b.grade_slice(g)]
             acc[:] = w[b.grade_slice(g)]
+            t = row[:len(acc)]
             for j, fj in rest:
                 src = g + j if adjoint else g - j
                 if not 0 <= src <= b.N:
                     break
                 xs = x[b.grade_slice(src)]
-                acc -= self._down(fj, xs, g) if adjoint else self._up(fj, xs)
-            acc /= f0
+                acc -= self._down(fj, xs, g, t) if adjoint else self._up(fj, xs, t)
+            if f0 != 1:
+                acc /= f0
         return x
 
 
@@ -282,7 +292,8 @@ def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOpe
 
     The product is block lower-triangular with diagonal c_empty I, so
     apply() is one forward substitution over grades and adjoint_apply()
-    one backward substitution.  At d = 1 each is one banded LAPACK
+    one backward substitution, each into one new array through one
+    scratch row (_GradedProduct.solve).  At d = 1 each is one banded LAPACK
     substitution, O(N deg f), on a band of (deg f + 1)(N + 1) numbers.
     Exact on the truncation.
     """

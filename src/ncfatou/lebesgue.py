@@ -35,7 +35,9 @@ stage modes:
   its outer factor (Szego-Kolmogorov), computed by a few FFTs; on the
   untruncated operator eps I + T_r = Y^H Y, Y lower triangular, so
   S = Y_m^H Y_m with no solve and no truncation at grade N;
-- matrix-free: the corner by CG, one column at a time, inverted.
+- matrix-free: the corner by CG, one column at a time, inverted; T_r v
+  is solved into work vectors the operator keeps, and eps v + T_r v into
+  one buffer that CG reads before its next call.
 
 Each stage reads three things: the grade-M block T_hat = S[o, o] - eps I,
 the grade-M corner (S^{-1})[o, o] and the vacuum delta, its (0, 0) entry.
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import FockVector, TruncatedOperator, graded_inverse
+from .fock import FockVector, TruncatedOperator, _GradedProduct
 from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
                       herglotz_transform, is_positive, vector_state)
 from .series import (NCSeries, cayley_to_herglotz, radial_scale, right_multiplier,
@@ -147,14 +149,16 @@ class RadialOperator(TruncatedOperator):
     From a Schur symbol the matrix-free mode uses K = I - B(rR), block
     lower-triangular with diagonal (1 - B(0)) I in the graded-lex basis:
     H(rR) = 2 K^{-1} - I, so T_r v = K^{-1} v + K^{-*} v - v, each term
-    one substitution over grades, exact on the truncation.
+    one substitution over grades, exact on the truncation.  buffered_apply
+    is apply, but its result may be a buffer that its next call overwrites.
     """
 
     def __init__(self, basis: WordBasis, r: float, matvec,
-                 column: np.ndarray | None = None, dense=None):
+                 column: np.ndarray | None = None, dense=None, buffered_apply=None):
         super().__init__(basis, matvec, matvec, dense=dense)
         self.r = r
         self.column = column
+        self.buffered_apply = buffered_apply or matvec
         self.mode = ("matrix-free" if column is None else
                      "toeplitz" if basis.d == 1 else "elimination")
 
@@ -203,15 +207,22 @@ def _mode(basis: WordBasis) -> str:
 
 
 def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
-    """T_r = K^{-1} + K^{-*} - I with K = I - B(rR), for any d and size."""
+    """T_r = K^{-1} + K^{-*} - I with K = I - B(rR), for any d and size.
+    K is transposed on its support alone, the words of grade <= deg B;
+    buffered_apply solves into two work vectors the operator keeps."""
     basis = B.basis
-    K = transpose_conjugate(NCSeries.one(basis) - radial_scale(B, r))
-    K_inv = graded_inverse(basis, K.coeffs, "right")
+    support = WordBasis(basis.d, B.degree())
+    k = NCSeries.one(support) - radial_scale(NCSeries(support, B.coeffs[:support.size]), r)
+    K = _GradedProduct(basis, transpose_conjugate(k).coeffs, "right")
+    work = np.empty((2, basis.size), dtype=complex)
 
-    def matvec(v):
-        return K_inv.apply(v) + K_inv.adjoint_apply(v) - v
+    def matvec(v, fw=None, bw=None):
+        fw = K.solve(v, out=fw)
+        fw += K.solve(v, adjoint=True, out=bw)
+        fw -= v
+        return fw
 
-    return RadialOperator(basis, r, matvec)
+    return RadialOperator(basis, r, matvec, buffered_apply=lambda v: matvec(v, *work))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +236,14 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
     Returns (x, iterations, relative_residual); raises RuntimeError on
     non-convergence or breakdown (p^H A p not finite and positive, or a
     non-finite residual) so that failed solves are never silently used.
+    matvec's result is read before its next call, so it may be a reused
+    buffer; x and res are updated through one scratch vector, not by a
+    BLAS axpy, whose fused multiply-add can round differently.
     """
     res = np.array(b, dtype=complex)  # x, res and p are updated in place
     x = np.zeros_like(res)
     p = res.copy()
+    t = np.empty_like(res)
     rs = float(np.vdot(res, res).real)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -241,8 +256,8 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
         alpha = rs / pAp
-        x += alpha * p
-        res -= alpha * Ap
+        x += np.multiply(p, alpha, out=t)
+        res -= np.multiply(Ap, alpha, out=t)
         rs_new = float(np.vdot(res, res).real)
         if not np.isfinite(rs_new):
             raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
@@ -373,23 +388,25 @@ def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
 
 def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int, cg_tol: float,
            cg_maxiter: int, corner: bool = True) -> tuple:
-    """(T_hat, corner, vacuum delta, CG iteration counts) of one stage at
-    eps, on a recovery corner of m words and an output block of m_out.
-    With corner=False only T_hat is formed and the corner and the delta
-    are None.  A d = 1 corner of the whole basis (m = n) leaves no word
-    beyond it, so that truncated stage is eliminated like a d >= 2 one.
+    """(T_hat, corner, vacuum delta, solver) of one stage at eps, on a
+    recovery corner of m words and an output block of m_out; solver holds
+    StageRecord's mode and, if matrix-free, its CG fields.  With
+    corner=False only T_hat is formed and the corner and the delta are
+    None.  A d = 1 corner of the whole basis (m = n) leaves no word beyond
+    it, so that truncated stage is eliminated like a d >= 2 one.
     """
     if Tr.mode == "elimination" or Tr.mode == "toeplitz" and m == Tr.basis.size:
-        return (*_eliminate(Tr, eps, m, m_out, corner), ())
-    cg_iters: tuple = ()
+        return (*_eliminate(Tr, eps, m, m_out, corner), {"mode": "elimination"})
+    solver = {"mode": Tr.mode}
     if Tr.mode == "toeplitz":
         S = _spectral_block(Tr, eps, m, m if corner else m_out)
     else:
-        c, cg_iters = resolvent_corner(Tr, eps, m, cg_tol=cg_tol, cg_maxiter=cg_maxiter)
+        c, solver["cg_iterations"], solver["cg_residual"] = _cg_corner(
+            Tr, eps, m, cg_tol, cg_maxiter)
         S = np.linalg.inv(c)
     if not corner:
-        return _herm(S[:m_out, :m_out]) - eps * np.eye(m_out), None, None, cg_iters
-    return (*_read_stage(S, eps, m_out), cg_iters)
+        return _herm(S[:m_out, :m_out]) - eps * np.eye(m_out), None, None, solver
+    return (*_read_stage(S, eps, m_out), solver)
 
 
 def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
@@ -403,39 +420,51 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
     the dense eps I + T_r (built by to_dense()) for the first m unit
     vectors (one Cholesky solve), so the basis may hold at most
     DENSE_LIMIT words; in matrix-free mode each column is one CG solve to
-    cg_tol (m must stay small).  Returns the Hermitized corner together
-    with the CG iteration counts (empty unless matrix-free).
+    cg_tol (_cg_corner; m must stay small).  Returns the Hermitized corner
+    together with the CG iteration counts (empty unless matrix-free).
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
     basis = Tr.basis
     if m > basis.size:
         raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
-    cg_iters: tuple = ()
-    if Tr.mode != "matrix-free":
-        if basis.size > DENSE_LIMIT:
-            raise ValueError(
-                f"the dense reference corner needs at most {DENSE_LIMIT} basis "
-                f"words, got {basis.size}")
-        A = Tr.to_dense() + eps * np.eye(basis.size)
-        corner = scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m]
-    else:
-        if m > 256:
-            raise ValueError(
-                f"matrix-free corner extraction with {m} columns is not "
-                "practical; use a smaller corner")
-        corner = np.zeros((m, m), dtype=complex)
-        e = np.zeros(basis.size, dtype=complex)
-        iters = []
-        for j in range(m):
-            e[j] = 1.0
-            x, it, _ = hermitian_cg(lambda u: eps * u + Tr.apply(u), e,
-                                    tol=cg_tol, maxiter=cg_maxiter)
-            corner[:, j] = x[:m]
-            iters.append(it)
-            e[j] = 0.0
-        cg_iters = tuple(iters)
-    return _herm(corner), cg_iters
+    if Tr.mode == "matrix-free":
+        return _cg_corner(Tr, eps, m, cg_tol, cg_maxiter)[:2]
+    if basis.size > DENSE_LIMIT:
+        raise ValueError(
+            f"the dense reference corner needs at most {DENSE_LIMIT} basis "
+            f"words, got {basis.size}")
+    A = Tr.to_dense() + eps * np.eye(basis.size)
+    corner = scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m]
+    return _herm(corner), ()
+
+
+def _cg_corner(Tr: RadialOperator, eps: float, m: int, cg_tol: float,
+               cg_maxiter: int) -> tuple:
+    """The matrix-free corner, one CG solve of (eps I + T_r) x = e_j per
+    column j, with eps u + T_r u formed in that order in one buffer:
+    (Hermitized corner, iteration counts, largest final relative residual).
+    """
+    if m > 256:
+        raise ValueError(
+            f"matrix-free corner extraction with {m} columns is not "
+            "practical; use a smaller corner")
+    corner = np.zeros((m, m), dtype=complex)
+    e, shifted = np.zeros((2, Tr.basis.size), dtype=complex)
+
+    def matvec(u):
+        np.multiply(u, eps, out=shifted)
+        return np.add(shifted, Tr.buffered_apply(u), out=shifted)
+
+    iters, residual = [], 0.0
+    for j in range(m):
+        e[j] = 1.0
+        x, it, rel = hermitian_cg(matvec, e, tol=cg_tol, maxiter=cg_maxiter)
+        corner[:, j] = x[:m]
+        iters.append(it)
+        residual = max(residual, float(rel))
+        e[j] = 0.0
+    return _herm(corner), tuple(iters), residual
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +472,19 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One stage of the coupled limit; mode ('elimination', 'toeplitz' or
+    'matrix-free'), words (the basis size) and cg_residual (the largest
+    final relative CG residual, 0.0 if direct) enter no CSV."""
+
     r: float
     N: int
+    words: int
+    mode: str
     vacuum_delta: float
     mass: float
     increment: float
     cg_iterations: tuple = ()
+    cg_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -572,12 +608,12 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     for (r, N) in schedule.stages:
         Tr = _stage_operator(source, d, r, N)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        T_hat, corner, vacuum, cg_iters = _stage(Tr, primary, m_rec, m_out,
-                                                 cg_tol, cg_maxiter)
+        T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out,
+                                               cg_tol, cg_maxiter)
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
-            r=r, N=N, vacuum_delta=vacuum, mass=float(T_hat[0, 0].real),
-            increment=increment, cg_iterations=cg_iters))
+            r=r, N=N, words=Tr.basis.size, vacuum_delta=vacuum,
+            mass=float(T_hat[0, 0].real), increment=increment, **solver))
         prev = corner
         if increment < cauchy_tol:
             converged = True

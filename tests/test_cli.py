@@ -374,6 +374,26 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
                                        [float(row[i]) for i in num], rtol=1e-9, atol=1e-12)
 
 
+def test_inner_singular_outputs_are_byte_identical_to_the_golden_files(tmp_path):
+    # the stage records' mode, basis size and CG residual enter no CSV: both
+    # inner-singular configs reproduce their golden files byte for byte, in
+    # a process with BLAS at one thread, the count the golden files assume
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    names = ("inner_singular", "inner_singular_d2")
+    script = ("import os, sys\nfrom ncfatou.cli import run_config\n"
+              "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    os.environ['NCFATOU_OUTDIR'] = out\n"
+              "    assert run_config(cfg, quiet=True) == 0\n")
+    args = [a for n in names for a in (str(CONFIGS / f"{n}.json"), str(tmp_path / n))]
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for n in names:
+        golden = CONFIGS / "out" / n / "inner_singular_trend.csv"
+        assert (tmp_path / n / golden.name).read_bytes() == golden.read_bytes()
+
+
 def test_committed_configs_validate():
     assert len(COMMITTED) == 10  # the nine experiments and verify
     for name, cfg in COMMITTED.items():

@@ -203,6 +203,64 @@ def test_graded_product_takes_the_coefficients_through_a_grade(d):
             make(basis, c[:m])
 
 
+def _outer_product_substitution(basis, c, side, w, adjoint):
+    # the substitution over grades with a fresh np.outer or matrix product
+    # per (grade, block) and a division by f_0 at every grade
+    d, N = basis.d, basis.N
+    blocks = [(j, c[basis.grade_slice(j)]) for j in range(1, N + 1)]
+    blocks = [(j, fj) for j, fj in blocks if fj.any()]
+    f0 = np.conj(c[0]) if adjoint else c[0]
+    x = np.empty_like(w)
+    for g in (range(N, -1, -1) if adjoint else range(N + 1)):
+        acc = w[basis.grade_slice(g)].copy()
+        for j, fj in blocks:
+            src = g + j if adjoint else g - j
+            if not 0 <= src <= N:
+                break
+            xs = x[basis.grade_slice(src)]
+            if adjoint and side == "left":
+                acc -= fj.conj() @ xs.reshape(len(fj), d ** g)
+            elif adjoint:
+                acc -= xs.reshape(d ** g, len(fj)) @ fj.conj()
+            else:
+                acc -= (np.outer(fj, xs) if side == "left" else np.outer(xs, fj)).ravel()
+        acc /= f0
+        x[basis.grade_slice(g)] = acc
+    return x
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("f0", [1.0, 1.3 - 0.4j])
+def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0):
+    # the scratch-row substitution, with and without out, equals the one
+    # with a fresh product per grade exactly: for 1 + a Z1 + b Z1Z2Z1,
+    # whose grade-2 block is zero, and for a symbol dense through grade 2,
+    # each with f_0 = 1 (no division) and f_0 != 1
+    rng = np.random.default_rng(17)
+    basis = WordBasis(d, N)
+    sparse = np.zeros(basis.size, dtype=complex)
+    sparse[basis.index((1,))] = 0.4 - 0.2j
+    sparse[basis.index((1, 2, 1))] = 0.3j
+    dense = np.zeros(basis.size, dtype=complex)
+    m = basis.sub_basis_size(2)
+    dense[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    dense[:m] *= 0.5 / np.abs(dense[1:m]).sum()
+    w = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    for c in (sparse, dense):
+        c[0] = f0
+        for side in ("left", "right"):
+            k = fock._GradedProduct(basis, c, side)
+            A = graded_multiplier(basis, c, side).to_dense()
+            for adjoint in (False, True):
+                ref = _outer_product_substitution(basis, c, side, w, adjoint)
+                out = np.full(basis.size, np.nan, dtype=complex)
+                assert k.solve(w, adjoint, out=out) is out
+                assert np.array_equal(out, ref)
+                assert np.array_equal(k.solve(w, adjoint), ref)
+                exact = np.linalg.solve(A.conj().T if adjoint else A, w)
+                assert np.abs(ref - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
 @pytest.mark.parametrize("kind", ["degree 1", "full degree"])
 def test_graded_inverse_d1_matches_dense_triangular_solve(kind):
     # the d = 1 product is the lower-triangular Toeplitz matrix of f; its

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_toeplitz, toeplitz
 
 from ncfatou import lebesgue
-from ncfatou.fock import FockVector, TruncatedOperator
+from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule, _eliminate,
                               _radial_matrix_free, _read_stage, _spectral_block,
                               fatou_form_check,
@@ -17,7 +17,7 @@ from ncfatou.measure import (MomentFunctional, clark_measure, gram,
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
 from ncfatou.series import (NCSeries, cayley_to_herglotz, radial_scale,
-                            series_at_right_shifts)
+                            series_at_right_shifts, transpose_conjugate)
 from ncfatou.words import WordBasis
 
 
@@ -560,6 +560,96 @@ def test_hermitian_cg_nan_operator_stops_at_once():
     with pytest.raises(RuntimeError, match="breakdown"):
         hermitian_cg(matvec, np.ones(5, dtype=complex), maxiter=2000)
     assert len(calls) == 1
+
+
+# -- the matrix-free stage's buffers -------------------------------------------
+
+def _matrix_free_case():
+    basis = WordBasis(2, 7)
+    B = NCSeries.from_dict(basis, {(): 0.2, (1,): 0.5, (2, 1): 0.3j})
+    rng = np.random.default_rng(61)
+    v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    return B, 0.8, v
+
+
+def test_matrix_free_apply_is_pure_and_buffered_apply_reuses_its_work_vector():
+    # apply returns a new array per call and leaves v alone; buffered_apply
+    # gives the same bits in one reused work vector; both equal the two
+    # graded inverses of the K transposed on the whole basis, bit for bit
+    B, r, v = _matrix_free_case()
+    v0 = v.copy()
+    Tr = _radial_matrix_free(B, r)
+    a, b = Tr.apply(v), Tr.apply(v)
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, v)
+    assert np.array_equal(a, b) and np.array_equal(v, v0)
+    K = transpose_conjugate(NCSeries.one(B.basis) - radial_scale(B, r))
+    K_inv = graded_inverse(B.basis, K.coeffs, "right")
+    assert np.array_equal(a, K_inv.apply(v) + K_inv.adjoint_apply(v) - v)
+    first = Tr.buffered_apply(v)
+    assert np.array_equal(first, a) and not np.shares_memory(first, v)
+    second = Tr.buffered_apply(2 * v)
+    assert np.shares_memory(first, second) and np.array_equal(v, v0)
+
+
+def test_resolvent_corner_applies_eps_plus_t_in_one_buffer(monkeypatch):
+    # the matrix-free corner's CG operator is eps v + T_r v bit for bit,
+    # written into one buffer for every column, and the corner equals CG
+    # on fresh arrays bit for bit, iteration counts included
+    B, r, v = _matrix_free_case()
+    Tr, eps, m = _radial_matrix_free(B, r), 0.25, 3
+    cg, buffers = lebesgue.hermitian_cg, []
+
+    def spy(matvec, b, **kw):
+        buffers.append(matvec(v))
+        assert np.array_equal(buffers[-1], eps * v + Tr.apply(v))
+        return cg(matvec, b, **kw)
+
+    monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
+    corner, iters = resolvent_corner(Tr, eps, m)
+    assert len(buffers) == m and all(np.shares_memory(x, buffers[0]) for x in buffers)
+    fresh = [cg(lambda u: eps * u + Tr.apply(u), e, tol=1e-10, maxiter=2000)
+             for e in np.eye(Tr.basis.size, m, dtype=complex).T]
+    ref = np.column_stack([x[:m] for x, _, _ in fresh])
+    assert np.array_equal(corner, 0.5 * (ref + ref.conj().T))
+    assert iters == tuple(it for _, it, _ in fresh)
+
+
+def test_hermitian_cg_is_the_same_with_a_reused_matvec_buffer():
+    rng = np.random.default_rng(67)
+    A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    A = A @ A.conj().T + np.eye(30)
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    buf = np.empty(30, dtype=complex)
+
+    def reused(v):
+        buf[:] = A @ v
+        return buf
+
+    x, it, rel = hermitian_cg(lambda v: A @ v, b, tol=1e-12, maxiter=500)
+    x_buf, it_buf, rel_buf = hermitian_cg(reused, b, tol=1e-12, maxiter=500)
+    assert np.array_equal(x, x_buf) and (it, rel) == (it_buf, rel_buf)
+
+
+def test_stage_records_name_the_mode_the_basis_size_and_the_cg_residual(monkeypatch):
+    # one stage of each mode; a d = 1 stage whose corner is its whole basis
+    # is eliminated; only matrix-free stages run CG
+    d1 = NCSeries.from_dict(WordBasis(1, 1), {(1,): 0.5})
+    d2 = NCSeries.from_dict(WordBasis(2, 1), {(1,): 0.5, (2,): 0.3j})
+    kw = dict(M=1, recovery_buffer=1, eps_grid=(0.25,), cauchy_tol=0.0)
+
+    def stage(source, N):
+        return rn_derivative(source, schedule=Schedule.explicit([(0.6, N)]), **kw).stages[0]
+
+    stages = [("toeplitz", 9, stage(d1, 8)), ("elimination", 3, stage(d1, 2)),
+              ("elimination", 31, stage(d2, 4))]
+    monkeypatch.setattr(lebesgue, "DENSE_LIMIT", 30)
+    stages.append(("matrix-free", 31, stage(d2, 4)))
+    for mode, words, st in stages:
+        assert (st.mode, st.words) == (mode, words)
+        if mode == "matrix-free":
+            assert len(st.cg_iterations) == 7 and 0.0 < st.cg_residual <= 1e-10
+        else:
+            assert st.cg_iterations == () and st.cg_residual == 0.0
 
 
 # -- the coupled limit --------------------------------------------------------
