@@ -373,23 +373,27 @@ def _kernels(c, threads):
         scale = c["row_norm_cap"] * rng.uniform(0.5, 1.0) / pt.row_norm
         return MatrixPoint(tuple(scale * M for M in pt.Z))
 
-    def one():
+    def draw():
         nz = int(rng.integers(1, c["max_level"] + 1))
         nw = int(rng.integers(1, c["max_level"] + 1))
         Z, W = random_point(nz), random_point(nw)
         P = rng.standard_normal((nz, nw)) + 1j * rng.standard_normal((nz, nw))
-        left = dbr_kernel(B, Z, W, P, N)
-        BZ = evaluate(B, Z).value
-        BW = evaluate(B, W).value
-        inner = (np.eye(nz) - BZ) @ P @ (np.eye(nw) - BW).conj().T
-        right = herglotz_kernel(H, Z, W, inner, N)
+        return Z, W, P
+
+    # draws happen sequentially for determinism; then H and B are each
+    # evaluated at every point in one sweep
+    triples = [draw() for _ in range(c["point_pairs"])]
+    points = [pt for Z, W, _ in triples for pt in (Z, W)]
+    HV, BV = evaluate(H, points), evaluate(B, points)
+    results = []
+    for (Z, W, P), HZ, HW, BZ, BW in zip(triples, HV[::2], HV[1::2], BV[::2], BV[1::2]):
+        left = dbr_kernel(BZ, BW, Z, W, P, N)
+        inner = (np.eye(Z.n) - BZ.value) @ P @ (np.eye(W.n) - BW.value).conj().T
+        right = herglotz_kernel(HZ, HW, Z, W, inner, N)
         resid = float(np.abs(left.value - right.value).max())
         A = szego_kernel_matrix(Z, Z, N)
         floor = float(np.linalg.eigvalsh(0.5 * (A + A.conj().T)).min())
-        return resid, left.tail + right.tail, floor
-
-    # draws happen sequentially for determinism; only the arithmetic varies
-    results = [one() for _ in range(c["point_pairs"])]
+        results.append((resid, left.tail + right.tail, floor))
     rows = [[i, r, t, f] for i, (r, t, f) in enumerate(results)]
     worst = max(r for r, _, _ in results)
     floor = min(f for _, _, f in results)

@@ -48,6 +48,7 @@ sweep leaves at grade M.  The eps cross-check forms only T_hat.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,8 +474,9 @@ def _cg_corner(Tr: RadialOperator, eps: float, m: int, cg_tol: float,
 @dataclass(frozen=True)
 class StageRecord:
     """One stage of the coupled limit; mode ('elimination', 'toeplitz' or
-    'matrix-free'), words (the basis size) and cg_residual (the largest
-    final relative CG residual, 0.0 if direct) enter no CSV."""
+    'matrix-free'), words (the basis size), cg_residual (the largest
+    final relative CG residual, 0.0 if direct) and seconds (the stage's
+    wall time, building its operator included) enter no CSV."""
 
     r: float
     N: int
@@ -483,6 +485,7 @@ class StageRecord:
     vacuum_delta: float
     mass: float
     increment: float
+    seconds: float
     cg_iterations: tuple = ()
     cg_residual: float = 0.0
 
@@ -606,14 +609,17 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     prev = None
     converged = False
     for (r, N) in schedule.stages:
+        start = time.perf_counter()
         Tr = _stage_operator(source, d, r, N)
         m_rec = word_count(d, min(M + recovery_buffer, N))
         T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out,
                                                cg_tol, cg_maxiter)
+        seconds = time.perf_counter() - start
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
             r=r, N=N, words=Tr.basis.size, vacuum_delta=vacuum,
-            mass=float(T_hat[0, 0].real), increment=increment, **solver))
+            mass=float(T_hat[0, 0].real), increment=increment, seconds=seconds,
+            **solver))
         prev = corner
         if increment < cauchy_tol:
             converged = True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,14 +228,23 @@ class MatrixPoint:
         return MatrixPoint(tuple(r * M for M in self.Z))
 
 
+#: Column tile of evaluate's BLAS products: OpenBLAS's zgemm rounds the
+#: columns of a partial last tile differently from those of full tiles.
+_TILE = 4
+
+
 def _require_interior(Z: MatrixPoint, who: str):
     if Z.row_norm >= 1.0:
         raise ValueError(f"{who}: point has row norm {Z.row_norm:.6g} >= 1, "
                          "outside the open row ball")
 
 
-def evaluate(f: NCSeries, Z: MatrixPoint) -> EvalResult:
+def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
+             ) -> EvalResult | list[EvalResult]:
     """sum_{|a| <= N} c_a Z^a, Z^a = Z_{a_1} ... Z_{a_|a|}, with a tail bound.
+
+    Z is one MatrixPoint, or a sequence of them; a sequence returns one
+    EvalResult per point, in order, from one sweep over the coefficients.
 
     N is the degree of f; higher grades are exactly zero.  The word trie
     is split baby-step/giant-step (Paterson & Stockmeyer 1973): with
@@ -243,40 +252,56 @@ def evaluate(f: NCSeries, Z: MatrixPoint) -> EvalResult:
     |w| = g0 and |v| <= j.  The blocks X_w = sum_{|v| <= j} c_{wv} Z^v
     come from a table of Z^v (Z^{v'k} = Z^{v'} Z_k) and one BLAS product
     per grade g0 + i, the coefficients viewed without a copy as a
-    d^g0 x d^i matrix: about |basis| n^2 multiply-adds.  Horner over
-    grades g0-1..0, X_w = c_w I + sum_k Z_k X_{wk}, and the table take
-    about (d^j + d^g0) n^3, and the working memory beyond the coefficients
-    is about (d^j + d^g0) n^2 numbers.
+    d^g0 x d^i matrix and the tables of all points side by side as its
+    right factor, padded to whole tiles of _TILE columns: about
+    |basis| sum_p n_p^2 multiply-adds.  Horner over grades g0-1..0,
+    X_w = c_w I + sum_k Z_k X_{wk}, and the table take about
+    (d^j + d^g0) n^3 per point, and the working memory beyond the
+    coefficients is about (d^j + d^g0) sum_p n_p^2 numbers.
 
     The tail bound is ||f|| * rho^(N+1) / sqrt(1 - rho^2) with rho the row
     norm of Z and N the truncation grade of the basis, valid for the
     dropped grades of any l2 coefficient sequence.
     """
-    _require_interior(Z, "evaluate")
+    points = (Z,) if isinstance(Z, MatrixPoint) else tuple(Z)
     basis = f.basis
-    if Z.d != basis.d:
-        raise ValueError(f"point has {Z.d} components, basis expects {basis.d}")
-    d, n = basis.d, Z.n
+    for pt in points:
+        _require_interior(pt, "evaluate")
+        if pt.d != basis.d:
+            raise ValueError(f"point has {pt.d} components, basis expects {basis.d}")
+    d = basis.d
     N = f.degree()
     j = (N + 1) // 2
     g0 = N - j
-    eye = np.eye(n, dtype=complex)
-    Zs = np.stack(Z.Z)
-    powers = eye[None]  # Z^v over the words v of grade i, in rank order
-    X = f.coeffs[basis.grade_slice(g0)][:, None] * eye.reshape(1, n * n)
+    eyes = [np.eye(pt.n, dtype=complex) for pt in points]
+    Zs = [np.stack(pt.Z) for pt in points]
+    cols = np.cumsum([0] + [pt.n ** 2 for pt in points])
+    # whole tiles, so no point's value depends on which others share the sweep
+    table = np.zeros((d ** j, -(-cols[-1] // _TILE) * _TILE), dtype=complex)
+    for eye, a in zip(eyes, cols):
+        table[0, a:a + eye.size] = eye.ravel()
+    X = f.coeffs[basis.grade_slice(g0)][:, None] * table[:1]
+    powers = [eye[None] for eye in eyes]  # Z^v over the words v of grade i, in rank order
     for i in range(1, j + 1):
-        powers = (powers[:, None] @ Zs[None]).reshape(d ** i, n, n)
+        powers = [(P[:, None] @ Zk[None]).reshape(d ** i, pt.n, pt.n)
+                  for P, Zk, pt in zip(powers, Zs, points)]
+        for P, a in zip(powers, cols):
+            table[:d ** i, a:a + P[0].size] = P.reshape(d ** i, -1)
         c = f.coeffs[basis.grade_slice(g0 + i)].reshape(d ** g0, d ** i)
-        X += c @ powers.reshape(d ** i, n * n)
-    X = X.reshape(d ** g0, n, n)
-    for m in range(g0 - 1, -1, -1):
-        kids = X.reshape(d ** m, d, n, n)
-        X = f.coeffs[basis.grade_slice(m)][:, None, None] * eye
-        for k in range(d):  # einsum, not @, rounds as configs/out was computed
-            X = X + np.einsum("ij,wjk->wik", Z.Z[k], kids[:, k])
-    rho = Z.row_norm
-    tail = f.norm() * rho ** (basis.N + 1) / np.sqrt(1.0 - rho ** 2)
-    return EvalResult(X[0], float(tail))
+        X += c @ table[:d ** i]
+    results = []
+    for pt, eye, a in zip(points, eyes, cols):
+        n = pt.n
+        Xp = np.ascontiguousarray(X[:, a:a + n * n]).reshape(d ** g0, n, n)
+        for m in range(g0 - 1, -1, -1):
+            kids = Xp.reshape(d ** m, d, n, n)
+            Xp = f.coeffs[basis.grade_slice(m)][:, None, None] * eye
+            for k in range(d):  # einsum, not @, rounds as configs/out was computed
+                Xp = Xp + np.einsum("ij,wjk->wik", pt.Z[k], kids[:, k])
+        rho = pt.row_norm
+        tail = f.norm() * rho ** (basis.N + 1) / np.sqrt(1.0 - rho ** 2)
+        results.append(EvalResult(Xp[0], float(tail)))
+    return results[0] if isinstance(Z, MatrixPoint) else results
 
 
 # ---------------------------------------------------------------------------
@@ -345,43 +370,41 @@ def szego_kernel(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray,
                  order: int) -> EvalResult:
     """Truncated NC Szego kernel sum_{|a| <= order} Z^a P (W^a)^*.
 
-    Tail bound ||P|| (rho_Z rho_W)^(order+1) / (1 - rho_Z rho_W).
+    P may be a stack of shape (..., Z.n, W.n); the value then has P's shape
+    and the tail P's leading shape.  Tail bound
+    ||P|| (rho_Z rho_W)^(order+1) / (1 - rho_Z rho_W).
     """
     _require_interior(Z, "szego_kernel")
     _require_interior(W, "szego_kernel")
     if Z.d != W.d:
         raise ValueError("points must have the same number of components")
     P = np.ascontiguousarray(P, dtype=complex)
-    if P.shape != (Z.n, W.n):
+    if P.shape[-2:] != (Z.n, W.n):
         raise ValueError(f"P must be {Z.n} x {W.n}, got {P.shape}")
+    Wh = [M.conj().T for M in W.Z]
     total = P.copy()
     S = P.copy()
     for _ in range(order):
-        S = sum(Z.Z[k] @ S @ W.Z[k].conj().T for k in range(Z.d))
+        S = sum(Zk @ S @ Whk for Zk, Whk in zip(Z.Z, Wh))
         total += S
     rr = Z.row_norm * W.row_norm
-    tail = np.linalg.norm(P, 2) * rr ** (order + 1) / (1.0 - rr)
-    return EvalResult(total, float(tail))
+    tail = np.linalg.norm(P, 2, axis=(-2, -1)) * rr ** (order + 1) / (1.0 - rr)
+    return EvalResult(total, float(tail) if P.ndim == 2 else tail)
 
 
 def szego_kernel_matrix(Z: MatrixPoint, W: MatrixPoint, order: int) -> np.ndarray:
-    """Dense realization of P -> K(Z,W)[P] on column-major vectorized P."""
+    """Dense realization of P -> K(Z,W)[P] on column-major vectorized P:
+    column col*n + row is K(Z,W) at the unit matrix E_{row,col}."""
     n, m = Z.n, W.n
-    A = np.empty((n * m, n * m), dtype=complex)
-    E = np.zeros((n, m), dtype=complex)
-    for j in range(n * m):
-        col, row = divmod(j, n)
-        E[row, col] = 1.0
-        A[:, j] = szego_kernel(Z, W, E, order).value.ravel(order="F")
-        E[row, col] = 0.0
-    return A
+    E = np.eye(n * m, dtype=complex).reshape(n * m, m, n).transpose(0, 2, 1)
+    K = szego_kernel(Z, W, E, order).value
+    return np.ascontiguousarray(K.transpose(2, 1, 0).reshape(n * m, n * m))
 
 
-def herglotz_kernel(H: NCSeries, Z: MatrixPoint, W: MatrixPoint,
+def herglotz_kernel(HZ: EvalResult, HW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
                     P: np.ndarray, order: int) -> EvalResult:
-    """(1/2) K(Z,W)[H(Z) P + P H(W)^*] with combined tail bound."""
-    HZ = evaluate(H, Z)
-    HW = evaluate(H, W)
+    """(1/2) K(Z,W)[H(Z) P + P H(W)^*] with combined tail bound, from the
+    values HZ = evaluate(H, Z) and HW = evaluate(H, W)."""
     A = 0.5 * (HZ.value @ P + P @ HW.value.conj().T)
     base = szego_kernel(Z, W, A, order)
     rr = Z.row_norm * W.row_norm
@@ -390,11 +413,10 @@ def herglotz_kernel(H: NCSeries, Z: MatrixPoint, W: MatrixPoint,
     return EvalResult(base.value, float(tail))
 
 
-def dbr_kernel(B: NCSeries, Z: MatrixPoint, W: MatrixPoint,
+def dbr_kernel(BZ: EvalResult, BW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
                P: np.ndarray, order: int) -> EvalResult:
-    """de Branges-Rovnyak kernel K(Z,W)[P] - K(Z,W)[B(Z) P B(W)^*]."""
-    BZ = evaluate(B, Z)
-    BW = evaluate(B, W)
+    """de Branges-Rovnyak kernel K(Z,W)[P] - K(Z,W)[B(Z) P B(W)^*], from the
+    values BZ = evaluate(B, Z) and BW = evaluate(B, W)."""
     first = szego_kernel(Z, W, P, order)
     second = szego_kernel(Z, W, BZ.value @ P @ BW.value.conj().T, order)
     rr = Z.row_norm * W.row_norm

@@ -219,11 +219,12 @@ def test_a9_kernel_identity():
     for _ in range(10):
         Z, W = random_point(), random_point()
         P = rng.standard_normal((Z.n, W.n)) + 1j * rng.standard_normal((Z.n, W.n))
-        left = dbr_kernel(B, Z, W, P, basis.N)
-        BZ = evaluate(B, Z).value
-        BW = evaluate(B, W).value
+        BZ, BW = evaluate(B, [Z, W])
+        HZ, HW = evaluate(H, [Z, W])
+        left = dbr_kernel(BZ, BW, Z, W, P, basis.N)
         right = herglotz_kernel(
-            H, Z, W, (np.eye(Z.n) - BZ) @ P @ (np.eye(W.n) - BW).conj().T,
+            HZ, HW, Z, W,
+            (np.eye(Z.n) - BZ.value) @ P @ (np.eye(W.n) - BW.value).conj().T,
             basis.N)
         worst_resid = max(worst_resid, float(
             np.abs(left.value - right.value).max()))

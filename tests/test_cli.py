@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ncfatou import cli
+from ncfatou import cli, series
 from ncfatou.cli import ConfigError, main, run_config, schema_doc, validate
 
 
@@ -375,23 +375,43 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
 
 
 def test_inner_singular_outputs_are_byte_identical_to_the_golden_files(tmp_path):
-    # the stage records' mode, basis size and CG residual enter no CSV: both
-    # inner-singular configs reproduce their golden files byte for byte, in
-    # a process with BLAS at one thread, the count the golden files assume
+    # the stage records' mode, basis size, CG residual and wall time enter no
+    # CSV, and kernels_d2 evaluates at all its points in one sweep: these
+    # configs reproduce their golden files byte for byte, in a process with
+    # BLAS at one thread, the count the golden files assume
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    names = ("inner_singular", "inner_singular_d2")
+    goldens = {"inner_singular": "inner_singular_trend.csv",
+               "inner_singular_d2": "inner_singular_trend.csv",
+               "kernels_d2": "kernel_identity.csv"}
     script = ("import os, sys\nfrom ncfatou.cli import run_config\n"
               "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
               "    os.environ['NCFATOU_OUTDIR'] = out\n"
               "    assert run_config(cfg, quiet=True) == 0\n")
-    args = [a for n in names for a in (str(CONFIGS / f"{n}.json"), str(tmp_path / n))]
+    args = [a for n in goldens for a in (str(CONFIGS / f"{n}.json"), str(tmp_path / n))]
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for n in names:
-        golden = CONFIGS / "out" / n / "inner_singular_trend.csv"
-        assert (tmp_path / n / golden.name).read_bytes() == golden.read_bytes()
+    for n, csv_name in goldens.items():
+        golden = CONFIGS / "out" / n / csv_name
+        assert (tmp_path / n / csv_name).read_bytes() == golden.read_bytes()
+
+
+def test_kernels_evaluate_each_series_once(tmp_path, monkeypatch):
+    # one sweep for H and one for B over all 2 * point_pairs points; the
+    # kernels take those values and evaluate nothing themselves
+    calls = []
+    real = series.evaluate
+
+    def counted(f, Z):
+        calls.append((f.constant_term(), 1 if isinstance(Z, series.MatrixPoint) else len(Z)))
+        return real(f, Z)
+
+    monkeypatch.setattr(series, "evaluate", counted)
+    monkeypatch.setattr(cli, "evaluate", counted)
+    cfg = _with(KERNELS, N=14, point_pairs=3, output_dir=str(tmp_path))
+    assert run_config(write_cfg(tmp_path, "k.json", cfg), quiet=True) == 0
+    assert calls == [(1.0, 6), (0.0, 6)]  # H(0) = 1 first, then B(0) = 0
 
 
 def test_committed_configs_validate():

@@ -632,7 +632,8 @@ def test_hermitian_cg_is_the_same_with_a_reused_matvec_buffer():
 
 def test_stage_records_name_the_mode_the_basis_size_and_the_cg_residual(monkeypatch):
     # one stage of each mode; a d = 1 stage whose corner is its whole basis
-    # is eliminated; only matrix-free stages run CG
+    # is eliminated; only matrix-free stages run CG; every stage records
+    # its wall time
     d1 = NCSeries.from_dict(WordBasis(1, 1), {(1,): 0.5})
     d2 = NCSeries.from_dict(WordBasis(2, 1), {(1,): 0.5, (2,): 0.3j})
     kw = dict(M=1, recovery_buffer=1, eps_grid=(0.25,), cauchy_tol=0.0)
@@ -646,6 +647,7 @@ def test_stage_records_name_the_mode_the_basis_size_and_the_cg_residual(monkeypa
     stages.append(("matrix-free", 31, stage(d2, 4)))
     for mode, words, st in stages:
         assert (st.mode, st.words) == (mode, words)
+        assert st.seconds > 0.0
         if mode == "matrix-free":
             assert len(st.cg_iterations) == 7 and 0.0 < st.cg_residual <= 1e-10
         else:

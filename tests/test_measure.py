@@ -206,8 +206,9 @@ def test_cauchy_transform_norm_against_kernel_gram():
            for z in (0.1, -0.3, 0.52j, -0.41j, 0.3 + 0.3j, -0.2 - 0.45j,
                      0.61, -0.55, 0.22 - 0.51j, 0.47 + 0.21j, -0.62j, 0.68)]
     order = 220
-    Gamma = np.array([[herglotz_kernel(H, Zi, Zj, np.eye(1), order).value[0, 0]
-                       for Zj in pts] for Zi in pts])
+    HP = evaluate(H, pts)
+    Gamma = np.array([[herglotz_kernel(Hi, Hj, Zi, Zj, np.eye(1), order).value[0, 0]
+                       for Zj, Hj in zip(pts, HP)] for Zi, Hi in zip(pts, HP)])
     pair = np.array([cauchy_transform(mu, p, Zi)[0][0, 0] for Zi in pts])
     proj = float(np.real(pair.conj() @ np.linalg.pinv(Gamma, rcond=1e-11) @ pair))
     assert abs(proj - exact) <= 1e-4 * max(exact, 1.0)

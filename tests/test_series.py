@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncfatou import fock
 from ncfatou.fock import transpose_unitary
-from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
+from ncfatou.series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                             cayley_to_schur, dbr_kernel, evaluate,
                             herglotz_kernel, invert, left_multiplier,
                             left_multiplier_norm, multiply, radial_scale,
@@ -314,6 +314,35 @@ def test_evaluate_matches_explicit_products(d, N, deg, n, rho, seed):
     assert tail == np.linalg.norm(coeffs) * r ** (N + 1) / np.sqrt(1.0 - r ** 2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), N=st.integers(0, 8), deg=st.integers(0, 8),
+       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+@example(d=2, N=7, deg=7, sizes=[3, 1, 2, 3], seed=0)  # n = 3 and n = 1 beside others
+@example(d=3, N=1, deg=1, sizes=[1, 1, 3], seed=1)  # no split: g0 = 0
+@example(d=1, N=8, deg=0, sizes=[2], seed=2)
+def test_evaluate_at_several_points_equals_each_point_alone(d, N, deg, sizes, seed):
+    deg = min(deg, N)
+    rng = np.random.default_rng(seed)
+    basis = WordBasis(d, N)
+    m = basis.sub_basis_size(deg)
+    coeffs = np.zeros(basis.size, dtype=complex)
+    coeffs[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    f = NCSeries(basis, coeffs)
+    points = []
+    for n in sizes:
+        Z = MatrixPoint(tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                              for _ in range(d)))
+        points.append(Z.scaled(rng.uniform(0.05, 0.95) / Z.row_norm))
+    results = evaluate(f, points)
+    assert isinstance(results, list) and len(results) == len(points)
+    for Z, res in zip(points, results):
+        alone = evaluate(f, Z)
+        assert isinstance(alone, EvalResult)
+        assert np.array_equal(res.value, alone.value)
+        assert res.tail == alone.tail
+
+
 def test_evaluate_rejects_boundary_point():
     basis = WordBasis(2, 3)
     f = NCSeries.one(basis)
@@ -361,6 +390,29 @@ def test_szego_kernel_psd_realization():
     assert lam >= -1e-10
 
 
+def test_szego_kernel_matrix_is_the_column_loop_bit_for_bit():
+    # the reference applies the kernel to one unit matrix per column
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            Z, W = (MatrixPoint(tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                                      for _ in range(2))) for k in (n, m))
+            Z, W = Z.scaled(0.4 / Z.row_norm), W.scaled(0.3 / W.row_norm)
+            ref = np.empty((n * m, n * m), dtype=complex)
+            E = np.zeros((n, m), dtype=complex)
+            for j in range(n * m):
+                col, row = divmod(j, n)
+                E[row, col] = 1.0
+                ref[:, j] = szego_kernel(Z, W, E, 12).value.ravel(order="F")
+                E[row, col] = 0.0
+            assert np.array_equal(szego_kernel_matrix(Z, W, 12), ref)
+            stack = rng.standard_normal((2, 4, n, m))
+            val, tail = szego_kernel(Z, W, stack, 12)
+            assert val.shape == stack.shape and tail.shape == (2, 4)
+            one = szego_kernel(Z, W, stack[1, 3], 12)
+            assert np.array_equal(val[1, 3], one.value) and tail[1, 3] == one.tail
+
+
 def test_kernel_identity_small():
     # K^B(Z,W)[P] = K^H(Z,W)[(I-B(Z)) P (I-B(W))^*]
     rng = np.random.default_rng(17)
@@ -375,16 +427,16 @@ def test_kernel_identity_small():
         Z = MatrixPoint(tuple(0.15 / Zr.row_norm * M for M in Zr.Z))
         W = MatrixPoint(tuple(0.15 / Wr.row_norm * M for M in Wr.Z))
         P = rng.standard_normal((2, 2))
-        left = dbr_kernel(B, Z, W, P, basis.N)
-        BZ = evaluate(B, Z).value
-        BW = evaluate(B, W).value
-        right = herglotz_kernel(H, Z, W,
-                                (np.eye(2) - BZ) @ P @ (np.eye(2) - BW).conj().T,
+        BZ, BW = evaluate(B, [Z, W])
+        HZ, HW = evaluate(H, [Z, W])
+        left = dbr_kernel(BZ, BW, Z, W, P, basis.N)
+        right = herglotz_kernel(HZ, HW, Z, W,
+                                (np.eye(2) - BZ.value) @ P @ (np.eye(2) - BW.value).conj().T,
                                 basis.N)
         assert np.abs(left.value - right.value).max() < 1e-9
     # sanity: H = 1 reduces the Herglotz kernel to Szego
     one = NCSeries.one(basis)
-    val, _ = herglotz_kernel(one, Z, W, P, 10)
+    val, _ = herglotz_kernel(*evaluate(one, [Z, W]), Z, W, P, 10)
     ref, _ = szego_kernel(Z, W, P, 10)
     assert np.abs(val - ref).max() < 1e-14
 
