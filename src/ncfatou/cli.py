@@ -205,7 +205,10 @@ def _schedule(c) -> Schedule:
     s = c["schedule"]
     if "stages" in s:  # their grades were checked against M
         return Schedule.explicit(s["stages"])
-    sched = Schedule.coupled(c["d"], **s)
+    try:
+        sched = Schedule.coupled(c["d"], **s)
+    except ValueError as exc:  # whether the budget holds a basis depends on d
+        _fail("schedule.memory_budget_mb", str(exc))
     if sched.stages[0][1] < c["M"]:
         _fail("schedule", f"coupled stage grade {sched.stages[0][1]} is below M = {c['M']}")
     return sched
@@ -457,7 +460,8 @@ def _core_checks():
         np.abs(res.T_compression - np.eye(len(res.T_compression))).max()), 1e-12))
 
     b_half = NCSeries.from_dict(WordBasis(1, 1), {(1,): 0.5})
-    res1 = rn_derivative(b_half, M=4, eps_grid=(0.25, 1.0), j_max=6)
+    res1 = rn_derivative(b_half, M=4, eps_grid=(0.25, 1.0),
+                         schedule=Schedule.coupled(1, j_max=6))
     checks.append(("eps_consistency_ac", res1.eps_consistency, 1e-4))
 
     spec = oracle1d.MeasureSpec(density=oracle1d.poisson_density(0.6))

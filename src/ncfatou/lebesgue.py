@@ -19,31 +19,35 @@ the Schur complement of eps I + T_r in the words beyond the recovery
 corner (Golub & Van Loan, Matrix Computations, ch. 4), by one of three
 stage modes:
 
-- elimination (d >= 2 on at most DENSE_LIMIT words): T_r vanishes on
-  every pair of words neither of which is a prefix of the other, since
-  L_i^* L_j = delta_ij I.  Eliminating the words of grades N, N-1, ...
-  (leaves first on the tree of prefixes) therefore creates no fill
-  (Parter 1961; Rose, Tarjan & Lueker, SIAM J. Comput. 1976), and each
-  grade keeps only its diagonal and its entries to its own prefixes,
-  read straight off T_r's first column: O(n N^2) work, no dense matrix.
-  It stops at the recovery grade for S and goes on to grade M for the
-  corner.  A d = 1 stage whose recovery corner is the whole truncated
-  basis (m_rec = n) leaves no word beyond the corner and takes this
-  route too;
+- elimination (d >= 2; moment sources at every size, Schur symbols on
+  at most DENSE_LIMIT words): T_r vanishes on every pair of words
+  neither of which is a prefix of the other, since L_i^* L_j = delta_ij I.
+  Eliminating the words of grades N, N-1, ... (leaves first on the tree
+  of prefixes) therefore creates no fill (Parter 1961; Rose, Tarjan &
+  Lueker, SIAM J. Comput. 1976), and each entry between a word and its
+  k-th prefix depends only on the grade and on the word's last k
+  letters, read straight off T_r's first column: one float and one
+  length-d^k array per grade and k, O(n) numbers and O(n N) work, no
+  dense matrix.  It stops at the recovery grade for S and goes on to
+  grade M for the corner.  A d = 1 stage whose recovery corner is the
+  whole truncated basis (m_rec = n) leaves no word beyond the corner and
+  takes this route too;
 - Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
   symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
   its outer factor (Szego-Kolmogorov), computed by a few FFTs; on the
   untruncated operator eps I + T_r = Y^H Y, Y lower triangular, so
   S = Y_m^H Y_m with no solve and no truncation at grade N;
-- matrix-free: the corner by CG, one column at a time, inverted; T_r v
-  is solved into work vectors the operator keeps, and eps v + T_r v into
-  one buffer that CG reads before its next call.
+- matrix-free (Schur symbols on d >= 2 bases beyond DENSE_LIMIT words):
+  the corner by CG, one column at a time, inverted; T_r v is solved into
+  work vectors the operator keeps, and eps v + T_r v into one buffer that
+  CG reads before its next call.
 
 Each stage reads three things: the grade-M block T_hat = S[o, o] - eps I,
 the grade-M corner (S^{-1})[o, o] and the vacuum delta, its (0, 0) entry.
 The Toeplitz and matrix-free modes read the corner from one Cholesky
 factor of S; the elimination reads it as the inverse of the block its
-sweep leaves at grade M.  The eps cross-check forms only T_hat.
+sweep leaves at grade M.  The eps cross-check reruns the same stage at
+each extra eps and keeps its T_hat.
 """
 
 from __future__ import annotations
@@ -130,10 +134,14 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # radial operators T_r = Re H(rR)
 
-#: d >= 2 stages on bases up to this many words run the elimination over
-#: grades, larger ones run CG; the dense reference corner
-#: (resolvent_corner) takes no larger d = 1 basis.
+#: A Schur symbol on a d >= 2 basis of more words runs the matrix-free
+#: stage (CG); the dense reference corner (resolvent_corner) takes no
+#: larger basis.  Every other stage is eliminated at every size.
 DENSE_LIMIT = 2048
+#: rn_derivative's CG iteration cap per corner column, and the tolerance of
+#: its positivity check of mu_ac
+_CG_MAXITER = 2000
+_POSITIVITY_TOL = 1e-6
 
 
 class RadialOperator(TruncatedOperator):
@@ -144,10 +152,10 @@ class RadialOperator(TruncatedOperator):
     determines it: T_r[b.v, b] = column[v] and T_r[b, b.v] = conj(column[v])
     for every word b and nonempty word v, and every other entry vanishes.
     The stages of rn_derivative read the column; the dense matrix is built
-    on the first to_dense() call.  The mode follows from (d, basis.size):
-    'toeplitz' for d = 1, where T_r is Toeplitz; 'elimination' for d >= 2
-    bases of up to DENSE_LIMIT words; 'matrix-free' beyond, with no column.
-    From a Schur symbol the matrix-free mode uses K = I - B(rR), block
+    on the first to_dense() call.  The mode is 'toeplitz' for d = 1, where
+    T_r is Toeplitz, and 'elimination' for d >= 2, at every size; a Schur
+    symbol on a d >= 2 basis of more than DENSE_LIMIT words is
+    'matrix-free', with no column.  That mode uses K = I - B(rR), block
     lower-triangular with diagonal (1 - B(0)) I in the graded-lex basis:
     H(rR) = 2 K^{-1} - I, so T_r v = K^{-1} v + K^{-*} v - v, each term
     one substitution over grades, exact on the truncation.  buffered_apply
@@ -169,7 +177,7 @@ class RadialOperator(TruncatedOperator):
         if abs(B.constant_term()) >= 1.0:
             raise ValueError(
                 f"T_r needs |B(0)| < 1, got {abs(B.constant_term()):.6g}")
-        if _mode(B.basis) == "matrix-free":
+        if B.basis.d > 1 and B.basis.size > DENSE_LIMIT:
             return _radial_matrix_free(B, r)
         return RadialOperator.from_herglotz(cayley_to_herglotz(B), r)
 
@@ -183,8 +191,6 @@ class RadialOperator(TruncatedOperator):
         def matvec(v):
             return 0.5 * (op.apply(v) + op.adjoint_apply(v))
 
-        if _mode(basis) == "matrix-free":
-            return RadialOperator(basis, r, matvec)
         # the same entries as matvec produces, so columns match exactly
         column = 0.5 * c.coeffs
         column[0] = H.coeffs[0].real
@@ -199,12 +205,6 @@ class RadialOperator(TruncatedOperator):
             return A
 
         return RadialOperator(basis, r, matvec, column=column, dense=dense)
-
-
-def _mode(basis: WordBasis) -> str:
-    if basis.d == 1:
-        return "toeplitz"
-    return "elimination" if basis.size <= DENSE_LIMIT else "matrix-free"
 
 
 def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
@@ -276,43 +276,43 @@ def _herm(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().T)
 
 
-def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int,
-               corner: bool = True) -> tuple:
+def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
     """T_hat, the grade-M corner and the vacuum delta of an elimination
-    stage, with the corner and the delta None unless corner is set.
+    stage, in O(n N) work on O(n) numbers.
 
-    m and m_out count the words of grade <= M_rec and <= M.  Each grade g
-    keeps the diagonal D_g of T_r and, for k = 1..g, the entries E_g[k-1]
-    from its words to their k-th prefixes: the word of rank q has its
-    k-th prefix at rank q // d^k and the entry conj(column[v]), v its
-    suffix of length k.  Eliminating grade g subtracts
-    E_g[j-1] conj(E_g[i-1]) / (eps + D_g), summed over the words below each
-    prefix, from the entries between their i-th and j-th prefixes
-    (i <= j), all of them again prefix pairs; eps stays off D, so the
-    elimination works on S - eps I.  After grades N..M_rec + 1 the grade-M
-    block is T_hat; after grades M_rec..M + 1 it is the inverse of the
-    corner less eps I.  Raises LinAlgError if a pivot is not positive.
+    m and m_out count the words of grade <= M_rec and <= M.  The entry
+    between a word of grade g and its k-th prefix depends only on g and
+    on the word's last k letters, and the diagonal only on g: this holds
+    for T_r, whose entry is conj(column[v]) with v that suffix, and
+    eliminating a grade keeps it.  Grade g therefore keeps one float
+    D[g] and, for k = 1..g, one array E[g][k-1] over the d^k suffixes.
+    Eliminating grade g subtracts E_g[j-1] conj(E_g[i-1]) / (eps + D[g]),
+    summed over the d^i words below each i-th prefix, from the entries
+    between their i-th and j-th prefixes (i <= j): for j = i + k, one
+    product of E[g][j-1], as a d^k x d^i matrix, with the vector
+    conj(E[g][i-1]) / (eps + D[g]).  eps stays off D, so the elimination
+    works on S - eps I.  After grades N..M_rec + 1 the grade-M block is
+    T_hat; after grades M_rec..M + 1 it is the inverse of the corner less
+    eps I.  Raises LinAlgError if a pivot is not positive.
     """
     b, col = Tr.basis, Tr.column
     d = b.d
     grade_rec, M = (int(np.searchsorted(b.offsets, k)) - 1 for k in (m, m_out))
-    D = [np.full(d ** g, col[0].real) for g in range(b.N + 1)]
-    E = [np.array([np.tile(col[b.grade_slice(k)].conj(), d ** (g - k))
-                   for k in range(1, g + 1)], dtype=complex).reshape(g, d ** g)
-         for g in range(b.N + 1)]
+    D = [float(col[0].real)] * (b.N + 1)
+    E = [[col[b.grade_slice(k)].conj() for k in range(1, g + 1)] for g in range(b.N + 1)]
 
     def eliminate(top, stop):
         for g in range(top, stop, -1):
             pivot = D[g] + eps
-            if not pivot.min() > 0.0:
+            if not pivot > 0.0:
                 raise np.linalg.LinAlgError(
                     f"eps I + T_r is not positive definite at r = {Tr.r!r}: "
-                    f"pivot {pivot.min():.3e} at grade {g}")
+                    f"pivot {pivot:.3e} at grade {g}")
             for i in range(1, g + 1):
                 f = E[g][i - 1].conj() / pivot
-                below = (d ** (g - i), d ** i)  # prefix rank, rank below it
-                D[g - i] -= (E[g][i - 1] * f).real.reshape(below).sum(1)
-                E[g - i] -= (E[g][i:] * f).reshape(g - i, *below).sum(2)
+                D[g - i] -= float((E[g][i - 1] * f).real.sum())
+                for k in range(1, g - i + 1):
+                    E[g - i][k - 1] -= E[g][i + k - 1].reshape(d ** k, d ** i) @ f
 
     def block():
         X = np.zeros((m_out, m_out), dtype=complex)
@@ -322,14 +322,12 @@ def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int,
             X[w, w] = D[g]
             for k in range(1, g + 1):
                 p = b.offsets[g - k] + rank // d ** k
-                X[p, w] = E[g][k - 1]
-                X[w, p] = E[g][k - 1].conj()
+                X[p, w] = E[g][k - 1][rank % d ** k]
+                X[w, p] = X[p, w].conj()
         return X
 
     eliminate(b.N, grade_rec)
     T = block()
-    if not corner:
-        return T, None, None
     eliminate(grade_rec, M)
     C = block()
     C[np.diag_indices_from(C)] += eps
@@ -337,8 +335,8 @@ def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int,
     return T, delta, float(delta[0, 0].real)
 
 
-def _spectral_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarray:
-    """S[:k, :k] for S = (P_m Delta_r(eps) P_m)^{-1} on the untruncated d = 1 operator.
+def _spectral_block(Tr: RadialOperator, eps: float, m: int) -> np.ndarray:
+    """S = (P_m Delta_r(eps) P_m)^{-1} on the untruncated d = 1 operator.
 
     eps I + T_r is the Toeplitz operator of s = eps + Re H(r e^{it}), read
     off Tr.column on a grid of G points, G the smallest power of two
@@ -346,9 +344,8 @@ def _spectral_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarra
     cepstrum with a_0 halved, gives eps I + T_r = Y^H Y with Y the
     lower-triangular Toeplitz operator of y (Szego-Kolmogorov; the
     cepstral method of Oppenheim & Schafer, ch. 13).  Y is lower
-    triangular, so S = Y_m^H Y_m and its first k columns are W^H W with W
-    the first k columns of Y_m.  Raises RuntimeError if s is not positive
-    on the grid.
+    triangular, so S = Y_m^H Y_m.  Raises RuntimeError if s is not
+    positive on the grid.
     """
     col = Tr.column
     n = len(col)
@@ -361,7 +358,7 @@ def _spectral_block(Tr: RadialOperator, eps: float, m: int, k: int) -> np.ndarra
     a = np.fft.rfft(np.log(s)).conj() / G
     a[0] *= 0.5
     y = np.fft.ifft(np.exp(np.fft.fft(a[:G // 2], G)))[:m]
-    W = scipy.linalg.toeplitz(y, np.zeros(k))
+    W = scipy.linalg.toeplitz(y, np.zeros(m))
     return W.conj().T @ W
 
 
@@ -387,26 +384,22 @@ def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
     return T, corner, float(corner[0, 0].real)
 
 
-def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int, cg_tol: float,
-           cg_maxiter: int, corner: bool = True) -> tuple:
+def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int, cg_tol: float) -> tuple:
     """(T_hat, corner, vacuum delta, solver) of one stage at eps, on a
     recovery corner of m words and an output block of m_out; solver holds
-    StageRecord's mode and, if matrix-free, its CG fields.  With
-    corner=False only T_hat is formed and the corner and the delta are
-    None.  A d = 1 corner of the whole basis (m = n) leaves no word beyond
-    it, so that truncated stage is eliminated like a d >= 2 one.
+    StageRecord's mode and, if matrix-free, its CG fields.  A d = 1 corner
+    of the whole basis (m = n) leaves no word beyond it, so that truncated
+    stage is eliminated like a d >= 2 one.
     """
     if Tr.mode == "elimination" or Tr.mode == "toeplitz" and m == Tr.basis.size:
-        return (*_eliminate(Tr, eps, m, m_out, corner), {"mode": "elimination"})
+        return (*_eliminate(Tr, eps, m, m_out), {"mode": "elimination"})
     solver = {"mode": Tr.mode}
     if Tr.mode == "toeplitz":
-        S = _spectral_block(Tr, eps, m, m if corner else m_out)
+        S = _spectral_block(Tr, eps, m)
     else:
         c, solver["cg_iterations"], solver["cg_residual"] = _cg_corner(
-            Tr, eps, m, cg_tol, cg_maxiter)
+            Tr, eps, m, cg_tol, _CG_MAXITER)
         S = np.linalg.inv(c)
-    if not corner:
-        return _herm(S[:m_out, :m_out]) - eps * np.eye(m_out), None, None, solver
     return (*_read_stage(S, eps, m_out), solver)
 
 
@@ -527,8 +520,7 @@ def _stage_operator(source, d: int, r: float, N: int) -> RadialOperator:
 
     Schur-series sources keep their sparse support, which the matrix-free
     substitution uses on large d >= 2 bases; moment sources go through the
-    Herglotz coefficients directly (dense support, viable for d = 1 or
-    small N).
+    Herglotz coefficients directly and are eliminated at every d >= 2 size.
     """
     basis = WordBasis(d, N)
     if isinstance(source, NCSeries):
@@ -557,12 +549,8 @@ def _source_moments(source, d: int, M: int) -> MomentFunctional:
 
 def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
                   schedule: Schedule | None = None, recovery_buffer: int = 8,
-                  cauchy_tol: float = 1e-4, tail_tol: float = 1e-8,
-                  j_max: int = 10, j_min: int = 1,
-                  memory_budget_mb: float = 512.0,
-                  cg_tol: float = 1e-10, cg_maxiter: int = 2000,
-                  singular_tol: float = 0.05,
-                  positivity_tol: float = 1e-6) -> RNResult:
+                  cauchy_tol: float = 1e-4, cg_tol: float = 1e-10,
+                  singular_tol: float = 0.05) -> RNResult:
     """Recover the NC Radon-Nikodym compression by the resolvent limit.
 
     source is either a Schur-class NCSeries (the symbol B) or a positive
@@ -570,21 +558,22 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     For each stage, T_stage = (P Delta_r(eps) P)^{-1} - eps I is recovered
     on the words of grade <= M + recovery_buffer; the iteration stops
     early once consecutive grade-M resolvent corners differ by less than
-    cauchy_tol in max norm.  Each stage (_stage) reads the grade-M block
-    of T_stage, the grade-M corner and the vacuum delta: d >= 2 stages of
-    at most DENSE_LIMIT words by one elimination over grades that reads
-    T_r's first column and never forms the dense T_r (_eliminate), d = 1
-    stages from the outer factor of their symbol and larger d >= 2
+    cauchy_tol in max norm; schedule defaults to Schedule.coupled(d).
+    Each stage (_stage) reads the grade-M block of T_stage, the grade-M
+    corner and the vacuum delta: d >= 2 stages by one elimination over
+    grades that reads T_r's first column and never forms the dense T_r,
+    in O(n N) work on O(n) numbers (_eliminate), moment sources at every
+    size and Schur symbols on at most DENSE_LIMIT words; d = 1 stages
+    from the outer factor of their symbol and larger Schur-symbol d >= 2
     stages from the inverse of the CG corner, both through one tail
     (_read_stage).  A Toeplitz (d = 1) stage works on the untruncated
     operator and raises RuntimeError if its symbol is not positive; one
     whose recovery corner is the whole basis (m_rec = n) has no word
-    beyond the corner and is eliminated.  The reported T_hat comes from
-    the smallest eps in the grid (least upward bias on near-singular
-    directions); the other grid values only feed the eps-consistency
-    cross-check, which repeats the last stage and forms only T_hat: the
-    elimination stops at the recovery grade, the other modes form only
-    the grade-M columns of S.
+    beyond the corner and is eliminated.
+    The reported T_hat comes from the smallest eps in the grid (least
+    upward bias on near-singular directions); the other grid values only
+    feed the eps-consistency cross-check, which reruns the last stage at
+    each of them and keeps its T_hat.
     """
     if not isinstance(source, (NCSeries, MomentFunctional)):
         raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
@@ -598,8 +587,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         raise ValueError(f"eps grid must be positive, got {eps_grid}")
     primary = eps_grid[0]
     if schedule is None:
-        schedule = Schedule.coupled(d, tail_tol=tail_tol, j_max=j_max,
-                                    j_min=j_min, memory_budget_mb=memory_budget_mb)
+        schedule = Schedule.coupled(d)
     if any(N < M for _, N in schedule.stages):
         raise ValueError("schedule stage grade below the output grade M")
 
@@ -612,8 +600,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         start = time.perf_counter()
         Tr = _stage_operator(source, d, r, N)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out,
-                                               cg_tol, cg_maxiter)
+        T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out, cg_tol)
         seconds = time.perf_counter() - start
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
@@ -629,7 +616,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = _stage(Tr, eps, m_rec, m_out, cg_tol, cg_maxiter, corner=False)[0]
+        blocks[eps] = _stage(Tr, eps, m_rec, m_out, cg_tol)[0]
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:
@@ -657,7 +644,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         achieved_r_max=schedule.achieved_r_max,
         mass_strictly_decreasing=decreasing,
         vacuum_strictly_increasing=increasing, singular=singular,
-        positivity_ac=is_positive(mu_ac, tol=positivity_tol))
+        positivity_ac=is_positive(mu_ac, tol=_POSITIVITY_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,17 @@ def test_coupled_schedule_below_M_exits_2(tmp_path, capsys):
     assert "config error: schedule:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "classical-fatou", "schur_coeffs": {"1": [0.5, 0.0]}},
+    _with(INNER, d=2, schur_coeffs={"1": [0.5, 0.0], "2": [0.5, 0.0]})])
+def test_coupled_schedule_beyond_its_memory_budget_exits_2(tmp_path, capsys, cfg):
+    # no grade-1 basis fits the budget: a config error naming the field
+    cfg = _with(cfg, schedule={"memory_budget_mb": 1e-9})
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert "config error: schedule.memory_budget_mb: schedule infeasible" in err
+
+
 def test_verify_threads_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--threads", "2"])

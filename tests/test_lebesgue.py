@@ -284,9 +284,7 @@ def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd
         Tr = RadialOperator.from_schur(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
     m = data.draw(st.integers(1, N))  # m_rec < n: words beyond the corner
     m_out = data.draw(st.integers(1, min(m, 9)))
-    S = _spectral_block(Tr, eps, m, m)
-    assert _close(_spectral_block(Tr, eps, m, m_out), S[:m_out, :m_out], 1e-14)
-    T, corner, vacuum = _read_stage(S, eps, m_out)
+    T, corner, vacuum = _read_stage(_spectral_block(Tr, eps, m), eps, m_out)
     T_ref, corner_ref, vacuum_ref = _read_stage(
         np.linalg.inv(resolvent_corner(Tr, eps, m)[0]), eps, m_out)
     assert np.array_equal(T, T.conj().T)
@@ -308,7 +306,7 @@ def test_spectral_recovery_of_an_inner_stage_matches_levinson():
     assert np.abs(phi[-17:]).max() < 1e-16 * abs(phi[0])
     A = toeplitz(phi[:17], np.zeros(17))
     ref = A @ A.conj().T / phi[0].real
-    T, corner, vacuum = _read_stage(_spectral_block(Tr, 0.25, 17, 17), 0.25, 9)
+    T, corner, vacuum = _read_stage(_spectral_block(Tr, 0.25, 17), 0.25, 9)
     assert _close(T, (np.linalg.inv(ref) - 0.25 * np.eye(17))[:9, :9], 1e-12)
     assert _close(corner, ref[:9, :9], 1e-12)
     assert vacuum == pytest.approx(phi[0].real, rel=1e-12)
@@ -384,17 +382,15 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
 @settings(max_examples=20, deadline=None)
 @dense_recovery_draws
 def test_dense_eps_block_reads_the_block_beyond_the_corner(d, eps, r, l1, seed, data):
-    # the eps cross-check stops its sweep at the recovery grade and reads
-    # T_hat = S[o, o] - eps I there, S = (P_m Delta P_m)^{-1}: the primary
-    # stage's T_hat exactly, and against the block of all m words and the
-    # explicit inverse
+    # the sweep stops at the recovery grade and reads T_hat = S[o, o] - eps I
+    # there, S = (P_m Delta P_m)^{-1}: against the block of all m words and
+    # the explicit inverse
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
     Tr = RadialOperator.from_schur(B, r)
-    T, corner, vacuum = _eliminate(Tr, eps, m, m_out, corner=False)
-    assert T.shape == (m_out, m_out) and corner is None and vacuum is None
-    assert np.array_equal(T, _eliminate(Tr, eps, m, m_out)[0])
-    assert _close(T, _eliminate(Tr, eps, m, m, corner=False)[0][:m_out, :m_out], 1e-12)
+    T = _eliminate(Tr, eps, m, m_out)[0]
+    assert T.shape == (m_out, m_out)
+    assert _close(T, _eliminate(Tr, eps, m, m)[0][:m_out, :m_out], 1e-12)
     delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
     assert _close(T + eps * np.eye(m_out), np.linalg.inv(delta[:m, :m])[:m_out, :m_out],
                   1e-10)
@@ -408,7 +404,7 @@ def test_dense_eps_block_of_the_whole_basis_is_the_t_block(eps):
     B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): 0.3j, (1, 2): 0.2})
     Tr = RadialOperator.from_schur(B, 0.8)
     X = Tr.to_dense()[:7, :7]
-    assert np.array_equal(_eliminate(Tr, eps, basis.size, 7, corner=False)[0], X)
+    assert np.array_equal(_eliminate(Tr, eps, basis.size, 7)[0], X)
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,28 +471,28 @@ def _count_densify(monkeypatch):
 
 def test_rn_derivative_dense_factors_once_per_stage(monkeypatch):
     # the recovery corner is the whole basis at both stages (511 and 2047
-    # words): the elimination never forms the dense T_r, each stage factors
-    # only its m_out x m_out block (grade M = 2, 7 words), and the eps = 1.0
-    # and 2.0 cross-checks factor nothing
+    # words): the elimination never forms the dense T_r, and each stage
+    # factors only its m_out x m_out block (grade M = 2, 7 words), the
+    # eps = 1.0 and 2.0 cross-checks of the last stage included
     sizes = _count_cholesky(monkeypatch)
     densified = _count_densify(monkeypatch)
     rn_derivative(NCSeries.zero(WordBasis(2, 1)), M=2, eps_grid=(0.5, 1.0, 2.0),
                   schedule=Schedule.explicit([(0.5, 8), (0.75, 10)]))
-    assert sizes == [7, 7]
+    assert sizes == [7, 7, 7, 7]
     assert densified == []
 
 
 def test_rn_derivative_dense_cross_check_factors_beyond_the_corner(monkeypatch):
     # N = 4: 31 words, recovery corner of grade M + buffer = 2 (7 words):
-    # the elimination reads every eps's block beyond the corner off the same
-    # sweep, so the stage factors only its 3 x 3 output block, once
+    # the cross-check reruns the stage at each eps, and each run factors
+    # only its 3 x 3 output block
     sizes = _count_cholesky(monkeypatch)
     densified = _count_densify(monkeypatch)
     symbol = {(1,): 0.5, (2,): 0.3j}
     res = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), symbol), M=1,
                         recovery_buffer=1, eps_grid=(0.25, 1.0, 2.0),
                         schedule=Schedule.explicit([(0.6, 4)]))
-    assert sizes == [3]
+    assert sizes == [3, 3, 3]
     assert densified == []
     # the same cross-check from the reference corner at every eps
     Tr = RadialOperator.from_schur(NCSeries.from_dict(WordBasis(2, 4), symbol), 0.6)
@@ -722,10 +718,31 @@ def test_rn_derivative_matrix_free_stages_match_the_dense_run(monkeypatch):
     assert free.eps_consistency == pytest.approx(dense.eps_consistency, abs=1e-8)
 
 
+def test_rn_derivative_cg_stages_match_the_eliminated_clark_measure():
+    # the inner symbol (Z1 + Z2)/sqrt(2) at N = 14 (32767 words): the Schur
+    # symbol runs CG, its Clark measure, a moment source, is eliminated at
+    # this size too; both against each other and against the closed forms
+    # 1/(1 + sqrt(1 - r^2)) of the vacuum delta and sqrt(1 - r^2) of the mass
+    N, s = 14, 2 ** -0.5
+    kw = dict(M=0, eps_grid=(1.0,), recovery_buffer=0, cauchy_tol=0.0,
+              schedule=Schedule.explicit([(r, N) for r in (0.5, 0.6, 0.7)]))
+    cg = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), {(1,): s, (2,): s}), **kw)
+    mu = clark_measure(NCSeries.from_dict(WordBasis(2, N), {(1,): s, (2,): s}))
+    el = rn_derivative(mu, **kw)
+    for a, b in zip(cg.stages, el.stages, strict=True):
+        assert (a.mode, b.mode) == ("matrix-free", "elimination")
+        assert a.words == b.words == 32767 > DENSE_LIMIT
+        assert a.vacuum_delta == pytest.approx(b.vacuum_delta, abs=1e-10)
+        assert a.mass == pytest.approx(b.mass, abs=1e-10)
+        h = np.sqrt(1 - b.r ** 2)
+        assert b.vacuum_delta == pytest.approx(1 / (1 + h), abs=1e-10)
+        assert b.mass == pytest.approx(h, abs=1e-10)
+
+
 def test_rn_derivative_classical_fatou_small():
     basis = WordBasis(1, 1)
     res = rn_derivative(NCSeries.from_dict(basis, {(1,): 0.5}), M=6,
-                        eps_grid=(0.25, 1.0), j_max=8)
+                        eps_grid=(0.25, 1.0), schedule=Schedule.coupled(1, j_max=8))
     oracle = toeplitz(0.5 ** np.arange(7))
     assert np.abs(res.T_compression - oracle).max() < 2.5e-3
     assert res.eps_consistency < 1e-4
@@ -739,7 +756,8 @@ def test_rn_derivative_inner_singular_trend_small(monkeypatch):
     monkeypatch.setattr(lebesgue, "hermitian_cg", lambda *a, **k: pytest.fail("CG ran"))
     basis = WordBasis(1, 1)
     res = rn_derivative(NCSeries.from_dict(basis, {(1,): 1.0}), M=0,
-                        eps_grid=(0.25,), j_max=7, cauchy_tol=0.0)
+                        eps_grid=(0.25,),
+                        schedule=Schedule.coupled(1, j_max=7), cauchy_tol=0.0)
     assert res.mass_strictly_decreasing
     assert res.vacuum_strictly_increasing
     assert res.mass_trend[-1] < 0.45
@@ -787,7 +805,7 @@ def test_rn_derivative_moment_source_d2_matches_schur_source():
 def test_rn_derivative_rejects_underresolved_moments():
     mu = MomentFunctional(WordBasis(1, 10), np.ones(11, dtype=complex))
     with pytest.raises(ValueError):
-        rn_derivative(mu, M=2, j_max=6)
+        rn_derivative(mu, M=2, schedule=Schedule.coupled(1, j_max=6))
 
 
 def test_rn_derivative_matches_oracle_on_ac_polynomial_density():
@@ -810,7 +828,8 @@ def test_rn_derivative_inner_vacuum_trend_toward_one():
     # the vacuum along the coupled schedule
     basis = WordBasis(1, 1)
     res = rn_derivative(NCSeries.from_dict(basis, {(1,): 1.0}), M=0,
-                        eps_grid=(1.0,), j_max=7, cauchy_tol=0.0)
+                        eps_grid=(1.0,),
+                        schedule=Schedule.coupled(1, j_max=7), cauchy_tol=0.0)
     vacua = [st.vacuum_delta for st in res.stages]
     assert res.vacuum_strictly_increasing
     # the gap to 1 closes like sqrt(1 - r): about 0.11 at j = 7
@@ -821,7 +840,8 @@ def test_rn_derivative_inner_vacuum_trend_toward_one():
 def test_rn_derivative_cauchy_stopping():
     basis = WordBasis(1, 1)
     res = rn_derivative(NCSeries.from_dict(basis, {(1,): 0.5}), M=2,
-                        eps_grid=(1.0,), j_max=10, cauchy_tol=1e-2)
+                        eps_grid=(1.0,),
+                        schedule=Schedule.coupled(1, j_max=10), cauchy_tol=1e-2)
     assert res.cauchy_converged
     assert len(res.stages) < 10
 
