@@ -13,7 +13,7 @@ from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
 from .lebesgue import (FormDecomposition, PsdReport, RadialOperator, RNResult,
                        Schedule, StageRecord, fatou_form_check,
                        form_decomposition_diagnostic, majorant_check,
-                       rn_derivative, resolvent_corner)
+                       radial_operator, rn_derivative, resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       cauchy_transform, clark_measure, gns_isometry, gram,
                       gram_matvec, herglotz_eval, herglotz_transform,

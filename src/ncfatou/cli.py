@@ -230,10 +230,8 @@ def _symbol_series(src, d, grade, prefix="") -> NCSeries:
 
 
 def _rn_derivative(source, c, **kw):
-    tols = c["tolerances"]
-    return rn_derivative(source, M=c["M"], eps_grid=c["epsilon_grid"],
-                         schedule=_schedule(c), cg_tol=tols["cg_tol"],
-                         singular_tol=tols["singular_tol"], **kw)
+    return rn_derivative(source, M=c["M"], eps_grid=c["epsilon_grid"], schedule=_schedule(c),
+                         singular_tol=c["tolerances"]["singular_tol"], **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +503,7 @@ SCHEDULE = Variants(lambda v: "stages" if "stages" in v else "coupled", {
     "coupled": {"tail_tol": ("real (0,1)", 1e-8), "j_min": ("int [1,inf)", 1),
                 "j_max": ("int [j_min,inf)", 10),
                 "memory_budget_mb": ("real (0,inf)", 512.0)}})
-TOLERANCES = {"cg_tol": ("real (0,inf)", 1e-10), "singular_tol": ("real [0,inf)", 0.05)}
+TOLERANCES = {"singular_tol": ("real [0,inf)", 0.05)}
 DENSITY = Variants(lambda v: v.get("type"), {
     "constant": {"type": ("constant", REQUIRED), "value": ("real [0,inf)", 1.0)},
     "poisson": {"type": ("poisson", REQUIRED), "weight": ("real [0,inf)", 1.0),

@@ -212,19 +212,23 @@ class _GradedProduct:
         return out
 
     def dense(self) -> np.ndarray:
-        """Index fill, one block f_j at a time: f_j[k] times x_h[i] lands at
-        rank k d**h + i (left) or i d**j + k (right) of grade h+j, for all
-        words of grade h <= N - j at once."""
+        """Index fill of every block f_j in one assignment: f_j[k] times
+        x_h[i] lands at rank k d**h + i (left) or i d**j + k (right) of
+        grade h+j, for every word of grade h <= N - j."""
         b = self.basis
         A = np.zeros((b.size, b.size), dtype=complex)
         count = np.diff(b.offsets)  # d**h
-        grade = np.repeat(np.arange(b.N + 1), count)[:, None]
-        for j, fj in self.blocks:
-            col = np.arange(b.sub_basis_size(b.N - j))[:, None]
-            h = grade[:len(col)]
-            i, k = col - b.offsets[h], np.arange(len(fj))
-            rank = k * count[h] + i if self.left else i * len(fj) + k
-            A[b.offsets[h + j] + rank, col] = fj
+        grade = np.repeat(np.arange(b.N + 1), count)
+        # the words v of the nonzero blocks, each against its columns
+        v = np.flatnonzero(np.isin(grade[:len(self.coeffs)], [j for j, _ in self.blocks]))
+        width = b.offsets[b.N + 1 - grade[v]]
+        entry = np.repeat(np.arange(len(v)), width)
+        col = np.arange(len(entry)) - np.repeat(np.cumsum(width) - width, width)
+        v = v[entry]
+        h, j = grade[col], grade[v]
+        i, k = col - b.offsets[h], v - b.offsets[j]
+        rank = k * count[h] + i if self.left else i * count[j] + k
+        A[b.offsets[h + j] + rank, col] = self.coeffs[v]
         return A
 
     def solve(self, w, adjoint: bool = False, out=None):
@@ -279,9 +283,10 @@ def graded_multiplier(basis: WordBasis, coeffs, side: str = "left") -> Truncated
 
     side 'left': e_b -> sum_a c_a e_{ab}; side 'right': e_b -> sum_a c_a
     e_{ba}.  coeffs lists c_a over the words of basis.  to_dense() writes
-    the nonzero entries by index, one coefficient block at a time.  The Gram
-    matrix, vector state and sum-of-squares split of measure are all
-    built on this kernel.
+    the nonzero entries by index, every coefficient block in one
+    assignment.  The Gram matrix (and with it the radial operator T_r),
+    vector state and sum-of-squares split of measure are all built on
+    this kernel.
     """
     k = _GradedProduct(basis, _full(basis, coeffs), side)
     return TruncatedOperator(basis, k.matvec, k.rmatvec, dense=k.dense)

@@ -14,6 +14,10 @@ corner of the resolvent is a Schur complement of eps I + T, and the
 enlargement buffer pushes its systematic deficit below tolerance for
 symbols whose moments decay.
 
+T_r = Re H_mu(rR) is the NC Poisson transform of mu, so it is the
+L-Toeplitz Gram matrix of mu_r(L^a) = r^|a| mu(L^a) (radial_operator);
+a Schur symbol B gives it through its Clark measure.
+
 Every stage therefore works with one matrix, S = (P_m Delta_r(eps) P_m)^{-1},
 the Schur complement of eps I + T_r in the words beyond the recovery
 corner (Golub & Van Loan, Matrix Computations, ch. 4), by one of three
@@ -60,9 +64,8 @@ import scipy.linalg
 
 from .fock import FockVector, TruncatedOperator, _GradedProduct
 from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
-                      herglotz_transform, is_positive, vector_state)
-from .series import (NCSeries, cayley_to_herglotz, radial_scale, right_multiplier,
-                     series_at_right_shifts, transpose_conjugate)
+                      gram_matvec, is_positive, vector_state)
+from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
 from .words import WordBasis, word_count
 
 
@@ -119,6 +122,8 @@ class Schedule:
     @staticmethod
     def explicit(stages) -> "Schedule":
         stages = tuple((float(r), int(N)) for r, N in stages)
+        if not stages:
+            raise ValueError("a schedule needs at least one stage")
         for r, N in stages:
             if not 0 < r < 1:
                 raise ValueError(f"radius {r} outside (0,1)")
@@ -138,28 +143,31 @@ class Schedule:
 #: stage (CG); the dense reference corner (resolvent_corner) takes no
 #: larger basis.  Every other stage is eliminated at every size.
 DENSE_LIMIT = 2048
-#: rn_derivative's CG iteration cap per corner column, and the tolerance of
-#: its positivity check of mu_ac
+#: the matrix-free stage's CG tolerance and iteration cap per corner column,
+#: and the tolerance of rn_derivative's positivity check of mu_ac
+_CG_TOL = 1e-10
 _CG_MAXITER = 2000
 _POSITIVITY_TOL = 1e-6
 
 
 class RadialOperator(TruncatedOperator):
-    """Compression of T_r = Re H_B(rR) on the truncated basis.
+    """Compression of T_r = Re H_mu(rR) on the truncated basis.
 
-    T_r v = (H(rR) v + H(rR)^* v)/2 with H(rR) a graded multiplier.  Built
-    from Herglotz coefficients, it keeps its first column T_r e_0, which
-    determines it: T_r[b.v, b] = column[v] and T_r[b, b.v] = conj(column[v])
-    for every word b and nonempty word v, and every other entry vanishes.
-    The stages of rn_derivative read the column; the dense matrix is built
-    on the first to_dense() call.  The mode is 'toeplitz' for d = 1, where
-    T_r is Toeplitz, and 'elimination' for d >= 2, at every size; a Schur
-    symbol on a d >= 2 basis of more than DENSE_LIMIT words is
-    'matrix-free', with no column.  That mode uses K = I - B(rR), block
-    lower-triangular with diagonal (1 - B(0)) I in the graded-lex basis:
-    H(rR) = 2 K^{-1} - I, so T_r v = K^{-1} v + K^{-*} v - v, each term
-    one substitution over grades, exact on the truncation.  buffered_apply
-    is apply, but its result may be a buffer that its next call overwrites.
+    T_r is the NC Poisson transform of mu, the L-Toeplitz Gram matrix of
+    mu_r(L^a) = r^|a| mu(L^a) (radial_operator).  It keeps its first
+    column T_r e_0 = conj(mu_r), with the real mu(I) at the empty word,
+    which determines it: T_r[b.v, b] = column[v] and T_r[b, b.v] =
+    conj(column[v]) for every word b and nonempty word v, and every other
+    entry vanishes.  The stages of rn_derivative read the column; the
+    dense matrix is built on the first to_dense() call.  The mode is
+    'toeplitz' for d = 1, where T_r is Toeplitz, and 'elimination' for
+    d >= 2, at every size; a Schur symbol on a d >= 2 basis of more than
+    DENSE_LIMIT words is 'matrix-free', with no column.  That mode uses
+    K = I - B(rR), block lower-triangular with diagonal (1 - B(0)) I in the
+    graded-lex basis: H(rR) = 2 K^{-1} - I, so T_r v = K^{-1} v + K^{-*} v
+    - v, each term one substitution over grades, exact on the truncation.
+    buffered_apply is apply, but its result may be a buffer that its next
+    call overwrites.
     """
 
     def __init__(self, basis: WordBasis, r: float, matvec,
@@ -173,38 +181,25 @@ class RadialOperator(TruncatedOperator):
 
     @staticmethod
     def from_schur(B: NCSeries, r: float) -> "RadialOperator":
-        """Build T_r from a Schur-class symbol (germ |B(0)| < 1 checked)."""
+        """T_r of the Clark measure of a Schur-class symbol (germ |B(0)| < 1
+        checked)."""
         if abs(B.constant_term()) >= 1.0:
             raise ValueError(
                 f"T_r needs |B(0)| < 1, got {abs(B.constant_term()):.6g}")
         if B.basis.d > 1 and B.basis.size > DENSE_LIMIT:
             return _radial_matrix_free(B, r)
-        return RadialOperator.from_herglotz(cayley_to_herglotz(B), r)
+        return radial_operator(clark_measure(B), r)
 
-    @staticmethod
-    def from_herglotz(H: NCSeries, r: float) -> "RadialOperator":
-        """Build T_r = Re H(rR) directly from Herglotz coefficients."""
-        basis = H.basis
-        c = transpose_conjugate(radial_scale(H, r))  # radial_scale checks 0 < r < 1
-        op = right_multiplier(c)
 
-        def matvec(v):
-            return 0.5 * (op.apply(v) + op.adjoint_apply(v))
-
-        # the same entries as matvec produces, so columns match exactly
-        column = 0.5 * c.coeffs
-        column[0] = H.coeffs[0].real
-        if basis.d == 1:
-            return RadialOperator(basis, r, matvec, column=column,
-                                  dense=lambda: scipy.linalg.toeplitz(column, column.conj()))
-
-        def dense():  # only this reads op's dense matrix: Hermitize it in place
-            A = op.to_dense()
-            A += A.conj().T
-            A *= 0.5
-            return A
-
-        return RadialOperator(basis, r, matvec, column=column, dense=dense)
+def radial_operator(mu: MomentFunctional, r: float) -> RadialOperator:
+    """T_r = Re H_mu(rR) as the Gram matrix of mu_r: its matvec is
+    gram_matvec(mu_r, .) and its dense matrix gram(mu_r).matrix."""
+    basis = mu.basis
+    mu_r = MomentFunctional(basis, radial_scale(NCSeries(basis, mu.moments), r).coeffs)
+    column = mu_r.moments.conj()
+    column[0] = column[0].real
+    return RadialOperator(basis, r, lambda v: gram_matvec(mu_r, v), column=column,
+                          dense=lambda: gram(mu_r).matrix)
 
 
 def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
@@ -384,7 +379,7 @@ def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
     return T, corner, float(corner[0, 0].real)
 
 
-def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int, cg_tol: float) -> tuple:
+def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
     """(T_hat, corner, vacuum delta, solver) of one stage at eps, on a
     recovery corner of m words and an output block of m_out; solver holds
     StageRecord's mode and, if matrix-free, its CG fields.  A d = 1 corner
@@ -397,47 +392,40 @@ def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int, cg_tol: float) ->
     if Tr.mode == "toeplitz":
         S = _spectral_block(Tr, eps, m)
     else:
-        c, solver["cg_iterations"], solver["cg_residual"] = _cg_corner(
-            Tr, eps, m, cg_tol, _CG_MAXITER)
+        c, solver["cg_iterations"], solver["cg_residual"] = _cg_corner(Tr, eps, m)
         S = np.linalg.inv(c)
     return (*_read_stage(S, eps, m_out), solver)
 
 
-def resolvent_corner(Tr: RadialOperator, eps: float, m: int,
-                     cg_tol: float = 1e-10, cg_maxiter: int = 2000) -> tuple:
+def resolvent_corner(Tr: RadialOperator, eps: float, m: int) -> np.ndarray:
     """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
     m x m matrix (m counts basis words); eps must be positive.
 
     This is the exact corner of the truncated resolvent, the reference the
-    coupled limit is checked against, computed independently of the stage
-    stages of rn_derivative.  In elimination and Toeplitz mode it solves
-    the dense eps I + T_r (built by to_dense()) for the first m unit
-    vectors (one Cholesky solve), so the basis may hold at most
-    DENSE_LIMIT words; in matrix-free mode each column is one CG solve to
-    cg_tol (_cg_corner; m must stay small).  Returns the Hermitized corner
-    together with the CG iteration counts (empty unless matrix-free).
+    coupled limit is checked against, computed independently of the
+    stages of rn_derivative: it solves the dense eps I + T_r (built by
+    to_dense(), by a column loop if T_r is matrix-free) for the first m
+    unit vectors (one Cholesky solve), so the basis may hold at most
+    DENSE_LIMIT words.  Returns the Hermitized corner.
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
     basis = Tr.basis
     if m > basis.size:
         raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
-    if Tr.mode == "matrix-free":
-        return _cg_corner(Tr, eps, m, cg_tol, cg_maxiter)[:2]
     if basis.size > DENSE_LIMIT:
         raise ValueError(
             f"the dense reference corner needs at most {DENSE_LIMIT} basis "
             f"words, got {basis.size}")
     A = Tr.to_dense() + eps * np.eye(basis.size)
-    corner = scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m]
-    return _herm(corner), ()
+    return _herm(scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m])
 
 
-def _cg_corner(Tr: RadialOperator, eps: float, m: int, cg_tol: float,
-               cg_maxiter: int) -> tuple:
+def _cg_corner(Tr: RadialOperator, eps: float, m: int) -> tuple:
     """The matrix-free corner, one CG solve of (eps I + T_r) x = e_j per
-    column j, with eps u + T_r u formed in that order in one buffer:
-    (Hermitized corner, iteration counts, largest final relative residual).
+    column j to _CG_TOL, with eps u + T_r u formed in that order in one
+    buffer: (Hermitized corner, iteration counts, largest final relative
+    residual).
     """
     if m > 256:
         raise ValueError(
@@ -453,7 +441,7 @@ def _cg_corner(Tr: RadialOperator, eps: float, m: int, cg_tol: float,
     iters, residual = [], 0.0
     for j in range(m):
         e[j] = 1.0
-        x, it, rel = hermitian_cg(matvec, e, tol=cg_tol, maxiter=cg_maxiter)
+        x, it, rel = hermitian_cg(matvec, e, tol=_CG_TOL, maxiter=_CG_MAXITER)
         corner[:, j] = x[:m]
         iters.append(it)
         residual = max(residual, float(rel))
@@ -519,8 +507,9 @@ def _stage_operator(source, d: int, r: float, N: int) -> RadialOperator:
     """T_r at the stage grade, routed by source type.
 
     Schur-series sources keep their sparse support, which the matrix-free
-    substitution uses on large d >= 2 bases; moment sources go through the
-    Herglotz coefficients directly and are eliminated at every d >= 2 size.
+    substitution uses on large d >= 2 bases; moment sources give T_r as
+    the Gram matrix of their rescaled moments and are eliminated at every
+    d >= 2 size.
     """
     basis = WordBasis(d, N)
     if isinstance(source, NCSeries):
@@ -534,8 +523,7 @@ def _stage_operator(source, d: int, r: float, N: int) -> RadialOperator:
             raise ValueError(
                 f"schedule stage needs moments through grade {N}, functional "
                 f"only reaches {source.basis.N}")
-        H = herglotz_transform(source.restricted(N))
-        return RadialOperator.from_herglotz(H, r)
+        return radial_operator(source.restricted(N), r)
     raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
 
 
@@ -549,8 +537,7 @@ def _source_moments(source, d: int, M: int) -> MomentFunctional:
 
 def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
                   schedule: Schedule | None = None, recovery_buffer: int = 8,
-                  cauchy_tol: float = 1e-4, cg_tol: float = 1e-10,
-                  singular_tol: float = 0.05) -> RNResult:
+                  cauchy_tol: float = 1e-4, singular_tol: float = 0.05) -> RNResult:
     """Recover the NC Radon-Nikodym compression by the resolvent limit.
 
     source is either a Schur-class NCSeries (the symbol B) or a positive
@@ -565,11 +552,12 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     in O(n N) work on O(n) numbers (_eliminate), moment sources at every
     size and Schur symbols on at most DENSE_LIMIT words; d = 1 stages
     from the outer factor of their symbol and larger Schur-symbol d >= 2
-    stages from the inverse of the CG corner, both through one tail
-    (_read_stage).  A Toeplitz (d = 1) stage works on the untruncated
-    operator and raises RuntimeError if its symbol is not positive; one
-    whose recovery corner is the whole basis (m_rec = n) has no word
-    beyond the corner and is eliminated.
+    stages from the inverse of the CG corner (each column to the relative
+    residual _CG_TOL), both through one tail (_read_stage).  A Toeplitz
+    (d = 1) stage works on the untruncated operator and raises
+    RuntimeError if its symbol is not positive; one whose recovery corner
+    is the whole basis (m_rec = n) has no word beyond the corner and is
+    eliminated.
     The reported T_hat comes from the smallest eps in the grid (least
     upward bias on near-singular directions); the other grid values only
     feed the eps-consistency cross-check, which reruns the last stage at
@@ -600,7 +588,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         start = time.perf_counter()
         Tr = _stage_operator(source, d, r, N)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out, cg_tol)
+        T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out)
         seconds = time.perf_counter() - start
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
@@ -616,7 +604,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = _stage(Tr, eps, m_rec, m_out, cg_tol)[0]
+        blocks[eps] = _stage(Tr, eps, m_rec, m_out)[0]
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:
@@ -680,8 +668,8 @@ def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PsdReport:
     if x.basis != basis:
         raise ValueError("B and x must share a basis")
     m = basis.sub_basis_size(M)
-    T_block = RadialOperator.from_schur(
-        NCSeries(WordBasis(basis.d, M), B.coeffs[:m]), r).to_dense()
+    T_block = radial_operator(
+        clark_measure(NCSeries(WordBasis(basis.d, M), B.coeffs[:m])), r).to_dense()
     y = FockVector(basis, transpose_conjugate(radial_scale(x, r)).coeffs)
     X_block = gram(vector_state(y).restricted(M)).matrix
     D = np.eye(m) + T_block - X_block

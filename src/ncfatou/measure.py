@@ -107,9 +107,11 @@ def _gram_half(mu: MomentFunctional):
 
 
 def gram(mu: MomentFunctional, null_tol: float = 1e-10) -> GramMatrix:
-    """Assemble G = Y^T + conj(Y) from the dense half Y."""
+    """Assemble G = conj(Y) + Y^T from the dense half Y, in place."""
     Y = _gram_half(mu).to_dense()
-    return GramMatrix(mu.basis, Y.T + Y.conj(), null_tol)
+    G = Y.conj()
+    G += Y.T
+    return GramMatrix(mu.basis, G, null_tol)
 
 
 def gram_matvec(mu: MomentFunctional, v: np.ndarray) -> np.ndarray:

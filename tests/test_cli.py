@@ -156,7 +156,7 @@ def _with(base, **changes):
 MALFORMED = [
     (_with(FACTOR, epsilon="x"), "epsilon"),
     (_with(FACTOR, residual_tol="x"), "residual_tol"),
-    (_with(INNER, tolerances={"cg_tol": "x"}), "tolerances.cg_tol"),
+    (_with(INNER, tolerances={"cg_tol": 1e-10}), "tolerances.cg_tol"),
     (_with(KERNELS, row_norm_cap="x"), "row_norm_cap"),
     (_with(FACTOR, d=0), "d"),
     (_with(KERNELS, seed=-1), "seed"),
@@ -204,7 +204,7 @@ def test_validate_fills_every_default():
     c = validate(dict(INNER, d=2, schur_coeffs={"2": [0.5, 0.0]}))
     assert c["recovery_buffer"] == 0 and c["symbol_grade"] == 4 and c["seed"] == 0
     assert c["epsilon_grid"] == [0.25, 1.0] and c["output_dir"] == "out"
-    assert c["tolerances"] == {"cg_tol": 1e-10, "singular_tol": 0.05}
+    assert c["tolerances"] == {"singular_tol": 0.05}
     assert c["schur_coeffs"] == {(2,): 0.5 + 0j}
     c = validate({k: v for k, v in INNER.items() if k != "schedule"})
     assert c["recovery_buffer"] == 8
@@ -387,14 +387,19 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
 
 def test_inner_singular_outputs_are_byte_identical_to_the_golden_files(tmp_path):
     # the stage records' mode, basis size, CG residual and wall time enter no
-    # CSV, and kernels_d2 evaluates at all its points in one sweep: these
-    # configs reproduce their golden files byte for byte, in a process with
-    # BLAS at one thread, the count the golden files assume
+    # CSV, kernels_d2 evaluates at all its points in one sweep, and the
+    # factor and majorant configs read T_r's dense matrix as a Gram matrix:
+    # these configs reproduce their golden files byte for byte, in a process
+    # with BLAS at one thread, the count the golden files assume
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     goldens = {"inner_singular": "inner_singular_trend.csv",
                "inner_singular_d2": "inner_singular_trend.csv",
-               "kernels_d2": "kernel_identity.csv"}
+               "kernels_d2": "kernel_identity.csv",
+               "factor_toeplitz": "factor_psi.csv",
+               "factor_vector_state": "factor_psi.csv",
+               "majorant_d1": "majorant_floors.csv",
+               "majorant_d2": "majorant_floors.csv"}
     script = ("import os, sys\nfrom ncfatou.cli import run_config\n"
               "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
               "    os.environ['NCFATOU_OUTDIR'] = out\n"
