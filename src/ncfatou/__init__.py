@@ -2,11 +2,11 @@
 
 Converts between contractive NC symbols, NC Herglotz functions, and NC
 measures; computes the NC Lebesgue decomposition mu = mu_ac + mu_s by the
-coupled resolvent limit; factors eps I + tau for positive L-Toeplitz tau;
+coupled resolvent limit; factors eps I + T_tau for a positive measure tau;
 and cross-validates everything against the classical one-variable theory.
 """
 
-from .factor import FactorResult, ltoeplitz_check, outer_factor
+from .factor import FactorResult, outer_factor
 from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
                    graded_multiplier, left_shift, right_shift, transpose_unitary,
                    vacuum)
@@ -18,7 +18,7 @@ from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       cauchy_transform, clark_measure, gns_isometry, gram,
                       gram_matvec, herglotz_eval, herglotz_transform,
                       is_positive, nc_lebesgue, quadratic_form,
-                      read_moments_csv, sos_split, vector_state,
+                      radial_measure, read_moments_csv, sos_split, vector_state,
                       write_moments_csv)
 from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
                        fatou_symbol, fourier_coefficients, herglotz_integral,

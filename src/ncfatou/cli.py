@@ -36,9 +36,10 @@ import numpy as np
 
 from . import oracle1d
 from .factor import outer_factor
-from .fock import FockVector, TruncatedOperator
-from .lebesgue import RadialOperator, Schedule, majorant_check, rn_derivative
-from .measure import clark_measure, gram, read_moments_csv, vector_state
+from .fock import FockVector
+from .lebesgue import Schedule, majorant_check, rn_derivative
+from .measure import (clark_measure, nc_lebesgue, radial_measure, read_moments_csv,
+                      vector_state)
 from .series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                      cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
                      read_series_csv, szego_kernel_matrix)
@@ -330,11 +331,11 @@ def _decompose(c, threads):
 def _factor(c, threads):
     tau, basis = c["tau"], WordBasis(c["d"], c["N"])
     if tau["type"] == "radial":
-        op = RadialOperator.from_schur(_symbol_series(tau, c["d"], c["N"], "tau."), tau["r"])
-    else:  # the Gram matrix of a vector state
-        x = FockVector(basis, NCSeries.from_dict(basis, tau["coeffs"]).coeffs)
-        op = TruncatedOperator.from_dense(basis, gram(vector_state(x)).matrix)
-    result = outer_factor(op, c["epsilon"], seed=c["seed"])
+        B = _symbol_series(tau, c["d"], c["N"], "tau.")
+        mu = radial_measure(clark_measure(B), tau["r"])
+    else:
+        mu = vector_state(FockVector(basis, NCSeries.from_dict(basis, tau["coeffs"]).coeffs))
+    result = outer_factor(mu, c["epsilon"], seed=c["seed"])
     rows = [[word_to_str(w), coef.real, coef.imag] for w, coef in result.psi.support()]
     return [("factor_psi.csv", ["word", "re", "im"], rows)], [
         f"factor: residual = {result.residual!r} on grades <= {result.check_grade}",
@@ -350,8 +351,7 @@ def _majorant(c, threads):
     else:
         # exact for purely absolutely continuous Clark measures, where the
         # Radon-Nikodym compression equals the moment Gram matrix
-        tau = TruncatedOperator.from_dense(B.basis, gram(clark_measure(B)).matrix)
-        x = outer_factor(tau, 1.0, seed=c["seed"]).y_series
+        x = outer_factor(clark_measure(B), 1.0, seed=c["seed"]).y_series
     r_grid = c["r_grid"]
     with ThreadPoolExecutor(max(threads, 1)) as pool:  # results do not depend on threads
         reports = list(pool.map(lambda r: majorant_check(B, x, r, c["M"]), r_grid))
@@ -410,9 +410,8 @@ def _kernels(c, threads):
 
 def _core_checks():
     """Deterministic invariant battery; yields (name, value, threshold)."""
-    from .fock import FockVector, left_shift, right_shift, transpose_unitary
-    from .measure import (herglotz_transform, quadratic_form, sos_split,
-                          vector_state)
+    from .fock import left_shift, right_shift, transpose_unitary
+    from .measure import herglotz_transform, quadratic_form, sos_split
     from .series import radial_scale
 
     rng = np.random.default_rng(12345)
@@ -467,10 +466,7 @@ def _core_checks():
     checks.append(("oracle_poisson_moments", float(
         np.abs(mom.moments - 0.6 ** np.arange(13)).max()), 1e-12))
 
-    basis4 = WordBasis(2, 4)
-    zero_op = TruncatedOperator.from_dense(
-        basis4, np.zeros((basis4.size, basis4.size)))
-    fr = outer_factor(zero_op, 1.0)
+    fr = outer_factor(0.0 * nc_lebesgue(WordBasis(2, 4)), 1.0)
     checks.append(("factor_trivial_residual", fr.residual, 1e-13))
     return checks
 

@@ -1,7 +1,8 @@
-"""Outer factorization of eps I + tau for positive L-Toeplitz tau.
+"""Outer factorization of eps I + T_tau, T_tau the Gram matrix of a positive
+NC measure tau, from tau's moments alone.
 
 The factor is produced through the explicit inverse-symbol formula: with
-phi = (eps I + tau)^{-1} 1 and psi = phi / sqrt(<1, phi>), right
+phi = (eps I + T_tau)^{-1} 1 and psi = phi / sqrt(<1, phi>), right
 multiplication by psi inverts the outer factor, and the factor itself is
 right multiplication by the graded inverse of psi.  The unimodular gauge
 is fixed by making the constant coefficient of psi real and positive.
@@ -15,52 +16,23 @@ import numpy as np
 import scipy.linalg
 
 from .fock import TruncatedOperator
+from .measure import MomentFunctional, gram
 from .series import NCSeries, invert, right_multiplier
 
-
-@dataclass(frozen=True)
-class LToeplitzReport:
-    max_violation: float
-    pairs_checked: int
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.max_violation <= self.tol
-
-
-def ltoeplitz_check(A: TruncatedOperator, tol: float = 1e-10) -> LToeplitzReport:
-    """Worst deviation of <L_j g, A L_k h> from delta_jk <g, A h>.
-
-    g, h range over all monomials of grade <= N-1 (where the shifted
-    words stay inside the truncation) and j, k over all letters: an
-    exhaustive sweep of index blocks of the dense A, since L_j g is the
-    basis vector of the word j.g.
-    """
-    basis = A.basis
-    if basis.N < 1:
-        return LToeplitzReport(0.0, 0, tol)
-    m_low = basis.sub_basis_size(basis.N - 1)
-    dense = A.to_dense()
-    # shifted[j - 1][g] = index of the word j.g, for every g of grade <= N-1
-    shifted = [[basis.index((j,) + basis.word(g)) for g in range(m_low)]
-               for j in range(1, basis.d + 1)]
-    low = dense[:m_low, :m_low]
-    worst = 0.0
-    for j, rows in enumerate(shifted):
-        for k, cols in enumerate(shifted):
-            block = dense[np.ix_(rows, cols)]
-            worst = max(worst, float(np.abs(block - low if j == k else block).max()))
-    return LToeplitzReport(worst, m_low * m_low, tol)
+#: Rayleigh probes of T_tau, their relative PSD tolerance, the factor's coefficient floor
+_PROBES = 6
+_PSD_TOL = 1e-10
+_SUPPORT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class FactorResult:
-    """Outer factorization data for eps I + tau.
+    """Outer factorization data for eps I + T_tau.
 
     psi has a real positive constant coefficient (the gauge fix); y_inv is
     right multiplication by psi, y its graded inverse, and residual is the
-    max entry of y* y - (eps I + tau) on the exact-region compression of
-    grade <= check_grade.
+    max entry of y* y - (eps I + T_tau) on the compression of grade <=
+    check_grade (see outer_factor).
     """
 
     eps: float
@@ -73,52 +45,45 @@ class FactorResult:
     contraction_norm_bound: float
 
 
-def outer_factor(tau: TruncatedOperator, eps: float, *,
-                 check_grade: int | None = None, psd_tol: float = 1e-10,
-                 ltoeplitz_tol: float = 1e-10, support_floor: float = 1e-12,
-                 probes: int = 6, seed: int = 0) -> FactorResult:
-    """Factor eps I + tau = y* y with y an outer right multiplier.
+def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorResult:
+    """Factor eps I + T_tau = y* y with y an outer right multiplier.
 
-    tau must be PSD (checked on random Rayleigh probes) and L-Toeplitz
-    within ltoeplitz_tol (checked on every pair of monomials).  The
-    residual is asserted only on grades <= check_grade, defaulting to N
-    minus the effective support grade of the factor at the coefficient
-    floor, where compression artifacts cannot reach; it is read off the
-    first columns of the dense y and the corner of the dense eps I + tau.
+    T_tau = gram(tau).matrix; a tau that is not positive fails its seeded
+    Rayleigh probes or the Cholesky factorization of eps I + T_tau.  The
+    residual is read off the dense y and eps I + T_tau on grades <=
+    check_grade, N minus the support grade of y at the coefficient floor
+    (0 if y has not decayed by grade N, when it is the truncation error).
     """
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     basis = tau.basis
     n = basis.size
+    G = gram(tau).matrix
     rng = np.random.default_rng(seed)
     scale = 1.0
-    for _ in range(probes):
+    for _ in range(_PROBES):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        ray = float(np.vdot(v, tau.apply(v)).real)
+        ray = float(np.vdot(v, G @ v).real)
         scale = max(scale, abs(ray))
-        if ray < -psd_tol * scale:
+        if ray < -_PSD_TOL * scale:
             raise ValueError(f"tau is not PSD on probes: Rayleigh quotient {ray:.3e}")
-    toep = ltoeplitz_check(tau, tol=ltoeplitz_tol * scale)
-    if not toep:
-        raise ValueError(
-            f"tau violates the L-Toeplitz relation by {toep.max_violation:.3e} "
-            f"on {toep.pairs_checked} monomial pairs")
 
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    A = tau.to_dense() + eps * np.eye(n)
-    phi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (A + A.conj().T)), e0)
-    inner = phi[0]
-    if inner.real <= 0:
+    A = G + eps * np.eye(n)
+    try:
+        phi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), np.eye(n, 1))[:, 0]
+    except np.linalg.LinAlgError:
+        raise ValueError(f"eps I + tau is not positive definite at eps = {eps!r}") from None
+    inner = phi[0].real
+    if inner <= 0:
         raise ValueError(f"<1, (eps I + tau)^{{-1}} 1> = {inner:.3e} is not positive")
-    psi = NCSeries(basis, phi / np.sqrt(inner.real))
+    phi[0] = inner  # real in exact arithmetic, so the gauge leaves psi(0) real
+    psi = NCSeries(basis, phi / np.sqrt(inner))
     y_series = invert(psi)
     y_inv = right_multiplier(psi)
     y = right_multiplier(y_series)
 
-    if check_grade is None:
-        check_grade = max(0, basis.N - y_series.degree(floor=support_floor))
+    check_grade = max(0, basis.N - y_series.degree(floor=_SUPPORT_FLOOR))
     m = basis.sub_basis_size(check_grade)
     # the contiguous copy keeps the product's BLAS path, hence its rounding
     cols = np.ascontiguousarray(y.to_dense()[:, :m])
@@ -128,4 +93,3 @@ def outer_factor(tau: TruncatedOperator, eps: float, *,
         eps=eps, psi=psi, y_series=y_series, y_inv=y_inv, y=y,
         residual=residual, check_grade=check_grade,
         contraction_norm_bound=float(1.0 / np.sqrt(eps)))
-

@@ -75,8 +75,9 @@ class TruncatedOperator:
 
     Holds a matvec/rmatvec pair acting on raw coefficient arrays; the pair
     must be mutually adjoint.  Dense materialization is opt-in via
-    to_dense() since dim = O(d**N); dense is the matrix, or a function
-    that builds it on the first to_dense() call.
+    to_dense() since dim = O(d**N): dense, if given, is a function that
+    builds the matrix on the first call, else the matvec fills it column
+    by column.
     """
 
     def __init__(self, basis: WordBasis, matvec, rmatvec, dense=None):
@@ -84,13 +85,6 @@ class TruncatedOperator:
         self._matvec = matvec
         self._rmatvec = rmatvec
         self._dense = dense
-
-    @staticmethod
-    def from_dense(basis: WordBasis, A: np.ndarray) -> "TruncatedOperator":
-        A = np.ascontiguousarray(A, dtype=complex)
-        if A.shape != (basis.size, basis.size):
-            raise ValueError(f"matrix shape {A.shape} does not match basis size {basis.size}")
-        return TruncatedOperator(basis, lambda v: A @ v, lambda v: A.conj().T @ v, dense=A)
 
     def apply(self, v):
         if isinstance(v, FockVector):

@@ -64,7 +64,7 @@ import scipy.linalg
 
 from .fock import FockVector, TruncatedOperator, _GradedProduct
 from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
-                      gram_matvec, is_positive, vector_state)
+                      gram_matvec, is_positive, radial_measure, vector_state)
 from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
 from .words import WordBasis, word_count
 
@@ -194,11 +194,10 @@ class RadialOperator(TruncatedOperator):
 def radial_operator(mu: MomentFunctional, r: float) -> RadialOperator:
     """T_r = Re H_mu(rR) as the Gram matrix of mu_r: its matvec is
     gram_matvec(mu_r, .) and its dense matrix gram(mu_r).matrix."""
-    basis = mu.basis
-    mu_r = MomentFunctional(basis, radial_scale(NCSeries(basis, mu.moments), r).coeffs)
+    mu_r = radial_measure(mu, r)
     column = mu_r.moments.conj()
     column[0] = column[0].real
-    return RadialOperator(basis, r, lambda v: gram_matvec(mu_r, v), column=column,
+    return RadialOperator(mu.basis, r, lambda v: gram_matvec(mu_r, v), column=column,
                           dense=lambda: gram(mu_r).matrix)
 
 
@@ -651,9 +650,10 @@ class PsdReport:
 def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PsdReport:
     """Spectral floor of (I + T_r) - x(rR)* x(rR) on the grade <= M corner.
 
-    x must come from the outer factorization of I + tau for an L-Toeplitz
-    tau dominated by the Clark measure of B; then the harmonic-majorant
-    inequality makes the compression PSD up to numerical error.
+    x must come from the outer factorization of I + T_tau for a positive
+    measure tau dominated by the Clark measure of B; then the
+    harmonic-majorant inequality makes the compression PSD up to numerical
+    error.
 
     Both terms are exact compressions of the operators on the full Fock
     space, built on the grade-M basis alone.  K = I - B(rR) is block
@@ -668,8 +668,8 @@ def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PsdReport:
     if x.basis != basis:
         raise ValueError("B and x must share a basis")
     m = basis.sub_basis_size(M)
-    T_block = radial_operator(
-        clark_measure(NCSeries(WordBasis(basis.d, M), B.coeffs[:m])), r).to_dense()
+    T_block = gram(radial_measure(
+        clark_measure(NCSeries(WordBasis(basis.d, M), B.coeffs[:m])), r)).matrix
     y = FockVector(basis, transpose_conjugate(radial_scale(x, r)).coeffs)
     X_block = gram(vector_state(y).restricted(M)).matrix
     D = np.eye(m) + T_block - X_block

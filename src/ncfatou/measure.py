@@ -15,7 +15,7 @@ import numpy as np
 
 from .fock import FockVector, graded_multiplier, left_shift
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
-                     evaluate, read_word_csv)
+                     evaluate, radial_scale, read_word_csv)
 from .words import WordBasis, word_to_str
 
 
@@ -65,6 +65,11 @@ def nc_lebesgue(basis: WordBasis) -> MomentFunctional:
     m = np.zeros(basis.size, dtype=complex)
     m[0] = 1.0
     return MomentFunctional(basis, m)
+
+
+def radial_measure(mu: MomentFunctional, r: float) -> MomentFunctional:
+    """mu_r(L^a) = r^|a| mu(L^a); its Gram matrix is T_r = Re H_mu(rR)."""
+    return MomentFunctional(mu.basis, radial_scale(NCSeries(mu.basis, mu.moments), r).coeffs)
 
 
 def vector_state(x: FockVector) -> MomentFunctional:

@@ -10,10 +10,9 @@ import numpy as np
 
 from ncfatou.cli import run_verify
 from ncfatou.factor import outer_factor
-from ncfatou.fock import FockVector, TruncatedOperator
-from ncfatou.lebesgue import (RadialOperator, Schedule, majorant_check,
-                              rn_derivative)
-from ncfatou.measure import (clark_measure, gram, herglotz_transform,
+from ncfatou.fock import FockVector
+from ncfatou.lebesgue import Schedule, majorant_check, rn_derivative
+from ncfatou.measure import (clark_measure, herglotz_transform, radial_measure,
                              vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
@@ -131,16 +130,13 @@ def test_a5_left_right_asymmetry():
 
 def test_a6_outer_factorization():
     basis1 = WordBasis(1, 96)
-    tau1 = RadialOperator.from_schur(
-        NCSeries.from_dict(basis1, {(1,): 0.5}), 0.9)
+    tau1 = radial_measure(clark_measure(NCSeries.from_dict(basis1, {(1,): 0.5})), 0.9)
     res1 = outer_factor(tau1, 1.0)
     basis2 = WordBasis(2, 8)
     x = np.zeros(basis2.size, dtype=complex)
     x[basis2.index(())] = 1.0
     x[basis2.index((1,))] = 0.5
-    tau2 = TruncatedOperator.from_dense(
-        basis2, gram(vector_state(FockVector(basis2, x))).matrix)
-    res2 = outer_factor(tau2, 1.0)
+    res2 = outer_factor(vector_state(FockVector(basis2, x)), 1.0)
     ok = res1.residual <= 1e-8 and res2.residual <= 1e-8
     verdict("A6", ok,
             f"residuals {res1.residual:.2e} (d=1 Toeplitz, grade "
@@ -152,8 +148,7 @@ def test_a7_harmonic_majorant():
     # d=1 on the A1 configuration, T from exact oracle moments
     basis1 = WordBasis(1, 96)
     B1 = NCSeries.from_dict(basis1, {(1,): 0.5})
-    tau1 = TruncatedOperator.from_dense(basis1, gram(clark_measure(B1)).matrix)
-    x1 = outer_factor(tau1, 1.0).y_series
+    x1 = outer_factor(clark_measure(B1), 1.0).y_series
     floor1 = majorant_check(B1, x1, 0.9, 8).min_eigenvalue
     # d=2 on the A4 configuration: inner symbol, T = 0, factor of I is 1
     basis2 = WordBasis(2, 18)

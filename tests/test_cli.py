@@ -284,6 +284,17 @@ def test_non_positive_symbol_exits_3(tmp_path, capsys):
     assert "not positive at r = 0.5, N = 16: min s = -7.500e-01" in err
 
 
+def test_factor_of_a_non_positive_tau_exits_3(tmp_path, capsys):
+    # the radial measure of the non-Schur symbol 1.5 Z1 + 1.5 Z2 passes the
+    # Rayleigh probes, and the Cholesky factorization of eps I + tau names it
+    cfg = _with(FACTOR, d=2, N=6, epsilon=1.0, tau={
+        "type": "radial", "r": 0.9, "schur_coeffs": {"1": [1.5, 0.0], "2": [1.5, 0.0]}},
+        output_dir=str(tmp_path))
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 3
+    err = capsys.readouterr().err
+    assert "eps I + tau is not positive definite at eps = 1.0" in err
+
+
 # ---------------------------------------------------------------------------
 # mutated copies of the committed configs
 

@@ -881,14 +881,12 @@ def test_majorant_check_trivial_and_scaled():
     # B = 0: T = I, the factor of I + T is sqrt(2), and the difference
     # (I + T_r) - x(rR)* x(rR) vanishes identically
     B0 = NCSeries.zero(basis)
-    tau0 = TruncatedOperator.from_dense(basis, np.eye(basis.size))
-    x0 = outer_factor(tau0, 1.0).y_series
+    x0 = outer_factor(nc_lebesgue(basis), 1.0).y_series
     rep = majorant_check(B0, x0, 0.9, 6)
     assert abs(rep.min_eigenvalue) < 1e-13
     # b = z/2 against the outer factor of I + T at exact oracle moments
     B = schur_z(basis, 0.5)
-    tau = TruncatedOperator.from_dense(basis, gram(clark_measure(B)).matrix)
-    x = outer_factor(tau, 1.0).y_series
+    x = outer_factor(clark_measure(B), 1.0).y_series
     rep2 = majorant_check(B, x, 0.9, 6)
     assert rep2.min_eigenvalue >= -1e-10
 
