@@ -130,6 +130,12 @@ class TruncatedOperator:
 # ---------------------------------------------------------------------------
 # graded products: multiplication by a coefficient vector, and its inverse
 
+#: Words per chunk of a grade in the forward graded substitution, rounded
+#: down to a power of d: a chunk, its products and their sources stay in
+#: a core's L2 cache.
+_CHUNK = 1 << 14
+
+
 class _GradedProduct:
     """Multiplication x -> f x (side 'left') or x -> x f (side 'right').
 
@@ -164,9 +170,15 @@ class _GradedProduct:
         blocks = ((j, self.coeffs[b.grade_slice(j)]) for j in range(b.N + 1))
         return [(j, fj) for j, fj in blocks if fj.any()]
 
-    def _up(self, fj, xh, out=None):
-        """Grade-(h+j) contribution of f_j and x_h (into out, if given)."""
+    def _up(self, fj, xh, out=None, start=0):
+        """Grade-(h+j) contribution of f_j and x_h; into out, only its
+        words start .. start + len(out) - 1, with len(out) a power of d
+        and start a multiple of it: the outer product of a slice of each
+        factor."""
         a, c = (fj, xh) if self.left else (xh, fj)
+        n, m = len(a) * len(c) if out is None else len(out), len(c)
+        a = a[start // m:start // m + max(1, n // m)]
+        c = c[start % m:start % m + n]
         return np.multiply(a[:, None], c, out=None if out is None else
                            out.reshape(len(a), len(c))).ravel()
 
@@ -228,35 +240,49 @@ class _GradedProduct:
     def solve(self, w, adjoint: bool = False, out=None):
         """x with (f x) = w, or its adjoint: forward over grades, backward
         for the adjoint, one pass either way, into out (not w) if given,
-        else one new array.  At d >= 2 every product goes into one scratch
-        row of the top grade's length; dividing by f_0 = 1 is skipped."""
+        else one new array of the basis's size.  Like coeffs, w may stop
+        after the words of some grade, the higher ones being zero (the
+        vacuum is one entry).  At d >= 2 the forward pass takes each grade
+        in chunks of at most _CHUNK words, and finishes a chunk while it is
+        in cache: its first product is subtracted from w's words straight
+        into x, the others after it, then it is divided by f_0 (skipped
+        for f_0 = 1).  The adjoint takes whole grades.  The products go
+        into one scratch row."""
         b = self.basis
         if b.d == 1:
             # lower band storage: row k holds f_k, the k-th subdiagonal
             band = np.tile(self.trimmed, (b.size, 1)).T
-            x, info = ztbtrs(band, w[:, None], uplo="L", trans="C" if adjoint else "N")
+            rhs = np.zeros((b.size, 1), dtype=complex)
+            rhs[:len(w), 0] = w
+            x, info = ztbtrs(band, rhs, uplo="L", trans="C" if adjoint else "N")
             if info:
                 raise RuntimeError(f"banded triangular solve failed: ztbtrs info = {info}")
             if out is None:
                 return x[:, 0]
             out[:] = x[:, 0]
             return out
-        x = np.empty_like(w) if out is None else out
+        x = np.empty(b.size, dtype=complex) if out is None else out
         f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
         rest = [(j, fj) for j, fj in self.blocks if j > 0]
-        row = np.empty(b.d ** b.N, dtype=complex)
+        # forward chunks: the largest power of d within _CHUNK words
+        q = b.N if adjoint else min(b.N, int(np.log2(_CHUNK) / np.log2(b.d)))
+        row = np.empty(b.d ** q, dtype=complex)
         for g in (range(b.N, -1, -1) if adjoint else range(b.N + 1)):
             acc = x[b.grade_slice(g)]
-            acc[:] = w[b.grade_slice(g)]
-            t = row[:len(acc)]
-            for j, fj in rest:
-                src = g + j if adjoint else g - j
-                if not 0 <= src <= b.N:
-                    break
-                xs = x[b.grade_slice(src)]
-                acc -= self._down(fj, xs, g, t) if adjoint else self._up(fj, xs, t)
-            if f0 != 1:
-                acc /= f0
+            wg = w[b.grade_slice(g)] if b.offsets[g + 1] <= len(w) else None
+            srcs = [(fj, x[b.grade_slice(g + j if adjoint else g - j)]) for j, fj in rest
+                    if (g + j <= b.N if adjoint else j <= g)]
+            n = min(len(acc), len(row))
+            for s in range(0, len(acc), n):
+                part, t = acc[s:s + n], row[:n]
+                base = 0.0 if wg is None else wg[s:s + n]
+                for i, (fj, xs) in enumerate(srcs):
+                    p = self._down(fj, xs, g, t) if adjoint else self._up(fj, xs, t, s)
+                    np.subtract(part if i else base, p, out=part)
+                if not srcs:
+                    part[:] = base
+                if f0 != 1:
+                    part /= f0
         return x
 
 

@@ -21,6 +21,9 @@ from .words import Word, WordBasis, word_from_str, word_to_str
 #: germs are rejected as degenerate.
 _GERM_MSG = "germ condition violated: {}"
 
+#: Real entries per block of NCSeries.degree's scan from the end.
+_SCAN_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class NCSeries:
@@ -65,9 +68,26 @@ class NCSeries:
         return complex(self.coeffs[0])
 
     def degree(self, floor: float = 0.0) -> int:
-        """Largest grade with a coefficient of modulus > floor."""
-        above = np.flatnonzero(self._grade_max > floor)
-        return int(above[-1]) if above.size else 0
+        """Largest grade with a coefficient of modulus > floor (floor >= 0);
+        at floor 0 a NaN coefficient counts as nonzero."""
+        if floor > 0:
+            above = np.flatnonzero(self._grade_max > floor)
+            return int(above[-1]) if above.size else 0
+        return self._degree
+
+    @cached_property
+    def _degree(self) -> int:
+        """Grade of the last nonzero coefficient: blocks of the real view
+        are scanned from the end, so a nonzero top grade reads one block."""
+        self.coeffs.setflags(write=False)
+        v = self.coeffs.view(float)
+        for stop in range(len(v), 0, -_SCAN_BLOCK):
+            start = max(0, stop - _SCAN_BLOCK)
+            block = v[start:stop]
+            if block.any():  # NaN is nonzero, -0.0 is not
+                last = (start + int(np.flatnonzero(block)[-1])) // 2
+                return int(np.searchsorted(self.basis.offsets, last, side="right")) - 1
+        return 0
 
     @cached_property
     def _grade_max(self) -> np.ndarray:
@@ -174,12 +194,13 @@ def cayley_to_schur(H: NCSeries) -> NCSeries:
 
 def _cayley(f: NCSeries, s: float) -> NCSeries:
     """s (1 - s f)^{-1}(1 + s f) = s (2 (1 - s f)^{-1} - 1), since
-    1 + s f = 2 - (1 - s f): one graded solve against the vacuum, with
-    1 - s f cut at the degree of f, scaled in place, and no product.
+    1 + s f = 2 - (1 - s f): one graded solve against the vacuum (a
+    one-entry right-hand side), with 1 - s f cut at the degree of f,
+    scaled in place, and no product.
     s = 1 maps B to H, s = -1 maps H back to B."""
     k = f.coeffs[:f.basis.sub_basis_size(f.degree())] * -s
     k[0] += 1.0
-    h = _GradedProduct(f.basis, k, "left").solve(NCSeries.one(f.basis).coeffs)
+    h = _GradedProduct(f.basis, k, "left").solve(np.ones(1, dtype=complex))
     h *= 2.0 * s
     h[0] -= s
     return NCSeries(f.basis, h)
@@ -250,14 +271,17 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
     is split baby-step/giant-step (Paterson & Stockmeyer 1973): with
     j = ceil(N/2) and g0 = N - j, every word of length >= g0 is w v with
     |w| = g0 and |v| <= j.  The blocks X_w = sum_{|v| <= j} c_{wv} Z^v
-    come from a table of Z^v (Z^{v'k} = Z^{v'} Z_k) and one BLAS product
-    per grade g0 + i, the coefficients viewed without a copy as a
-    d^g0 x d^i matrix and the tables of all points side by side as its
-    right factor, padded to whole tiles of _TILE columns: about
-    |basis| sum_p n_p^2 multiply-adds.  Horner over grades g0-1..0,
-    X_w = c_w I + sum_k Z_k X_{wk}, and the table take about
-    (d^j + d^g0) n^3 per point, and the working memory beyond the
-    coefficients is about (d^j + d^g0) sum_p n_p^2 numbers.
+    come from a table of Z^v and one BLAS product per grade g0 + i, the
+    coefficients viewed without a copy as a d^g0 x d^i matrix and the
+    tables of all points side by side as its right factor, padded to
+    whole tiles of _TILE columns: about |basis| sum_p n_p^2 multiply-adds.
+    Each point's grade-i table is d GEMMs, Z^{vk} = Z^v Z_k for all v of
+    grade i-1 at once as a (d^(i-1) n) x n by n x n product.  Horner over
+    grades g0-1..0, X_w = c_w I + sum_k Z_k X_{wk}, runs once per point
+    size on the stacked points of that size (d einsum calls per grade).
+    Table and Horner take about (d^j + d^g0) n^3 per point, and the
+    working memory beyond the coefficients is about (d^j + d^g0)
+    sum_p n_p^2 numbers.
 
     The tail bound is ||f|| * rho^(N+1) / sqrt(1 - rho^2) with rho the row
     norm of Z and N the truncation grade of the basis, valid for the
@@ -273,34 +297,40 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
     N = f.degree()
     j = (N + 1) // 2
     g0 = N - j
-    eyes = [np.eye(pt.n, dtype=complex) for pt in points]
-    Zs = [np.stack(pt.Z) for pt in points]
     cols = np.cumsum([0] + [pt.n ** 2 for pt in points])
     # whole tiles, so no point's value depends on which others share the sweep
     table = np.zeros((d ** j, -(-cols[-1] // _TILE) * _TILE), dtype=complex)
-    for eye, a in zip(eyes, cols):
-        table[0, a:a + eye.size] = eye.ravel()
+    powers = []  # per point, Z^v over the words v of grade i, in rank order
+    for pt, a in zip(points, cols):
+        powers.append(np.eye(pt.n, dtype=complex)[None])
+        table[0, a:a + pt.n ** 2] = powers[-1].ravel()
     X = f.coeffs[basis.grade_slice(g0)][:, None] * table[:1]
-    powers = [eye[None] for eye in eyes]  # Z^v over the words v of grade i, in rank order
     for i in range(1, j + 1):
-        powers = [(P[:, None] @ Zk[None]).reshape(d ** i, pt.n, pt.n)
-                  for P, Zk, pt in zip(powers, Zs, points)]
-        for P, a in zip(powers, cols):
-            table[:d ** i, a:a + P[0].size] = P.reshape(d ** i, -1)
+        for p, (pt, a) in enumerate(zip(points, cols)):
+            n, flat = pt.n, powers[p].reshape(-1, pt.n)
+            nxt = np.empty((d ** (i - 1), d, n, n), dtype=complex)
+            for k, Zk in enumerate(pt.Z):  # rank(vk) = d rank(v) + k
+                nxt[:, k] = (flat @ Zk).reshape(-1, n, n)
+            powers[p] = nxt.reshape(d ** i, n, n)
+            table[:d ** i, a:a + n * n] = nxt.reshape(d ** i, -1)
         c = f.coeffs[basis.grade_slice(g0 + i)].reshape(d ** g0, d ** i)
         X += c @ table[:d ** i]
-    results = []
-    for pt, eye, a in zip(points, eyes, cols):
-        n = pt.n
-        Xp = np.ascontiguousarray(X[:, a:a + n * n]).reshape(d ** g0, n, n)
+    results = [None] * len(points)
+    for n in {pt.n for pt in points}:
+        same = [p for p, pt in enumerate(points) if pt.n == n]
+        Zs = np.stack([points[p].Z for p in same], axis=1)  # (d, points, n, n)
+        eye = np.eye(n, dtype=complex)
+        Xp = X[:, (cols[same][:, None] + np.arange(n * n)).ravel()]
+        Xp = Xp.reshape(d ** g0, len(same), n, n)
         for m in range(g0 - 1, -1, -1):
-            kids = Xp.reshape(d ** m, d, n, n)
-            Xp = f.coeffs[basis.grade_slice(m)][:, None, None] * eye
+            kids = Xp.reshape(d ** m, d, len(same), n, n)
+            Xp = f.coeffs[basis.grade_slice(m)][:, None, None, None] * eye
             for k in range(d):  # einsum, not @, rounds as configs/out was computed
-                Xp = Xp + np.einsum("ij,wjk->wik", pt.Z[k], kids[:, k])
-        rho = pt.row_norm
-        tail = f.norm() * rho ** (basis.N + 1) / np.sqrt(1.0 - rho ** 2)
-        results.append(EvalResult(Xp[0], float(tail)))
+                Xp = Xp + np.einsum("pij,wpjk->wpik", Zs[k], kids[:, k])
+        for q, p in enumerate(same):
+            rho = points[p].row_norm
+            tail = f.norm() * rho ** (basis.N + 1) / np.sqrt(1.0 - rho ** 2)
+            results[p] = EvalResult(Xp[0, q], float(tail))
     return results[0] if isinstance(Z, MatrixPoint) else results
 
 
@@ -417,12 +447,11 @@ def dbr_kernel(BZ: EvalResult, BW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
                P: np.ndarray, order: int) -> EvalResult:
     """de Branges-Rovnyak kernel K(Z,W)[P] - K(Z,W)[B(Z) P B(W)^*], from the
     values BZ = evaluate(B, Z) and BW = evaluate(B, W)."""
-    first = szego_kernel(Z, W, P, order)
-    second = szego_kernel(Z, W, BZ.value @ P @ BW.value.conj().T, order)
+    both = szego_kernel(Z, W, np.stack([P, BZ.value @ P @ BW.value.conj().T]), order)
     rr = Z.row_norm * W.row_norm
     amplification = np.linalg.norm(P, 2) / (1.0 - rr)
-    tail = first.tail + second.tail + (BZ.tail + BW.tail) * amplification
-    return EvalResult(first.value - second.value, float(tail))
+    tail = both.tail[0] + both.tail[1] + (BZ.tail + BW.tail) * amplification
+    return EvalResult(both.value[0] - both.value[1], float(tail))
 
 
 # ---------------------------------------------------------------------------

@@ -396,32 +396,28 @@ def test_outputs_match_golden_files(name, tmp_path, monkeypatch):
                                        [float(row[i]) for i in num], rtol=1e-9, atol=1e-12)
 
 
-def test_inner_singular_outputs_are_byte_identical_to_the_golden_files(tmp_path):
+def test_committed_outputs_are_byte_identical_to_the_golden_files(tmp_path):
     # the stage records' mode, basis size, CG residual and wall time enter no
     # CSV, kernels_d2 evaluates at all its points in one sweep, and the
     # factor and majorant configs read T_r's dense matrix as a Gram matrix:
-    # these configs reproduce their golden files byte for byte, in a process
-    # with BLAS at one thread, the count the golden files assume
+    # every committed config, verify included, reproduces every file of its
+    # golden directory byte for byte, in a process with BLAS at one thread,
+    # the count the golden files assume
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    goldens = {"inner_singular": "inner_singular_trend.csv",
-               "inner_singular_d2": "inner_singular_trend.csv",
-               "kernels_d2": "kernel_identity.csv",
-               "factor_toeplitz": "factor_psi.csv",
-               "factor_vector_state": "factor_psi.csv",
-               "majorant_d1": "majorant_floors.csv",
-               "majorant_d2": "majorant_floors.csv"}
     script = ("import os, sys\nfrom ncfatou.cli import run_config\n"
               "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
               "    os.environ['NCFATOU_OUTDIR'] = out\n"
               "    assert run_config(cfg, quiet=True) == 0\n")
-    args = [a for n in goldens for a in (str(CONFIGS / f"{n}.json"), str(tmp_path / n))]
+    args = [a for n in COMMITTED for a in (str(CONFIGS / f"{n}.json"), str(tmp_path / n))]
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for n, csv_name in goldens.items():
-        golden = CONFIGS / "out" / n / csv_name
-        assert (tmp_path / n / csv_name).read_bytes() == golden.read_bytes()
+    for n in COMMITTED:
+        goldens = sorted((CONFIGS / "out" / n).iterdir())
+        assert [p.name for p in goldens] == sorted(p.name for p in (tmp_path / n).iterdir())
+        for golden in goldens:
+            assert (tmp_path / n / golden.name).read_bytes() == golden.read_bytes(), golden
 
 
 def test_kernels_evaluate_each_series_once(tmp_path, monkeypatch):

@@ -231,11 +231,12 @@ def _outer_product_substitution(basis, c, side, w, adjoint):
 
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])
 @pytest.mark.parametrize("f0", [1.0, 1.3 - 0.4j])
-def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0):
+def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, monkeypatch):
     # the scratch-row substitution, with and without out, equals the one
     # with a fresh product per grade exactly: for 1 + a Z1 + b Z1Z2Z1,
     # whose grade-2 block is zero, and for a symbol dense through grade 2,
-    # each with f_0 = 1 (no division) and f_0 != 1
+    # each with f_0 = 1 (no division) and f_0 != 1; with whole grades and
+    # with forward chunks of d words, which cut the rows of f_j and of x_h
     rng = np.random.default_rng(17)
     basis = WordBasis(d, N)
     sparse = np.zeros(basis.size, dtype=complex)
@@ -246,6 +247,7 @@ def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0):
     dense[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     dense[:m] *= 0.5 / np.abs(dense[1:m]).sum()
     w = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    chunks = (fock._CHUNK, d)
     for c in (sparse, dense):
         c[0] = f0
         for side in ("left", "right"):
@@ -253,12 +255,38 @@ def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0):
             A = graded_multiplier(basis, c, side).to_dense()
             for adjoint in (False, True):
                 ref = _outer_product_substitution(basis, c, side, w, adjoint)
-                out = np.full(basis.size, np.nan, dtype=complex)
-                assert k.solve(w, adjoint, out=out) is out
-                assert np.array_equal(out, ref)
-                assert np.array_equal(k.solve(w, adjoint), ref)
+                for chunk in chunks:
+                    monkeypatch.setattr(fock, "_CHUNK", chunk)
+                    out = np.full(basis.size, np.nan, dtype=complex)
+                    assert k.solve(w, adjoint, out=out) is out
+                    assert np.array_equal(out, ref)
+                    assert np.array_equal(k.solve(w, adjoint), ref)
                 exact = np.linalg.solve(A.conj().T if adjoint else A, w)
                 assert np.abs(ref - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("d, N", [(1, 9), (2, 6), (3, 4)])
+def test_graded_solve_takes_a_right_hand_side_through_a_grade(d, N):
+    # w given through grade g solves as w padded with zeros, bit for bit,
+    # for every g (the vacuum is g = 0), both sides, adjoint or not, with
+    # and without out
+    rng = np.random.default_rng(29)
+    basis = WordBasis(d, N)
+    for c in (random_symbol(rng, basis, 0.5), random_symbol(rng, basis, 0.0)):
+        for side in ("left", "right"):
+            k = fock._GradedProduct(basis, c, side)
+            for g in range(N + 1):
+                m = basis.sub_basis_size(g)
+                padded = np.zeros(basis.size, dtype=complex)
+                padded[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                for adjoint in (False, True):
+                    ref = k.solve(padded, adjoint)
+                    short = k.solve(padded[:m], adjoint)
+                    assert short.shape == ref.shape
+                    assert ref.tobytes() == short.tobytes()  # signed zeros too
+                    out = np.full(basis.size, np.nan, dtype=complex)
+                    assert k.solve(padded[:m], adjoint, out=out) is out
+                    assert ref.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["degree 1", "full degree"])

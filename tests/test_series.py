@@ -413,6 +413,24 @@ def test_szego_kernel_matrix_is_the_column_loop_bit_for_bit():
             assert np.array_equal(val[1, 3], one.value) and tail[1, 3] == one.tail
 
 
+def test_dbr_kernel_is_the_difference_of_two_szego_kernels_bit_for_bit():
+    rng = np.random.default_rng(31)
+    basis = WordBasis(2, 8)
+    B = series_from(basis, {(1,): 0.3, (2,): 0.25j, (1, 2): 0.2})
+    for n, m in ((1, 1), (1, 3), (2, 2), (3, 2)):
+        Z, W = (MatrixPoint(tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                                  for _ in range(2))) for k in (n, m))
+        Z, W = Z.scaled(0.4 / Z.row_norm), W.scaled(0.3 / W.row_norm)
+        BZ, BW = evaluate(B, [Z, W])
+        P = rng.standard_normal((n, m))
+        first = szego_kernel(Z, W, P, basis.N)
+        second = szego_kernel(Z, W, BZ.value @ P @ BW.value.conj().T, basis.N)
+        amplification = np.linalg.norm(P, 2) / (1.0 - Z.row_norm * W.row_norm)
+        value, tail = dbr_kernel(BZ, BW, Z, W, P, basis.N)
+        assert value.tobytes() == (first.value - second.value).tobytes()
+        assert tail == first.tail + second.tail + (BZ.tail + BW.tail) * amplification
+
+
 def test_kernel_identity_small():
     # K^B(Z,W)[P] = K^H(Z,W)[(I-B(Z)) P (I-B(W))^*]
     rng = np.random.default_rng(17)
@@ -459,6 +477,60 @@ def test_norm_and_degree_are_cached_and_cannot_go_stale():
     assert (f.norm(), f.degree(), f.degree(floor=5.0)) == (5.0, 2, 0)
     with pytest.raises(ValueError):
         f.coeffs[0] = 1.0
+
+
+def _degree_by_grade(f, floors):
+    # one grade at a time: at floor 0 any nonzero entry, NaN included; above
+    # it the grade's largest modulus, which a NaN in the grade makes NaN
+    blocks = [f.coeffs[f.basis.grade_slice(g)] for g in range(f.basis.N + 1)]
+    nonzero = [g for g, b in enumerate(blocks) if b.any()]
+    top = [abs(b).max() for b in blocks]
+    return [nonzero[-1] if nonzero else 0] + [
+        max([g for g, m in enumerate(top) if m > floor], default=0) for floor in floors[1:]]
+
+
+def test_degree_examples():
+    long = WordBasis(1, 20000)  # 19999 zero grades above the last nonzero one
+    assert series_from(long, {(): 1.0, (1,): 0.5}).degree() == 1
+    big = WordBasis(2, 20)
+    sparse = series_from(big, {(1,): 0.3, (2,): 0.25j, (1, 2): 0.2})
+    assert sparse.degree() == 2
+    assert NCSeries.zero(big).degree() == 0
+    top = series_from(big, {(): 1.0, (2,) * 20: 1e-300j})  # imaginary part only
+    assert top.degree() == 20
+    basis = WordBasis(2, 4)
+    assert series_from(basis, {(1,): 1.0, (1, 2, 1): -0.0}).degree() == 1
+    assert series_from(basis, {(1,): 1.0, (1, 2, 1): complex(0.0, -0.0)}).degree() == 1
+    assert series_from(basis, {(1,): -0.0}).degree() == 0
+
+
+def test_degree_counts_nan_as_nonzero():
+    # a NaN above the last finite coefficient is part of the series: it
+    # enters the evaluation instead of being cut off with the grades above
+    basis = WordBasis(2, 4)
+    f = series_from(basis, {(1,): 0.3, (1, 2, 1): np.nan})
+    assert f.degree() == 3
+    value, tail = evaluate(f, MatrixPoint((0.1 * np.eye(1), np.zeros((1, 1)))))
+    assert np.isnan(value).all() and np.isnan(tail)
+    assert series_from(basis, {(): complex(0.0, np.nan)}).degree() == 0
+    assert series_from(basis, {(2, 2, 2, 2): complex(0.0, np.nan)}).degree() == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), big=st.booleans(),
+       entries=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(
+           [1.0, 1j, -0.0, complex(-0.0, -0.0), 1e-320, np.nan, 0.4, 2.5])), max_size=6))
+def test_degree_is_the_last_grade_above_the_floor(d, big, entries):
+    # the scan from the end, across its block boundaries, against the
+    # grade-by-grade definition; floor > 0 keeps its per-grade maximum
+    basis = WordBasis(d, {1: 9000 if big else 12, 2: 14 if big else 5, 3: 9 if big else 3}[d])
+    c = np.zeros(basis.size, dtype=complex)
+    for where, value in entries:
+        c[min(int(where * basis.size), basis.size - 1)] = value
+    f = NCSeries(basis, c)
+    floors = (0.0, 0.5, 2.0)
+    assert [f.degree(floor) for floor in floors] == _degree_by_grade(f, floors)
+    assert not f.coeffs.flags.writeable
 
 
 small_series = st.lists(
