@@ -10,16 +10,14 @@ from .factor import FactorResult, outer_factor
 from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
                    graded_multiplier, left_shift, right_shift, transpose_unitary,
                    vacuum)
-from .lebesgue import (FormDecomposition, PsdReport, RadialOperator, RNResult,
-                       Schedule, StageRecord, fatou_form_check,
-                       form_decomposition_diagnostic, majorant_check,
+from .lebesgue import (PsdReport, RadialOperator, RNResult, Schedule,
+                       StageRecord, fatou_form_check, majorant_check,
                        radial_operator, rn_derivative, resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
-                      cauchy_transform, clark_measure, gns_isometry, gram,
-                      gram_matvec, herglotz_eval, herglotz_transform,
-                      is_positive, nc_lebesgue, quadratic_form,
-                      radial_measure, read_moments_csv, sos_split, vector_state,
-                      write_moments_csv)
+                      clark_measure, gram, gram_matvec, herglotz_eval,
+                      herglotz_transform, is_positive, nc_lebesgue,
+                      quadratic_form, radial_measure, read_moments_csv,
+                      sos_split, vector_state, write_moments_csv)
 from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
                        fatou_symbol, fourier_coefficients, herglotz_integral,
                        poisson_density, toeplitz_from_symbol)

@@ -37,7 +37,7 @@ import numpy as np
 from . import oracle1d
 from .factor import outer_factor
 from .fock import FockVector
-from .lebesgue import Schedule, majorant_check, rn_derivative
+from .lebesgue import Schedule, fatou_form_check, majorant_check, rn_derivative
 from .measure import (clark_measure, nc_lebesgue, radial_measure, read_moments_csv,
                       vector_state)
 from .series import (MatrixPoint, NCSeries, cayley_to_herglotz,
@@ -435,6 +435,9 @@ def _core_checks():
     mu = clark_measure(B)
     H2 = herglotz_transform(mu)
     checks.append(("clark_herglotz_inverse", float(np.abs(H2.coeffs - H.coeffs).max()), 1e-12))
+    # T the Gram matrix of B's Clark measure: (I-B(R))*(I+T)(I-B(R)) = 2(I - Re B(R)),
+    # exact at grade 3 since the moments reach grade 3 + deg B = 5
+    checks.append(("fatou_form_equality", abs(fatou_form_check(B, mu, 3).min_eigenvalue), 1e-12))
 
     f = NCSeries.from_dict(basis, {(): 1.0, (1,): 0.4, (2, 1): 0.3})
     Z = MatrixPoint((0.3 * np.eye(2), np.array([[0.0, 0.25], [0.1, 0.0]])))

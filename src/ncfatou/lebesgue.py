@@ -402,10 +402,11 @@ def resolvent_corner(Tr: RadialOperator, eps: float, m: int) -> np.ndarray:
 
     This is the exact corner of the truncated resolvent, the reference the
     coupled limit is checked against, computed independently of the
-    stages of rn_derivative: it solves the dense eps I + T_r (built by
-    to_dense(), by a column loop if T_r is matrix-free) for the first m
-    unit vectors (one Cholesky solve), so the basis may hold at most
-    DENSE_LIMIT words.  Returns the Hermitized corner.
+    stages of rn_derivative: it solves the dense eps I + T_r (to_dense(),
+    the Gram matrix of mu_r) for the first m unit vectors (one Cholesky
+    solve), so the basis may hold at most DENSE_LIMIT words; a matrix-free
+    T_r is built only on larger bases and is refused with them.  Returns
+    the Hermitized corner.
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -703,50 +704,3 @@ def fatou_form_check(B: NCSeries, T_moments: MomentFunctional, M: int) -> PsdRep
     D = (lhs - rhs)[:m, :m]
     lam = float(np.linalg.eigvalsh(0.5 * (D + D.conj().T)).min())
     return PsdReport(lam, M, m)
-
-
-# ---------------------------------------------------------------------------
-# form-decomposition diagnostic
-
-@dataclass(frozen=True)
-class FormDecomposition:
-    """Finite-truncation realization of the maximal-closable-part formula.
-
-    Diagnostic only: at finite truncation the embedding of the GNS space
-    of mu + m into Fock space is always injective, so genuine kernel
-    directions appear only as decaying singular values; detect_tol sets
-    the relative sigma cutoff that declares a direction null.
-    """
-
-    q_ac: np.ndarray
-    q_total: np.ndarray
-    Q_ac_rank: int
-    embedding_singular_values: np.ndarray
-    grade: int
-
-
-def form_decomposition_diagnostic(mu: MomentFunctional,
-                                  detect_tol: float | None = None) -> FormDecomposition:
-    """Q_ac rank and the q_ac table from the Gram matrix of mu + m.
-
-    The embedding E of the GNS space of nu = mu + m into Fock space has,
-    in nu-orthonormal coordinates, singular values lambda_i^{-1/2} for
-    the eigenvalues lambda_i of the nu Gram matrix; Q_ac projects onto
-    the numerical closure of Ran E*.
-    """
-    G_mu = gram(mu)
-    lam_mu = float(np.linalg.eigvalsh(G_mu.matrix).min())
-    if lam_mu < -G_mu.null_tol * max(abs(mu.moments[0].real), 1.0):
-        raise ValueError(f"Gram matrix not PSD: min eigenvalue {lam_mu:.3e}")
-    G_nu = G_mu.matrix + np.eye(mu.basis.size)
-    lam, V = np.linalg.eigh(G_nu)
-    sigma = 1.0 / np.sqrt(lam)
-    if detect_tol is None:
-        keep = np.ones(len(lam), dtype=bool)
-    else:
-        keep = sigma >= detect_tol * sigma.max()
-    q_ac = (V * np.where(keep, lam, 0.0)) @ V.conj().T - np.eye(len(lam))
-    q_ac = 0.5 * (q_ac + q_ac.conj().T)
-    return FormDecomposition(
-        q_ac=q_ac, q_total=G_mu.matrix, Q_ac_rank=int(keep.sum()),
-        embedding_singular_values=np.sort(sigma)[::-1], grade=mu.basis.N)

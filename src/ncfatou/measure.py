@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, graded_multiplier, left_shift
+from .fock import FockVector, graded_multiplier
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
-                     evaluate, radial_scale, read_word_csv)
+                     radial_scale, read_word_csv)
 from .words import WordBasis, word_to_str
 
 
@@ -91,13 +91,10 @@ class GramMatrix:
     """Hermitian matrix G[a,b] = mu(L^{a*} L^b) under the L-Toeplitz fill rule.
 
     G[a,b] = mu(g) if b = a.g, conj(mu(g)) if a = b.g, and 0 otherwise.
-    null_tol is the relative eigenvalue cutoff defining the numerical null
-    space of the GNS pre-inner product.
     """
 
     basis: WordBasis
     matrix: np.ndarray
-    null_tol: float = 1e-10
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -111,12 +108,12 @@ def _gram_half(mu: MomentFunctional):
     return graded_multiplier(mu.basis, c, "right")
 
 
-def gram(mu: MomentFunctional, null_tol: float = 1e-10) -> GramMatrix:
+def gram(mu: MomentFunctional) -> GramMatrix:
     """Assemble G = conj(Y) + Y^T from the dense half Y, in place."""
     Y = _gram_half(mu).to_dense()
     G = Y.conj()
     G += Y.T
-    return GramMatrix(mu.basis, G, null_tol)
+    return GramMatrix(mu.basis, G)
 
 
 def gram_matvec(mu: MomentFunctional, v: np.ndarray) -> np.ndarray:
@@ -205,90 +202,6 @@ def herglotz_eval(mu: MomentFunctional, Z: MatrixPoint) -> EvalResult:
     rho = Z.row_norm
     tail = 2.0 * abs(mu.moments[0]) * rho ** (N + 1) / (1.0 - rho)
     return EvalResult(H, float(tail))
-
-
-def cauchy_transform(mu: MomentFunctional, p: FockVector, Z: MatrixPoint) -> EvalResult:
-    """Free Cauchy transform sum_a Z^a <L^a, p>_mu at the point Z."""
-    if p.basis != mu.basis:
-        raise ValueError("vector and functional live on different bases")
-    coeffs = gram_matvec(mu, p.coeffs)
-    return evaluate(NCSeries(mu.basis, coeffs), Z)
-
-
-# ---------------------------------------------------------------------------
-# GNS quotient
-
-@dataclass(frozen=True)
-class GnsIsometry:
-    """pi_mu(L_k) acting on the numerical GNS quotient.
-
-    coords maps a monomial-coefficient vector to quotient coordinates in
-    which the mu-inner product is standard; matrix is the action of the
-    k-th shift in those coordinates.
-    """
-
-    matrix: np.ndarray
-    coords: np.ndarray
-    rank: int
-    letter: int
-    isometry_residual: float
-
-
-def _gns_factor(G: GramMatrix):
-    lam, V = np.linalg.eigh(G.matrix)
-    lam_max = float(lam.max(initial=0.0))
-    if lam_max <= 0.0:
-        raise ValueError("Gram matrix is zero; GNS quotient is trivial")
-    cutoff = G.null_tol * lam_max
-    if float(lam.min()) < -cutoff:
-        raise ValueError(
-            f"Gram matrix is not PSD within tolerance: min eigenvalue {lam.min():.3e}")
-    keep = lam > cutoff
-    W = (np.sqrt(lam[keep])[:, None] * V[:, keep].conj().T)
-    Winv = V[:, keep] / np.sqrt(lam[keep])[None, :]
-    return W, Winv
-
-
-def gns_isometry(G: GramMatrix, k: int) -> GnsIsometry:
-    """[a] -> [L_k a] on the GNS quotient, with its isometry defect.
-
-    Quotient classes are represented by polynomials of grade <= N-1
-    (least-squares through the quotient map), so that the shift never
-    crosses the truncation boundary; classes not reachable from those
-    grades are compression artifacts and map to 0.  The residual is the
-    worst deviation of <Pi_k[a], Pi_k[b]>_mu from <[a],[b]>_mu over the
-    reachable classes.
-    """
-    basis = G.basis
-    if not 1 <= k <= basis.d:
-        raise ValueError(f"shift letter {k} outside 1..{basis.d}")
-    W, _ = _gns_factor(G)
-    Lk_mat = left_shift(basis, k).to_dense()
-    m_low = basis.sub_basis_size(basis.N - 1) if basis.N >= 1 else basis.size
-    W_low = W[:, :m_low]
-    rep = np.zeros((basis.size, W.shape[0]), dtype=complex)
-    rep[:m_low, :] = np.linalg.pinv(W_low, rcond=1e-12)
-    Pi = W @ Lk_mat @ rep
-    proj = W_low @ np.linalg.pinv(W_low, rcond=1e-12)  # onto reachable classes
-    defect = proj.conj().T @ (Pi.conj().T @ Pi - np.eye(W.shape[0])) @ proj
-    residual = float(np.abs(defect).max()) if defect.size else 0.0
-    return GnsIsometry(Pi, W, W.shape[0], k, residual)
-
-
-def gns_row_residual(G: GramMatrix) -> float:
-    """Joint row-isometry defect max_{k,j} |<Pi_k a, Pi_j b> - delta <a,b>|."""
-    basis = G.basis
-    ops = [gns_isometry(G, k) for k in range(1, basis.d + 1)]
-    W = ops[0].coords
-    m_low = basis.sub_basis_size(basis.N - 1) if basis.N >= 1 else basis.size
-    W_low = W[:, :m_low]
-    worst = 0.0
-    for k, ok in enumerate(ops):
-        for j, oj in enumerate(ops):
-            target = W_low.conj().T @ W_low if k == j else 0.0
-            defect = W_low.conj().T @ (ok.matrix.conj().T @ oj.matrix) @ W_low - target
-            worst = max(worst, float(np.abs(defect).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,9 @@ class NCSeries:
 
     def degree(self, floor: float = 0.0) -> int:
         """Largest grade with a coefficient of modulus > floor (floor >= 0);
-        at floor 0 a NaN coefficient counts as nonzero."""
+        a NaN coefficient counts as above every floor."""
         if floor > 0:
-            above = np.flatnonzero(self._grade_max > floor)
+            above = np.flatnonzero(~(self._grade_max <= floor))  # NaN max: above
             return int(above[-1]) if above.size else 0
         return self._degree
 

@@ -448,5 +448,6 @@ def test_docs_list_the_schema_table():
     assert cli.__doc__.endswith(doc + "\n") or cli.__doc__.endswith(doc)
     readme = (ROOT / "README.md").read_text()
     assert doc in readme
-    for gone in ("null_tol", "verify --threads"):
+    for gone in ("null_tol", "verify --threads", "free Cauchy transform",
+                 "GNS quotient isometries", "form-decomposition diagnostic"):
         assert gone not in readme and gone not in cli.__doc__

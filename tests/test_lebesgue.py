@@ -7,8 +7,7 @@ from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
 from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule, _cg_corner,
                               _eliminate, _radial_matrix_free, _read_stage,
-                              _spectral_block, fatou_form_check,
-                              form_decomposition_diagnostic, hermitian_cg,
+                              _spectral_block, fatou_form_check, hermitian_cg,
                               majorant_check, radial_operator, resolvent_corner,
                               rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram,
@@ -945,62 +944,15 @@ def test_fatou_form_check_examples():
     rep3 = fatou_form_check(schur_z(WordBasis(1, 8), 0.5), T_mom, 8)
     assert rep3.min_eigenvalue >= -1e-10
     assert rep3.min_eigenvalue <= 1e-8  # the d=1 case is an equality
+    # d=2, T the Gram matrix of B's Clark measure: equality at every grade
+    # whose moments reach M + deg B
+    B2 = NCSeries.from_dict(WordBasis(2, 5), {(1,): 0.35, (2,): -0.25j, (1, 2): 0.2})
+    rep4 = fatou_form_check(B2, clark_measure(B2), 3)
+    assert (rep4.grade, rep4.size) == (3, WordBasis(2, 3).size)
+    assert abs(rep4.min_eigenvalue) <= 1e-12
 
 
 def test_fatou_form_check_needs_enough_moments():
     with pytest.raises(ValueError):
         fatou_form_check(schur_z(WordBasis(1, 4)),
                          nc_lebesgue(WordBasis(1, 3)), 4)
-
-
-# -- form decomposition diagnostic -------------------------------------------
-
-def test_form_decomposition_vacuum_state():
-    basis = WordBasis(2, 3)
-    dec = form_decomposition_diagnostic(nc_lebesgue(basis))
-    assert dec.Q_ac_rank == basis.size
-    assert np.abs(dec.q_ac - np.eye(basis.size)).max() < 1e-12
-    assert np.allclose(dec.embedding_singular_values, 2 ** -0.5)
-
-
-def test_form_decomposition_point_mass_svd_decay():
-    sigmas = []
-    for N in (4, 8, 16):
-        mu = MomentFunctional(WordBasis(1, N), np.ones(N + 1, dtype=complex))
-        dec = form_decomposition_diagnostic(mu)
-        smallest = dec.embedding_singular_values[-1]
-        assert smallest == pytest.approx(1.0 / np.sqrt(N + 2), abs=1e-12)
-        sigmas.append(smallest)
-    assert sigmas[0] > sigmas[1] > sigmas[2]
-
-
-def test_form_decomposition_mixture_trend_and_cross_check():
-    # mu = m + point mass: with the singular direction detected, q_ac(1,1)
-    # climbs toward m(1) = 1 as the grade grows
-    vals = []
-    for N in (4, 8, 12, 16):
-        basis = WordBasis(1, N)
-        mu = nc_lebesgue(basis) + MomentFunctional(
-            basis, np.ones(N + 1, dtype=complex))
-        dec = form_decomposition_diagnostic(mu, detect_tol=0.6)
-        assert dec.Q_ac_rank == N  # exactly one direction excluded
-        vals.append(dec.q_ac[0, 0].real)
-        assert dec.q_ac[0, 0].real == pytest.approx(1.0 - 2.0 / (N + 1), abs=1e-10)
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    # cross-check against the resolvent-limit decomposition: both estimates
-    # approach mu_ac(I) = 1, the diagnostic from below, the resolvent limit
-    # with an upward singular-leakage bias
-    spec = MeasureSpec(point_masses=((0.0, 1.0),), density=np.ones(65536),
-                       grid=65536)
-    sched = Schedule.coupled(1, j_max=9)
-    mom = classical_moments(spec, sched.max_grade())
-    res = rn_derivative(mom, M=0, eps_grid=(0.25,), schedule=sched)
-    assert res.mu_ac.mass() == pytest.approx(1.0, abs=0.12)
-    assert vals[-1] == pytest.approx(1.0, abs=0.15)
-    assert vals[-1] == pytest.approx(res.mu_ac.mass(), abs=0.25)
-
-
-def test_form_decomposition_rejects_non_psd():
-    mu = MomentFunctional(WordBasis(1, 1), np.array([0.0, 1.0], dtype=complex))
-    with pytest.raises(ValueError):
-        form_decomposition_diagnostic(mu)

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfatou.fock import (FockVector, basis_vector, graded_multiplier, left_shift,
-                          vacuum)
-from ncfatou.measure import (MomentFunctional, cauchy_transform,
-                             clark_measure, gns_isometry, gns_row_residual,
-                             gram, gram_matvec, herglotz_eval,
+from ncfatou.fock import FockVector, basis_vector, graded_multiplier, vacuum
+from ncfatou.measure import (MomentFunctional, clark_measure, gram,
+                             gram_matvec, herglotz_eval,
                              herglotz_transform, is_positive, nc_lebesgue,
                              quadratic_form, read_moments_csv, sos_split,
                              vector_state, write_moments_csv)
 from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
-                            evaluate, herglotz_kernel)
+                            evaluate)
 from ncfatou.words import WordBasis
 
 
@@ -176,45 +174,6 @@ def test_herglotz_eval_matches_classical_integral():
     assert abs(val[0, 0] - ref) <= tail + 1e-10
 
 
-def test_cauchy_transform_examples():
-    basis = WordBasis(2, 4)
-    m = nc_lebesgue(basis)
-    Z = MatrixPoint((0.3 * np.eye(2), np.diag([0.2, -0.2])))
-    val, _ = cauchy_transform(m, vacuum(basis), Z)
-    assert np.allclose(val, np.eye(2))
-    # against m, the Cauchy transform is plain evaluation (Szego reproducing)
-    rng = np.random.default_rng(23)
-    p = FockVector(basis, rng.standard_normal(basis.size))
-    lhs, _ = cauchy_transform(m, p, Z)
-    rhs, _ = evaluate(NCSeries(basis, p.coeffs), Z)
-    assert np.abs(lhs - rhs).max() < 1e-13
-
-
-def test_cauchy_transform_norm_against_kernel_gram():
-    # the squared mu-norm of p equals the Herglotz-space norm of its Cauchy
-    # transform; sampled through a finite kernel Gram this becomes a
-    # projection norm, consistent within the coefficient-tail tolerance
-    rng = np.random.default_rng(29)
-    basis = WordBasis(1, 16)
-    B = NCSeries.from_dict(basis, {(1,): 0.5})
-    mu = clark_measure(B)
-    H = herglotz_transform(mu)
-    p = FockVector(basis, np.concatenate((rng.standard_normal(4),
-                                          np.zeros(basis.size - 4))))
-    exact = quadratic_form(mu, p)
-    pts = [MatrixPoint((np.array([[z]]),))
-           for z in (0.1, -0.3, 0.52j, -0.41j, 0.3 + 0.3j, -0.2 - 0.45j,
-                     0.61, -0.55, 0.22 - 0.51j, 0.47 + 0.21j, -0.62j, 0.68)]
-    order = 220
-    HP = evaluate(H, pts)
-    Gamma = np.array([[herglotz_kernel(Hi, Hj, Zi, Zj, np.eye(1), order).value[0, 0]
-                       for Zj, Hj in zip(pts, HP)] for Zi, Hi in zip(pts, HP)])
-    pair = np.array([cauchy_transform(mu, p, Zi)[0][0, 0] for Zi in pts])
-    proj = float(np.real(pair.conj() @ np.linalg.pinv(Gamma, rcond=1e-11) @ pair))
-    assert abs(proj - exact) <= 1e-4 * max(exact, 1.0)
-    assert proj >= 0.95 * exact
-
-
 def test_gram_examples_and_fill_rule():
     b1 = WordBasis(1, 1)
     mu = MomentFunctional(b1, np.array([1.0, 1.0], dtype=complex))
@@ -279,43 +238,6 @@ def test_gram_cone_structure():
     assert np.abs(gram(mu + lam).matrix
                   - (gram(mu).matrix + gram(lam).matrix)).max() < 1e-13
     assert np.abs(gram(2.5 * mu).matrix - 2.5 * gram(mu).matrix).max() < 1e-13
-
-
-def test_gns_isometry_examples():
-    basis = WordBasis(2, 3)
-    m = nc_lebesgue(basis)
-    op = gns_isometry(gram(m), 1)
-    assert op.rank == basis.size
-    L1 = left_shift(basis, 1).to_dense()
-    # for the vacuum state the quotient coordinates can be any unitary
-    # rotation; compare the represented action on polynomial coordinates
-    W = op.coords
-    assert np.abs(W.conj().T @ op.matrix @ W - L1).max() < 1e-10
-    assert op.isometry_residual < 1e-10
-
-    b1 = WordBasis(1, 4)
-    point = MomentFunctional(b1, np.ones(5, dtype=complex))
-    op1 = gns_isometry(gram(point), 1)
-    assert op1.rank == 1
-    assert abs(abs(op1.matrix[0, 0]) - 1.0) < 1e-12
-
-
-def test_gns_isometry_random_vector_state():
-    rng = np.random.default_rng(35)
-    basis = WordBasis(2, 3)
-    x = FockVector(basis, rng.standard_normal(basis.size)
-                   + 1j * rng.standard_normal(basis.size))
-    G = gram(vector_state(x))
-    for k in (1, 2):
-        assert gns_isometry(G, k).isometry_residual < 1e-10
-    assert gns_row_residual(G) < 1e-10
-
-
-def test_gns_rejects_non_psd():
-    basis = WordBasis(1, 1)
-    bad = MomentFunctional(basis, np.array([0.0, 1.0], dtype=complex))
-    with pytest.raises(ValueError):
-        gns_isometry(gram(bad), 1)
 
 
 def test_sos_split_examples():

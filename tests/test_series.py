@@ -481,12 +481,14 @@ def test_norm_and_degree_are_cached_and_cannot_go_stale():
 
 def _degree_by_grade(f, floors):
     # one grade at a time: at floor 0 any nonzero entry, NaN included; above
-    # it the grade's largest modulus, which a NaN in the grade makes NaN
+    # it every grade whose largest modulus is not <= floor, so a NaN in the
+    # grade (which makes that maximum NaN) counts at every floor
     blocks = [f.coeffs[f.basis.grade_slice(g)] for g in range(f.basis.N + 1)]
     nonzero = [g for g, b in enumerate(blocks) if b.any()]
     top = [abs(b).max() for b in blocks]
     return [nonzero[-1] if nonzero else 0] + [
-        max([g for g, m in enumerate(top) if m > floor], default=0) for floor in floors[1:]]
+        max([g for g, m in enumerate(top) if not m <= floor], default=0)
+        for floor in floors[1:]]
 
 
 def test_degree_examples():
@@ -514,6 +516,10 @@ def test_degree_counts_nan_as_nonzero():
     assert np.isnan(value).all() and np.isnan(tail)
     assert series_from(basis, {(): complex(0.0, np.nan)}).degree() == 0
     assert series_from(basis, {(2, 2, 2, 2): complex(0.0, np.nan)}).degree() == 4
+    # above a floor too: a NaN next to 1.0 in grade 5 keeps grade 5
+    g = series_from(WordBasis(2, 5), {(1,) * 5: 1.0, (2,) * 5: np.nan})
+    assert g.degree(0.5) == 5
+    assert series_from(basis, {(1,): 0.3, (1, 2, 1): np.nan}).degree(0.5) == 3
 
 
 @settings(max_examples=40, deadline=None)
