@@ -6,6 +6,13 @@ phi = (eps I + T_tau)^{-1} 1 and psi = phi / sqrt(<1, phi>), right
 multiplication by psi inverts the outer factor, and the factor itself is
 right multiplication by the graded inverse of psi.  The unimodular gauge
 is fixed by making the constant coefficient of psi real and positive.
+
+phi is solved on the tree of prefixes at d >= 2: the zero-fill sweep that
+eliminates the stages of rn_derivative (measure._prefix_sweep), run down
+through grade 0, then back-substitution up the grades, in O(n N) work on
+O(n) numbers with no n x n matrix.  At d = 1 the tree is a path of
+N + 1 words and one LAPACK Cholesky factorization of the dense
+eps I + T_tau solves it faster than the sweep's Python loop over grades.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import TruncatedOperator
-from .measure import MomentFunctional, gram
+from .fock import TruncatedOperator, _GradedProduct
+from .measure import MomentFunctional, _gram_apply, _prefix_sweep, gram
 from .series import NCSeries, invert, right_multiplier
 
 #: Rayleigh probes of T_tau, their relative PSD tolerance, the factor's coefficient floor
@@ -49,31 +56,41 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     """Factor eps I + T_tau = y* y with y an outer right multiplier.
 
     T_tau = gram(tau).matrix; a tau that is not positive fails its seeded
-    Rayleigh probes or the Cholesky factorization of eps I + T_tau.  The
-    residual is read off the dense y and eps I + T_tau on grades <=
-    check_grade, N minus the support grade of y at the coefficient floor
-    (0 if y has not decayed by grade N, when it is the truncation error).
+    Rayleigh probes (T_tau v from its half multiplier, built once) or a pivot of the solve for
+    phi = (eps I + T_tau)^{-1} 1, with a named ValueError.  At d >= 2 that
+    solve is the sweep of eps I + T_tau on the tree of prefixes and its
+    back-substitution (_vacuum_solve): O(n N) work on O(n) numbers and no
+    n x n matrix.  At d = 1, where n = N + 1, it is one Cholesky
+    factorization of the dense eps I + T_tau.  The residual is the max
+    entry of y* y - (eps I + T_tau) on grades <= check_grade, read off the
+    first columns of y alone (an n x m index fill); check_grade is N minus
+    the support grade of y at the coefficient floor (0 if y has not
+    decayed by grade N, when the residual is the truncation error).
     """
     if eps <= 0:
         raise ValueError(f"shift eps must be positive, got {eps}")
     basis = tau.basis
     n = basis.size
-    G = gram(tau).matrix
+    G = _gram_apply(tau)
     rng = np.random.default_rng(seed)
     scale = 1.0
     for _ in range(_PROBES):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        ray = float(np.vdot(v, G @ v).real)
+        ray = float(np.vdot(v, G(v)).real)
         scale = max(scale, abs(ray))
         if ray < -_PSD_TOL * scale:
             raise ValueError(f"tau is not PSD on probes: Rayleigh quotient {ray:.3e}")
 
-    A = G + eps * np.eye(n)
     try:
-        phi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), np.eye(n, 1))[:, 0]
-    except np.linalg.LinAlgError:
-        raise ValueError(f"eps I + tau is not positive definite at eps = {eps!r}") from None
+        if basis.d == 1:
+            A = gram(tau).matrix + eps * np.eye(n)
+            phi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), np.eye(n, 1))[:, 0]
+        else:
+            phi = _vacuum_solve(tau, eps)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(
+            f"eps I + tau is not positive definite at eps = {eps!r}: {err}") from None
     inner = phi[0].real
     if inner <= 0:
         raise ValueError(f"<1, (eps I + tau)^{{-1}} 1> = {inner:.3e} is not positive")
@@ -85,11 +102,39 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
 
     check_grade = max(0, basis.N - y_series.degree(floor=_SUPPORT_FLOOR))
     m = basis.sub_basis_size(check_grade)
-    # the contiguous copy keeps the product's BLAS path, hence its rounding
-    cols = np.ascontiguousarray(y.to_dense()[:, :m])
-    D = cols.conj().T @ cols - A[:m, :m]
-    residual = float(np.abs(D).max())
+    # y's first m columns, entry for entry those of its dense matrix, in a
+    # C-ordered array: that fixes the product's BLAS path, hence its rounding
+    cols = _GradedProduct(basis, y_series.coeffs, "right").dense(m)
+    A = gram(tau.restricted(check_grade)).matrix + eps * np.eye(m)
+    residual = float(np.abs(cols.conj().T @ cols - A).max())
     return FactorResult(
         eps=eps, psi=psi, y_series=y_series, y_inv=y_inv, y=y,
         residual=residual, check_grade=check_grade,
         contraction_norm_bound=float(1.0 / np.sqrt(eps)))
+
+
+def _vacuum_solve(tau: MomentFunctional, eps: float) -> np.ndarray:
+    """phi = (eps I + T_tau)^{-1} 1 at d >= 2, from the sweep of every grade
+    down through grade 0 (_prefix_sweep).
+
+    The right-hand side 1 lives on the root, which is eliminated last, so
+    the sweep leaves it as it is and phi(0) = 1/(D[0] + eps).  Each grade
+    then follows from its prefixes: phi at a word of grade g is
+    -(1/(D[g] + eps)) sum_k conj(E_g,k)[v] phi[p], p its k-th prefix and v
+    its last k letters, one outer product per (g, k) on phi_g as a
+    d^(g-k) x d^k matrix, prefix by suffix.  Each grade starts from +0.0
+    and is divided by its positive pivot last, so no -0.0 is written.
+    """
+    b = tau.basis
+    d, o = b.d, b.offsets - 1
+    D, E = next(_prefix_sweep(tau, eps, (-1,)))
+    phi = np.zeros(b.size, dtype=complex)
+    phi[0] = 1.0 / (D[0] + eps)
+    for g in range(1, b.N + 1):
+        phi_g = phi[b.grade_slice(g)]
+        for k in range(1, g + 1):
+            by_prefix = phi_g.reshape(d ** (g - k), d ** k)
+            by_prefix -= np.multiply.outer(phi[b.grade_slice(g - k)],
+                                           E[g][o[k]:o[k + 1]].conj())
+        phi_g /= D[g] + eps
+    return phi

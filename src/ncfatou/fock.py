@@ -217,17 +217,19 @@ class _GradedProduct:
                 out[b.grade_slice(h)] += self._down(fj, y[b.grade_slice(h + j)], h)
         return out
 
-    def dense(self) -> np.ndarray:
+    def dense(self, m: int | None = None) -> np.ndarray:
         """Index fill of every block f_j in one assignment: f_j[k] times
         x_h[i] lands at rank k d**h + i (left) or i d**j + k (right) of
-        grade h+j, for every word of grade h <= N - j."""
+        grade h+j, for every word of grade h <= N - j.  With m, only the
+        first m columns, entry for entry the same."""
         b = self.basis
-        A = np.zeros((b.size, b.size), dtype=complex)
+        m = b.size if m is None else m
+        A = np.zeros((b.size, m), dtype=complex)
         count = np.diff(b.offsets)  # d**h
         grade = np.repeat(np.arange(b.N + 1), count)
         # the words v of the nonzero blocks, each against its columns
         v = np.flatnonzero(np.isin(grade[:len(self.coeffs)], [j for j, _ in self.blocks]))
-        width = b.offsets[b.N + 1 - grade[v]]
+        width = np.minimum(b.offsets[b.N + 1 - grade[v]], m)
         entry = np.repeat(np.arange(len(v)), width)
         col = np.arange(len(entry)) - np.repeat(np.cumsum(width) - width, width)
         v = v[entry]

@@ -31,11 +31,14 @@ stage modes:
   Lueker, SIAM J. Comput. 1976), and each entry between a word and its
   k-th prefix depends only on the grade and on the word's last k
   letters, read straight off T_r's first column: one float and one
-  length-d^k array per grade and k, O(n) numbers and O(n N) work, no
-  dense matrix.  It stops at the recovery grade for S and goes on to
-  grade M for the corner.  A d = 1 stage whose recovery corner is the
-  whole truncated basis (m_rec = n) leaves no word beyond the corner and
-  takes this route too;
+  contiguous array per grade (its d^k entries for k = 1..g in turn),
+  updated by one product per grade and prefix depth, O(n) numbers and
+  O(n N) work, no dense matrix.  The sweep (measure._prefix_sweep) is
+  the one outer_factor runs down to grade 0 to solve eps I + T_tau; here
+  it stops at the recovery grade for S and goes on to grade M for the
+  corner.  A d = 1 stage whose recovery corner is the whole truncated
+  basis (m_rec = n) leaves no word beyond the corner and takes this
+  route too;
 - Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
   symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
   its outer factor (Szego-Kolmogorov), computed by a few FFTs; on the
@@ -63,8 +66,8 @@ import numpy as np
 import scipy.linalg
 
 from .fock import FockVector, TruncatedOperator, _GradedProduct
-from .measure import (MomentFunctional, PositivityReport, clark_measure, gram,
-                      gram_matvec, is_positive, radial_measure, vector_state)
+from .measure import (MomentFunctional, PositivityReport, _prefix_sweep, clark_measure,
+                      gram, gram_matvec, is_positive, radial_measure, vector_state)
 from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
 from .words import WordBasis, word_count
 
@@ -274,41 +277,21 @@ def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
     """T_hat, the grade-M corner and the vacuum delta of an elimination
     stage, in O(n N) work on O(n) numbers.
 
-    m and m_out count the words of grade <= M_rec and <= M.  The entry
-    between a word of grade g and its k-th prefix depends only on g and
-    on the word's last k letters, and the diagonal only on g: this holds
-    for T_r, whose entry is conj(column[v]) with v that suffix, and
-    eliminating a grade keeps it.  Grade g therefore keeps one float
-    D[g] and, for k = 1..g, one array E[g][k-1] over the d^k suffixes.
-    Eliminating grade g subtracts E_g[j-1] conj(E_g[i-1]) / (eps + D[g]),
-    summed over the d^i words below each i-th prefix, from the entries
-    between their i-th and j-th prefixes (i <= j): for j = i + k, one
-    product of E[g][j-1], as a d^k x d^i matrix, with the vector
-    conj(E[g][i-1]) / (eps + D[g]).  eps stays off D, so the elimination
-    works on S - eps I.  After grades N..M_rec + 1 the grade-M block is
-    T_hat; after grades M_rec..M + 1 it is the inverse of the corner less
-    eps I.  Raises LinAlgError if a pivot is not positive.
+    m and m_out count the words of grade <= M_rec and <= M.  T_r is the
+    Gram matrix of conj(column), and one sweep of eps I + T_r on the tree
+    of prefixes (measure._prefix_sweep) runs in two legs, with eps kept
+    off its diagonal D, so that it works on S - eps I: after grades
+    N..M_rec + 1 the grade-M block is T_hat; after grades M_rec..M + 1 it
+    is the inverse of the corner less eps I.  block() reads each off the
+    sweep's state per grade g: D[g] on the diagonal and, between a word
+    of grade g and its k-th prefix, E[g][offsets[k] - 1 + rank(v)], v the
+    word's last k letters.  Raises LinAlgError if a pivot is not positive.
     """
-    b, col = Tr.basis, Tr.column
-    d = b.d
+    b = Tr.basis
+    d, o = b.d, b.offsets - 1
     grade_rec, M = (int(np.searchsorted(b.offsets, k)) - 1 for k in (m, m_out))
-    D = [float(col[0].real)] * (b.N + 1)
-    E = [[col[b.grade_slice(k)].conj() for k in range(1, g + 1)] for g in range(b.N + 1)]
 
-    def eliminate(top, stop):
-        for g in range(top, stop, -1):
-            pivot = D[g] + eps
-            if not pivot > 0.0:
-                raise np.linalg.LinAlgError(
-                    f"eps I + T_r is not positive definite at r = {Tr.r!r}: "
-                    f"pivot {pivot:.3e} at grade {g}")
-            for i in range(1, g + 1):
-                f = E[g][i - 1].conj() / pivot
-                D[g - i] -= float((E[g][i - 1] * f).real.sum())
-                for k in range(1, g - i + 1):
-                    E[g - i][k - 1] -= E[g][i + k - 1].reshape(d ** k, d ** i) @ f
-
-    def block():
+    def block(D, E):
         X = np.zeros((m_out, m_out), dtype=complex)
         for g in range(M + 1):
             rank = np.arange(d ** g)
@@ -316,14 +299,17 @@ def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
             X[w, w] = D[g]
             for k in range(1, g + 1):
                 p = b.offsets[g - k] + rank // d ** k
-                X[p, w] = E[g][k - 1][rank % d ** k]
+                X[p, w] = E[g][o[k] + rank % d ** k]
                 X[w, p] = X[p, w].conj()
         return X
 
-    eliminate(b.N, grade_rec)
-    T = block()
-    eliminate(grade_rec, M)
-    C = block()
+    sweep = _prefix_sweep(MomentFunctional(b, Tr.column.conj()), eps, (grade_rec, M))
+    try:
+        T = block(*next(sweep))
+        C = block(*next(sweep))
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(
+            f"eps I + T_r is not positive definite at r = {Tr.r!r}: {err}") from None
     C[np.diag_indices_from(C)] += eps
     delta = _inverse_corner(C, m_out)
     return T, delta, float(delta[0, 0].real)

@@ -116,11 +116,65 @@ def gram(mu: MomentFunctional) -> GramMatrix:
     return GramMatrix(mu.basis, G)
 
 
-def gram_matvec(mu: MomentFunctional, v: np.ndarray) -> np.ndarray:
-    """Apply G v = conj(Y w + Y^H w), w = conj(v), without materializing G."""
+def _gram_apply(mu: MomentFunctional):
+    """v -> G v = conj(Y w + Y^H w), w = conj(v), with Y built once."""
     Y = _gram_half(mu)
-    w = np.conj(np.asarray(v, dtype=complex))
-    return np.conj(Y.apply(w) + Y.adjoint_apply(w))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        w = np.conj(np.asarray(v, dtype=complex))
+        return np.conj(Y.apply(w) + Y.adjoint_apply(w))
+    return apply
+
+
+def gram_matvec(mu: MomentFunctional, v: np.ndarray) -> np.ndarray:
+    """Apply G v without materializing G."""
+    return _gram_apply(mu)(v)
+
+
+def _prefix_sweep(mu: MomentFunctional, eps: float, stops):
+    """Eliminate eps I + gram(mu) from the leaves of the tree of prefixes,
+    yielding its state (D, E) once the grades above each stop are gone.
+
+    G = gram(mu) vanishes on every pair of words neither of which is a
+    prefix of the other, since L_i^* L_j = delta_ij I.  Eliminating the
+    words of grades N, N-1, ... therefore creates no fill (Parter 1961;
+    Rose, Tarjan & Lueker, SIAM J. Comput. 1976), and the entry between a
+    word of grade g and its k-th prefix depends only on g and on the
+    word's last k letters v, the diagonal only on g: this holds for G,
+    whose entry in the prefix's row is mu(v), and eliminating a grade
+    keeps it.  Grade g therefore keeps one float D[g], its diagonal less
+    eps, and one array E[g] of its entries in the rows of its prefixes,
+    k = 1..g in turn: E[g][offsets[k] - 1 + rank(v)].  O(n) numbers.
+
+    Eliminating grade g subtracts E_g,j conj(E_g,i) / (eps + D[g]), E_g,k
+    the k-th part of E[g], summed over the d^i words below each i-th
+    prefix, from the entries between their i-th and j-th prefixes
+    (i <= j).  For each i that is one product for all j > i: the parts of
+    E[g] beyond the i-th, as a (sum_k d^k) x d^i matrix, times
+    conj(E_g,i) / (eps + D[g]) is subtracted from all of E[g - i].
+    O(n N) work.
+
+    stops is decreasing; stop -1 eliminates grade 0 too, so that every
+    pivot has been checked.  Raises LinAlgError if a pivot is not
+    positive.  D and E are updated in place between the yields.
+    """
+    b = mu.basis
+    d, o = b.d, b.offsets - 1
+    D = [float(mu.moments[0].real)] * (b.N + 1)
+    E = [mu.moments[1:b.offsets[g + 1]].copy() for g in range(b.N + 1)]
+    top = b.N
+    for stop in stops:
+        for g in range(top, stop, -1):
+            pivot = D[g] + eps
+            if not pivot > 0.0:
+                raise np.linalg.LinAlgError(f"pivot {pivot:.3e} at grade {g}")
+            for i in range(1, g + 1):
+                Ei = E[g][o[i]:o[i + 1]]
+                f = Ei.conj() / pivot
+                D[g - i] -= float((Ei * f).real.sum())
+                E[g - i] -= E[g][o[i + 1]:].reshape(-1, d ** i) @ f
+        top = stop
+        yield D, E
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,8 @@ def test_non_positive_symbol_exits_3(tmp_path, capsys):
 
 def test_factor_of_a_non_positive_tau_exits_3(tmp_path, capsys):
     # the radial measure of the non-Schur symbol 1.5 Z1 + 1.5 Z2 passes the
-    # Rayleigh probes, and the Cholesky factorization of eps I + tau names it
+    # Rayleigh probes, and a pivot of the prefix-tree sweep of eps I + tau
+    # that is not positive names it
     cfg = _with(FACTOR, d=2, N=6, epsilon=1.0, tau={
         "type": "radial", "r": 0.9, "schur_coeffs": {"1": [1.5, 0.0], "2": [1.5, 0.0]}},
         output_dir=str(tmp_path))

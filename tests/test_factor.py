@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ncfatou.factor import outer_factor
 from ncfatou.fock import FockVector
-from ncfatou.measure import clark_measure, nc_lebesgue, radial_measure, vector_state
+from ncfatou.measure import clark_measure, gram, nc_lebesgue, radial_measure, vector_state
 from ncfatou.series import NCSeries, invert, right_multiplier
 from ncfatou.words import WordBasis
 
@@ -144,3 +145,43 @@ def test_outer_factor_of_random_vector_states(d, data, eps, size, seed):
     closed = np.zeros(basis.size, dtype=complex)
     closed[0], closed[1:d + 1] = a, c / a
     assert np.abs(res.y_series.coeffs - closed).max() <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3]), data=st.data(), eps=st.floats(0.25, 2.0),
+       state=st.booleans(), l1=st.floats(0.05, 0.95), r=st.floats(0.3, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_outer_factor_matches_the_dense_cholesky_solve(d, data, eps, state, l1, r, seed):
+    # the prefix-tree sweep and its back-substitution against a Cholesky
+    # solve of the dense eps I + T_tau, on random vector states and on
+    # radial Clark measures of Schur symbols (l1 norm below 1)
+    basis = WordBasis(d, data.draw(st.integers(0, {2: 7, 3: 5}[d])))
+    rng = np.random.default_rng(seed)
+    pool = basis.sub_basis_size(min(basis.N, 2))
+    c = np.zeros(basis.size, dtype=complex)
+    c[:pool] = rng.standard_normal(pool) + 1j * rng.standard_normal(pool)
+    if state:
+        tau = vector_state(FockVector(basis, c))
+    else:
+        c[0] = 0.0
+        B = NCSeries(basis, c * (l1 / max(np.abs(c).sum(), 1e-300)))
+        tau = radial_measure(clark_measure(B), r)
+    A = gram(tau).matrix + eps * np.eye(basis.size)
+    phi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), np.eye(basis.size, 1))[:, 0]
+    ref = phi / np.sqrt(phi[0].real)
+    psi = outer_factor(tau, eps).psi.coeffs
+    assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_outer_factor_names_a_pivot_the_probes_miss():
+    # the radial measure of the non-Schur 1.5 (Z1 + Z2 + Z3) at d = 3:
+    # eps I + T_tau has 28 negative eigenvalues of 121, which the six
+    # Rayleigh probes miss, and the sweep stops at its grade-3 pivot with
+    # the named ValueError, not a LinAlgError
+    basis = WordBasis(3, 4)
+    B = NCSeries.from_dict(basis, {(1,): 1.5, (2,): 1.5, (3,): 1.5})
+    with pytest.raises(ValueError) as err:
+        outer_factor(radial_measure(clark_measure(B), 0.9), 1.0)
+    assert type(err.value) is ValueError
+    assert str(err.value) == ("eps I + tau is not positive definite at eps = 1.0: "
+                              "pivot -7.338e-01 at grade 3")

@@ -147,9 +147,12 @@ def test_graded_product_kernel_properties(d, N, side, sparsity, seed):
     c = random_symbol(rng, basis, sparsity)
     op = graded_multiplier(basis, c, side)
     inv = graded_inverse(basis, c, side)
-    # the index fill agrees with column-by-column application
+    # the index fill agrees with column-by-column application, and filled
+    # for its first m columns alone it is those columns exactly
     cols = np.column_stack([op.apply(e) for e in np.eye(basis.size)])
     assert np.abs(op.to_dense() - cols).max() < 1e-14
+    m = int(rng.integers(1, basis.size + 1))
+    assert np.array_equal(fock._GradedProduct(basis, c, side).dense(m), op.to_dense()[:, :m])
     assert op.adjoint_residual(rng) < 1e-12
     assert inv.adjoint_residual(rng) < 1e-12
     x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncfatou.fock import FockVector, basis_vector, graded_multiplier, vacuum
-from ncfatou.measure import (MomentFunctional, clark_measure, gram,
+from ncfatou.measure import (MomentFunctional, _prefix_sweep, clark_measure, gram,
                              gram_matvec, herglotz_eval,
                              herglotz_transform, is_positive, nc_lebesgue,
                              quadratic_form, read_moments_csv, sos_split,
@@ -227,6 +227,57 @@ def test_graded_kernel_forms_match_word_arithmetic(d, N, seed):
     assert np.abs(gram_matvec(mu, v) - G @ v).max() < 1e-13
     assert np.abs(vector_state(FockVector(basis, x)).moments - m_x).max() < 1e-13
     assert np.abs(sos_split(FockVector(basis, p)).coeffs - u).max() < 1e-13
+
+
+def _per_k_sweep(mu, eps, stop):
+    """The prefix-tree sweep with one array per (grade, k) and one product
+    per (g, i, k), the loop the stacked sweep replaced: the reference it
+    must reproduce bit for bit."""
+    b = mu.basis
+    d = b.d
+    D = [float(mu.moments[0].real)] * (b.N + 1)
+    E = [[mu.moments[b.grade_slice(k)].copy() for k in range(1, g + 1)]
+         for g in range(b.N + 1)]
+    for g in range(b.N, stop, -1):
+        pivot = D[g] + eps
+        for i in range(1, g + 1):
+            f = E[g][i - 1].conj() / pivot
+            D[g - i] -= float((E[g][i - 1] * f).real.sum())
+            for k in range(1, g - i + 1):
+                E[g - i][k - 1] -= E[g][i + k - 1].reshape(d ** k, d ** i) @ f
+    return D, E
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 4]), data=st.data(), eps=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prefix_sweep_matches_the_per_k_loop_bit_for_bit(d, data, eps, seed):
+    # one (sum_k d^k) x d^i product per (grade, i) in place of one d^k x d^i
+    # product per (grade, i, k): the same dot products, so D and E agree
+    # bit for bit, at every stop, the resumed sweep included
+    basis = WordBasis(d, data.draw(st.integers(0, {1: 24, 2: 9, 3: 6, 4: 5}[d])))
+    stops = sorted(data.draw(st.lists(st.integers(-1, basis.N), min_size=1, max_size=2)),
+                   reverse=True)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    mu = vector_state(FockVector(basis, x * (rng.random(basis.size) < 0.5)))
+    for stop, (D, E) in zip(stops, _prefix_sweep(mu, eps, stops)):
+        D_ref, E_ref = _per_k_sweep(mu, eps, stop)
+        assert D == D_ref
+        for g in range(basis.N + 1):
+            flat = np.concatenate(E_ref[g]) if g else np.zeros(0, dtype=complex)
+            assert np.array_equal(E[g], flat)
+
+
+def test_prefix_sweep_checks_the_grade_0_pivot():
+    # G = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]: the grade-1 pivots are
+    # 1 + eps, and eliminating them leaves 1 + eps - 2/(1 + eps) at the
+    # root, -0.35 at eps = 0.25; a sweep that stops at grade 0 never reads it
+    mu = MomentFunctional(WordBasis(2, 1), np.ones(3, dtype=complex))
+    (D, _), = _prefix_sweep(mu, 0.25, (0,))
+    assert D[0] + 0.25 == pytest.approx(-0.35)
+    with pytest.raises(np.linalg.LinAlgError, match="pivot -3.500e-01 at grade 0"):
+        list(_prefix_sweep(mu, 0.25, (-1,)))
 
 
 def test_gram_cone_structure():
