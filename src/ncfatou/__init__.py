@@ -10,9 +10,9 @@ from .factor import FactorResult, outer_factor
 from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
                    graded_multiplier, left_shift, right_shift, transpose_unitary,
                    vacuum)
-from .lebesgue import (PsdReport, RadialOperator, RNResult, Schedule,
-                       StageRecord, fatou_form_check, majorant_check,
-                       radial_operator, rn_derivative, resolvent_corner)
+from .lebesgue import (PsdReport, RNResult, Schedule, StageRecord,
+                       fatou_form_check, majorant_check, rn_derivative,
+                       resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       clark_measure, gram, gram_matvec, herglotz_eval,
                       herglotz_transform, is_positive, nc_lebesgue,

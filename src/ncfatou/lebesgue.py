@@ -1,4 +1,4 @@
-"""Radial operators, regularized resolvents, and the coupled (r, N) limit.
+"""The Poisson transform T_r, regularized resolvents, and the coupled (r, N) limit.
 
 The strong-resolvent limit lives on the infinite-dimensional space; at a
 fixed truncation N, letting r -> 1 gives wrong answers (the resolvent of
@@ -15,22 +15,26 @@ enlargement buffer pushes its systematic deficit below tolerance for
 symbols whose moments decay.
 
 T_r = Re H_mu(rR) is the NC Poisson transform of mu, so it is the
-L-Toeplitz Gram matrix of mu_r(L^a) = r^|a| mu(L^a) (radial_operator);
-a Schur symbol B gives it through its Clark measure.
+L-Toeplitz Gram matrix of mu_r(L^a) = r^|a| mu(L^a) (radial_measure) and
+depends on the measure alone.  rn_derivative therefore converts its
+source to moments once, before the first stage: a Schur symbol B becomes
+its Clark measure on the highest grade that M, deg B or a stage other
+than a matrix-free one needs, and every such stage takes mu_r on its own
+basis.
 
-Every stage therefore works with one matrix, S = (P_m Delta_r(eps) P_m)^{-1},
+Every stage works with one matrix, S = (P_m Delta_r(eps) P_m)^{-1},
 the Schur complement of eps I + T_r in the words beyond the recovery
 corner (Golub & Van Loan, Matrix Computations, ch. 4), by one of three
 stage modes:
 
-- elimination (d >= 2; moment sources at every size, Schur symbols on
-  at most DENSE_LIMIT words): T_r vanishes on every pair of words
-  neither of which is a prefix of the other, since L_i^* L_j = delta_ij I.
+- elimination (d >= 2, at every size but a Schur symbol's beyond
+  DENSE_LIMIT words): T_r vanishes on every pair of words neither of
+  which is a prefix of the other, since L_i^* L_j = delta_ij I.
   Eliminating the words of grades N, N-1, ... (leaves first on the tree
   of prefixes) therefore creates no fill (Parter 1961; Rose, Tarjan &
   Lueker, SIAM J. Comput. 1976), and each entry between a word and its
   k-th prefix depends only on the grade and on the word's last k
-  letters, read straight off T_r's first column: one float and one
+  letters, read straight off the moments of mu_r: one float and one
   contiguous array per grade (its d^k entries for k = 1..g in turn),
   updated by one product per grade and prefix depth, O(n) numbers and
   O(n N) work, no dense matrix.  The sweep (measure._prefix_sweep) is
@@ -41,13 +45,15 @@ stage modes:
   route too;
 - Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
   symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
-  its outer factor (Szego-Kolmogorov), computed by a few FFTs; on the
-  untruncated operator eps I + T_r = Y^H Y, Y lower triangular, so
-  S = Y_m^H Y_m with no solve and no truncation at grade N;
-- matrix-free (Schur symbols on d >= 2 bases beyond DENSE_LIMIT words):
-  the corner by CG, one column at a time, inverted; T_r v is solved into
-  work vectors the operator keeps, and eps v + T_r v into one buffer that
-  CG reads before its next call.
+  its outer factor (Szego-Kolmogorov), computed by a few FFTs of the
+  moments of mu_r; on the untruncated operator eps I + T_r = Y^H Y, Y
+  lower triangular, so S = Y_m^H Y_m with no solve and no truncation at
+  grade N;
+- matrix-free (a Schur symbol B on a d >= 2 basis of more than
+  DENSE_LIMIT words, which the stage takes in place of mu_r): the corner
+  by CG, one column at a time, inverted; T_r v = K^{-1} v + K^{-*} v - v
+  with K = I - B(rR) is solved into two work rows, and eps v + T_r v
+  into one buffer that CG reads before its next call.
 
 Each stage reads three things: the grade-M block T_hat = S[o, o] - eps I,
 the grade-M corner (S^{-1})[o, o] and the vacuum delta, its (0, 0) entry.
@@ -65,9 +71,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import FockVector, TruncatedOperator, _GradedProduct
+from .fock import FockVector, _GradedProduct
 from .measure import (MomentFunctional, PositivityReport, _prefix_sweep, clark_measure,
-                      gram, gram_matvec, is_positive, radial_measure, vector_state)
+                      gram, is_positive, radial_measure, vector_state)
 from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
 from .words import WordBasis, word_count
 
@@ -140,7 +146,7 @@ class Schedule:
 
 
 # ---------------------------------------------------------------------------
-# radial operators T_r = Re H(rR)
+# stage routes
 
 #: A Schur symbol on a d >= 2 basis of more words runs the matrix-free
 #: stage (CG); the dense reference corner (resolvent_corner) takes no
@@ -153,74 +159,28 @@ _CG_MAXITER = 2000
 _POSITIVITY_TOL = 1e-6
 
 
-class RadialOperator(TruncatedOperator):
-    """Compression of T_r = Re H_mu(rR) on the truncated basis.
-
-    T_r is the NC Poisson transform of mu, the L-Toeplitz Gram matrix of
-    mu_r(L^a) = r^|a| mu(L^a) (radial_operator).  It keeps its first
-    column T_r e_0 = conj(mu_r), with the real mu(I) at the empty word,
-    which determines it: T_r[b.v, b] = column[v] and T_r[b, b.v] =
-    conj(column[v]) for every word b and nonempty word v, and every other
-    entry vanishes.  The stages of rn_derivative read the column; the
-    dense matrix is built on the first to_dense() call.  The mode is
-    'toeplitz' for d = 1, where T_r is Toeplitz, and 'elimination' for
-    d >= 2, at every size; a Schur symbol on a d >= 2 basis of more than
-    DENSE_LIMIT words is 'matrix-free', with no column.  That mode uses
-    K = I - B(rR), block lower-triangular with diagonal (1 - B(0)) I in the
-    graded-lex basis: H(rR) = 2 K^{-1} - I, so T_r v = K^{-1} v + K^{-*} v
-    - v, each term one substitution over grades, exact on the truncation.
-    buffered_apply is apply, but its result may be a buffer that its next
-    call overwrites.
+def _radial_matrix_free(B: NCSeries, r: float, work=(None, None)):
+    """v -> T_r v = K^{-1} v + K^{-*} v - v with K = I - B(rR), for any d
+    and size, each term one substitution over grades, exact on the
+    truncation: K is block lower-triangular with diagonal (1 - B(0)) I in
+    the graded-lex basis and H(rR) = 2 K^{-1} - I.  K is transposed on its
+    support alone, the words of grade <= deg B.  With work, two rows of
+    the basis's size, the solves go into them and the result is work[0],
+    overwritten by the next call; without, each call returns a new array.
     """
-
-    def __init__(self, basis: WordBasis, r: float, matvec,
-                 column: np.ndarray | None = None, dense=None, buffered_apply=None):
-        super().__init__(basis, matvec, matvec, dense=dense)
-        self.r = r
-        self.column = column
-        self.buffered_apply = buffered_apply or matvec
-        self.mode = ("matrix-free" if column is None else
-                     "toeplitz" if basis.d == 1 else "elimination")
-
-    @staticmethod
-    def from_schur(B: NCSeries, r: float) -> "RadialOperator":
-        """T_r of the Clark measure of a Schur-class symbol (germ |B(0)| < 1
-        checked)."""
-        if abs(B.constant_term()) >= 1.0:
-            raise ValueError(
-                f"T_r needs |B(0)| < 1, got {abs(B.constant_term()):.6g}")
-        if B.basis.d > 1 and B.basis.size > DENSE_LIMIT:
-            return _radial_matrix_free(B, r)
-        return radial_operator(clark_measure(B), r)
-
-
-def radial_operator(mu: MomentFunctional, r: float) -> RadialOperator:
-    """T_r = Re H_mu(rR) as the Gram matrix of mu_r: its matvec is
-    gram_matvec(mu_r, .) and its dense matrix gram(mu_r).matrix."""
-    mu_r = radial_measure(mu, r)
-    column = mu_r.moments.conj()
-    column[0] = column[0].real
-    return RadialOperator(mu.basis, r, lambda v: gram_matvec(mu_r, v), column=column,
-                          dense=lambda: gram(mu_r).matrix)
-
-
-def _radial_matrix_free(B: NCSeries, r: float) -> RadialOperator:
-    """T_r = K^{-1} + K^{-*} - I with K = I - B(rR), for any d and size.
-    K is transposed on its support alone, the words of grade <= deg B;
-    buffered_apply solves into two work vectors the operator keeps."""
     basis = B.basis
     support = WordBasis(basis.d, B.degree())
     k = NCSeries.one(support) - radial_scale(NCSeries(support, B.coeffs[:support.size]), r)
     K = _GradedProduct(basis, transpose_conjugate(k).coeffs, "right")
-    work = np.empty((2, basis.size), dtype=complex)
+    fw, bw = work
 
-    def matvec(v, fw=None, bw=None):
-        fw = K.solve(v, out=fw)
-        fw += K.solve(v, adjoint=True, out=bw)
-        fw -= v
-        return fw
+    def matvec(v):
+        x = K.solve(v, out=fw)
+        x += K.solve(v, adjoint=True, out=bw)
+        x -= v
+        return x
 
-    return RadialOperator(basis, r, matvec, buffered_apply=lambda v: matvec(v, *work))
+    return matvec
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +233,13 @@ def _herm(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().T)
 
 
-def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
+def _eliminate(mu_r: MomentFunctional, r: float, eps: float, m: int, m_out: int) -> tuple:
     """T_hat, the grade-M corner and the vacuum delta of an elimination
-    stage, in O(n N) work on O(n) numbers.
+    stage at radius r, in O(n N) work on O(n) numbers.
 
     m and m_out count the words of grade <= M_rec and <= M.  T_r is the
-    Gram matrix of conj(column), and one sweep of eps I + T_r on the tree
-    of prefixes (measure._prefix_sweep) runs in two legs, with eps kept
+    Gram matrix of mu_r, and one sweep of eps I + T_r on the tree of
+    prefixes (measure._prefix_sweep) runs in two legs, with eps kept
     off its diagonal D, so that it works on S - eps I: after grades
     N..M_rec + 1 the grade-M block is T_hat; after grades M_rec..M + 1 it
     is the inverse of the corner less eps I.  block() reads each off the
@@ -287,7 +247,7 @@ def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
     of grade g and its k-th prefix, E[g][offsets[k] - 1 + rank(v)], v the
     word's last k letters.  Raises LinAlgError if a pivot is not positive.
     """
-    b = Tr.basis
+    b = mu_r.basis
     d, o = b.d, b.offsets - 1
     grade_rec, M = (int(np.searchsorted(b.offsets, k)) - 1 for k in (m, m_out))
 
@@ -303,37 +263,38 @@ def _eliminate(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
                 X[w, p] = X[p, w].conj()
         return X
 
-    sweep = _prefix_sweep(MomentFunctional(b, Tr.column.conj()), eps, (grade_rec, M))
+    sweep = _prefix_sweep(mu_r, eps, (grade_rec, M))
     try:
         T = block(*next(sweep))
         C = block(*next(sweep))
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(
-            f"eps I + T_r is not positive definite at r = {Tr.r!r}: {err}") from None
+            f"eps I + T_r is not positive definite at r = {r!r}: {err}") from None
     C[np.diag_indices_from(C)] += eps
     delta = _inverse_corner(C, m_out)
     return T, delta, float(delta[0, 0].real)
 
 
-def _spectral_block(Tr: RadialOperator, eps: float, m: int) -> np.ndarray:
-    """S = (P_m Delta_r(eps) P_m)^{-1} on the untruncated d = 1 operator.
+def _spectral_block(mu_r: MomentFunctional, r: float, eps: float, m: int) -> np.ndarray:
+    """S = (P_m Delta_r(eps) P_m)^{-1} on the untruncated d = 1 operator
+    at radius r.
 
     eps I + T_r is the Toeplitz operator of s = eps + Re H(r e^{it}), read
-    off Tr.column on a grid of G points, G the smallest power of two
-    >= 2n.  Its outer factor y = exp(P_+ log s), the analytic half of the
-    cepstrum with a_0 halved, gives eps I + T_r = Y^H Y with Y the
+    off the moments of mu_r on a grid of G points, G the smallest power of
+    two >= 2n (irfft reads the real part of mu_r(I) alone).  Its outer
+    factor y = exp(P_+ log s), the analytic half of the cepstrum with a_0
+    halved, gives eps I + T_r = Y^H Y with Y the
     lower-triangular Toeplitz operator of y (Szego-Kolmogorov; the
     cepstral method of Oppenheim & Schafer, ch. 13).  Y is lower
     triangular, so S = Y_m^H Y_m.  Raises RuntimeError if s is not
     positive on the grid.
     """
-    col = Tr.column
-    n = len(col)
+    n = mu_r.basis.size
     G = 1 << (2 * n - 1).bit_length()
-    s = G * np.fft.irfft(col.conj(), G) + eps
+    s = G * np.fft.irfft(mu_r.moments, G) + eps
     if not s.min() > 0.0:
         raise RuntimeError(
-            f"symbol eps + Re H(r e^it) is not positive at r = {Tr.r!r}, "
+            f"symbol eps + Re H(r e^it) is not positive at r = {r!r}, "
             f"N = {n - 1}: min s = {s.min():.3e}")
     a = np.fft.rfft(np.log(s)).conj() / G
     a[0] *= 0.5
@@ -364,53 +325,57 @@ def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
     return T, corner, float(corner[0, 0].real)
 
 
-def _stage(Tr: RadialOperator, eps: float, m: int, m_out: int) -> tuple:
-    """(T_hat, corner, vacuum delta, solver) of one stage at eps, on a
-    recovery corner of m words and an output block of m_out; solver holds
-    StageRecord's mode and, if matrix-free, its CG fields.  A d = 1 corner
-    of the whole basis (m = n) leaves no word beyond it, so that truncated
-    stage is eliminated like a d >= 2 one.
+def _stage(op, r: float, eps: float, m: int, m_out: int) -> tuple:
+    """(T_hat, corner, vacuum delta, solver) of one stage at radius r and
+    at eps, on a recovery corner of m words and an output block of m_out;
+    solver holds StageRecord's mode and, if matrix-free, its CG fields.
+
+    op is mu_r, or a Schur symbol B (an NCSeries) on a d >= 2 basis of
+    more than DENSE_LIMIT words, which runs CG.  A measure is eliminated
+    at d >= 2, and at d = 1 when the corner is the whole basis (m = n),
+    which leaves no word beyond it; any other d = 1 measure goes to the
+    Toeplitz symbol.
     """
-    if Tr.mode == "elimination" or Tr.mode == "toeplitz" and m == Tr.basis.size:
-        return (*_eliminate(Tr, eps, m, m_out), {"mode": "elimination"})
-    solver = {"mode": Tr.mode}
-    if Tr.mode == "toeplitz":
-        S = _spectral_block(Tr, eps, m)
-    else:
-        c, solver["cg_iterations"], solver["cg_residual"] = _cg_corner(Tr, eps, m)
-        S = np.linalg.inv(c)
-    return (*_read_stage(S, eps, m_out), solver)
+    if isinstance(op, NCSeries):
+        c, iters, residual = _cg_corner(op, r, eps, m)
+        return (*_read_stage(np.linalg.inv(c), eps, m_out),
+                {"mode": "matrix-free", "cg_iterations": iters, "cg_residual": residual})
+    if op.basis.d > 1 or m == op.basis.size:
+        return (*_eliminate(op, r, eps, m, m_out), {"mode": "elimination"})
+    return (*_read_stage(_spectral_block(op, r, eps, m), eps, m_out), {"mode": "toeplitz"})
 
 
-def resolvent_corner(Tr: RadialOperator, eps: float, m: int) -> np.ndarray:
-    """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1}, as an
-    m x m matrix (m counts basis words); eps must be positive.
+def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
+    """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1} and T_r
+    = gram(mu_r).matrix, as an m x m matrix (m counts basis words); eps
+    must be positive.
 
     This is the exact corner of the truncated resolvent, the reference the
     coupled limit is checked against, computed independently of the
-    stages of rn_derivative: it solves the dense eps I + T_r (to_dense(),
-    the Gram matrix of mu_r) for the first m unit vectors (one Cholesky
-    solve), so the basis may hold at most DENSE_LIMIT words; a matrix-free
-    T_r is built only on larger bases and is refused with them.  Returns
-    the Hermitized corner.
+    stages of rn_derivative: it solves the dense eps I + T_r for the first
+    m unit vectors (one Cholesky solve), so the basis may hold at most
+    DENSE_LIMIT words.  Returns the Hermitized corner.
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
-    basis = Tr.basis
+    basis = mu_r.basis
     if m > basis.size:
         raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
     if basis.size > DENSE_LIMIT:
         raise ValueError(
             f"the dense reference corner needs at most {DENSE_LIMIT} basis "
             f"words, got {basis.size}")
-    A = Tr.to_dense() + eps * np.eye(basis.size)
+    A = gram(mu_r).matrix + eps * np.eye(basis.size)
     return _herm(scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m])
 
 
-def _cg_corner(Tr: RadialOperator, eps: float, m: int) -> tuple:
-    """The matrix-free corner, one CG solve of (eps I + T_r) x = e_j per
-    column j to _CG_TOL, with eps u + T_r u formed in that order in one
-    buffer: (Hermitized corner, iteration counts, largest final relative
+def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
+    """The matrix-free corner of the Schur symbol B at radius r, one CG
+    solve of (eps I + T_r) x = e_j per column j to _CG_TOL, with T_r
+    solved into two work rows (_radial_matrix_free) and eps u + T_r u
+    formed in that order in one buffer, so that a CG iteration allocates
+    no basis-length vector beyond the substitutions' scratch rows:
+    (Hermitized corner, iteration counts, largest final relative
     residual).
     """
     if m > 256:
@@ -418,11 +383,12 @@ def _cg_corner(Tr: RadialOperator, eps: float, m: int) -> tuple:
             f"matrix-free corner extraction with {m} columns is not "
             "practical; use a smaller corner")
     corner = np.zeros((m, m), dtype=complex)
-    e, shifted = np.zeros((2, Tr.basis.size), dtype=complex)
+    e, shifted, *work = np.zeros((4, B.basis.size), dtype=complex)
+    T = _radial_matrix_free(B, r, work)
 
     def matvec(u):
         np.multiply(u, eps, out=shifted)
-        return np.add(shifted, Tr.buffered_apply(u), out=shifted)
+        return np.add(shifted, T(u), out=shifted)
 
     iters, residual = [], 0.0
     for j in range(m):
@@ -441,9 +407,10 @@ def _cg_corner(Tr: RadialOperator, eps: float, m: int) -> tuple:
 @dataclass(frozen=True)
 class StageRecord:
     """One stage of the coupled limit; mode ('elimination', 'toeplitz' or
-    'matrix-free'), words (the basis size), cg_residual (the largest
-    final relative CG residual, 0.0 if direct) and seconds (the stage's
-    wall time, building its operator included) enter no CSV."""
+    'matrix-free', as _stage routed it), words (the basis size),
+    cg_residual (the largest final relative CG residual, 0.0 if direct)
+    and seconds (the stage's wall time, forming its mu_r, or its symbol
+    on the stage basis, included) enter no CSV."""
 
     r: float
     N: int
@@ -489,38 +456,6 @@ class RNResult:
         return np.array([s.mass for s in self.stages])
 
 
-def _stage_operator(source, d: int, r: float, N: int) -> RadialOperator:
-    """T_r at the stage grade, routed by source type.
-
-    Schur-series sources keep their sparse support, which the matrix-free
-    substitution uses on large d >= 2 bases; moment sources give T_r as
-    the Gram matrix of their rescaled moments and are eliminated at every
-    d >= 2 size.
-    """
-    basis = WordBasis(d, N)
-    if isinstance(source, NCSeries):
-        deg = source.degree()
-        if deg > N:
-            raise ValueError(f"symbol degree {deg} exceeds stage grade {N}")
-        B = NCSeries.from_dict(basis, dict(source.support()))
-        return RadialOperator.from_schur(B, r)
-    if isinstance(source, MomentFunctional):
-        if source.basis.N < N:
-            raise ValueError(
-                f"schedule stage needs moments through grade {N}, functional "
-                f"only reaches {source.basis.N}")
-        return radial_operator(source.restricted(N), r)
-    raise TypeError(f"source must be NCSeries or MomentFunctional, got {type(source)}")
-
-
-def _source_moments(source, d: int, M: int) -> MomentFunctional:
-    if isinstance(source, MomentFunctional):
-        return source.restricted(M)
-    basis = WordBasis(d, max(M, source.degree()))
-    mu = clark_measure(NCSeries.from_dict(basis, dict(source.support())))
-    return mu.restricted(M)
-
-
 def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
                   schedule: Schedule | None = None, recovery_buffer: int = 8,
                   cauchy_tol: float = 1e-4, singular_tol: float = 0.05) -> RNResult:
@@ -528,22 +463,23 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     source is either a Schur-class NCSeries (the symbol B) or a positive
     MomentFunctional with moments through the largest scheduled grade.
-    For each stage, T_stage = (P Delta_r(eps) P)^{-1} - eps I is recovered
-    on the words of grade <= M + recovery_buffer; the iteration stops
-    early once consecutive grade-M resolvent corners differ by less than
-    cauchy_tol in max norm; schedule defaults to Schedule.coupled(d).
+    It becomes moments mu once, before the first stage: B becomes its
+    Clark measure (germ |B(0)| < 1 checked) on the highest grade that M,
+    deg B or a stage other than a matrix-free one needs; a moment source
+    is used as given.  For each stage, T_stage = (P Delta_r(eps) P)^{-1}
+    - eps I is recovered on the words of grade <= M + recovery_buffer;
+    the iteration stops early once consecutive grade-M resolvent corners
+    differ by less than cauchy_tol in max norm; schedule defaults to
+    Schedule.coupled(d).
     Each stage (_stage) reads the grade-M block of T_stage, the grade-M
-    corner and the vacuum delta: d >= 2 stages by one elimination over
-    grades that reads T_r's first column and never forms the dense T_r,
-    in O(n N) work on O(n) numbers (_eliminate), moment sources at every
-    size and Schur symbols on at most DENSE_LIMIT words; d = 1 stages
-    from the outer factor of their symbol and larger Schur-symbol d >= 2
-    stages from the inverse of the CG corner (each column to the relative
-    residual _CG_TOL), both through one tail (_read_stage).  A Toeplitz
-    (d = 1) stage works on the untruncated operator and raises
-    RuntimeError if its symbol is not positive; one whose recovery corner
-    is the whole basis (m_rec = n) has no word beyond the corner and is
-    eliminated.
+    corner and the vacuum delta from mu_r = radial_measure(mu, r) on its
+    basis: at d >= 2 by one elimination over grades (_eliminate), O(n N)
+    work on O(n) numbers with no dense T_r; at d = 1 from the outer factor
+    of the symbol on the untruncated operator (_spectral_block), which
+    raises RuntimeError if the symbol is not positive, unless the recovery
+    corner is the whole basis (m_rec = n) and the stage is eliminated.  A
+    Schur symbol on a d >= 2 basis of more than DENSE_LIMIT words takes B
+    itself and inverts its CG corner (each column to _CG_TOL).
     The reported T_hat comes from the smallest eps in the grid (least
     upward bias on near-singular directions); the other grid values only
     feed the eps-consistency cross-check, which reruns the last stage at
@@ -565,6 +501,20 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     if any(N < M for _, N in schedule.stages):
         raise ValueError("schedule stage grade below the output grade M")
 
+    grades = [N for _, N in schedule.stages]
+    mu, cg = source, set()
+    if isinstance(source, NCSeries):
+        deg = source.degree()
+        if deg > min(grades):
+            raise ValueError(f"symbol degree {deg} exceeds stage grade {min(grades)}")
+        cg = {N for N in grades if d > 1 and word_count(d, N) > DENSE_LIMIT}
+        top = max([M, deg] + [N for N in grades if N not in cg])
+        mu = clark_measure(NCSeries.from_dict(WordBasis(d, top), dict(source.support())))
+    elif source.basis.N < max(grades):
+        raise ValueError(
+            f"schedule stage needs moments through grade {max(grades)}, "
+            f"functional only reaches {source.basis.N}")
+
     m_out = word_count(d, M)
 
     records = []
@@ -572,13 +522,16 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     converged = False
     for (r, N) in schedule.stages:
         start = time.perf_counter()
-        Tr = _stage_operator(source, d, r, N)
+        if N in cg:
+            op = NCSeries.from_dict(WordBasis(d, N), dict(source.support()))
+        else:
+            op = radial_measure(mu.restricted(N), r)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        T_hat, corner, vacuum, solver = _stage(Tr, primary, m_rec, m_out)
+        T_hat, corner, vacuum, solver = _stage(op, r, primary, m_rec, m_out)
         seconds = time.perf_counter() - start
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
-            r=r, N=N, words=Tr.basis.size, vacuum_delta=vacuum,
+            r=r, N=N, words=op.basis.size, vacuum_delta=vacuum,
             mass=float(T_hat[0, 0].real), increment=increment, seconds=seconds,
             **solver))
         prev = corner
@@ -590,7 +543,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     eps_consistency = 0.0
     blocks = {primary: T_hat}
     for eps in eps_grid[1:]:
-        blocks[eps] = _stage(Tr, eps, m_rec, m_out)[0]
+        blocks[eps] = _stage(op, r, eps, m_rec, m_out)[0]
     for ea in eps_grid:
         for eb in eps_grid:
             if ea < eb:
@@ -598,7 +551,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
                     np.abs(blocks[ea] - blocks[eb]).max()))
 
     basis_M = WordBasis(d, M)
-    mu = _source_moments(source, d, M)
+    mu = mu.restricted(M)
     moments_ac = T_hat[0, :].copy()
     moments_ac[0] = moments_ac[0].real
     mu_ac = MomentFunctional(basis_M, moments_ac)

@@ -376,12 +376,7 @@ def left_multiplier_norm(f: NCSeries, tol: float = 1e-12) -> float:
         return op.adjoint_apply(op.apply(padded))[:m]
 
     if m <= 64:
-        A = np.empty((m, m), dtype=complex)
-        e = np.zeros(m, dtype=complex)
-        for j in range(m):
-            e[j] = 1.0
-            A[:, j] = gram_mv(e)
-            e[j] = 0.0
+        A = TruncatedOperator(basis, gram_mv, gram_mv).to_dense()  # Hermitian
         lam = float(np.linalg.eigvalsh(A).max())
     else:
         import scipy.sparse.linalg  # here only: importing ncfatou need not load scipy.sparse

@@ -284,6 +284,15 @@ def test_non_positive_symbol_exits_3(tmp_path, capsys):
     assert "not positive at r = 0.5, N = 16: min s = -7.500e-01" in err
 
 
+def test_symbol_with_a_boundary_germ_exits_3(tmp_path, capsys):
+    # |B(0)| = 1: rn_derivative converts the symbol to its Clark measure
+    # before the first stage, and that conversion checks the germ
+    cfg = {"experiment": "classical-fatou", "output_dir": str(tmp_path),
+           "schur_coeffs": {"e": [1, 0], "1": [0.1, 0]}}
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 3
+    assert "germ condition violated" in capsys.readouterr().err
+
+
 def test_factor_of_a_non_positive_tau_exits_3(tmp_path, capsys):
     # the radial measure of the non-Schur symbol 1.5 Z1 + 1.5 Z2 passes the
     # Rayleigh probes, and a pivot of the prefix-tree sweep of eps I + tau
@@ -450,5 +459,6 @@ def test_docs_list_the_schema_table():
     readme = (ROOT / "README.md").read_text()
     assert doc in readme
     for gone in ("null_tol", "verify --threads", "free Cauchy transform",
-                 "GNS quotient isometries", "form-decomposition diagnostic"):
+                 "GNS quotient isometries", "form-decomposition diagnostic",
+                 "RadialOperator", "radial_operator"):
         assert gone not in readme and gone not in cli.__doc__

@@ -5,13 +5,13 @@ from scipy.linalg import solve_toeplitz, toeplitz
 
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
-from ncfatou.lebesgue import (DENSE_LIMIT, RadialOperator, Schedule, _cg_corner,
-                              _eliminate, _radial_matrix_free, _read_stage,
-                              _spectral_block, fatou_form_check, hermitian_cg,
-                              majorant_check, radial_operator, resolvent_corner,
-                              rn_derivative)
-from ncfatou.measure import (MomentFunctional, clark_measure, gram,
-                             herglotz_transform, nc_lebesgue, vector_state)
+from ncfatou.lebesgue import (DENSE_LIMIT, Schedule, _cg_corner, _eliminate,
+                              _radial_matrix_free, _read_stage, _spectral_block,
+                              fatou_form_check, hermitian_cg, majorant_check,
+                              resolvent_corner, rn_derivative)
+from ncfatou.measure import (MomentFunctional, clark_measure, gram, gram_matvec,
+                             herglotz_transform, nc_lebesgue, radial_measure,
+                             vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
 from ncfatou.series import (NCSeries, radial_scale, series_at_right_shifts,
@@ -53,7 +53,7 @@ def test_schedule_validation():
         Schedule.coupled(2, j_max=0)
 
 
-# -- radial operators --------------------------------------------------------
+# -- the radial Gram matrix T_r -----------------------------------------------
 
 def fatou_toeplitz(coeff, r, N):
     """Oracle T_r for b = coeff z: Fourier coefficients of Re H(r zeta)."""
@@ -61,82 +61,107 @@ def fatou_toeplitz(coeff, r, N):
     return toeplitz_from_symbol(np.real((1 + z) / (1 - z)), N)
 
 
-def test_radial_operator_identity_for_zero_symbol():
+def clark_r(B, r):
+    """mu_r of the Clark measure of B; T_r is its Gram matrix."""
+    return radial_measure(clark_measure(B), r)
+
+
+def columns(matvec, basis):
+    """The dense matrix of matvec, one column per unit vector."""
+    return TruncatedOperator(basis, matvec, matvec).to_dense()
+
+
+def test_radial_gram_identity_for_zero_symbol():
     basis = WordBasis(2, 4)
-    Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.6)
-    assert Tr.mode == "elimination"
-    assert np.abs(Tr.to_dense() - np.eye(basis.size)).max() < 1e-14
+    T = gram(clark_r(NCSeries.zero(basis), 0.6)).matrix
+    assert np.abs(T - np.eye(basis.size)).max() < 1e-14
 
 
-def test_radial_operator_entries_match_fft_oracle():
+def test_radial_gram_entries_match_fft_oracle():
     # d=1, b = z: T_r is Toeplitz with entries r^{|j-k|}; cross-check the
     # whole matrix against Fourier coefficients of Re (1+r zeta)/(1-r zeta)
     basis = WordBasis(1, 12)
     r = 0.7
-    Tr = RadialOperator.from_schur(schur_z(basis), r)
-    assert Tr.mode == "toeplitz"
+    T = gram(clark_r(schur_z(basis), r)).matrix
     grid = circle_grid(512)
     hvals = np.real((1 + r * grid) / (1 - r * grid))
     oracle = toeplitz_from_symbol(hvals, 12)
-    assert np.abs(Tr.to_dense() - oracle).max() < 1e-12
-    assert np.abs(Tr.to_dense() - toeplitz(r ** np.arange(13))).max() < 1e-12
+    assert np.abs(T - oracle).max() < 1e-12
+    assert np.abs(T - toeplitz(r ** np.arange(13))).max() < 1e-12
 
 
-def test_radial_operator_vacuum_moment_is_r_independent():
+def test_matrix_free_t_r_vacuum_moment_is_r_independent():
     basis = WordBasis(2, 5)
     B = NCSeries.from_dict(basis, {(1,): 0.5, (2, 1): 0.3j})
     mu_mass = clark_measure(B).mass()
     e0 = np.zeros(basis.size, dtype=complex)
     e0[0] = 1.0
     for r in (0.3, 0.6, 0.9):
-        Tr = _radial_matrix_free(B, r)
-        assert np.vdot(e0, Tr.apply(e0)).real == pytest.approx(mu_mass, abs=1e-12)
+        T = _radial_matrix_free(B, r)
+        assert np.vdot(e0, T(e0)).real == pytest.approx(mu_mass, abs=1e-12)
 
 
-def test_radial_operator_modes_agree_and_are_self_adjoint_psd():
+def test_radial_gram_and_matrix_free_t_r_agree_and_are_self_adjoint_psd():
     basis = WordBasis(1, 40)
     B = schur_z(basis, 0.8)
     rng = np.random.default_rng(41)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    toep = RadialOperator.from_schur(B, 0.85)
-    free = _radial_matrix_free(B, 0.85)
+    mu_r = clark_r(B, 0.85)
+
+    def g(u):
+        return gram_matvec(mu_r, u)
+
+    gram_op = TruncatedOperator(basis, g, g)
+    T = _radial_matrix_free(B, 0.85)
+    free = TruncatedOperator(basis, T, T)
     ref = fatou_toeplitz(0.8, 0.85, 40) @ v
-    assert np.abs(toep.apply(v) - ref).max() < 1e-10
+    assert np.abs(gram_op.apply(v) - ref).max() < 1e-10
     assert np.abs(free.apply(v) - ref).max() < 1e-10
-    assert toep.adjoint_residual(rng) < 1e-12
+    assert gram_op.adjoint_residual(rng) < 1e-12
     assert free.adjoint_residual(rng) < 1e-12
-    lam = np.linalg.eigvalsh(toep.to_dense()).min()
+    lam = np.linalg.eigvalsh(gram(mu_r).matrix).min()
     assert lam >= -1e-10
 
 
-def test_radial_operator_nonzero_germ_neumann():
+def test_matrix_free_t_r_nonzero_germ_neumann():
     # the matrix-free substitution must stay exact when B(0) != 0
     basis = WordBasis(2, 4)
     B = NCSeries.from_dict(basis, {(): 0.4, (1,): 0.3, (2,): -0.2j})
-    dense = RadialOperator.from_schur(B, 0.7)
-    free = _radial_matrix_free(B, 0.7)
     rng = np.random.default_rng(43)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    assert np.abs(dense.apply(v) - free.apply(v)).max() < 1e-12
+    free = _radial_matrix_free(B, 0.7)(v)
+    assert np.abs(gram_matvec(clark_r(B, 0.7), v) - free).max() < 1e-12
 
 
-def test_radial_operator_mode_follows_basis_size():
-    small = WordBasis(2, 10)
-    large = WordBasis(2, 11)
+def test_stage_mode_follows_basis_size():
+    # a d >= 2 Schur symbol runs CG beyond DENSE_LIMIT words and is
+    # eliminated up to it; a d = 1 stage with words beyond its corner
+    # factors its Toeplitz symbol at any size
+    small, large = WordBasis(2, 10), WordBasis(2, 11)
     assert small.size <= DENSE_LIMIT < large.size
-    B = NCSeries.from_dict(large, {(1,): 0.5, (2,): 0.25})
-    assert RadialOperator.from_schur(
-        NCSeries.from_dict(small, {(1,): 0.5, (2,): 0.25}), 0.6).mode == "elimination"
-    assert RadialOperator.from_schur(B, 0.6).mode == "matrix-free"
-    assert RadialOperator.from_schur(schur_z(WordBasis(1, 3000)), 0.6).mode == "toeplitz"
+    kw = dict(M=0, recovery_buffer=0, eps_grid=(1.0,), cauchy_tol=0.0)
+    B = NCSeries.from_dict(WordBasis(2, 1), {(1,): 0.5, (2,): 0.25})
+    res = rn_derivative(B, schedule=Schedule.explicit([(0.5, 10), (0.6, 11)]), **kw)
+    assert [(st.mode, st.words) for st in res.stages] == [
+        ("elimination", small.size), ("matrix-free", large.size)]
+    res = rn_derivative(schur_z(WordBasis(1, 1), 0.5),
+                        schedule=Schedule.explicit([(0.6, 3000)]), **kw)
+    assert [(st.mode, st.words) for st in res.stages] == [("toeplitz", 3001)]
 
 
-def test_radial_operator_rejects_bad_inputs():
+def test_radial_clark_measure_rejects_bad_inputs():
     basis = WordBasis(1, 4)
-    with pytest.raises(ValueError):
-        RadialOperator.from_schur(schur_z(basis), 1.0)
-    with pytest.raises(ValueError):
-        RadialOperator.from_schur(NCSeries.from_dict(basis, {(): 1.0}), 0.5)
+    with pytest.raises(ValueError, match="radial parameter"):
+        clark_r(schur_z(basis), 1.0)
+    with pytest.raises(ValueError, match="germ condition violated"):
+        clark_r(NCSeries.from_dict(basis, {(): 1.0}), 0.5)
+    # rn_derivative runs the germ and degree checks once, before any stage
+    with pytest.raises(ValueError, match="germ condition violated"):
+        rn_derivative(NCSeries.from_dict(basis, {(): 1.0, (1,): 0.1}), M=2,
+                      schedule=Schedule.explicit([(0.5, 4)]))
+    with pytest.raises(ValueError, match="symbol degree 4 exceeds stage grade 3"):
+        rn_derivative(NCSeries.from_dict(basis, {(1, 1, 1, 1): 0.5}), M=2,
+                      schedule=Schedule.explicit([(0.5, 8), (0.6, 3)]))
 
 
 def _prefix_pairs(basis):
@@ -161,32 +186,34 @@ def _radial_sources(basis):
 
 
 @pytest.mark.parametrize("d, N", [(2, 5), (3, 3)])
-def test_radial_operator_vanishes_off_prefix_comparable_pairs(d, N):
+def test_radial_gram_vanishes_off_prefix_comparable_pairs(d, N):
     # L_i^* L_j = delta_ij I: T_r is exactly 0.0 on every pair of words
     # neither of which is a prefix of the other, as its matvec computes it
-    # (one column per unit vector), for every source; on the pairs of a
-    # word w = p.v and its prefix p it is conj(column[v]), as _eliminate
-    # reads it, and column[0] on the diagonal
+    # (one column per unit vector), for every source and for the
+    # matrix-free T_r; on the pairs of a word w = p.v and its prefix p it
+    # is mu_r(v), as _eliminate reads it, and the real mu_r(I) on the
+    # diagonal
     basis = WordBasis(d, N)
     w, p, v = _prefix_pairs(basis)
     off = ~np.eye(basis.size, dtype=bool)
     off[w, p] = off[p, w] = False
     assert off.mean() > 0.5
     B, measures = _radial_sources(basis)
-    ops = [radial_operator(mu, 0.8) for mu in measures]
-    ops.append(_radial_matrix_free(B, 0.8))
-    for Tr in ops:
-        columns = TruncatedOperator(basis, Tr.apply, Tr.apply).to_dense()
-        assert np.all(columns[off] == 0.0)
-        assert np.abs(columns[~off]).max() > 0.0
-        if Tr.column is not None:
-            assert np.array_equal(Tr.to_dense(), columns)
-            assert np.array_equal(columns[p, w], Tr.column[v].conj())
-            assert np.all(np.diag(columns) == Tr.column[0])
+    for mu in measures:
+        mu_r = radial_measure(mu, 0.8)
+        T = columns(lambda u: gram_matvec(mu_r, u), basis)
+        assert np.all(T[off] == 0.0)
+        assert np.abs(T[~off]).max() > 0.0
+        assert np.array_equal(gram(mu_r).matrix, T)
+        assert np.array_equal(T[p, w], mu_r.moments[v])
+        assert np.all(np.diag(T) == mu_r.moments[0].real)
+    free = columns(_radial_matrix_free(B, 0.8), basis)
+    assert np.all(free[off] == 0.0)
+    assert np.abs(free[~off]).max() > 0.0
 
 
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 4), (2, 10)])
-def test_radial_operator_to_dense_is_the_hermitized_multiplier_bit_for_bit(d, N):
+def test_radial_gram_is_the_hermitized_multiplier_bit_for_bit(d, N):
     # the Gram matrix of mu_r against the dense H_mu(rR) Hermitized as
     # (A + A^H) 0.5, entry for entry (the raw bytes may differ in the sign
     # of a zero imaginary part); the outputs this matrix feeds are checked
@@ -195,55 +222,53 @@ def test_radial_operator_to_dense_is_the_hermitized_multiplier_bit_for_bit(d, N)
         A = series_at_right_shifts(radial_scale(herglotz_transform(mu), 0.7)).to_dense()
         A += A.conj().T
         A *= 0.5
-        assert np.array_equal(radial_operator(mu, 0.7).to_dense(), A)
+        assert np.array_equal(gram(radial_measure(mu, 0.7)).matrix, A)
 
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), N=st.integers(0, 4), r=st.floats(0.2, 0.95),
        l1=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
-def test_radial_operator_is_the_gram_matrix_of_the_rescaled_clark_measure(d, N, r, l1,
-                                                                          seed):
-    # T_r of a Schur symbol B (germ included, so Re H(0) != H(0)) built from
-    # the moments of its Clark measure, against the matrix-free
-    # K^{-1} + K^{-*} - I; the dense matrix is gram(mu_r), and the diagonal
-    # stays real when mu(I) has an imaginary part
+def test_radial_gram_of_the_clark_measure_is_the_matrix_free_t_r(d, N, r, l1, seed):
+    # T_r of a Schur symbol B (germ included, so Re H(0) != H(0)) as the
+    # Gram matrix of mu_r, the rescaled moments of its Clark measure,
+    # against the matrix-free K^{-1} + K^{-*} - I; the diagonal stays real
+    # when mu(I) has an imaginary part
     basis = WordBasis(d, N)
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     B = NCSeries(basis, c * (l1 / np.abs(c).sum()))
     mu = clark_measure(B)
-    Tr = radial_operator(mu, r)
-    free = _radial_matrix_free(B, r).to_dense()
-    assert _close(Tr.to_dense(), free, 1e-12)
+    mu_r = radial_measure(mu, r)
+    T = gram(mu_r).matrix
+    free = columns(_radial_matrix_free(B, r), basis)
+    assert _close(T, free, 1e-12)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    assert _close(Tr.apply(v), free @ v, 1e-12)
-    mu_r = MomentFunctional(basis, radial_scale(NCSeries(basis, mu.moments), r).coeffs)
-    assert np.array_equal(Tr.to_dense(), gram(mu_r).matrix)
+    assert _close(gram_matvec(mu_r, v), free @ v, 1e-12)
+    scaled = radial_scale(NCSeries(basis, mu.moments), r).coeffs
+    assert np.array_equal(mu_r.moments, scaled)
     moments = mu.moments.copy()
     moments[0] += 0.5j
-    skew = radial_operator(MomentFunctional(basis, moments), r)
-    assert np.array_equal(np.diag(skew.to_dense()).imag, np.zeros(basis.size))
-    assert np.array_equal(np.diag(skew.to_dense()).real, np.full(basis.size, mu.mass()))
-    assert skew.column[0] == mu.mass()
+    skew = gram(radial_measure(MomentFunctional(basis, moments), r)).matrix
+    assert np.array_equal(np.diag(skew).imag, np.zeros(basis.size))
+    assert np.array_equal(np.diag(skew).real, np.full(basis.size, mu.mass()))
 
 
 # -- resolvents ---------------------------------------------------------------
 
 def test_resolvent_examples():
     basis = WordBasis(2, 3)
-    Tr = RadialOperator.from_schur(NCSeries.zero(basis), 0.5)
-    delta = resolvent_corner(Tr, 1.0, basis.size)
+    mu_r = clark_r(NCSeries.zero(basis), 0.5)
+    delta = resolvent_corner(mu_r, 1.0, basis.size)
     rng = np.random.default_rng(47)
     v = rng.standard_normal(basis.size)
     assert np.abs(delta @ v - 0.5 * v).max() < 1e-13
     with pytest.raises(ValueError):
-        resolvent_corner(Tr, 0.0, basis.size)
+        resolvent_corner(mu_r, 0.0, basis.size)
 
 
 def test_resolvent_spectrum_containment():
     basis = WordBasis(1, 20)
-    Tr = RadialOperator.from_schur(schur_z(basis, 0.9), 0.8)
-    delta = resolvent_corner(Tr, 1.0, basis.size)
+    delta = resolvent_corner(clark_r(schur_z(basis, 0.9), 0.8), 1.0, basis.size)
     lam = np.linalg.eigvalsh(delta)
     assert lam.min() > 0.0 and lam.max() <= 1.0 + 1e-12
 
@@ -252,8 +277,7 @@ def test_resolvent_rank_one_trap_documents_order_of_limits():
     # fixed N, r -> 1: the truncated resolvent tends to I - J/(N+2), not I
     N = 6
     basis = WordBasis(1, N)
-    Tr = RadialOperator.from_schur(schur_z(basis), 1 - 1e-9)
-    corner = resolvent_corner(Tr, 1.0, basis.size)
+    corner = resolvent_corner(clark_r(schur_z(basis), 1 - 1e-9), 1.0, basis.size)
     J = np.ones((N + 1, N + 1))
     assert np.abs(corner - (np.eye(N + 1) - J / (N + 2))).max() < 1e-6
 
@@ -261,11 +285,9 @@ def test_resolvent_rank_one_trap_documents_order_of_limits():
 def test_resolvent_corner_modes_agree():
     basis = WordBasis(1, 30)
     B = schur_z(basis, 0.5)
-    toep = RadialOperator.from_schur(B, 0.9)
-    free = _radial_matrix_free(B, 0.9)
     ref = np.linalg.inv(fatou_toeplitz(0.5, 0.9, 30) + 0.5 * np.eye(31))[:6, :6]
-    c1 = resolvent_corner(toep, 0.5, 6)
-    c2, it, _ = _cg_corner(free, 0.5, 6)
+    c1 = resolvent_corner(clark_r(B, 0.9), 0.5, 6)
+    c2, it, _ = _cg_corner(B, 0.9, 0.5, 6)
     assert np.abs(c1 - ref).max() < 1e-12
     assert np.abs(c2 - ref).max() < 1e-9
     assert len(it) == 6 and all(n > 0 for n in it)
@@ -273,10 +295,10 @@ def test_resolvent_corner_modes_agree():
 
 def test_resolvent_corner_refuses_a_toeplitz_basis_beyond_dense_limit(monkeypatch):
     # the d = 1 reference is dense; it must not build a multi-GB matrix
-    Tr = RadialOperator.from_schur(schur_z(WordBasis(1, DENSE_LIMIT)), 0.5)
-    monkeypatch.setattr(Tr, "to_dense", lambda: pytest.fail("densified"))
+    mu_r = clark_r(schur_z(WordBasis(1, DENSE_LIMIT)), 0.5)
+    monkeypatch.setattr(lebesgue, "gram", lambda mu: pytest.fail("densified"))
     with pytest.raises(ValueError, match=f"at most {DENSE_LIMIT} basis words"):
-        resolvent_corner(Tr, 0.25, 3)
+        resolvent_corner(mu_r, 0.25, 3)
 
 
 def _psd_toeplitz_column(n, rho, seed):
@@ -302,19 +324,20 @@ def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd
     # factors decay slower
     N = int(np.ceil(np.log(1e-14) / np.log(r)))
     basis = WordBasis(1, N)
-    if psd:
+    if psd:  # T_r is the Toeplitz matrix of its first column t
         t = _psd_toeplitz_column(basis.size, r, seed)
-        Tr = RadialOperator(basis, r, None, column=t, dense=toeplitz(t, t.conj()))
+        mu_r = MomentFunctional(basis, t.conj())
+        assert np.array_equal(gram(mu_r).matrix, toeplitz(t, t.conj()))
     else:  # a Schur symbol of degree <= 3
         rng = np.random.default_rng(seed)
         c = np.zeros(basis.size, dtype=complex)
         c[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        Tr = RadialOperator.from_schur(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
+        mu_r = clark_r(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
     m = data.draw(st.integers(1, N))  # m_rec < n: words beyond the corner
     m_out = data.draw(st.integers(1, min(m, 9)))
-    T, corner, vacuum = _read_stage(_spectral_block(Tr, eps, m), eps, m_out)
+    T, corner, vacuum = _read_stage(_spectral_block(mu_r, r, eps, m), eps, m_out)
     T_ref, corner_ref, vacuum_ref = _read_stage(
-        np.linalg.inv(resolvent_corner(Tr, eps, m)), eps, m_out)
+        np.linalg.inv(resolvent_corner(mu_r, eps, m)), eps, m_out)
     assert np.array_equal(T, T.conj().T)
     assert _close(T, T_ref, 1e-12)
     assert _close(corner, corner_ref, 1e-12)
@@ -327,14 +350,15 @@ def test_spectral_recovery_of_an_inner_stage_matches_levinson():
     # phi = (eps I + T_r)^{-1} e_0 on the truncated basis; its tail
     # vanishes, so by Gohberg-Semencul the corner of the inverse is
     # A A^H / phi_0, A lower-triangular Toeplitz
-    Tr = RadialOperator.from_schur(schur_z(WordBasis(1, 4707)), 0.99609375)
-    col = Tr.column.copy()
+    r = 0.99609375
+    mu_r = clark_r(schur_z(WordBasis(1, 4707)), r)
+    col = mu_r.moments.conj()
     col[0] += 0.25
     phi = solve_toeplitz((col, col.conj()), np.eye(len(col), 1, dtype=complex))[:, 0]
     assert np.abs(phi[-17:]).max() < 1e-16 * abs(phi[0])
     A = toeplitz(phi[:17], np.zeros(17))
     ref = A @ A.conj().T / phi[0].real
-    T, corner, vacuum = _read_stage(_spectral_block(Tr, 0.25, 17), 0.25, 9)
+    T, corner, vacuum = _read_stage(_spectral_block(mu_r, r, 0.25, 17), 0.25, 9)
     assert _close(T, (np.linalg.inv(ref) - 0.25 * np.eye(17))[:9, :9], 1e-12)
     assert _close(corner, ref[:9, :9], 1e-12)
     assert vacuum == pytest.approx(phi[0].real, rel=1e-12)
@@ -342,13 +366,10 @@ def test_spectral_recovery_of_an_inner_stage_matches_levinson():
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_resolvent_corner_rejects_nonpositive_eps_in_every_mode(eps):
-    ops = [RadialOperator.from_schur(schur_z(WordBasis(1, 8), 0.5), 0.7),
-           RadialOperator.from_schur(schur_z(WordBasis(2, 3), 0.5), 0.7),
-           _radial_matrix_free(schur_z(WordBasis(2, 3), 0.5), 0.7)]
-    assert [Tr.mode for Tr in ops] == ["toeplitz", "elimination", "matrix-free"]
-    for Tr in ops:
+    # the reference takes the measure of every mode, d = 1 and d >= 2
+    for basis in (WordBasis(1, 8), WordBasis(2, 3)):
         with pytest.raises(ValueError, match="must be positive"):
-            resolvent_corner(Tr, eps, 2)
+            resolvent_corner(clark_r(schur_z(basis, 0.5), 0.7), eps, 2)
 
 
 def _close(a, b, rel):
@@ -385,13 +406,12 @@ dense_recovery_draws = given(
 def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, seed, data):
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
-    Tr = RadialOperator.from_schur(B, r)
-    assert Tr.mode == "elimination"
-    T, corner, vacuum = _eliminate(Tr, eps, m, m_out)
+    mu_r = clark_r(B, r)
+    T, corner, vacuum = _eliminate(mu_r, r, eps, m, m_out)
     assert T.shape == (m_out, m_out)
     assert np.array_equal(T, T.conj().T)
     # against the grade-M block of the explicit inverse of eps I + T_r
-    delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
+    delta = np.linalg.inv(gram(mu_r).matrix + eps * np.eye(n))
     assert _close(T, (np.linalg.inv(delta[:m, :m]) - eps * np.eye(m))[:m_out, :m_out],
                   1e-10)
     assert _close(corner, delta[:m_out, :m_out], 1e-10)
@@ -399,7 +419,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     # against the matrix-free T_r, one CG solve per corner column
     free = _radial_matrix_free(B, r)
     cg = np.column_stack([
-        hermitian_cg(lambda v: eps * v + free.apply(v), e, tol=1e-12)[0][:m]
+        hermitian_cg(lambda v: eps * v + free(v), e, tol=1e-12)[0][:m]
         for e in np.eye(n, m, dtype=complex).T])
     cg = 0.5 * (cg + cg.conj().T)
     assert _close(T, (np.linalg.inv(cg) - eps * np.eye(m))[:m_out, :m_out], 1e-8)
@@ -415,11 +435,11 @@ def test_dense_eps_block_reads_the_block_beyond_the_corner(d, eps, r, l1, seed, 
     # the explicit inverse
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
-    Tr = RadialOperator.from_schur(B, r)
-    T = _eliminate(Tr, eps, m, m_out)[0]
+    mu_r = clark_r(B, r)
+    T = _eliminate(mu_r, r, eps, m, m_out)[0]
     assert T.shape == (m_out, m_out)
-    assert _close(T, _eliminate(Tr, eps, m, m)[0][:m_out, :m_out], 1e-12)
-    delta = np.linalg.inv(Tr.to_dense() + eps * np.eye(n))
+    assert _close(T, _eliminate(mu_r, r, eps, m, m)[0][:m_out, :m_out], 1e-12)
+    delta = np.linalg.inv(gram(mu_r).matrix + eps * np.eye(n))
     assert _close(T + eps * np.eye(m_out), np.linalg.inv(delta[:m, :m])[:m_out, :m_out],
                   1e-10)
 
@@ -427,12 +447,12 @@ def test_dense_eps_block_reads_the_block_beyond_the_corner(d, eps, r, l1, seed, 
 @pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
 def test_dense_eps_block_of_the_whole_basis_is_the_t_block(eps):
     # m = n: no word lies beyond the corner, so nothing is eliminated and
-    # T_hat is T_r's own block, read off its column
+    # T_hat is T_r's own block, read off the moments of mu_r
     basis = WordBasis(2, 4)
     B = NCSeries.from_dict(basis, {(1,): 0.4, (2,): 0.3j, (1, 2): 0.2})
-    Tr = RadialOperator.from_schur(B, 0.8)
-    X = Tr.to_dense()[:7, :7]
-    assert np.array_equal(_eliminate(Tr, eps, basis.size, 7)[0], X)
+    mu_r = clark_r(B, 0.8)
+    X = gram(mu_r).matrix[:7, :7]
+    assert np.array_equal(_eliminate(mu_r, 0.8, eps, basis.size, 7)[0], X)
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,11 +473,11 @@ def test_elimination_matches_the_dense_reference_corner(d, eps, r, l1, state, se
     c[:pool] = rng.standard_normal(pool) + 1j * rng.standard_normal(pool)
     if state:
         c[0] = 1.0
-        Tr = radial_operator(vector_state(FockVector(basis, c)), r)
+        mu_r = radial_measure(vector_state(FockVector(basis, c)), r)
     else:
-        Tr = RadialOperator.from_schur(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
-    ref = resolvent_corner(Tr, eps, m)
-    T, corner, vacuum = _eliminate(Tr, eps, m, m_out)
+        mu_r = clark_r(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
+    ref = resolvent_corner(mu_r, eps, m)
+    T, corner, vacuum = _eliminate(mu_r, r, eps, m, m_out)
     assert np.array_equal(T, T.conj().T)
     assert _close(T, (np.linalg.inv(ref) - eps * np.eye(m))[:m_out, :m_out], 1e-10)
     assert _close(corner, ref[:m_out, :m_out], 1e-10)
@@ -466,14 +486,15 @@ def test_elimination_matches_the_dense_reference_corner(d, eps, r, l1, state, se
 
 @pytest.mark.parametrize("grade_rec", [1, 2])
 def test_elimination_rejects_a_pivot_that_is_not_positive(grade_rec):
-    # a column whose T_r is negative definite: the first eliminated grade
+    # moments whose T_r is negative definite: the first eliminated grade
     # (beyond the corner, or beyond grade M when m_rec = n) stops the sweep
     basis = WordBasis(2, 2)
-    column = np.zeros(basis.size, dtype=complex)
-    column[0] = -1.0
-    Tr = RadialOperator(basis, 0.5, None, column=column)
-    with pytest.raises(np.linalg.LinAlgError, match="pivot -7.500e-01 at grade 2"):
-        _eliminate(Tr, 0.25, basis.sub_basis_size(grade_rec), 1)
+    moments = np.zeros(basis.size, dtype=complex)
+    moments[0] = -1.0
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"at r = 0\.5: pivot -7\.500e-01 at grade 2"):
+        _eliminate(MomentFunctional(basis, moments), 0.5, 0.25,
+                   basis.sub_basis_size(grade_rec), 1)
 
 
 def _count_cholesky(monkeypatch):
@@ -489,10 +510,11 @@ def _count_cholesky(monkeypatch):
 
 
 def _count_densify(monkeypatch):
+    # every dense T_r that lebesgue builds is gram(mu_r).matrix
     densified = []
-    to_dense = RadialOperator.to_dense
-    monkeypatch.setattr(RadialOperator, "to_dense",
-                        lambda self: densified.append(self.basis) or to_dense(self))
+    dense = lebesgue.gram
+    monkeypatch.setattr(lebesgue, "gram",
+                        lambda mu: densified.append(mu.basis) or dense(mu))
     return densified
 
 
@@ -522,8 +544,8 @@ def test_rn_derivative_dense_cross_check_factors_beyond_the_corner(monkeypatch):
     assert sizes == [3, 3, 3]
     assert densified == []
     # the same cross-check from the reference corner at every eps
-    Tr = RadialOperator.from_schur(NCSeries.from_dict(WordBasis(2, 4), symbol), 0.6)
-    blocks = [np.linalg.inv(resolvent_corner(Tr, eps, 7))[:3, :3] - eps * np.eye(3)
+    mu_r = clark_r(NCSeries.from_dict(WordBasis(2, 4), symbol), 0.6)
+    blocks = [np.linalg.inv(resolvent_corner(mu_r, eps, 7))[:3, :3] - eps * np.eye(3)
               for eps in (0.25, 1.0, 2.0)]
     spread = max(np.abs(a - b).max() for a in blocks for b in blocks)
     assert spread > 1e-6
@@ -595,22 +617,26 @@ def _matrix_free_case():
     return B, 0.8, v
 
 
-def test_matrix_free_apply_is_pure_and_buffered_apply_reuses_its_work_vector():
-    # apply returns a new array per call and leaves v alone; buffered_apply
-    # gives the same bits in one reused work vector; both equal the two
-    # graded inverses of the K transposed on the whole basis, bit for bit
+def test_matrix_free_t_r_is_pure_and_reuses_its_work_rows():
+    # without work rows T_r returns a new array per call and leaves v
+    # alone; with them it gives the same bits in the first work row; both
+    # equal the two graded inverses of the K transposed on the whole
+    # basis, bit for bit
     B, r, v = _matrix_free_case()
     v0 = v.copy()
-    Tr = _radial_matrix_free(B, r)
-    a, b = Tr.apply(v), Tr.apply(v)
+    T = _radial_matrix_free(B, r)
+    a, b = T(v), T(v)
     assert not np.shares_memory(a, b) and not np.shares_memory(a, v)
     assert np.array_equal(a, b) and np.array_equal(v, v0)
     K = transpose_conjugate(NCSeries.one(B.basis) - radial_scale(B, r))
     K_inv = graded_inverse(B.basis, K.coeffs, "right")
     assert np.array_equal(a, K_inv.apply(v) + K_inv.adjoint_apply(v) - v)
-    first = Tr.buffered_apply(v)
-    assert np.array_equal(first, a) and not np.shares_memory(first, v)
-    second = Tr.buffered_apply(2 * v)
+    work = np.empty((2, B.basis.size), dtype=complex)
+    buffered = _radial_matrix_free(B, r, work)
+    first = buffered(v)
+    assert np.array_equal(first, a) and np.shares_memory(first, work[0])
+    assert not np.shares_memory(first, v)
+    second = buffered(2 * v)
     assert np.shares_memory(first, second) and np.array_equal(v, v0)
 
 
@@ -619,19 +645,19 @@ def test_resolvent_corner_applies_eps_plus_t_in_one_buffer(monkeypatch):
     # written into one buffer for every column, and the corner equals CG
     # on fresh arrays bit for bit, iteration counts included
     B, r, v = _matrix_free_case()
-    Tr, eps, m = _radial_matrix_free(B, r), 0.25, 3
+    T, eps, m = _radial_matrix_free(B, r), 0.25, 3
     cg, buffers = lebesgue.hermitian_cg, []
 
     def spy(matvec, b, **kw):
         buffers.append(matvec(v))
-        assert np.array_equal(buffers[-1], eps * v + Tr.apply(v))
+        assert np.array_equal(buffers[-1], eps * v + T(v))
         return cg(matvec, b, **kw)
 
     monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
-    corner, iters, _ = _cg_corner(Tr, eps, m)
+    corner, iters, _ = _cg_corner(B, r, eps, m)
     assert len(buffers) == m and all(np.shares_memory(x, buffers[0]) for x in buffers)
-    fresh = [cg(lambda u: eps * u + Tr.apply(u), e, tol=1e-10, maxiter=2000)
-             for e in np.eye(Tr.basis.size, m, dtype=complex).T]
+    fresh = [cg(lambda u: eps * u + T(u), e, tol=1e-10, maxiter=2000)
+             for e in np.eye(B.basis.size, m, dtype=complex).T]
     ref = np.column_stack([x[:m] for x, _, _ in fresh])
     assert np.array_equal(corner, 0.5 * (ref + ref.conj().T))
     assert iters == tuple(it for _, it, _ in fresh)
@@ -721,7 +747,7 @@ def test_rn_derivative_vector_state_d2_inverts_a_corner_below_the_basis():
     mu = vector_state(FockVector(basis, x.coeffs))
     res = rn_derivative(mu, M=2, eps_grid=(0.25,), recovery_buffer=0,
                         schedule=Schedule.explicit([(0.75, 8)]))
-    corner = resolvent_corner(radial_operator(mu, 0.75), 0.25, 7)
+    corner = resolvent_corner(radial_measure(mu, 0.75), 0.25, 7)
     assert np.abs(res.T_compression - (np.linalg.inv(corner) - 0.25 * np.eye(7))).max() <= 1e-10
     assert res.stages[0].vacuum_delta == pytest.approx(corner[0, 0].real, abs=1e-10)
 
@@ -828,6 +854,71 @@ def test_rn_derivative_moment_source_d2_matches_schur_source():
     assert np.abs(res_mu.T_compression - res_B.T_compression).max() < 1e-12
 
 
+def _count_clark(monkeypatch):
+    grades = []
+    clark = lebesgue.clark_measure
+    monkeypatch.setattr(lebesgue, "clark_measure",
+                        lambda B: grades.append(B.basis.N) or clark(B))
+    return grades
+
+
+def _assert_same_stages(a, b, stages):
+    for i in stages:
+        assert (a.stages[i].vacuum_delta, a.stages[i].mass) == \
+            (b.stages[i].vacuum_delta, b.stages[i].mass)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rn_derivative_converts_a_schur_symbol_to_moments_once(d, monkeypatch):
+    # a Schur symbol becomes its Clark measure on the top stage grade,
+    # once, before the first stage: every stage, the compression and the
+    # eps cross-check equal the run of that measure bit for bit
+    symbol = {(1,): 0.5} if d == 1 else {(1,): 0.4, (2,): -0.3j, (1, 2): 0.2}
+    if d == 1:
+        kw = dict(M=4, schedule=Schedule.coupled(1, j_max=6))
+    else:
+        kw = dict(M=2, recovery_buffer=2, cauchy_tol=0.0,
+                  schedule=Schedule.explicit([(0.5, 6), (0.6, 8), (0.7, 7)]))
+    top = kw["schedule"].max_grade()
+    grades = _count_clark(monkeypatch)
+    res = rn_derivative(NCSeries.from_dict(WordBasis(d, 2), symbol), eps_grid=(0.25, 1.0),
+                        **kw)
+    assert grades == [top]
+    ref = rn_derivative(clark_measure(NCSeries.from_dict(WordBasis(d, top), symbol)),
+                        eps_grid=(0.25, 1.0), **kw)
+    assert len(res.stages) == len(ref.stages) > 1
+    _assert_same_stages(res, ref, range(len(ref.stages)))
+    assert np.array_equal(res.T_compression, ref.T_compression)
+    assert res.eps_consistency == ref.eps_consistency > 0.0
+    assert np.array_equal(res.mu.moments, ref.mu.moments)
+
+
+def test_rn_derivative_d2_schedule_straddling_dense_limit(monkeypatch):
+    # DENSE_LIMIT at 40 words and stages of 15, 63 and 31 words: the
+    # middle stage runs CG on the symbol, the others are eliminated, and
+    # the Clark measure is formed once, on grade 4, the top of the
+    # eliminated stages; they equal the run of the Clark measure bit for
+    # bit, and the CG stage equals it to the CG tolerance
+    monkeypatch.setattr(lebesgue, "DENSE_LIMIT", 40)
+    symbol = {(1,): 0.5, (2,): 0.3j}
+    kw = dict(M=1, recovery_buffer=1, eps_grid=(0.25, 1.0), cauchy_tol=0.0,
+              schedule=Schedule.explicit([(0.5, 3), (0.6, 5), (0.7, 4)]))
+    grades = _count_clark(monkeypatch)
+    res = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), symbol), **kw)
+    assert grades == [4]
+    assert [(st.mode, st.words) for st in res.stages] == [
+        ("elimination", 15), ("matrix-free", 63), ("elimination", 31)]
+    ref = rn_derivative(clark_measure(NCSeries.from_dict(WordBasis(2, 5), symbol)), **kw)
+    assert all(st.mode == "elimination" for st in ref.stages)
+    _assert_same_stages(res, ref, (0, 2))
+    assert np.array_equal(res.T_compression, ref.T_compression)
+    assert res.eps_consistency == ref.eps_consistency
+    cg, el = res.stages[1], ref.stages[1]
+    assert len(cg.cg_iterations) == 7 and el.cg_iterations == ()
+    assert cg.vacuum_delta == pytest.approx(el.vacuum_delta, abs=1e-8)
+    assert cg.mass == pytest.approx(el.mass, abs=1e-8)
+
+
 def test_rn_derivative_rejects_underresolved_moments():
     mu = MomentFunctional(WordBasis(1, 10), np.ones(11, dtype=complex))
     with pytest.raises(ValueError):
@@ -895,10 +986,10 @@ def _majorant_reference(B, x, r, M):
     on the whole basis; exact once the basis reaches grade deg(x) + M."""
     basis = B.basis
     m = basis.sub_basis_size(M)
-    Tr = RadialOperator.from_schur(B, r)
+    mu_r = clark_r(B, r)
     xr = series_at_right_shifts(radial_scale(x, r))
     units = np.eye(basis.size, m, dtype=complex).T
-    T_block = np.column_stack([Tr.apply(e)[:m] for e in units])
+    T_block = np.column_stack([gram_matvec(mu_r, e)[:m] for e in units])
     X = np.column_stack([xr.apply(e) for e in units])
     D = np.eye(m) + T_block - X.conj().T @ X
     return float(np.linalg.eigvalsh(0.5 * (D + D.conj().T)).min())

@@ -25,6 +25,29 @@ def brute_cayley_herglotz(B: dict, d: int, N: int) -> dict:
     return brute_multiply(brute_invert(one_minus, d, N), one_plus, N)
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_clark_measure_on_a_larger_basis_restricts_bit_for_bit(d, seed, data):
+    # the Cayley transform is a substitution over grades, so the moments
+    # through grade N do not depend on the grades above it: rn_derivative
+    # forms a symbol's Clark measure once, on its top stage grade, and
+    # every stage restricts it
+    top = data.draw(st.integers(0, {1: 300, 2: 9, 3: 6}[d]))
+    deg = data.draw(st.integers(0, min(top, 3)))
+    n = WordBasis(d, deg).size
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c *= data.draw(st.floats(0.05, 0.95)) / np.abs(c).sum()
+
+    def clark_on(N):
+        basis = WordBasis(d, N)
+        return clark_measure(NCSeries(basis, np.pad(c, (0, basis.size - n))))
+
+    big = clark_on(top)
+    for N in range(deg, top + 1):
+        assert np.array_equal(big.restricted(N).moments, clark_on(N).moments)
+
+
 def test_nc_lebesgue_examples():
     basis = WordBasis(2, 3)
     m = nc_lebesgue(basis)
