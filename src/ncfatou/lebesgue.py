@@ -45,8 +45,10 @@ stage modes:
   route too;
 - Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
   symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
-  its outer factor (Szego-Kolmogorov), computed by a few FFTs of the
-  moments of mu_r; on the untruncated operator eps I + T_r = Y^H Y, Y
+  its outer factor (Szego-Kolmogorov), whose first m coefficients come
+  from two real FFTs of the moments of mu_r, of length G = min c 2^k >=
+  2n - 1 (c in 1, 3, 5), and an m-term power-series exponential, in
+  O(G log G + m^2); on the untruncated operator eps I + T_r = Y^H Y, Y
   lower triangular, so S = Y_m^H Y_m with no solve and no truncation at
   grade N;
 - matrix-free (a Schur symbol B on a d >= 2 basis of more than
@@ -280,25 +282,30 @@ def _spectral_block(mu_r: MomentFunctional, r: float, eps: float, m: int) -> np.
     at radius r.
 
     eps I + T_r is the Toeplitz operator of s = eps + Re H(r e^{it}), read
-    off the moments of mu_r on a grid of G points, G the smallest power of
-    two >= 2n (irfft reads the real part of mu_r(I) alone).  Its outer
-    factor y = exp(P_+ log s), the analytic half of the cepstrum with a_0
-    halved, gives eps I + T_r = Y^H Y with Y the
-    lower-triangular Toeplitz operator of y (Szego-Kolmogorov; the
-    cepstral method of Oppenheim & Schafer, ch. 13).  Y is lower
-    triangular, so S = Y_m^H Y_m.  Raises RuntimeError if s is not
-    positive on the grid.
+    off the moments of mu_r on G points by one real FFT, G the smallest of
+    2^k, 3 2^k and 5 2^k >= 2n - 1 (irfft reads the real part of mu_r(I)
+    alone).  Its outer factor y = exp(A), A = P_+ log s the analytic half
+    of the cepstrum with a_0 halved (a second real FFT), gives eps I + T_r
+    = Y^H Y, Y the lower-triangular Toeplitz operator of y (Szego-Kolmogorov;
+    Oppenheim & Schafer, ch. 13), so S = Y_m^H Y_m.  y[:m] is the exact
+    m-term exponential of a[:m]: y' = A' y gives j y_j = sum_{k=1..j} k a_k
+    y_{j-k} (Knuth, TAOCP vol. 2, 4.7).  O(G log G + m^2).  Raises
+    RuntimeError if s is not positive on the grid.
     """
     n = mu_r.basis.size
-    G = 1 << (2 * n - 1).bit_length()
+    G = min(c << ((2 * n - 2) // c).bit_length() for c in (1, 3, 5))
     s = G * np.fft.irfft(mu_r.moments, G) + eps
     if not s.min() > 0.0:
         raise RuntimeError(
             f"symbol eps + Re H(r e^it) is not positive at r = {r!r}, "
             f"N = {n - 1}: min s = {s.min():.3e}")
-    a = np.fft.rfft(np.log(s)).conj() / G
+    a = np.fft.rfft(np.log(s))[:m].conj() / G
     a[0] *= 0.5
-    y = np.fft.ifft(np.exp(np.fft.fft(a[:G // 2], G)))[:m]
+    ka = np.arange(m) * a
+    y = np.empty(m, dtype=complex)
+    y[0] = np.exp(a[0])
+    for j in range(1, m):
+        y[j] = ka[1:j + 1] @ y[j - 1::-1] / j
     W = scipy.linalg.toeplitz(y, np.zeros(m))
     return W.conj().T @ W
 

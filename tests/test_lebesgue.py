@@ -364,6 +364,21 @@ def test_spectral_recovery_of_an_inner_stage_matches_levinson():
     assert vacuum == pytest.approx(phi[0].real, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.6 * np.exp(0.7j), -0.9, 0.3j])
+def test_spectral_block_of_a_degree_one_factor_is_its_bidiagonal_gram(c):
+    # eps I + T_r = Toeplitz(1 + |c|^2, c) is Y^H Y, Y the lower-bidiagonal
+    # Toeplitz operator of the outer factor y = 1 + c z, so S = Y_9^H Y_9.
+    # log s aliases on the FFT grid by about |c|^G; N = 1000 (G = 2048)
+    # puts that far below roundoff, where N = 5 (G = 12, m = 6) leaves
+    # 5.4e-2 at c = -0.9
+    eps = 0.25
+    t = np.zeros(1001, dtype=complex)
+    t[:2] = 1 + abs(c) ** 2 - eps, c
+    S = _spectral_block(MomentFunctional(WordBasis(1, 1000), t.conj()), 0.5, eps, 9)
+    Y = toeplitz(np.r_[1, c, np.zeros(7)], np.zeros(9))
+    assert np.abs(S - Y.conj().T @ Y).max() <= 1e-14
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_resolvent_corner_rejects_nonpositive_eps_in_every_mode(eps):
     # the reference takes the measure of every mode, d = 1 and d >= 2
@@ -826,6 +841,21 @@ def test_rn_derivative_d1_corner_of_the_whole_basis_is_the_truncated_stage():
                         eps_grid=(0.5,), schedule=sched)
     two = rn_derivative(NCSeries.from_dict(WordBasis(2, 1), {(1,): 0.5}), M=2,
                         eps_grid=(0.5,), schedule=sched)
+    idx = [WordBasis(2, 2).index(w) for w in ((), (1,), (1, 1))]
+    assert np.abs(two.T_compression[np.ix_(idx, idx)] - one.T_compression).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stage", [(0.5, 14), (0.3, 12)])
+@pytest.mark.parametrize("c", [0.5, 0.5j])
+def test_rn_derivative_d1_toeplitz_stage_is_the_one_letter_embedding(stage, c):
+    # M + buffer = 10 < N (m_rec < n): the d = 1 stage factors its symbol
+    # (Toeplitz), the d = 2 one eliminates, and the one-letter grade-<=2
+    # block of the d = 2 result is the d = 1 block
+    sched = Schedule.explicit([stage])
+    one, two = (rn_derivative(clark_measure(NCSeries.from_dict(WordBasis(d, stage[1]),
+                                                               {(1,): c})),
+                              M=2, eps_grid=(0.5,), schedule=sched) for d in (1, 2))
+    assert (one.stages[0].mode, two.stages[0].mode) == ("toeplitz", "elimination")
     idx = [WordBasis(2, 2).index(w) for w in ((), (1,), (1, 1))]
     assert np.abs(two.T_compression[np.ix_(idx, idx)] - one.T_compression).max() <= 1e-12
 
