@@ -11,8 +11,8 @@ phi is solved on the tree of prefixes at d >= 2: the zero-fill sweep that
 eliminates the stages of rn_derivative (measure._prefix_sweep), run down
 through grade 0, then back-substitution up the grades, in O(n N) work on
 O(n) numbers with no n x n matrix.  At d = 1 the tree is a path of
-N + 1 words and one LAPACK Cholesky factorization of the dense
-eps I + T_tau solves it faster than the sweep's Python loop over grades.
+N + 1 words and one dense solve of eps I + T_tau is faster than the
+sweep's Python loop over grades.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fock import TruncatedOperator, _GradedProduct
 from .measure import MomentFunctional, _gram_apply, _prefix_sweep, gram
@@ -60,8 +59,11 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     phi = (eps I + T_tau)^{-1} 1, with a named ValueError.  At d >= 2 that
     solve is the sweep of eps I + T_tau on the tree of prefixes and its
     back-substitution (_vacuum_solve): O(n N) work on O(n) numbers and no
-    n x n matrix.  At d = 1, where n = N + 1, it is one Cholesky
-    factorization of the dense eps I + T_tau.  The residual is the max
+    n x n matrix.  At d = 1, where n = N + 1, it is one np.linalg.solve
+    of the dense eps I + T_tau, after its Cholesky factorization
+    (np.linalg.cholesky) has checked that it is positive definite; numpy
+    has no triangular solve, and one LU solve of eps I + T_tau costs half
+    of two with the Cholesky factors.  The residual is the max
     entry of y* y - (eps I + T_tau) on grades <= check_grade, read off the
     first columns of y alone (an n x m index fill); check_grade is N minus
     the support grade of y at the coefficient floor (0 if y has not
@@ -85,7 +87,8 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     try:
         if basis.d == 1:
             A = gram(tau).matrix + eps * np.eye(n)
-            phi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), np.eye(n, 1))[:, 0]
+            np.linalg.cholesky(A)  # raises LinAlgError if A is not positive definite
+            phi = np.linalg.solve(A, np.eye(n, 1))[:, 0]
         else:
             phi = _vacuum_solve(tau, eps)
     except np.linalg.LinAlgError as err:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import ztbtrs
 
 from .words import Word, WordBasis
 
@@ -135,6 +134,10 @@ class TruncatedOperator:
 #: a core's L2 cache.
 _CHUNK = 1 << 14
 
+#: Least block length of the d = 1 substitution; a block is never shorter
+#: than the band, deg f + 1 words.
+_BAND_BLOCK = 256
+
 
 class _GradedProduct:
     """Multiplication x -> f x (side 'left') or x -> x f (side 'right').
@@ -145,7 +148,7 @@ class _GradedProduct:
     on the left and outer(x_h, f_j) on the right, flattened.  The product
     is block lower-triangular in the graded-lex basis, so with f_0 != 0
     it is inverted by one substitution over grades; at d = 1 it is the
-    banded lower-triangular Toeplitz matrix of f, solved by LAPACK ztbtrs.
+    banded lower-triangular Toeplitz matrix of f, solved by blocks (solve).
     coeffs may stop after the words of some grade g, the higher ones being
     zero; graded_multiplier and graded_inverse take the whole basis.
     """
@@ -249,19 +252,13 @@ class _GradedProduct:
         in cache: its first product is subtracted from w's words straight
         into x, the others after it, then it is divided by f_0 (skipped
         for f_0 = 1).  The adjoint takes whole grades.  The products go
-        into one scratch row."""
+        into one scratch row.  At d = 1 it is _band_solve."""
         b = self.basis
         if b.d == 1:
-            # lower band storage: row k holds f_k, the k-th subdiagonal
-            band = np.tile(self.trimmed, (b.size, 1)).T
-            rhs = np.zeros((b.size, 1), dtype=complex)
-            rhs[:len(w), 0] = w
-            x, info = ztbtrs(band, rhs, uplo="L", trans="C" if adjoint else "N")
-            if info:
-                raise RuntimeError(f"banded triangular solve failed: ztbtrs info = {info}")
+            x = self._band_solve(w, adjoint)
             if out is None:
-                return x[:, 0]
-            out[:] = x[:, 0]
+                return x
+            out[:] = x
             return out
         x = np.empty(b.size, dtype=complex) if out is None else out
         f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
@@ -286,6 +283,69 @@ class _GradedProduct:
                 if f0 != 1:
                     part /= f0
         return x
+
+    @cached_property
+    def _inverse_head(self) -> np.ndarray:
+        """The first L = max(_BAND_BLOCK, deg f + 1) coefficients of 1/f at
+        d = 1, by Newton's iteration for the reciprocal of a power series:
+        with g exact through m terms, f g = 1 + z^m r, and the next terms
+        of 1/f = g (1 - z^m r + ...) are those of -g r (Knuth, TAOCP vol. 2,
+        4.7).  r has at most deg f nonzero terms; f gets one zero term more,
+        so that r is never empty.  O(L deg f)."""
+        f = np.concatenate((self.trimmed, np.zeros(1, dtype=complex)))
+        size = max(_BAND_BLOCK, len(f) - 1)
+        g = np.array([1.0 / f[0]])
+        while len(g) < size:
+            m, k = len(g), min(2 * len(g), size)
+            r = np.convolve(f, g)[m:k]
+            g = np.concatenate((g, -np.convolve(g, r)[:k - m]))
+        return g
+
+    def _band_solve(self, w, adjoint: bool) -> np.ndarray:
+        """x with (f x) = w at d = 1, or its adjoint, as a new array: the
+        lower-triangular Toeplitz system of f solved by blocks of the
+        fixed length L of _inverse_head, from word 0.  Block b couples to
+        block b - 1 alone (L > deg f = p), and x_b = G (w_b - C x_{b-1}),
+        G the lower-triangular Toeplitz matrix of g = _inverse_head and C
+        the one of f's spill into the next block: G v is the first L terms
+        of the product g v, and C x_{b-1} the terms L .. L + p - 1 of f
+        times x_{b-1}, both by np.convolve.  v is cut after its last word
+        that can be nonzero, the first p for a block beyond w's last
+        nonzero word: with w of one entry (invert, the Cayley transform)
+        a block costs O(L p).  Every product has a shape fixed by f and
+        w's last nonzero word alone, so x[:k] is the same, bit for bit,
+        on every basis that holds it.  The adjoint is the same solve of
+        conj(f) on the reversed vector."""
+        n, f, g = self.basis.size, self.trimmed, self._inverse_head
+        if adjoint:
+            f, g = f.conj(), g.conj()
+        p, L = len(f) - 1, len(g)
+        x = np.zeros(-(-n // L) * L, dtype=complex)
+        if adjoint:
+            x[n - len(w):n] = w[::-1]
+        else:
+            x[:len(w)] = w
+        nz = np.flatnonzero(x)
+        last = nz[-1] if nz.size else -1
+        for s in range(0, n, L):
+            v = x[s:s + L]
+            if s and p:
+                v[:p] -= np.convolve(f, x[s - p:s])[p:]
+            q = max(p if s else 0, min(L, last + 1 - s))
+            if q:
+                v[:] = np.convolve(g, v[:q])[:L]
+        return x[n - 1::-1].copy() if adjoint else x[:n]
+
+
+def toeplitz(c, r) -> np.ndarray:
+    """The Toeplitz matrix with first column c and first row r (r[0] is
+    not read): one strided copy of the reversed r and c laid end to end,
+    entry A[i, j] read at offset i - j from c[0]."""
+    c, r = np.asarray(c), np.asarray(r)
+    vals = np.concatenate((r[:0:-1], c))
+    s = vals.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        vals[len(r) - 1:], (len(c), len(r)), (s, -s)).copy()
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -320,9 +380,9 @@ def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOpe
     The product is block lower-triangular with diagonal c_empty I, so
     apply() is one forward substitution over grades and adjoint_apply()
     one backward substitution, each into one new array through one
-    scratch row (_GradedProduct.solve).  At d = 1 each is one banded LAPACK
-    substitution, O(N deg f), on a band of (deg f + 1)(N + 1) numbers.
-    Exact on the truncation.
+    scratch row (_GradedProduct.solve).  At d = 1 each is a substitution
+    by blocks of at least 256 words, O(N max(256, deg f)) work on O(N)
+    numbers.  Exact on the truncation.
     """
     k = _GradedProduct(basis, _full(basis, coeffs), side)
     if k.coeffs[0] == 0:

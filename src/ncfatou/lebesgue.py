@@ -71,9 +71,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .fock import FockVector, _GradedProduct
+from .fock import FockVector, _GradedProduct, toeplitz
 from .measure import (MomentFunctional, PositivityReport, _prefix_sweep, clark_measure,
                       gram, is_positive, radial_measure, vector_state)
 from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
@@ -306,16 +305,16 @@ def _spectral_block(mu_r: MomentFunctional, r: float, eps: float, m: int) -> np.
     y[0] = np.exp(a[0])
     for j in range(1, m):
         y[j] = ka[1:j + 1] @ y[j - 1::-1] / j
-    W = scipy.linalg.toeplitz(y, np.zeros(m))
+    W = toeplitz(y, np.zeros(m))
     return W.conj().T @ W
 
 
 def _inverse_corner(S: np.ndarray, k: int) -> np.ndarray:
     """(S^{-1})[:k, :k] = X^H X with X = L^{-1} E_k, from S = L L^H
-    (factored in place, so S is consumed); Hermitized."""
-    L = scipy.linalg.cholesky(np.asfortranarray(S), lower=True, overwrite_a=True)
-    X = scipy.linalg.solve_triangular(L, np.eye(len(L), k), lower=True,
-                                      check_finite=False)  # cholesky checked S
+    (np.linalg.cholesky, which raises LinAlgError if S is not positive
+    definite) and one np.linalg.solve for X; Hermitized."""
+    L = np.linalg.cholesky(S)
+    X = np.linalg.solve(L, np.eye(len(L), k))
     return _herm(X.conj().T @ X)
 
 
@@ -325,7 +324,7 @@ def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
 
     T_hat = S[o, o] - eps I on the first m_out words o; the corner
     P_o Delta P_o is (S^{-1})[o, o], and the vacuum delta is its (0, 0)
-    entry.  S is consumed.
+    entry.
     """
     T = _herm(S[:m_out, :m_out]) - eps * np.eye(m_out)
     corner = _inverse_corner(S, m_out)
@@ -359,9 +358,10 @@ def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
 
     This is the exact corner of the truncated resolvent, the reference the
     coupled limit is checked against, computed independently of the
-    stages of rn_derivative: it solves the dense eps I + T_r for the first
-    m unit vectors (one Cholesky solve), so the basis may hold at most
-    DENSE_LIMIT words.  Returns the Hermitized corner.
+    stages of rn_derivative: it factors the dense eps I + T_r = L L^H and
+    reads the corner as X^H X, X = L^{-1} E_m (_inverse_corner), so the
+    basis may hold at most DENSE_LIMIT words.  Returns the Hermitized
+    corner; raises LinAlgError if eps I + T_r is not positive definite.
     """
     if not eps > 0:
         raise ValueError(f"resolvent parameter must be positive, got {eps}")
@@ -372,8 +372,7 @@ def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
         raise ValueError(
             f"the dense reference corner needs at most {DENSE_LIMIT} basis "
             f"words, got {basis.size}")
-    A = gram(mu_r).matrix + eps * np.eye(basis.size)
-    return _herm(scipy.linalg.solve(A, np.eye(basis.size, m), assume_a="pos")[:m])
+    return _inverse_corner(gram(mu_r).matrix + eps * np.eye(basis.size), m)
 
 
 def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .fock import toeplitz
 from .measure import MomentFunctional
 from .words import WordBasis
 
@@ -69,7 +69,7 @@ def toeplitz_from_symbol(samples: np.ndarray, M: int) -> np.ndarray:
         raise ValueError(
             f"grid size must be a power of two >= {4 * (M + 1)}, got {G}")
     c = fourier_coefficients(samples, M)
-    return scipy.linalg.toeplitz(c, c.conj())
+    return toeplitz(c, c.conj())
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def invert(f: NCSeries) -> NCSeries:
 
     h solves f h = 1 by forward substitution over grades,
     h_n = -(1/c) sum_{j >= 1} f_j h_{n-j} with c the germ, exact on the
-    truncation (graded_inverse; at d = 1 one banded substitution).
+    truncation (graded_inverse; at d = 1 a substitution by blocks).
     """
     if f.coeffs[0] == 0:
         raise ValueError(_GERM_MSG.format("series has zero constant term, not invertible"))

@@ -213,12 +213,40 @@ def test_validate_fills_every_default():
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # neither scipy.sparse (imported lazily by left_multiplier_norm) nor
+    # scipy.linalg, which no module imports
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", "import sys, ncfatou.cli; "
-                           "print('scipy.sparse' in sys.modules)"],
+                           "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_runs_with_scipy_blocked_reproduce_the_golden_files(tmp_path):
+    # with every scipy import failing, classical-fatou, factor_toeplitz and
+    # verify reach every Toeplitz fill, Cholesky factor, numpy solve and d = 1
+    # band solve of a run but resolvent_corner's, exit 0 and write their
+    # golden files byte for byte (BLAS at one thread, as the golden files)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs = {"classical_fatou": ["run", str(CONFIGS / "classical_fatou.json"), "--quiet"],
+            "factor_toeplitz": ["run", str(CONFIGS / "factor_toeplitz.json"), "--quiet"],
+            "verify": ["verify", "--suite", "core", "--quiet"]}
+    script = ("import json, os, sys\nsys.modules['scipy'] = None\n"
+              "from ncfatou.cli import main\n"
+              "for out, argv in json.loads(sys.argv[1]):\n"
+              "    os.environ['NCFATOU_OUTDIR'] = out\n"
+              "    assert main(argv) == 0, argv\n")
+    args = json.dumps([(str(tmp_path / n), argv) for n, argv in runs.items()])
+    proc = subprocess.run([sys.executable, "-c", script, args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for n in runs:
+        goldens = sorted((CONFIGS / "out" / n).iterdir())
+        assert [p.name for p in goldens] == sorted(p.name for p in (tmp_path / n).iterdir())
+        for golden in goldens:
+            assert (tmp_path / n / golden.name).read_bytes() == golden.read_bytes(), golden
 
 
 def test_coupled_schedule_below_M_exits_2(tmp_path, capsys):
@@ -291,6 +319,17 @@ def test_symbol_with_a_boundary_germ_exits_3(tmp_path, capsys):
            "schur_coeffs": {"e": [1, 0], "1": [0.1, 0]}}
     assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 3
     assert "germ condition violated" in capsys.readouterr().err
+
+
+def test_d1_factor_of_a_tau_the_probes_miss_exits_3(tmp_path, capsys):
+    # the radial measure of the non-Schur symbol 1.2 Z passes the Rayleigh
+    # probes, and the Cholesky factor of the indefinite eps I + tau fails
+    cfg = _with(FACTOR, N=8, epsilon=1.0, tau={
+        "type": "radial", "r": 0.9, "schur_coeffs": {"1": [1.2, 0.0]}},
+        output_dir=str(tmp_path))
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 3
+    err = capsys.readouterr().err
+    assert "eps I + tau is not positive definite at eps = 1.0" in err
 
 
 def test_factor_of_a_non_positive_tau_exits_3(tmp_path, capsys):

@@ -173,6 +173,19 @@ def test_outer_factor_matches_the_dense_cholesky_solve(d, data, eps, state, l1, 
     assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_outer_factor_d1_names_a_matrix_the_probes_miss():
+    # the radial measure of the non-Schur 1.2 Z at d = 1: eps I + T_tau is
+    # indefinite, the Rayleigh probes miss it, and the Cholesky factor's
+    # LinAlgError becomes the named ValueError
+    basis = WordBasis(1, 8)
+    tau = radial_measure(clark_measure(NCSeries.from_dict(basis, {(1,): 1.2})), 0.9)
+    assert np.linalg.eigvalsh(gram(tau).matrix + np.eye(basis.size))[0] < 0
+    with pytest.raises(ValueError) as err:
+        outer_factor(tau, 1.0)
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith("eps I + tau is not positive definite at eps = 1.0: ")
+
+
 def test_outer_factor_names_a_pivot_the_probes_miss():
     # the radial measure of the non-Schur 1.5 (Z1 + Z2 + Z3) at d = 3:
     # eps I + T_tau has 28 negative eigenvalues of 121, which the six

@@ -292,6 +292,60 @@ def test_graded_solve_takes_a_right_hand_side_through_a_grade(d, N):
                     assert ref.tobytes() == out.tobytes()
 
 
+@st.composite
+def band_systems(draw):
+    # f of degree p with sum_k>0 |f_k| <= 0.9 |f_0|, so that 1/f decays and
+    # the triangular system is well conditioned; n on either side of a
+    # block boundary (blocks of max(256, p + 1) words) or anywhere, and a
+    # right-hand side through any word
+    p = draw(st.integers(0, 200))
+    L = max(fock._BAND_BLOCK, p + 1)
+    near = draw(st.integers(1, 3)) * L + draw(st.integers(-2, 2))
+    n = max(p + 1, draw(st.sampled_from([near, draw(st.integers(1, 3 * L + 3))])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = rng.standard_normal(p + 1) + 1j * rng.standard_normal(p + 1)
+    f[1:] *= 0.9 * draw(st.floats(0.0, 1.0)) * abs(f[0]) / max(np.abs(f[1:]).sum(), 1e-300)
+    k = draw(st.integers(1, n))
+    w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return f, n, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(band_systems())
+def test_d1_solve_matches_a_dense_triangular_solve(system):
+    f, n, w = system
+    k = fock._GradedProduct(WordBasis(1, n - 1), f, "left")
+    A = scipy.linalg.toeplitz(np.concatenate((f, np.zeros(n - len(f)))), np.zeros(n))
+    rhs = np.concatenate((w, np.zeros(n - len(w))))
+    for adjoint, trans in ((False, "N"), (True, "C")):
+        ref = scipy.linalg.solve_triangular(A, rhs, lower=True, trans=trans)
+        got = k.solve(w, adjoint)
+        assert got.shape == (n,)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(band_systems(), st.integers(1, 600))
+def test_d1_solve_is_the_same_on_every_larger_basis(system, extra):
+    # the blocks start at word 0 and have a length fixed by f, so the
+    # solution's first n words do not depend on the basis size
+    f, n, w = system
+    x = fock._GradedProduct(WordBasis(1, n - 1), f, "left").solve(w)
+    y = fock._GradedProduct(WordBasis(1, n + extra - 1), f, "left").solve(w)
+    assert y[:n].tobytes() == x.tobytes()
+
+
+def test_toeplitz_fill_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for m, k in ((1, 1), (4, 7), (9, 3), (40, 40)):
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        r = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        for col, row in ((c, r), (c, np.zeros(k)), (c, c.conj())):
+            ref = scipy.linalg.toeplitz(col, row)
+            got = fock.toeplitz(col, row)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["degree 1", "full degree"])
 def test_graded_inverse_d1_matches_dense_triangular_solve(kind):
     # the d = 1 product is the lower-triangular Toeplitz matrix of f; its

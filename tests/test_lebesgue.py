@@ -6,7 +6,8 @@ from scipy.linalg import solve_toeplitz, toeplitz
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
 from ncfatou.lebesgue import (DENSE_LIMIT, Schedule, _cg_corner, _eliminate,
-                              _radial_matrix_free, _read_stage, _spectral_block,
+                              _inverse_corner, _radial_matrix_free, _read_stage,
+                              _spectral_block,
                               fatou_form_check, hermitian_cg, majorant_check,
                               resolvent_corner, rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram, gram_matvec,
@@ -387,6 +388,19 @@ def test_resolvent_corner_rejects_nonpositive_eps_in_every_mode(eps):
             resolvent_corner(clark_r(schur_z(basis, 0.5), 0.7), eps, 2)
 
 
+def test_corners_of_a_matrix_that_is_not_positive_definite_raise_linalgerror():
+    # the Cholesky factor refuses an indefinite S, and the reference refuses
+    # moments whose eps I + T_r is negative definite, at d = 1 and d >= 2
+    S = np.diag([2.0, -1.0, 3.0]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse_corner(S, 1)
+    for basis in (WordBasis(1, 8), WordBasis(2, 3)):
+        moments = np.zeros(basis.size, dtype=complex)
+        moments[0] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            resolvent_corner(MomentFunctional(basis, moments), 0.25, 2)
+
+
 def _close(a, b, rel):
     return np.abs(a - b).max() <= rel * np.abs(b).max()
 
@@ -514,13 +528,13 @@ def test_elimination_rejects_a_pivot_that_is_not_positive(grade_rec):
 
 def _count_cholesky(monkeypatch):
     sizes = []
-    factor = lebesgue.scipy.linalg.cholesky
+    factor = np.linalg.cholesky
 
     def counted(a, *args, **kwargs):
         sizes.append(len(a))
         return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(lebesgue.scipy.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
     return sizes
 
 
