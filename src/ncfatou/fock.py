@@ -167,23 +167,38 @@ class _GradedProduct:
         self.trimmed = _trim(coeffs) if basis.d == 1 else None
 
     @cached_property
+    def slices(self) -> list:
+        """The index slice of each grade of the basis, by grade."""
+        return [self.basis.grade_slice(g) for g in range(self.basis.N + 1)]
+
+    @cached_property
     def blocks(self) -> list:
         """(j, f_j) for the nonzero grade blocks, by increasing j."""
-        b = self.basis
-        blocks = ((j, self.coeffs[b.grade_slice(j)]) for j in range(b.N + 1))
+        blocks = ((j, self.coeffs[s]) for j, s in enumerate(self.slices))
         return [(j, fj) for j, fj in blocks if fj.any()]
 
     def _up(self, fj, xh, out=None, start=0):
         """Grade-(h+j) contribution of f_j and x_h; into out, only its
         words start .. start + len(out) - 1, with len(out) a power of d
-        and start a multiple of it: the outer product of a slice of each
-        factor."""
+        and start a multiple of it: the outer product a c of a slice of
+        each factor (a = f_j on the left, x_h on the right), one scalar
+        product per entry of the shorter factor, so that the long factor
+        is numpy's inner loop.  Each is a[i] c or a c[k], in that operand
+        order: numpy's complex-times-scalar loop fuses a multiply-add,
+        and c a[i] can differ from a[i] c in the last bit."""
         a, c = (fj, xh) if self.left else (xh, fj)
         n, m = len(a) * len(c) if out is None else len(out), len(c)
         a = a[start // m:start // m + max(1, n // m)]
         c = c[start % m:start % m + n]
-        return np.multiply(a[:, None], c, out=None if out is None else
-                           out.reshape(len(a), len(c))).ravel()
+        o = (np.empty((len(a), len(c)), dtype=complex) if out is None
+             else out.reshape(len(a), len(c)))
+        if len(a) <= len(c):
+            for i, ai in enumerate(a):
+                np.multiply(ai, c, out=o[i])
+        else:
+            for k, ck in enumerate(c):
+                np.multiply(a, ck, out=o[:, k])
+        return o.ravel()
 
     def _down(self, fj, y, h, out=None):
         """Adjoint of _up: the grade-h contribution of the grade-(h+j) y."""
@@ -201,12 +216,13 @@ class _GradedProduct:
             return out
         # zero grades of x are skipped: unit vectors and sparse series
         # touch one or a few grades
-        hs = [h for h in range(b.N + 1) if x[b.grade_slice(h)].any()]
+        sl = self.slices
+        hs = [h for h in range(b.N + 1) if x[sl[h]].any()]
         for j, fj in self.blocks:
             for h in hs:
                 if h + j > b.N:
                     break
-                out[b.grade_slice(h + j)] += self._up(fj, x[b.grade_slice(h)])
+                out[sl[h + j]] += self._up(fj, x[sl[h]])
         return out
 
     def rmatvec(self, y):
@@ -214,10 +230,10 @@ class _GradedProduct:
         if b.d == 1:
             pad = np.concatenate((y, np.zeros(len(self.trimmed) - 1, dtype=complex)))
             return np.correlate(pad, self.trimmed, "valid")
-        out = np.zeros_like(y)
+        out, sl = np.zeros_like(y), self.slices
         for j, fj in self.blocks:
             for h in range(b.N + 1 - j):
-                out[b.grade_slice(h)] += self._down(fj, y[b.grade_slice(h + j)], h)
+                out[sl[h]] += self._down(fj, y[sl[h + j]], h)
         return out
 
     def dense(self, m: int | None = None) -> np.ndarray:
@@ -252,7 +268,10 @@ class _GradedProduct:
         in cache: its first product is subtracted from w's words straight
         into x, the others after it, then it is divided by f_0 (skipped
         for f_0 = 1).  The adjoint takes whole grades.  The products go
-        into one scratch row.  At d = 1 it is _band_solve."""
+        into one scratch row, the forward ones by _up's scalar products,
+        so that a grade of x against the short f_j of the matrix-free T_r
+        costs one pass per letter of f_j.  The grade slices are built once
+        per product (slices).  At d = 1 it is _band_solve."""
         b = self.basis
         if b.d == 1:
             x = self._band_solve(w, adjoint)
@@ -262,14 +281,14 @@ class _GradedProduct:
             return out
         x = np.empty(b.size, dtype=complex) if out is None else out
         f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
-        rest = [(j, fj) for j, fj in self.blocks if j > 0]
+        rest, sl = [(j, fj) for j, fj in self.blocks if j > 0], self.slices
         # forward chunks: the largest power of d within _CHUNK words
         q = b.N if adjoint else min(b.N, int(np.log2(_CHUNK) / np.log2(b.d)))
         row = np.empty(b.d ** q, dtype=complex)
         for g in (range(b.N, -1, -1) if adjoint else range(b.N + 1)):
-            acc = x[b.grade_slice(g)]
-            wg = w[b.grade_slice(g)] if b.offsets[g + 1] <= len(w) else None
-            srcs = [(fj, x[b.grade_slice(g + j if adjoint else g - j)]) for j, fj in rest
+            acc = x[sl[g]]
+            wg = w[sl[g]] if b.offsets[g + 1] <= len(w) else None
+            srcs = [(fj, x[sl[g + j if adjoint else g - j]]) for j, fj in rest
                     if (g + j <= b.N if adjoint else j <= g)]
             n = min(len(acc), len(row))
             for s in range(0, len(acc), n):

@@ -188,19 +188,22 @@ def _radial_matrix_free(B: NCSeries, r: float, work=(None, None)):
 # resolvents
 
 def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
-                 maxiter: int = 2000) -> tuple:
+                 maxiter: int = 2000, m: int | None = None) -> tuple:
     """Conjugate gradients for Hermitian positive definite systems.
 
     The stopping rule is on the relative residual ||b - A x|| / ||b||.
     Returns (x, iterations, relative_residual); raises RuntimeError on
     non-convergence or breakdown (p^H A p not finite and positive, or a
     non-finite residual) so that failed solves are never silently used.
-    matvec's result is read before its next call, so it may be a reused
-    buffer; x and res are updated through one scratch vector, not by a
-    BLAS axpy, whose fused multiply-add can round differently.
+    With m, x is formed on the first m words alone: the iteration reads
+    only res and p, so these are the first m entries of the whole x, bit
+    for bit, with the same iterations and residual.  matvec's result is
+    read before its next call, so it may be a reused buffer; x and res
+    are updated through one scratch vector, not by a BLAS axpy, whose
+    fused multiply-add can round differently.
     """
     res = np.array(b, dtype=complex)  # x, res and p are updated in place
-    x = np.zeros_like(res)
+    x = np.zeros(len(res) if m is None else m, dtype=complex)
     p = res.copy()
     t = np.empty_like(res)
     rs = float(np.vdot(res, res).real)
@@ -215,7 +218,7 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
         alpha = rs / pAp
-        x += np.multiply(p, alpha, out=t)
+        x += np.multiply(p[:len(x)], alpha, out=t[:len(x)])
         res -= np.multiply(Ap, alpha, out=t)
         rs_new = float(np.vdot(res, res).real)
         if not np.isfinite(rs_new):
@@ -380,7 +383,10 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
     solve of (eps I + T_r) x = e_j per column j to _CG_TOL, with T_r
     solved into two work rows (_radial_matrix_free) and eps u + T_r u
     formed in that order in one buffer, so that a CG iteration allocates
-    no basis-length vector beyond the substitutions' scratch rows:
+    no basis-length vector beyond the substitutions' scratch rows.  At
+    eps = 1 the product eps u is skipped: it is u again, up to the sign
+    of a zero, which the sum with T_r u keeps only where that is zero
+    too.  CG forms x on the m corner words alone (hermitian_cg's m):
     (Hermitized corner, iteration counts, largest final relative
     residual).
     """
@@ -393,14 +399,14 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
     T = _radial_matrix_free(B, r, work)
 
     def matvec(u):
-        np.multiply(u, eps, out=shifted)
-        return np.add(shifted, T(u), out=shifted)
+        su = u if eps == 1.0 else np.multiply(u, eps, out=shifted)
+        return np.add(su, T(u), out=shifted)
 
     iters, residual = [], 0.0
     for j in range(m):
         e[j] = 1.0
-        x, it, rel = hermitian_cg(matvec, e, tol=_CG_TOL, maxiter=_CG_MAXITER)
-        corner[:, j] = x[:m]
+        x, it, rel = hermitian_cg(matvec, e, tol=_CG_TOL, maxiter=_CG_MAXITER, m=m)
+        corner[:, j] = x
         iters.append(it)
         residual = max(residual, float(rel))
         e[j] = 0.0

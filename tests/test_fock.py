@@ -237,21 +237,26 @@ def _outer_product_substitution(basis, c, side, w, adjoint):
 def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, monkeypatch):
     # the scratch-row substitution, with and without out, equals the one
     # with a fresh product per grade exactly: for 1 + a Z1 + b Z1Z2Z1,
-    # whose grade-2 block is zero, and for a symbol dense through grade 2,
-    # each with f_0 = 1 (no division) and f_0 != 1; with whole grades and
-    # with forward chunks of d words, which cut the rows of f_j and of x_h
+    # whose grade-2 block is zero, and for symbols dense through grade 2
+    # and through grade 3, each with f_0 = 1 (no division) and f_0 != 1;
+    # with whole grades and with forward chunks of d and of d**3 words,
+    # which cut the rows of f_j and of x_h, so that the products loop over
+    # the entries of f_j and over those of x_h
     rng = np.random.default_rng(17)
     basis = WordBasis(d, N)
     sparse = np.zeros(basis.size, dtype=complex)
     sparse[basis.index((1,))] = 0.4 - 0.2j
     sparse[basis.index((1, 2, 1))] = 0.3j
-    dense = np.zeros(basis.size, dtype=complex)
-    m = basis.sub_basis_size(2)
-    dense[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    dense[:m] *= 0.5 / np.abs(dense[1:m]).sum()
+    denses = []
+    for g in (2, 3):
+        dense = np.zeros(basis.size, dtype=complex)
+        m = basis.sub_basis_size(g)
+        dense[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        dense[:m] *= 0.5 / np.abs(dense[1:m]).sum()
+        denses.append(dense)
     w = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    chunks = (fock._CHUNK, d)
-    for c in (sparse, dense):
+    chunks = (fock._CHUNK, d, d ** 3)
+    for c in (sparse, *denses):
         c[0] = f0
         for side in ("left", "right"):
             k = fock._GradedProduct(basis, c, side)
@@ -266,6 +271,77 @@ def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, mo
                     assert np.array_equal(k.solve(w, adjoint), ref)
                 exact = np.linalg.solve(A.conj().T if adjoint else A, w)
                 assert np.abs(ref - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _outer(side, fj, xh):
+    return (np.outer(fj, xh) if side == "left" else np.outer(xh, fj)).ravel()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_graded_product_up_is_the_outer_product_bit_for_bit(side):
+    # every shape of f_j against x_h, the shorter factor on either axis
+    # (one scalar product per entry of f_j or of x_h), whole and cut into
+    # every aligned window of d**q words
+    rng = np.random.default_rng(71)
+    d = 2
+    k = fock._GradedProduct(WordBasis(d, 7), np.ones(1), side)
+    for j in range(4):
+        for h in range(5):
+            fj = rng.standard_normal(d ** j) + 1j * rng.standard_normal(d ** j)
+            xh = rng.standard_normal(d ** h) + 1j * rng.standard_normal(d ** h)
+            ref = _outer(side, fj, xh)
+            assert np.array_equal(k._up(fj, xh), ref)
+            for q in range(j + h + 1):
+                n = d ** q
+                for start in range(0, len(ref), n):
+                    out = np.full(n, np.nan, dtype=complex)
+                    assert np.shares_memory(k._up(fj, xh, out, start), out)
+                    assert np.array_equal(out, ref[start:start + n])
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (3, 5), (8, 2), (5, 3)])
+def test_graded_product_up_keeps_the_operand_order(shape):
+    # numpy's complex-times-scalar loop fuses a multiply-add, so c a[i]
+    # differs from a[i] c in the last bit on these shapes; _up forms a c,
+    # the order of the outer product, with a the left factor on both sides
+    # and a loop over the shorter one
+    rng = np.random.default_rng(73)
+    a = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
+    c = rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1])
+    ref = np.outer(a, c)
+    swapped = np.array([np.multiply(c, ai) for ai in a])
+    assert not np.array_equal(swapped, ref)
+    for side, fj, xh in (("left", a, c), ("right", c, a)):
+        k = fock._GradedProduct(WordBasis(2, 1), np.ones(1), side)
+        assert np.array_equal(k._up(fj, xh), ref.ravel())
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])
+def test_graded_matvec_is_the_outer_product_sum_bit_for_bit(d, N):
+    # matvec sums np.outer of every block of f against every grade of x,
+    # block by block, exactly; rmatvec is its adjoint, against the matrix
+    # of those products
+    rng = np.random.default_rng(79)
+    basis = WordBasis(d, N)
+    m = basis.sub_basis_size(3)
+    c = np.zeros(basis.size, dtype=complex)
+    c[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    sl = [basis.grade_slice(g) for g in range(N + 1)]
+
+    def reference(side, x):
+        out = np.zeros(basis.size, dtype=complex)
+        for j in range(N + 1):
+            for h in range(N + 1 - j):
+                out[sl[h + j]] += _outer(side, c[sl[j]], x[sl[h]])
+        return out
+
+    for side in ("left", "right"):
+        k = fock._GradedProduct(basis, c, side)
+        assert np.array_equal(k.matvec(x), reference(side, x))
+        A = np.column_stack([reference(side, e) for e in np.eye(basis.size, dtype=complex)])
+        ref = A.conj().T @ x
+        assert np.abs(k.rmatvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("d, N", [(1, 9), (2, 6), (3, 4)])

@@ -671,25 +671,28 @@ def test_matrix_free_t_r_is_pure_and_reuses_its_work_rows():
 
 def test_resolvent_corner_applies_eps_plus_t_in_one_buffer(monkeypatch):
     # the matrix-free corner's CG operator is eps v + T_r v bit for bit,
-    # written into one buffer for every column, and the corner equals CG
-    # on fresh arrays bit for bit, iteration counts included
+    # written into one buffer for every column (at eps = 1 without the
+    # product eps v), and the corner equals CG on fresh arrays bit for
+    # bit, iteration counts included
     B, r, v = _matrix_free_case()
-    T, eps, m = _radial_matrix_free(B, r), 0.25, 3
-    cg, buffers = lebesgue.hermitian_cg, []
+    T, m = _radial_matrix_free(B, r), 3
+    cg = lebesgue.hermitian_cg
+    for eps in (0.25, 1.0):
+        buffers = []
 
-    def spy(matvec, b, **kw):
-        buffers.append(matvec(v))
-        assert np.array_equal(buffers[-1], eps * v + T(v))
-        return cg(matvec, b, **kw)
+        def spy(matvec, b, **kw):
+            buffers.append(matvec(v))
+            assert np.array_equal(buffers[-1], eps * v + T(v))
+            return cg(matvec, b, **kw)
 
-    monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
-    corner, iters, _ = _cg_corner(B, r, eps, m)
-    assert len(buffers) == m and all(np.shares_memory(x, buffers[0]) for x in buffers)
-    fresh = [cg(lambda u: eps * u + T(u), e, tol=1e-10, maxiter=2000)
-             for e in np.eye(B.basis.size, m, dtype=complex).T]
-    ref = np.column_stack([x[:m] for x, _, _ in fresh])
-    assert np.array_equal(corner, 0.5 * (ref + ref.conj().T))
-    assert iters == tuple(it for _, it, _ in fresh)
+        monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
+        corner, iters, _ = _cg_corner(B, r, eps, m)
+        assert len(buffers) == m and all(np.shares_memory(x, buffers[0]) for x in buffers)
+        fresh = [cg(lambda u: eps * u + T(u), e, tol=1e-10, maxiter=2000)
+                 for e in np.eye(B.basis.size, m, dtype=complex).T]
+        ref = np.column_stack([x[:m] for x, _, _ in fresh])
+        assert np.array_equal(corner, 0.5 * (ref + ref.conj().T))
+        assert iters == tuple(it for _, it, _ in fresh)
 
 
 def test_hermitian_cg_is_the_same_with_a_reused_matvec_buffer():
@@ -706,6 +709,35 @@ def test_hermitian_cg_is_the_same_with_a_reused_matvec_buffer():
     x, it, rel = hermitian_cg(lambda v: A @ v, b, tol=1e-12, maxiter=500)
     x_buf, it_buf, rel_buf = hermitian_cg(reused, b, tol=1e-12, maxiter=500)
     assert np.array_equal(x, x_buf) and (it, rel) == (it_buf, rel_buf)
+
+
+def _hpd_case():
+    rng = np.random.default_rng(83)
+    A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    A = A @ A.conj().T + np.eye(30)
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    return (lambda v: A @ v), b
+
+
+def _corner_operator_case():
+    # _cg_corner's operator eps I + T_r at d = 2, N = 10, on its first column
+    basis = WordBasis(2, 10)
+    B = NCSeries.from_dict(basis, {(1,): 0.5, (2,): 0.4j, (2, 1): 0.2})
+    T = _radial_matrix_free(B, 0.8)
+    return (lambda v: 0.5 * v + T(v)), np.eye(basis.size, 1, dtype=complex)[:, 0]
+
+
+@pytest.mark.parametrize("case", [_hpd_case, _corner_operator_case])
+def test_hermitian_cg_forms_x_on_its_first_m_words_bit_for_bit(case):
+    # x on m words is the first m entries of the whole x, with the same
+    # iteration count and residual
+    matvec, b = case()
+    x, it, rel = hermitian_cg(matvec, b, tol=1e-10, maxiter=500)
+    assert it > 1 and rel <= 1e-10
+    for m in (1, 3, len(b)):
+        xm, it_m, rel_m = hermitian_cg(matvec, b, tol=1e-10, maxiter=500, m=m)
+        assert xm.shape == (m,) and np.array_equal(xm, x[:m])
+        assert (it_m, rel_m) == (it, rel)
 
 
 def test_stage_records_name_the_mode_the_basis_size_and_the_cg_residual(monkeypatch):
