@@ -552,25 +552,34 @@ SCHEMAS = {
 __doc__ = (__doc__ or "") + schema_doc()
 
 
-def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool) -> int:
+def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool,
+             source: str = "--output-dir") -> int:
     """Validate cfg, run it and write its tables and summary.txt (the verify
-    suite has its CSV alone); returns the exit code."""
+    suite has its CSV alone); returns the exit code.  An output location
+    that cannot be written exits 2 with one line naming the path and its
+    source (output_dir, NCFATOU_OUTDIR or --output-dir)."""
     try:
         c = validate(cfg, base_dir)
         if out is None:  # NCFATOU_OUTDIR, else output_dir relative to the config
-            out = base_dir / (os.environ.get("NCFATOU_OUTDIR") or c["output_dir"])
+            env = os.environ.get("NCFATOU_OUTDIR")
+            out = base_dir / (env or c["output_dir"])
+            source = "NCFATOU_OUTDIR" if env else "output_dir"
         out.mkdir(parents=True, exist_ok=True)
         tables, lines, passed = SCHEMAS[c["experiment"]][1](c, threads)
+        for name, header, rows in tables:
+            _write_csv(out / name, header, rows, c["seed"], c["experiment"])
+        if c["experiment"] != "verify":
+            (out / "summary.txt").write_text("\n".join(lines) + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # validate turns unreadable inputs into ConfigError
+        print(f"output error: cannot write {exc.filename or out} ({source} {out}): "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"numerical diagnostic failure: {exc}", file=sys.stderr)
         return 3
-    for name, header, rows in tables:
-        _write_csv(out / name, header, rows, c["seed"], c["experiment"])
-    if c["experiment"] != "verify":
-        (out / "summary.txt").write_text("\n".join(lines) + "\n")
     if not quiet:
         print("\n".join(lines))
     return 0 if passed else 3
@@ -585,9 +594,9 @@ def run_config(path: str, threads: int = 1, quiet: bool = False) -> int:
     return _execute(cfg, Path(path).parent, None, threads, quiet)
 
 
-def run_verify(out, quiet: bool = False) -> int:
+def run_verify(out, quiet: bool = False, source: str = "--output-dir") -> int:
     """The core invariant suite, written to the directory out."""
-    return _execute({"experiment": "verify"}, Path("."), Path(out), 1, quiet)
+    return _execute({"experiment": "verify"}, Path("."), Path(out), 1, quiet, source)
 
 
 def main(argv=None) -> int:
@@ -605,7 +614,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_config(args.config, threads=args.threads, quiet=args.quiet)
-    return run_verify(os.environ.get("NCFATOU_OUTDIR") or args.output_dir, args.quiet)
+    env = os.environ.get("NCFATOU_OUTDIR")
+    return run_verify(env or args.output_dir, args.quiet,
+                      "NCFATOU_OUTDIR" if env else "--output-dir")
 
 
 if __name__ == "__main__":

@@ -7,13 +7,6 @@ schedule therefore couples r_j = 1 - 2^{-j} to a truncation N_j with
 r_j^{N_j} <= tail_tol, which keeps the corner of the truncated resolvent
 close to the corner of the untruncated one.
 
-The Radon-Nikodym compression is recovered from resolvents, never from
-T_r directly: T_hat = Delta_hat(eps)^{-1} - eps I on an enlarged corner
-(recovery grade M + buffer), then restricted to grade M.  Inverting the
-corner of the resolvent is a Schur complement of eps I + T, and the
-enlargement buffer pushes its systematic deficit below tolerance for
-symbols whose moments decay.
-
 T_r = Re H_mu(rR) is the NC Poisson transform of mu, so it is the
 L-Toeplitz Gram matrix of mu_r(L^a) = r^|a| mu(L^a) (radial_measure) and
 depends on the measure alone.  rn_derivative therefore converts its
@@ -22,47 +15,46 @@ its Clark measure on the highest grade that M, deg B or a stage other
 than a matrix-free one needs, and every such stage takes mu_r on its own
 basis.
 
-Every stage works with one matrix, S = (P_m Delta_r(eps) P_m)^{-1},
-the Schur complement of eps I + T_r in the words beyond the recovery
-corner (Golub & Van Loan, Matrix Computations, ch. 4), by one of three
-stage modes:
+The Radon-Nikodym compression is recovered from resolvents, never from
+T_r directly.  Each stage returns two m_out x m_out blocks on the words
+o of grade <= M: T_hat = S[o, o] - eps I, S = (P_m Delta_r(eps) P_m)^{-1}
+on an enlarged recovery corner of m words (grade M + buffer), the Schur
+complement of eps I + T_r in the words beyond it (Golub & Van Loan,
+Matrix Computations, ch. 4), whose systematic deficit the buffer pushes
+below tolerance for symbols whose moments decay; and the corner
+P_o Delta_r(eps) P_o, whose (0, 0) entry is the vacuum delta.  One of
+three stage modes forms them:
 
 - elimination (d >= 2, at every size but a Schur symbol's beyond
   DENSE_LIMIT words): T_r vanishes on every pair of words neither of
-  which is a prefix of the other, since L_i^* L_j = delta_ij I.
-  Eliminating the words of grades N, N-1, ... (leaves first on the tree
-  of prefixes) therefore creates no fill (Parter 1961; Rose, Tarjan &
-  Lueker, SIAM J. Comput. 1976), and each entry between a word and its
-  k-th prefix depends only on the grade and on the word's last k
-  letters, read straight off the moments of mu_r: one float and one
-  contiguous array per grade (its d^k entries for k = 1..g in turn),
-  updated by one product per grade and prefix depth, O(n) numbers and
-  O(n N) work, no dense matrix.  The sweep (measure._prefix_sweep) is
-  the one outer_factor runs down to grade 0 to solve eps I + T_tau; here
-  it stops at the recovery grade for S and goes on to grade M for the
-  corner.  A d = 1 stage whose recovery corner is the whole truncated
-  basis (m_rec = n) leaves no word beyond the corner and takes this
-  route too;
-- Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the positive
-  symbol s = eps + Re H(r e^{it}), and s = |y|^2 with y = exp(P_+ log s)
-  its outer factor (Szego-Kolmogorov), whose first m coefficients come
-  from two real FFTs of the moments of mu_r, of length G = min c 2^k >=
-  2n - 1 (c in 1, 3, 5), and an m-term power-series exponential, in
-  O(G log G + m^2); on the untruncated operator eps I + T_r = Y^H Y, Y
-  lower triangular, so S = Y_m^H Y_m with no solve and no truncation at
-  grade N;
+  which is a prefix of the other, since L_i^* L_j = delta_ij I, so
+  eliminating grades N, N-1, ... (leaves first on the tree of prefixes)
+  creates no fill (Parter 1961; Rose, Tarjan & Lueker, SIAM J. Comput.
+  1976), and each entry between a word and its k-th prefix depends only
+  on the grade and the word's last k letters: one float and one
+  contiguous array per grade, O(n) numbers and O(n N) work, no dense
+  matrix (measure._prefix_sweep, which outer_factor runs to grade 0).
+  The sweep stops at the recovery grade for T_hat and goes on to grade
+  M, where the corner is the inverse of the block it leaves.  A d = 1
+  stage whose corner is the whole truncated basis (m = n) leaves no word
+  beyond it and takes this route too;
+- Toeplitz (d = 1): eps I + T_r is the Toeplitz operator of the symbol
+  s = eps + Re H(r e^{it}) > 0, and s = |y|^2 with y = exp(A), A = P_+
+  log s (Szego-Kolmogorov), from two real FFTs of the moments of mu_r.
+  On the untruncated operator eps I + T_r = Y^H Y, Y lower triangular,
+  so S = Y_m^H Y_m, and Delta_r(eps) = V V^H with V = Y^{-1} the
+  Toeplitz operator of v = 1/y = exp(-A): the corner is V_o V_o^H and
+  the vacuum delta |v_0|^2 = exp(-int log s), the reciprocal geometric
+  mean of s.  No solve and no truncation at grade N;
 - matrix-free (a Schur symbol B on a d >= 2 basis of more than
   DENSE_LIMIT words, which the stage takes in place of mu_r): the corner
-  by CG, one column at a time, inverted; T_r v = K^{-1} v + K^{-*} v - v
-  with K = I - B(rR) is solved into two work rows, and eps v + T_r v
-  into one buffer that CG reads before its next call.
+  c by CG, one column at a time, and T_hat from its inverse; T_r v =
+  K^{-1} v + K^{-*} v - v with K = I - B(rR) is solved into two work
+  rows, and eps v + T_r v into one buffer that CG reads before its next
+  call.
 
-Each stage reads three things: the grade-M block T_hat = S[o, o] - eps I,
-the grade-M corner (S^{-1})[o, o] and the vacuum delta, its (0, 0) entry.
-The Toeplitz and matrix-free modes read the corner from one Cholesky
-factor of S; the elimination reads it as the inverse of the block its
-sweep leaves at grade M.  The eps cross-check reruns the same stage at
-each extra eps and keeps its T_hat.
+The eps cross-check reruns the same stage at each extra eps and keeps
+its T_hat.
 """
 
 from __future__ import annotations
@@ -238,8 +230,8 @@ def _herm(X: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(mu_r: MomentFunctional, r: float, eps: float, m: int, m_out: int) -> tuple:
-    """T_hat, the grade-M corner and the vacuum delta of an elimination
-    stage at radius r, in O(n N) work on O(n) numbers.
+    """T_hat and the grade-M corner of an elimination stage at radius r,
+    in O(n N) work on O(n) numbers.
 
     m and m_out count the words of grade <= M_rec and <= M.  T_r is the
     Gram matrix of mu_r, and one sweep of eps I + T_r on the tree of
@@ -275,24 +267,31 @@ def _eliminate(mu_r: MomentFunctional, r: float, eps: float, m: int, m_out: int)
         raise np.linalg.LinAlgError(
             f"eps I + T_r is not positive definite at r = {r!r}: {err}") from None
     C[np.diag_indices_from(C)] += eps
-    delta = _inverse_corner(C, m_out)
-    return T, delta, float(delta[0, 0].real)
+    return T, _inverse_corner(C, m_out)
 
 
-def _spectral_block(mu_r: MomentFunctional, r: float, eps: float, m: int) -> np.ndarray:
-    """S = (P_m Delta_r(eps) P_m)^{-1} on the untruncated d = 1 operator
-    at radius r.
+def _exp_series(a: np.ndarray, m: int) -> np.ndarray:
+    """The first m coefficients of exp(a(z)), from a[:m]: y' = a' y gives
+    j y_j = sum_{k=1..j} k a_k y_{j-k} (Knuth, TAOCP vol. 2, 4.7)."""
+    ka = np.arange(m) * a[:m]
+    y = np.empty(m, dtype=complex)
+    y[0] = np.exp(a[0])
+    for j in range(1, m):
+        y[j] = ka[1:j + 1] @ y[j - 1::-1] / j
+    return y
 
-    eps I + T_r is the Toeplitz operator of s = eps + Re H(r e^{it}), read
-    off the moments of mu_r on G points by one real FFT, G the smallest of
-    2^k, 3 2^k and 5 2^k >= 2n - 1 (irfft reads the real part of mu_r(I)
-    alone).  Its outer factor y = exp(A), A = P_+ log s the analytic half
-    of the cepstrum with a_0 halved (a second real FFT), gives eps I + T_r
-    = Y^H Y, Y the lower-triangular Toeplitz operator of y (Szego-Kolmogorov;
-    Oppenheim & Schafer, ch. 13), so S = Y_m^H Y_m.  y[:m] is the exact
-    m-term exponential of a[:m]: y' = A' y gives j y_j = sum_{k=1..j} k a_k
-    y_{j-k} (Knuth, TAOCP vol. 2, 4.7).  O(G log G + m^2).  Raises
-    RuntimeError if s is not positive on the grid.
+
+def _spectral_block(mu_r: MomentFunctional, r: float, eps: float, m: int,
+                    m_out: int) -> tuple:
+    """T_hat and the grade-M corner of the untruncated d = 1 operator at
+    radius r (the Toeplitz mode above), in O(G log G + m^2).
+
+    s is read off the moments of mu_r on G points by one real FFT, G the
+    smallest of 2^k, 3 2^k and 5 2^k >= 2n - 1 (irfft reads the real part
+    of mu_r(I) alone), and A = P_+ log s, the analytic half of the
+    cepstrum with a_0 halved, by a second (Oppenheim & Schafer, ch. 13);
+    y[:m] and v[:m_out] are the power-series exponentials of A and -A.
+    Raises RuntimeError if s is not positive on the grid.
     """
     n = mu_r.basis.size
     G = min(c << ((2 * n - 2) // c).bit_length() for c in (1, 3, 5))
@@ -303,13 +302,10 @@ def _spectral_block(mu_r: MomentFunctional, r: float, eps: float, m: int) -> np.
             f"N = {n - 1}: min s = {s.min():.3e}")
     a = np.fft.rfft(np.log(s))[:m].conj() / G
     a[0] *= 0.5
-    ka = np.arange(m) * a
-    y = np.empty(m, dtype=complex)
-    y[0] = np.exp(a[0])
-    for j in range(1, m):
-        y[j] = ka[1:j + 1] @ y[j - 1::-1] / j
-    W = toeplitz(y, np.zeros(m))
-    return W.conj().T @ W
+    Y = toeplitz(_exp_series(a, m), np.zeros(m))
+    V = toeplitz(_exp_series(-a, m_out), np.zeros(m_out))
+    return (_herm((Y.conj().T @ Y)[:m_out, :m_out]) - eps * np.eye(m_out),
+            _herm(V @ V.conj().T))
 
 
 def _inverse_corner(S: np.ndarray, k: int) -> np.ndarray:
@@ -321,23 +317,10 @@ def _inverse_corner(S: np.ndarray, k: int) -> np.ndarray:
     return _herm(X.conj().T @ X)
 
 
-def _read_stage(S: np.ndarray, eps: float, m_out: int) -> tuple:
-    """The grade-M block T_hat, the grade-M corner and the vacuum delta
-    from the m x m matrix S = (P_m Delta_r(eps) P_m)^{-1}.
-
-    T_hat = S[o, o] - eps I on the first m_out words o; the corner
-    P_o Delta P_o is (S^{-1})[o, o], and the vacuum delta is its (0, 0)
-    entry.
-    """
-    T = _herm(S[:m_out, :m_out]) - eps * np.eye(m_out)
-    corner = _inverse_corner(S, m_out)
-    return T, corner, float(corner[0, 0].real)
-
-
 def _stage(op, r: float, eps: float, m: int, m_out: int) -> tuple:
-    """(T_hat, corner, vacuum delta, solver) of one stage at radius r and
-    at eps, on a recovery corner of m words and an output block of m_out;
-    solver holds StageRecord's mode and, if matrix-free, its CG fields.
+    """(T_hat, corner, solver) of one stage at radius r and at eps, on a
+    recovery corner of m words and an output block of m_out; solver holds
+    StageRecord's mode and, if matrix-free, its CG fields.
 
     op is mu_r, or a Schur symbol B (an NCSeries) on a d >= 2 basis of
     more than DENSE_LIMIT words, which runs CG.  A measure is eliminated
@@ -347,11 +330,12 @@ def _stage(op, r: float, eps: float, m: int, m_out: int) -> tuple:
     """
     if isinstance(op, NCSeries):
         c, iters, residual = _cg_corner(op, r, eps, m)
-        return (*_read_stage(np.linalg.inv(c), eps, m_out),
+        return (_herm(np.linalg.inv(c)[:m_out, :m_out]) - eps * np.eye(m_out),
+                c[:m_out, :m_out],
                 {"mode": "matrix-free", "cg_iterations": iters, "cg_residual": residual})
     if op.basis.d > 1 or m == op.basis.size:
         return (*_eliminate(op, r, eps, m, m_out), {"mode": "elimination"})
-    return (*_read_stage(_spectral_block(op, r, eps, m), eps, m_out), {"mode": "toeplitz"})
+    return (*_spectral_block(op, r, eps, m, m_out), {"mode": "toeplitz"})
 
 
 def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
@@ -483,15 +467,16 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     the iteration stops early once consecutive grade-M resolvent corners
     differ by less than cauchy_tol in max norm; schedule defaults to
     Schedule.coupled(d).
-    Each stage (_stage) reads the grade-M block of T_stage, the grade-M
-    corner and the vacuum delta from mu_r = radial_measure(mu, r) on its
-    basis: at d >= 2 by one elimination over grades (_eliminate), O(n N)
-    work on O(n) numbers with no dense T_r; at d = 1 from the outer factor
-    of the symbol on the untruncated operator (_spectral_block), which
-    raises RuntimeError if the symbol is not positive, unless the recovery
-    corner is the whole basis (m_rec = n) and the stage is eliminated.  A
-    Schur symbol on a d >= 2 basis of more than DENSE_LIMIT words takes B
-    itself and inverts its CG corner (each column to _CG_TOL).
+    Each stage (_stage) returns the grade-M block of T_stage and the
+    grade-M corner, whose (0, 0) entry is the vacuum delta, from mu_r =
+    radial_measure(mu, r) on its basis: at d >= 2 by one elimination over
+    grades (_eliminate), O(n N) work on O(n) numbers with no dense T_r; at
+    d = 1 from the outer factor y of the symbol and from 1/y on the
+    untruncated operator (_spectral_block), which raises RuntimeError if
+    the symbol is not positive, unless the recovery corner is the whole
+    basis (m_rec = n) and the stage is eliminated.  A Schur symbol on a
+    d >= 2 basis of more than DENSE_LIMIT words takes B itself, reads its
+    corner by CG (each column to _CG_TOL) and T_stage from its inverse.
     The reported T_hat comes from the smallest eps in the grid (least
     upward bias on near-singular directions); the other grid values only
     feed the eps-consistency cross-check, which reruns the last stage at
@@ -539,11 +524,11 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         else:
             op = radial_measure(mu.restricted(N), r)
         m_rec = word_count(d, min(M + recovery_buffer, N))
-        T_hat, corner, vacuum, solver = _stage(op, r, primary, m_rec, m_out)
+        T_hat, corner, solver = _stage(op, r, primary, m_rec, m_out)
         seconds = time.perf_counter() - start
         increment = np.inf if prev is None else float(np.abs(corner - prev).max())
         records.append(StageRecord(
-            r=r, N=N, words=op.basis.size, vacuum_delta=vacuum,
+            r=r, N=N, words=op.basis.size, vacuum_delta=float(corner[0, 0].real),
             mass=float(T_hat[0, 0].real), increment=increment, seconds=seconds,
             **solver))
         prev = corner

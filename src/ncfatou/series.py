@@ -105,8 +105,9 @@ class NCSeries:
 
     @cached_property
     def _norm(self) -> float:
+        """Over the coefficients through degree(), the last nonzero grade."""
         self.coeffs.setflags(write=False)
-        return float(np.linalg.norm(self.coeffs))
+        return float(np.linalg.norm(self.coeffs[:self.basis.sub_basis_size(self.degree())]))
 
     def __add__(self, other):
         other = _coerce(other, self.basis)

@@ -79,6 +79,34 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     assert (override / "factor_psi.csv").exists()
 
 
+def test_unwritable_output_location_exits_2_naming_it_and_its_source(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a directory that cannot be made (under a regular file, or the file
+    # itself), or a table that cannot be written, in run and in verify: one
+    # line on stderr naming the path and where it came from, exit 2
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    (tmp_path / "out" / "summary.txt").mkdir(parents=True)
+    cfg = {"experiment": "factor", "d": 1, "N": 6, "epsilon": 1.0,
+           "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}
+    cases = [({"output_dir": "a_file/x"}, None, ["run"], "output_dir"),
+             ({}, str(blocker / "x"), ["run"], "NCFATOU_OUTDIR"),
+             ({"output_dir": "out"}, None, ["run"], "output_dir"),
+             (None, None, ["verify", "--output-dir", str(blocker)], "--output-dir"),
+             (None, str(blocker), ["verify"], "NCFATOU_OUTDIR")]
+    for extra, env, argv, source in cases:
+        if env is None:
+            monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
+        else:
+            monkeypatch.setenv("NCFATOU_OUTDIR", env)
+        if extra is not None:
+            argv = argv + [write_cfg(tmp_path, "cfg.json", {**cfg, **extra}), "--quiet"]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("output error: cannot write ")
+        assert f"({source} " in err, err
+
+
 def test_experiment_outputs_are_bit_identical(tmp_path):
     cfg = {"experiment": "factor", "d": 2, "N": 5, "epsilon": 1.0,
            "tau": {"type": "vector-state",

@@ -5,10 +5,9 @@ from scipy.linalg import solve_toeplitz, toeplitz
 
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
-from ncfatou.lebesgue import (DENSE_LIMIT, Schedule, _cg_corner, _eliminate,
-                              _inverse_corner, _radial_matrix_free, _read_stage,
-                              _spectral_block,
-                              fatou_form_check, hermitian_cg, majorant_check,
+from ncfatou.lebesgue import (DENSE_LIMIT, Schedule, _cg_corner, _eliminate, _herm,
+                              _inverse_corner, _radial_matrix_free, _spectral_block,
+                              _stage, fatou_form_check, hermitian_cg, majorant_check,
                               resolvent_corner, rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram, gram_matvec,
                              herglotz_transform, nc_lebesgue, radial_measure,
@@ -336,13 +335,12 @@ def test_spectral_recovery_matches_the_dense_truncated_reference(r, eps, l1, psd
         mu_r = clark_r(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
     m = data.draw(st.integers(1, N))  # m_rec < n: words beyond the corner
     m_out = data.draw(st.integers(1, min(m, 9)))
-    T, corner, vacuum = _read_stage(_spectral_block(mu_r, r, eps, m), eps, m_out)
-    T_ref, corner_ref, vacuum_ref = _read_stage(
-        np.linalg.inv(resolvent_corner(mu_r, eps, m)), eps, m_out)
-    assert np.array_equal(T, T.conj().T)
-    assert _close(T, T_ref, 1e-12)
-    assert _close(corner, corner_ref, 1e-12)
-    assert vacuum == pytest.approx(vacuum_ref, rel=1e-12)
+    T, corner = _spectral_block(mu_r, r, eps, m, m_out)
+    ref = resolvent_corner(mu_r, eps, m)
+    assert np.array_equal(T, T.conj().T) and np.array_equal(corner, corner.conj().T)
+    assert _close(T, (np.linalg.inv(ref) - eps * np.eye(m))[:m_out, :m_out], 1e-12)
+    assert _close(corner, ref[:m_out, :m_out], 1e-12)
+    assert corner[0, 0].real == pytest.approx(ref[0, 0].real, rel=1e-12)
 
 
 def test_spectral_recovery_of_an_inner_stage_matches_levinson():
@@ -359,25 +357,45 @@ def test_spectral_recovery_of_an_inner_stage_matches_levinson():
     assert np.abs(phi[-17:]).max() < 1e-16 * abs(phi[0])
     A = toeplitz(phi[:17], np.zeros(17))
     ref = A @ A.conj().T / phi[0].real
-    T, corner, vacuum = _read_stage(_spectral_block(mu_r, r, 0.25, 17), 0.25, 9)
+    T, corner = _spectral_block(mu_r, r, 0.25, 17, 9)
     assert _close(T, (np.linalg.inv(ref) - 0.25 * np.eye(17))[:9, :9], 1e-12)
     assert _close(corner, ref[:9, :9], 1e-12)
-    assert vacuum == pytest.approx(phi[0].real, rel=1e-12)
+    assert corner[0, 0].real == pytest.approx(phi[0].real, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.6 * np.exp(0.7j), -0.9, 0.3j])
 def test_spectral_block_of_a_degree_one_factor_is_its_bidiagonal_gram(c):
     # eps I + T_r = Toeplitz(1 + |c|^2, c) is Y^H Y, Y the lower-bidiagonal
-    # Toeplitz operator of the outer factor y = 1 + c z, so S = Y_9^H Y_9.
-    # log s aliases on the FFT grid by about |c|^G; N = 1000 (G = 2048)
-    # puts that far below roundoff, where N = 5 (G = 12, m = 6) leaves
-    # 5.4e-2 at c = -0.9
+    # Toeplitz operator of the outer factor y = 1 + c z, so T_hat is the
+    # grade-5 block of Y_9^H Y_9 less eps I, and the corner V V^H, V the
+    # Toeplitz operator of 1/y = sum (-c)^k z^k.  log s aliases on the FFT
+    # grid by about |c|^G; N = 1000 (G = 2048) puts that far below
+    # roundoff, where N = 5 (G = 12, m = 6) leaves 5.4e-2 at c = -0.9
     eps = 0.25
     t = np.zeros(1001, dtype=complex)
     t[:2] = 1 + abs(c) ** 2 - eps, c
-    S = _spectral_block(MomentFunctional(WordBasis(1, 1000), t.conj()), 0.5, eps, 9)
+    T, corner = _spectral_block(MomentFunctional(WordBasis(1, 1000), t.conj()), 0.5, eps,
+                                9, 6)
     Y = toeplitz(np.r_[1, c, np.zeros(7)], np.zeros(9))
-    assert np.abs(S - Y.conj().T @ Y).max() <= 1e-14
+    V = toeplitz((-c) ** np.arange(6), np.zeros(6))
+    assert np.abs(T - ((Y.conj().T @ Y)[:6, :6] - eps * np.eye(6))).max() <= 1e-14
+    assert np.abs(corner - V @ V.conj().T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
+def test_toeplitz_vacuum_delta_of_the_inner_symbol_is_its_closed_form(eps):
+    # the Clark measure of z is delta_1, so s = eps + P_r = (A - B cos t) /
+    # (1 + r^2 - 2 r cos t) with A = eps (1 + r^2) + 1 - r^2, B = 2 eps r,
+    # and the vacuum delta exp(-int log s) is 2 / (A + sqrt(A^2 - B^2));
+    # at eps = 1, 1 / (1 + sqrt(1 - r^2)), the d = 2 closed form
+    rs = (0.5, 0.875, 0.99)
+    res = rn_derivative(schur_z(WordBasis(1, 1)), M=0, eps_grid=(eps,), cauchy_tol=0.0,
+                        schedule=Schedule.explicit(
+                            [(r, int(np.ceil(np.log(1e-8) / np.log(r)))) for r in rs]))
+    for st in res.stages:
+        A, B = eps * (1 + st.r ** 2) + 1 - st.r ** 2, 2 * eps * st.r
+        assert st.mode == "toeplitz"
+        assert st.vacuum_delta == pytest.approx(2 / (A + np.sqrt(A * A - B * B)), rel=1e-14)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
@@ -436,7 +454,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     B, m, m_out = _dense_recovery_case(d, l1, seed, data)
     n = B.basis.size
     mu_r = clark_r(B, r)
-    T, corner, vacuum = _eliminate(mu_r, r, eps, m, m_out)
+    T, corner = _eliminate(mu_r, r, eps, m, m_out)
     assert T.shape == (m_out, m_out)
     assert np.array_equal(T, T.conj().T)
     # against the grade-M block of the explicit inverse of eps I + T_r
@@ -444,7 +462,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     assert _close(T, (np.linalg.inv(delta[:m, :m]) - eps * np.eye(m))[:m_out, :m_out],
                   1e-10)
     assert _close(corner, delta[:m_out, :m_out], 1e-10)
-    assert vacuum == pytest.approx(delta[0, 0].real, rel=1e-10)
+    assert corner[0, 0].real == pytest.approx(delta[0, 0].real, rel=1e-10)
     # against the matrix-free T_r, one CG solve per corner column
     free = _radial_matrix_free(B, r)
     cg = np.column_stack([
@@ -453,7 +471,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     cg = 0.5 * (cg + cg.conj().T)
     assert _close(T, (np.linalg.inv(cg) - eps * np.eye(m))[:m_out, :m_out], 1e-8)
     assert _close(corner, cg[:m_out, :m_out], 1e-8)
-    assert vacuum == pytest.approx(cg[0, 0].real, rel=1e-8)
+    assert corner[0, 0].real == pytest.approx(cg[0, 0].real, rel=1e-8)
 
 
 @settings(max_examples=20, deadline=None)
@@ -506,11 +524,11 @@ def test_elimination_matches_the_dense_reference_corner(d, eps, r, l1, state, se
     else:
         mu_r = clark_r(NCSeries(basis, c * (l1 / np.abs(c).sum())), r)
     ref = resolvent_corner(mu_r, eps, m)
-    T, corner, vacuum = _eliminate(mu_r, r, eps, m, m_out)
+    T, corner = _eliminate(mu_r, r, eps, m, m_out)
     assert np.array_equal(T, T.conj().T)
     assert _close(T, (np.linalg.inv(ref) - eps * np.eye(m))[:m_out, :m_out], 1e-10)
     assert _close(corner, ref[:m_out, :m_out], 1e-10)
-    assert vacuum == pytest.approx(ref[0, 0].real, rel=1e-10)
+    assert corner[0, 0].real == pytest.approx(ref[0, 0].real, rel=1e-10)
 
 
 @pytest.mark.parametrize("grade_rec", [1, 2])
@@ -695,6 +713,19 @@ def test_resolvent_corner_applies_eps_plus_t_in_one_buffer(monkeypatch):
         assert iters == tuple(it for _, it, _ in fresh)
 
 
+@pytest.mark.parametrize("eps", [0.25, 1.0])
+def test_matrix_free_stage_returns_the_cg_corner_bit_for_bit(eps):
+    # the stage's corner is the grade-M block of _cg_corner's own corner c,
+    # not read back from its inverse; T_hat is the block of that inverse
+    B, r, _ = _matrix_free_case()
+    m, m_out = 7, 3
+    c, iters, residual = _cg_corner(B, r, eps, m)
+    T, corner, solver = _stage(B, r, eps, m, m_out)
+    assert np.array_equal(corner, c[:m_out, :m_out])
+    assert np.array_equal(T, _herm(np.linalg.inv(c))[:m_out, :m_out] - eps * np.eye(m_out))
+    assert solver == {"mode": "matrix-free", "cg_iterations": iters, "cg_residual": residual}
+
+
 def test_hermitian_cg_is_the_same_with_a_reused_matvec_buffer():
     rng = np.random.default_rng(67)
     A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
@@ -867,6 +898,8 @@ def test_rn_derivative_classical_fatou_small():
 
 def test_rn_derivative_inner_singular_trend_small(monkeypatch):
     monkeypatch.setattr(lebesgue, "hermitian_cg", lambda *a, **k: pytest.fail("CG ran"))
+    for name in ("cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("factored"))
     basis = WordBasis(1, 1)
     res = rn_derivative(NCSeries.from_dict(basis, {(1,): 1.0}), M=0,
                         eps_grid=(0.25,),
@@ -874,7 +907,8 @@ def test_rn_derivative_inner_singular_trend_small(monkeypatch):
     assert res.mass_strictly_decreasing
     assert res.vacuum_strictly_increasing
     assert res.mass_trend[-1] < 0.45
-    # d = 1 stages read the outer factor of their symbol and run no CG
+    # d = 1 stages read the outer factor of their symbol and its reciprocal:
+    # they run no CG and factor, solve or invert nothing
     assert all(stage.cg_iterations == () for stage in res.stages)
 
 
