@@ -10,14 +10,14 @@ from .factor import FactorResult, outer_factor
 from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
                    graded_multiplier, left_shift, right_shift, transpose_unitary,
                    vacuum)
-from .lebesgue import (PsdReport, RNResult, Schedule, StageRecord,
-                       fatou_form_check, majorant_check, rn_derivative,
-                       resolvent_corner)
+from .lebesgue import (RNResult, Schedule, StageRecord, fatou_form_check,
+                       majorant_check, rn_derivative, resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       clark_measure, gram, gram_matvec, herglotz_eval,
-                      herglotz_transform, is_positive, nc_lebesgue,
-                      quadratic_form, radial_measure, read_moments_csv,
-                      sos_split, vector_state, write_moments_csv)
+                      herglotz_transform, hermitian_floor, is_positive,
+                      nc_lebesgue, quadratic_form, radial_measure,
+                      read_moments_csv, sos_split, vector_state,
+                      write_moments_csv)
 from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
                        fatou_symbol, fourier_coefficients, herglotz_integral,
                        poisson_density, toeplitz_from_symbol)

@@ -35,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle1d
-from .factor import outer_factor
+from .factor import _SUPPORT_FLOOR, outer_factor
 from .fock import FockVector
 from .lebesgue import Schedule, fatou_form_check, majorant_check, rn_derivative
-from .measure import (clark_measure, nc_lebesgue, radial_measure, read_moments_csv,
-                      vector_state)
+from .measure import (clark_measure, hermitian_floor, nc_lebesgue, radial_measure,
+                      read_moments_csv, vector_state)
 from .series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                      cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
                      read_series_csv, szego_kernel_matrix)
@@ -231,7 +231,11 @@ def _symbol_series(src, d, grade, prefix="") -> NCSeries:
 
 
 def _rn_derivative(source, c, **kw):
-    return rn_derivative(source, M=c["M"], eps_grid=c["epsilon_grid"], schedule=_schedule(c),
+    schedule = _schedule(c)
+    grade = min(N for _, N in schedule.stages)
+    if isinstance(source, NCSeries) and source.degree() > grade:
+        _fail("schedule", f"stage grade {grade} is below the symbol degree {source.degree()}")
+    return rn_derivative(source, M=c["M"], eps_grid=c["epsilon_grid"], schedule=schedule,
                          singular_tol=c["tolerances"]["singular_tol"], **kw)
 
 
@@ -293,7 +297,7 @@ def _classical_fatou(c, threads):
 
 def _inner_singular(c, threads):
     B = _symbol_series(c, c["d"], c["symbol_grade"])
-    result = _rn_derivative(B, c, recovery_buffer=c["recovery_buffer"], cauchy_tol=0.0)
+    result = _rn_derivative(B, c, recovery_buffer=c["recovery_buffer"])
     rows = [[result.primary_eps, st.r, st.N, st.vacuum_delta, st.mass,
              len(st.cg_iterations), max(st.cg_iterations, default=0)]
             for st in result.stages]
@@ -336,7 +340,10 @@ def _factor(c, threads):
     else:
         mu = vector_state(FockVector(basis, NCSeries.from_dict(basis, tau["coeffs"]).coeffs))
     result = outer_factor(mu, c["epsilon"], seed=c["seed"])
-    rows = [[word_to_str(w), coef.real, coef.imag] for w, coef in result.psi.support()]
+    # coefficients at the floor are rounding noise that changes between equally
+    # valid solves; a NaN is kept
+    rows = [[word_to_str(w), coef.real, coef.imag] for w, coef in result.psi.support()
+            if not abs(coef) <= _SUPPORT_FLOOR]
     return [("factor_psi.csv", ["word", "re", "im"], rows)], [
         f"factor: residual = {result.residual!r} on grades <= {result.check_grade}",
         f"psi constant coefficient = {result.psi.constant_term().real!r}",
@@ -347,7 +354,7 @@ def _factor(c, threads):
 def _majorant(c, threads):
     B = _symbol_series(c, c["d"], c["N"])
     if c["tau_mode"] == "zero":
-        x = NCSeries.one(B.basis)
+        x = NCSeries.one(WordBasis(c["d"], c["M"]))
     else:
         # exact for purely absolutely continuous Clark measures, where the
         # Radon-Nikodym compression equals the moment Gram matrix
@@ -393,8 +400,7 @@ def _kernels(c, threads):
         right = herglotz_kernel(HZ, HW, Z, W, inner, N)
         resid = float(np.abs(left.value - right.value).max())
         A = szego_kernel_matrix(Z, Z, N)
-        floor = float(np.linalg.eigvalsh(0.5 * (A + A.conj().T)).min())
-        results.append((resid, left.tail + right.tail, floor))
+        results.append((resid, left.tail + right.tail, hermitian_floor(A)))
     rows = [[i, r, t, f] for i, (r, t, f) in enumerate(results)]
     worst = max(r for r, _, _ in results)
     floor = min(f for _, _, f in results)

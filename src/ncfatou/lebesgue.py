@@ -66,7 +66,8 @@ import numpy as np
 
 from .fock import FockVector, _GradedProduct, toeplitz
 from .measure import (MomentFunctional, PositivityReport, _prefix_sweep, clark_measure,
-                      gram, is_positive, radial_measure, vector_state)
+                      gram, hermitian_floor, is_positive, nc_lebesgue, radial_measure,
+                      vector_state)
 from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
 from .words import WordBasis, word_count
 
@@ -440,7 +441,6 @@ class RNResult:
     mu_s: MomentFunctional
     stages: tuple
     eps_consistency: float
-    cauchy_converged: bool
     achieved_r_max: float
     mass_strictly_decreasing: bool
     vacuum_strictly_increasing: bool
@@ -454,7 +454,7 @@ class RNResult:
 
 def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
                   schedule: Schedule | None = None, recovery_buffer: int = 8,
-                  cauchy_tol: float = 1e-4, singular_tol: float = 0.05) -> RNResult:
+                  singular_tol: float = 0.05) -> RNResult:
     """Recover the NC Radon-Nikodym compression by the resolvent limit.
 
     source is either a Schur-class NCSeries (the symbol B) or a positive
@@ -464,9 +464,9 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     deg B or a stage other than a matrix-free one needs; a moment source
     is used as given.  For each stage, T_stage = (P Delta_r(eps) P)^{-1}
     - eps I is recovered on the words of grade <= M + recovery_buffer;
-    the iteration stops early once consecutive grade-M resolvent corners
-    differ by less than cauchy_tol in max norm; schedule defaults to
-    Schedule.coupled(d).
+    every stage of the schedule runs, and each records the max-norm
+    change of its grade-M resolvent corner from the stage before
+    (StageRecord.increment); schedule defaults to Schedule.coupled(d).
     Each stage (_stage) returns the grade-M block of T_stage and the
     grade-M corner, whose (0, 0) entry is the vacuum delta, from mu_r =
     radial_measure(mu, r) on its basis: at d >= 2 by one elimination over
@@ -516,7 +516,6 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 
     records = []
     prev = None
-    converged = False
     for (r, N) in schedule.stages:
         start = time.perf_counter()
         if N in cg:
@@ -532,9 +531,6 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
             mass=float(T_hat[0, 0].real), increment=increment, seconds=seconds,
             **solver))
         prev = corner
-        if increment < cauchy_tol:
-            converged = True
-            break
 
     # cross-check the recovery against the other resolvent parameters
     eps_consistency = 0.0
@@ -564,7 +560,7 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
         d=d, M=M, eps_grid=eps_grid, primary_eps=primary,
         T_compression=T_hat,
         mu=mu, mu_ac=mu_ac, mu_s=mu_s, stages=tuple(records),
-        eps_consistency=eps_consistency, cauchy_converged=converged,
+        eps_consistency=eps_consistency,
         achieved_r_max=schedule.achieved_r_max,
         mass_strictly_decreasing=decreasing,
         vacuum_strictly_increasing=increasing, singular=singular,
@@ -574,47 +570,35 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
 # ---------------------------------------------------------------------------
 # PSD form checks
 
-@dataclass(frozen=True)
-class PsdReport:
-    min_eigenvalue: float
-    grade: int
-    size: int
-
-    def __bool__(self) -> bool:
-        return self.min_eigenvalue >= 0.0
-
-
-def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PsdReport:
-    """Spectral floor of (I + T_r) - x(rR)* x(rR) on the grade <= M corner.
+def majorant_check(B: NCSeries, x: NCSeries, r: float, M: int) -> PositivityReport:
+    """Positivity of 1 + mu_r - m_y on the grade <= M words: the
+    harmonic-majorant inequality I + T_r >= x(rR)* x(rR), compressed to
+    grade M, for mu_r the radial Clark measure of B and m_y the vector
+    state of y, the transpose of the rescaled x.
 
     x must come from the outer factorization of I + T_tau for a positive
-    measure tau dominated by the Clark measure of B; then the
-    harmonic-majorant inequality makes the compression PSD up to numerical
-    error.
+    measure tau dominated by the Clark measure of B; then the inequality
+    holds up to numerical error.  gram is linear in the functional and
+    gram(vacuum) = I, so the compression is the Gram matrix of
+    1 + mu_r - m_y, one is_positive at tol 0.
 
     Both terms are exact compressions of the operators on the full Fock
-    space, built on the grade-M basis alone.  K = I - B(rR) is block
-    lower-triangular in the graded-lex basis, so the T_r block depends on
-    B only through grade M and is the same at every truncation N >= M.
-    x is a polynomial, so <x(rR) e_a, x(rR) e_b> is the (a, b) entry of
-    the Gram matrix of the vector state of y, the transpose of the
-    rescaled x (x(rR) is right multiplication by y), with no truncation
-    at grade N.
+    space.  K = I - B(rR) is block lower-triangular in the graded-lex
+    basis, so mu_r depends on B only through grade M and is formed on the
+    grade-M basis.  x(rR) is right multiplication by y, a polynomial, so
+    <x(rR) e_a, x(rR) e_b> = m_y(L^{a*} L^b), read on x's own basis with
+    no truncation at grade N.
     """
-    basis = B.basis
-    if x.basis != basis:
-        raise ValueError("B and x must share a basis")
-    m = basis.sub_basis_size(M)
-    T_block = gram(radial_measure(
-        clark_measure(NCSeries(WordBasis(basis.d, M), B.coeffs[:m])), r)).matrix
-    y = FockVector(basis, transpose_conjugate(radial_scale(x, r)).coeffs)
-    X_block = gram(vector_state(y).restricted(M)).matrix
-    D = np.eye(m) + T_block - X_block
-    lam = float(np.linalg.eigvalsh(0.5 * (D + D.conj().T)).min())
-    return PsdReport(lam, M, m)
+    if min(B.basis.N, x.basis.N) < M:
+        raise ValueError(f"B and x must reach grade M = {M}, "
+                         f"got grades {B.basis.N} and {x.basis.N}")
+    basis = WordBasis(B.basis.d, M)
+    mu_r = radial_measure(clark_measure(NCSeries(basis, B.coeffs[:basis.size])), r)
+    y = FockVector(x.basis, transpose_conjugate(radial_scale(x, r)).coeffs)
+    return is_positive(nc_lebesgue(basis) + mu_r - vector_state(y).restricted(M), tol=0.0)
 
 
-def fatou_form_check(B: NCSeries, T_moments: MomentFunctional, M: int) -> PsdReport:
+def fatou_form_check(B: NCSeries, T_moments: MomentFunctional, M: int) -> PositivityReport:
     """Floor of 2(I - Re B(R)) - (I - B(R))*(I + T)(I - B(R)) at grade <= M.
 
     T_moments must reach grade M + deg(B) so that every product stays
@@ -637,6 +621,4 @@ def fatou_form_check(B: NCSeries, T_moments: MomentFunctional, M: int) -> PsdRep
     lhs = 2.0 * (eye - 0.5 * (Bop + Bop.conj().T))
     rhs = (eye - Bop).conj().T @ (eye + T_hat) @ (eye - Bop)
     m = basis.sub_basis_size(M)
-    D = (lhs - rhs)[:m, :m]
-    lam = float(np.linalg.eigvalsh(0.5 * (D + D.conj().T)).min())
-    return PsdReport(lam, M, m)
+    return PositivityReport(hermitian_floor((lhs - rhs)[:m, :m]), M, m, 0.0)

@@ -96,9 +96,6 @@ class GramMatrix:
     basis: WordBasis
     matrix: np.ndarray
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def _gram_half(mu: MomentFunctional):
     """Y with G = conj(Y + Y^H): right multiplication by mu with mu(I)/2 at
@@ -179,13 +176,21 @@ def _prefix_sweep(mu: MomentFunctional, eps: float, stops):
 
 @dataclass(frozen=True)
 class PositivityReport:
-    positive: bool
+    """Every PSD verdict: min_eigenvalue of a Hermitian matrix on the size
+    words of grade <= grade; true when min_eigenvalue >= -tol."""
+
     min_eigenvalue: float
     grade: int
+    size: int
     tol: float
 
     def __bool__(self) -> bool:
-        return self.positive
+        return self.min_eigenvalue >= -self.tol
+
+
+def hermitian_floor(A: np.ndarray) -> float:
+    """The smallest eigenvalue of the Hermitian part (A + A^H) / 2 of A."""
+    return float(np.linalg.eigvalsh(0.5 * (A + A.conj().T)).min())
 
 
 def is_positive(mu: MomentFunctional, tol: float = 1e-10) -> PositivityReport:
@@ -193,8 +198,7 @@ def is_positive(mu: MomentFunctional, tol: float = 1e-10) -> PositivityReport:
 
     Necessary-condition check only: full positivity would need all grades.
     """
-    lam = float(gram(mu).eigenvalues().min())
-    return PositivityReport(lam >= -tol, lam, mu.basis.N, tol)
+    return PositivityReport(hermitian_floor(gram(mu).matrix), mu.basis.N, mu.basis.size, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,7 @@ def test_a3_inner_implies_singular_d1():
     start = time.monotonic()
     B = NCSeries.from_dict(WordBasis(1, 1), {(1,): 1.0})
     res = rn_derivative(B, M=0, eps_grid=(0.25,),
-                        schedule=Schedule.coupled(1, tail_tol=1e-8, j_max=10),
-                        cauchy_tol=0.0)
+                        schedule=Schedule.coupled(1, tail_tol=1e-8, j_max=10))
     final_mass = float(res.mass_trend[-1])
     mu_s_mass = res.mu_s.mass()
     elapsed = time.monotonic() - start
@@ -83,7 +82,7 @@ def test_a4_inner_singular_trend_d2():
     res = rn_derivative(B, M=0, eps_grid=(1.0,),
                         schedule=Schedule.explicit(
                             [(0.5, 18), (0.6, 18), (0.7, 18)]),
-                        recovery_buffer=0, cauchy_tol=0.0)
+                        recovery_buffer=0)
     vacua = [st.vacuum_delta for st in res.stages]
     cg_ok = all(len(st.cg_iterations) > 0 for st in res.stages)
     elapsed = time.monotonic() - start

@@ -283,6 +283,16 @@ def test_coupled_schedule_below_M_exits_2(tmp_path, capsys):
     assert "config error: schedule:" in capsys.readouterr().err
 
 
+def test_symbol_degree_beyond_a_stage_grade_exits_2(tmp_path, capsys, monkeypatch):
+    # a config fault, found before the coupled limit runs: one line naming schedule
+    monkeypatch.setattr(cli, "rn_derivative", lambda *a, **k: pytest.fail("numerics ran"))
+    cfg = {"experiment": "classical-fatou", "M": 2, "schedule": {"stages": [[0.5, 3]]},
+           "schur_coeffs": {"1111": [0.5, 0]}}
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    assert capsys.readouterr().err == (
+        "config error: schedule: stage grade 3 is below the symbol degree 4\n")
+
+
 @pytest.mark.parametrize("cfg", [
     {"experiment": "classical-fatou", "schur_coeffs": {"1": [0.5, 0.0]}},
     _with(INNER, d=2, schur_coeffs={"1": [0.5, 0.0], "2": [0.5, 0.0]})])
