@@ -560,18 +560,18 @@ __doc__ = (__doc__ or "") + schema_doc()
 
 def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool,
              source: str = "--output-dir") -> int:
-    """Validate cfg, run it and write its tables and summary.txt (the verify
-    suite has its CSV alone); returns the exit code.  An output location
-    that cannot be written exits 2 with one line naming the path and its
-    source (output_dir, NCFATOU_OUTDIR or --output-dir)."""
+    """Validate cfg, run it, then make out and write its tables and
+    summary.txt (verify has its CSV alone); returns the exit code.  An
+    output location that cannot be written exits 2 with one line naming
+    the path and its source (output_dir, NCFATOU_OUTDIR or --output-dir)."""
     try:
         c = validate(cfg, base_dir)
         if out is None:  # NCFATOU_OUTDIR, else output_dir relative to the config
             env = os.environ.get("NCFATOU_OUTDIR")
             out = base_dir / (env or c["output_dir"])
             source = "NCFATOU_OUTDIR" if env else "output_dir"
-        out.mkdir(parents=True, exist_ok=True)
         tables, lines, passed = SCHEMAS[c["experiment"]][1](c, threads)
+        out.mkdir(parents=True, exist_ok=True)
         for name, header, rows in tables:
             _write_csv(out / name, header, rows, c["seed"], c["experiment"])
         if c["experiment"] != "verify":

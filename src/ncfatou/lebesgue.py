@@ -48,10 +48,9 @@ three stage modes forms them:
   mean of s.  No solve and no truncation at grade N;
 - matrix-free (a Schur symbol B on a d >= 2 basis of more than
   DENSE_LIMIT words, which the stage takes in place of mu_r): the corner
-  c by CG, one column at a time, and T_hat from its inverse; T_r v =
-  K^{-1} v + K^{-*} v - v with K = I - B(rR) is solved into two work
-  rows, and eps v + T_r v into one buffer that CG reads before its next
-  call.
+  c by CG, one column at a time, and T_hat from its inverse; eps v + T_r v
+  = K^{-1} v + K^{-*} v + (eps - 1) v with K = I - B(rR) is solved into
+  the first of two work rows, which CG scales in place.
 
 The eps cross-check reruns the same stage at each extra eps and keeps
 its T_hat.
@@ -153,14 +152,16 @@ _CG_MAXITER = 2000
 _POSITIVITY_TOL = 1e-6
 
 
-def _radial_matrix_free(B: NCSeries, r: float, work=(None, None)):
-    """v -> T_r v = K^{-1} v + K^{-*} v - v with K = I - B(rR), for any d
-    and size, each term one substitution over grades, exact on the
-    truncation: K is block lower-triangular with diagonal (1 - B(0)) I in
-    the graded-lex basis and H(rR) = 2 K^{-1} - I.  K is transposed on its
-    support alone, the words of grade <= deg B.  With work, two rows of
-    the basis's size, the solves go into them and the result is work[0],
-    overwritten by the next call; without, each call returns a new array.
+def _radial_matrix_free(B: NCSeries, r: float, work=(None, None), eps: float = 0.0):
+    """v -> eps v + T_r v = K^{-1} v + K^{-*} v + (eps - 1) v, K = I -
+    B(rR), for any d and size, each solve one substitution over grades,
+    exact on the truncation: K is block lower-triangular with diagonal
+    (1 - B(0)) I in the graded-lex basis and H(rR) = 2 K^{-1} - I; it is
+    transposed on its support alone, the words of grade <= deg B.  K^{-*} v
+    is added into K^{-1} v's row, then (eps - 1) v, formed in the adjoint's
+    row (none at eps = 1); at eps = 0 these are the bits of K^{-1} v +
+    K^{-*} v - v.  With work, two rows of the basis's size, the result is
+    work[0], overwritten by the next call; else each call returns a new array.
     """
     basis = B.basis
     support = WordBasis(basis.d, B.degree())
@@ -170,8 +171,10 @@ def _radial_matrix_free(B: NCSeries, r: float, work=(None, None)):
 
     def matvec(v):
         x = K.solve(v, out=fw)
-        x += K.solve(v, adjoint=True, out=bw)
-        x -= v
+        y = K.solve(v, adjoint=True, out=bw)
+        x += y
+        if eps != 1.0:
+            x += np.multiply(v, eps - 1.0, out=y)
         return x
 
     return matvec
@@ -190,29 +193,30 @@ def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
     non-finite residual) so that failed solves are never silently used.
     With m, x is formed on the first m words alone: the iteration reads
     only res and p, so these are the first m entries of the whole x, bit
-    for bit, with the same iterations and residual.  matvec's result is
-    read before its next call, so it may be a reused buffer; x and res
-    are updated through one scratch vector, not by a BLAS axpy, whose
-    fused multiply-add can round differently.
+    for bit, with the same iterations and residual.  CG overwrites
+    matvec's result (alpha Ap for res, then p alpha for x, not a BLAS axpy,
+    whose fused multiply-add can round differently), so it may be a reused
+    buffer; a result that shares memory with matvec's argument is copied.
     """
     res = np.array(b, dtype=complex)  # x, res and p are updated in place
     x = np.zeros(len(res) if m is None else m, dtype=complex)
     p = res.copy()
-    t = np.empty_like(res)
     rs = float(np.vdot(res, res).real)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0, 0.0
     for it in range(1, maxiter + 1):
         Ap = matvec(p)
+        if np.may_share_memory(Ap, p):
+            Ap = Ap.copy()
         pAp = float(np.vdot(p, Ap).real)
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise RuntimeError(
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
         alpha = rs / pAp
-        x += np.multiply(p[:len(x)], alpha, out=t[:len(x)])
-        res -= np.multiply(Ap, alpha, out=t)
+        res -= np.multiply(Ap, alpha, out=Ap)
+        x += np.multiply(p[:len(x)], alpha, out=Ap[:len(x)])
         rs_new = float(np.vdot(res, res).real)
         if not np.isfinite(rs_new):
             raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
@@ -365,14 +369,13 @@ def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
 
 def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
     """The matrix-free corner of the Schur symbol B at radius r, one CG
-    solve of (eps I + T_r) x = e_j per column j to _CG_TOL, with T_r
-    solved into two work rows (_radial_matrix_free) and eps u + T_r u
-    formed in that order in one buffer, so that a CG iteration allocates
-    no basis-length vector beyond the substitutions' scratch rows.  At
-    eps = 1 the product eps u is skipped: it is u again, up to the sign
-    of a zero, which the sum with T_r u keeps only where that is zero
-    too.  CG forms x on the m corner words alone (hermitian_cg's m):
-    (Hermitized corner, iteration counts, largest final relative
+    solve of (eps I + T_r) x = e_j per column j to _CG_TOL, with the
+    operator eps I + T_r written into the first of two work rows
+    (_radial_matrix_free) and scaled there in place by CG, so that the
+    corner holds three basis rows, e and the work rows, and a CG
+    iteration allocates no basis-length vector beyond the substitutions'
+    scratch rows.  CG forms x on the m corner words alone (hermitian_cg's
+    m): (Hermitized corner, iteration counts, largest final relative
     residual).
     """
     if m > 256:
@@ -380,13 +383,8 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
             f"matrix-free corner extraction with {m} columns is not "
             "practical; use a smaller corner")
     corner = np.zeros((m, m), dtype=complex)
-    e, shifted, *work = np.zeros((4, B.basis.size), dtype=complex)
-    T = _radial_matrix_free(B, r, work)
-
-    def matvec(u):
-        su = u if eps == 1.0 else np.multiply(u, eps, out=shifted)
-        return np.add(su, T(u), out=shifted)
-
+    e, *work = np.zeros((3, B.basis.size), dtype=complex)
+    matvec = _radial_matrix_free(B, r, work, eps)
     iters, residual = [], 0.0
     for j in range(m):
         e[j] = 1.0

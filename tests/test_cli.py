@@ -304,6 +304,23 @@ def test_coupled_schedule_beyond_its_memory_budget_exits_2(tmp_path, capsys, cfg
     assert "config error: schedule.memory_budget_mb: schedule infeasible" in err
 
 
+@pytest.mark.parametrize("cfg, field", [
+    (_with(INNER, M=9, schedule={"tail_tol": 0.1, "j_max": 2}), "schedule"),
+    (_with(INNER, schedule={"memory_budget_mb": 1e-9}), "schedule.memory_budget_mb"),
+    ({"experiment": "classical-fatou", "M": 2, "schedule": {"stages": [[0.5, 3]]},
+      "schur_coeffs": {"1111": [0.5, 0]}}, "schedule")])
+def test_config_fault_raised_by_a_runner_leaves_no_output_directory(tmp_path, capsys,
+                                                                    monkeypatch, cfg, field):
+    # the coupled-grade, memory-budget and symbol-degree checks run inside
+    # the runner; the output directory is made only after it returns
+    out = tmp_path / "new" / "out"
+    monkeypatch.setenv("NCFATOU_OUTDIR", str(out))
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+
+
 def test_verify_threads_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--threads", "2"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -688,29 +690,46 @@ def test_matrix_free_t_r_is_pure_and_reuses_its_work_rows():
 
 
 def test_resolvent_corner_applies_eps_plus_t_in_one_buffer(monkeypatch):
-    # the matrix-free corner's CG operator is eps v + T_r v bit for bit,
-    # written into one buffer for every column (at eps = 1 without the
-    # product eps v), and the corner equals CG on fresh arrays bit for
-    # bit, iteration counts included
+    # the matrix-free corner's CG operator is _radial_matrix_free's eps I +
+    # T_r bit for bit, within 1e-14 relative of eps v + T_r v, written into
+    # one buffer for every column, and the corner equals CG on fresh arrays
+    # bit for bit, iteration counts included
     B, r, v = _matrix_free_case()
     T, m = _radial_matrix_free(B, r), 3
     cg = lebesgue.hermitian_cg
     for eps in (0.25, 1.0):
-        buffers = []
+        buffers, op = [], _radial_matrix_free(B, r, eps=eps)
 
         def spy(matvec, b, **kw):
             buffers.append(matvec(v))
-            assert np.array_equal(buffers[-1], eps * v + T(v))
+            assert np.array_equal(buffers[-1], op(v))
+            ref = eps * v + T(v)
+            assert np.abs(buffers[-1] - ref).max() <= 1e-14 * np.abs(ref).max()
             return cg(matvec, b, **kw)
 
         monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
         corner, iters, _ = _cg_corner(B, r, eps, m)
         assert len(buffers) == m and all(np.shares_memory(x, buffers[0]) for x in buffers)
-        fresh = [cg(lambda u: eps * u + T(u), e, tol=1e-10, maxiter=2000)
+        fresh = [cg(op, e, tol=1e-10, maxiter=2000)
                  for e in np.eye(B.basis.size, m, dtype=complex).T]
         ref = np.column_stack([x[:m] for x, _, _ in fresh])
         assert np.array_equal(corner, 0.5 * (ref + ref.conj().T))
         assert iters == tuple(it for _, it, _ in fresh)
+
+
+def test_cg_corner_holds_at_most_six_basis_rows():
+    # e and the two work rows, CG's res and p, and the substitutions'
+    # scratch rows: one corner at d = 2, N = 12 peaks at most 6 rows
+    basis = WordBasis(2, 12)
+    B = NCSeries.from_dict(basis, {(1,): 0.5, (2,): 0.4j, (2, 1): 0.2})
+    row = basis.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        _cg_corner(B, 0.8, 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * row
 
 
 @pytest.mark.parametrize("eps", [0.25, 1.0])
@@ -740,6 +759,17 @@ def test_hermitian_cg_is_the_same_with_a_reused_matvec_buffer():
     x, it, rel = hermitian_cg(lambda v: A @ v, b, tol=1e-12, maxiter=500)
     x_buf, it_buf, rel_buf = hermitian_cg(reused, b, tol=1e-12, maxiter=500)
     assert np.array_equal(x, x_buf) and (it, rel) == (it_buf, rel_buf)
+
+
+def test_hermitian_cg_copies_a_result_that_aliases_its_argument():
+    # CG scales matvec's result in place, so an operator that returns its
+    # argument or a view of it gives the bits of one that returns a copy
+    rng = np.random.default_rng(71)
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    x, it, rel = hermitian_cg(lambda v: v.copy(), b, tol=1e-12, maxiter=500)
+    for matvec in (lambda v: v, lambda v: v[:]):
+        x_alias, it_alias, rel_alias = hermitian_cg(matvec, b, tol=1e-12, maxiter=500)
+        assert np.array_equal(x, x_alias) and (it, rel) == (it_alias, rel_alias)
 
 
 def _hpd_case():
@@ -891,6 +921,21 @@ def test_rn_derivative_cg_stages_match_the_eliminated_clark_measure():
                 assert a.words == b.words == 32767 > DENSE_LIMIT
                 assert a.vacuum_delta == pytest.approx(b.vacuum_delta, abs=1e-10)
                 assert a.mass == pytest.approx(b.mass, abs=1e-10)
+
+
+def test_cg_stages_of_an_inner_symbol_with_phases_meet_the_closed_forms():
+    # (e^{0.7i} Z1 + e^{-1.3i} Z2)/sqrt(2) at N = 14 on the CG route: the
+    # phases leave the vacuum delta 1/(1 + sqrt(1 - r^2)) and the mass
+    # sqrt(1 - r^2) of the real row
+    B = NCSeries.from_dict(WordBasis(2, 1), {(1,): np.exp(0.7j) / np.sqrt(2),
+                                             (2,): np.exp(-1.3j) / np.sqrt(2)})
+    res = rn_derivative(B, M=0, eps_grid=(1.0,), recovery_buffer=0,
+                        schedule=Schedule.explicit([(r, 14) for r in (0.5, 0.6, 0.7)]))
+    for st in res.stages:
+        h = np.sqrt(1 - st.r ** 2)
+        assert st.mode == "matrix-free"
+        assert st.vacuum_delta == pytest.approx(1 / (1 + h), abs=1e-10)
+        assert st.mass == pytest.approx(h, abs=1e-10)
 
 
 def test_rn_derivative_classical_fatou_small():
