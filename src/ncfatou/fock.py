@@ -111,20 +111,6 @@ class TruncatedOperator:
             self._dense = A
         return self._dense
 
-    def adjoint_residual(self, rng: np.random.Generator, probes: int = 4) -> float:
-        """max |<u, Av> - <A*u, v>| over random unit probes."""
-        n = self.basis.size
-        worst = 0.0
-        for _ in range(probes):
-            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            lhs = np.vdot(u, self._matvec(v))
-            rhs = np.vdot(self._rmatvec(u), v)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-
 
 # ---------------------------------------------------------------------------
 # graded products: multiplication by a coefficient vector, and its inverse
@@ -149,8 +135,9 @@ class _GradedProduct:
     is block lower-triangular in the graded-lex basis, so with f_0 != 0
     it is inverted by one substitution over grades; at d = 1 it is the
     banded lower-triangular Toeplitz matrix of f, solved by blocks (solve).
-    coeffs may stop after the words of some grade g, the higher ones being
-    zero; graded_multiplier and graded_inverse take the whole basis.
+    coeffs, and the vectors that matvec, rmatvec and solve take, may stop
+    after the words of some grade g, the higher ones being zero;
+    graded_multiplier and graded_inverse take the whole basis.
     """
 
     def __init__(self, basis: WordBasis, coeffs, side: str):
@@ -200,41 +187,106 @@ class _GradedProduct:
                 np.multiply(a, ck, out=o[:, k])
         return o.ravel()
 
-    def _down(self, fj, y, h, out=None):
-        """Adjoint of _up: the grade-h contribution of the grade-(h+j) y."""
+    def _down(self, fj, y, h, out=None, start=0):
+        """Adjoint of _up: the grade-h contribution of the grade-(h+j) y;
+        into out, only its words start .. start + len(out) - 1."""
         d = self.basis.d
+        w = slice(start, start + (d ** h if out is None else len(out)))
         if self.left:
-            return np.matmul(fj.conj(), y.reshape(len(fj), d ** h), out=out)
-        return np.matmul(y.reshape(d ** h, len(fj)), fj.conj(), out=out)
+            return np.matmul(fj.conj(), y.reshape(len(fj), d ** h)[:, w], out=out)
+        return np.matmul(y.reshape(d ** h, len(fj))[w], fj.conj(), out=out)
 
-    def matvec(self, x):
+    def _grade(self, n: int) -> int:
+        """g for a vector of the n words of grade <= g."""
+        if n not in self.basis.offsets[1:]:
+            raise ValueError(f"vector of {n} words is not the words of grade <= g "
+                             f"of a basis of size {self.basis.size}")
+        return int(np.searchsorted(self.basis.offsets, n)) - 1
+
+    def _zeros(self, n: int, out):
+        """n zeros: out[:n] cleared, or a new array."""
+        if out is None:
+            return np.zeros(n, dtype=complex)
+        out[:n] = 0.0
+        return out[:n]
+
+    def matvec(self, x, out=None):
+        """f x (left) or x f (right) for x given through some grade g: the
+        words of grade <= min(N, g + deg f), in out[:k] if given, else in
+        a new array; the blocks f_j are added into zeros by increasing j.
+        On the left each grade of x goes through _up, and zero grades are
+        skipped: unit vectors and sparse series touch one or a few grades.
+        On the right a block is one strided product per letter word s of
+        f_j over all words w of x from its first nonzero grade on: w.s has
+        the index d**j idx(w) + offsets[j] + rank(s), so x[w] f_j[s] is
+        column s of those words of the product read as a (words, d**j)
+        array, formed as _up forms it, x first.  The first block is written
+        straight into the zeros it covers and 0.0 added (0 + p, the same
+        bits as an add, signed zeros too); a later one goes through a
+        scratch row of at most _CHUNK words, w taken in chunks of that
+        size.  At d = 1 it is one np.convolve."""
         b = self.basis
-        out = np.zeros_like(x)
+        g = self._grade(len(x))
+        top = self.blocks[-1][0] if self.blocks else 0
+        o = self._zeros(int(b.offsets[min(b.N, g + top) + 1]), out)
         if b.d == 1:
-            p = np.convolve(self.trimmed, _trim(x))[:b.size]
-            out[:len(p)] = p
-            return out
-        # zero grades of x are skipped: unit vectors and sparse series
-        # touch one or a few grades
+            p = np.convolve(self.trimmed, _trim(x))[:len(o)]
+            o[:len(p)] = p
+            return o
         sl = self.slices
-        hs = [h for h in range(b.N + 1) if x[sl[h]].any()]
-        for j, fj in self.blocks:
-            for h in hs:
-                if h + j > b.N:
-                    break
-                out[sl[h + j]] += self._up(fj, x[sl[h]])
-        return out
+        hs = (h for h in range(g + 1) if x[sl[h]].any())
+        if self.left:
+            hs = list(hs)
+            for j, fj in self.blocks:
+                for h in hs:
+                    if h + j > b.N:
+                        break
+                    o[sl[h + j]] += self._up(fj, x[sl[h]])
+            return o
+        lo = next((int(b.offsets[h]) for h in hs), len(x))
+        t = None
+        for i, (j, fj) in enumerate(self.blocks):
+            hi = min(len(x), int(b.offsets[b.N + 1 - j]))
+            if hi <= lo:
+                break
+            n, off = len(fj), int(b.offsets[j])
+            if i == 0:  # o is zero there
+                view = o[n * lo + off:n * hi + off].reshape(hi - lo, n)
+                for s, fs in enumerate(fj):
+                    np.multiply(x[lo:hi], fs, out=view[:, s])
+                view += 0.0
+                continue
+            if t is None:  # sized for the first later block, which reaches most
+                t = np.empty(min(_CHUNK, hi - lo), dtype=complex)
+            for c in range(lo, hi, len(t)):
+                e = min(c + len(t), hi)
+                view = o[n * c + off:n * e + off].reshape(e - c, n)
+                for s, fs in enumerate(fj):
+                    view[:, s] += np.multiply(x[c:e], fs, out=t[:e - c])
+        return o
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
+        """The adjoint of matvec, for y given through some grade g: the
+        words of grade <= g, in out[:len(y)] if given, else in a new
+        array; grade by grade through _down, the blocks added into zeros
+        by increasing j, each grade in chunks of the largest power of d
+        within _CHUNK words, through one scratch row of that size."""
         b = self.basis
+        g = self._grade(len(y))
+        o = self._zeros(len(y), out)
         if b.d == 1:
             pad = np.concatenate((y, np.zeros(len(self.trimmed) - 1, dtype=complex)))
-            return np.correlate(pad, self.trimmed, "valid")
-        out, sl = np.zeros_like(y), self.slices
+            o[:] = np.correlate(pad, self.trimmed, "valid")
+            return o
+        sl = self.slices
+        t = np.empty(b.d ** min(g, int(np.log2(_CHUNK) / np.log2(b.d))), dtype=complex)
         for j, fj in self.blocks:
-            for h in range(b.N + 1 - j):
-                out[sl[h]] += self._down(fj, y[sl[h + j]], h)
-        return out
+            for h in range(g + 1 - j):
+                og = o[sl[h]]
+                for c in range(0, len(og), len(t)):
+                    part = og[c:c + len(t)]
+                    part += self._down(fj, y[sl[h + j]], h, t[:len(part)], c)
+        return o
 
     def dense(self, m: int | None = None) -> np.ndarray:
         """Index fill of every block f_j in one assignment: f_j[k] times
@@ -258,28 +310,24 @@ class _GradedProduct:
         A[b.offsets[h + j] + rank, col] = self.coeffs[v]
         return A
 
-    def solve(self, w, adjoint: bool = False, out=None):
+    def solve(self, w, adjoint: bool = False):
         """x with (f x) = w, or its adjoint: forward over grades, backward
-        for the adjoint, one pass either way, into out (not w) if given,
-        else one new array of the basis's size.  Like coeffs, w may stop
-        after the words of some grade, the higher ones being zero (the
-        vacuum is one entry).  At d >= 2 the forward pass takes each grade
-        in chunks of at most _CHUNK words, and finishes a chunk while it is
-        in cache: its first product is subtracted from w's words straight
-        into x, the others after it, then it is divided by f_0 (skipped
-        for f_0 = 1).  The adjoint takes whole grades.  The products go
-        into one scratch row, the forward ones by _up's scalar products,
-        so that a grade of x against the short f_j of the matrix-free T_r
-        costs one pass per letter of f_j.  The grade slices are built once
-        per product (slices).  At d = 1 it is _band_solve."""
+        for the adjoint, one pass either way, into one new array of the
+        basis's size.  Like coeffs, w may stop after the words of some
+        grade, the higher ones being zero (the vacuum is one entry).  At
+        d >= 2 the forward pass takes each grade in chunks of at most
+        _CHUNK words, and finishes a chunk while it is in cache: its first
+        product is subtracted from w's words straight into x, the others
+        after it, then it is divided by f_0 (skipped for f_0 = 1).  The
+        adjoint takes whole grades.  The products go into one scratch row,
+        the forward ones by _up's scalar products, so that a grade of x
+        against a short f_j costs one pass per letter of f_j.  The grade
+        slices are built once per product (slices).  At d = 1 it is
+        _band_solve."""
         b = self.basis
         if b.d == 1:
-            x = self._band_solve(w, adjoint)
-            if out is None:
-                return x
-            out[:] = x
-            return out
-        x = np.empty(b.size, dtype=complex) if out is None else out
+            return self._band_solve(w, adjoint)
+        x = np.empty(b.size, dtype=complex)
         f0 = np.conj(self.coeffs[0]) if adjoint else self.coeffs[0]
         rest, sl = [(j, fj) for j, fj in self.blocks if j > 0], self.slices
         # forward chunks: the largest power of d within _CHUNK words

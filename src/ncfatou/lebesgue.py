@@ -48,9 +48,12 @@ three stage modes forms them:
   mean of s.  No solve and no truncation at grade N;
 - matrix-free (a Schur symbol B on a d >= 2 basis of more than
   DENSE_LIMIT words, which the stage takes in place of mu_r): the corner
-  c by CG, one column at a time, and T_hat from its inverse; eps v + T_r v
-  = K^{-1} v + K^{-*} v + (eps - 1) v with K = I - B(rR) is solved into
-  the first of two work rows, which CG scales in place.
+  c by CG, one column at a time, and T_hat from its inverse.  K = I -
+  B(rR) is lower triangular by grade, so on the truncation eps I + T_r =
+  K_N^{-*} A K_N^{-1}, A = (1 + eps) I - eps (B_N + B_N^*) + (eps - 1)
+  B_N^* B_N of grade band deg B, and column j is K_N y with A y = K_N^*
+  e_j: CG runs on the banded A, on the grades its Krylov vectors reach,
+  and no triangular solve runs.
 
 The eps cross-check reruns the same stage at each extra eps and keeps
 its T_hat.
@@ -152,78 +155,67 @@ _CG_MAXITER = 2000
 _POSITIVITY_TOL = 1e-6
 
 
-def _radial_matrix_free(B: NCSeries, r: float, work=(None, None), eps: float = 0.0):
-    """v -> eps v + T_r v = K^{-1} v + K^{-*} v + (eps - 1) v, K = I -
-    B(rR), for any d and size, each solve one substitution over grades,
-    exact on the truncation: K is block lower-triangular with diagonal
-    (1 - B(0)) I in the graded-lex basis and H(rR) = 2 K^{-1} - I; it is
-    transposed on its support alone, the words of grade <= deg B.  K^{-*} v
-    is added into K^{-1} v's row, then (eps - 1) v, formed in the adjoint's
-    row (none at eps = 1); at eps = 0 these are the bits of K^{-1} v +
-    K^{-*} v - v.  With work, two rows of the basis's size, the result is
-    work[0], overwritten by the next call; else each call returns a new array.
-    """
-    basis = B.basis
-    support = WordBasis(basis.d, B.degree())
-    k = NCSeries.one(support) - radial_scale(NCSeries(support, B.coeffs[:support.size]), r)
-    K = _GradedProduct(basis, transpose_conjugate(k).coeffs, "right")
-    fw, bw = work
-
-    def matvec(v):
-        x = K.solve(v, out=fw)
-        y = K.solve(v, adjoint=True, out=bw)
-        x += y
-        if eps != 1.0:
-            x += np.multiply(v, eps - 1.0, out=y)
-        return x
-
-    return matvec
-
-
 # ---------------------------------------------------------------------------
 # resolvents
 
 def hermitian_cg(matvec, b: np.ndarray, tol: float = 1e-10,
-                 maxiter: int = 2000, m: int | None = None) -> tuple:
+                 maxiter: int = 2000, m: int | None = None,
+                 size: int | None = None) -> tuple:
     """Conjugate gradients for Hermitian positive definite systems.
 
     The stopping rule is on the relative residual ||b - A x|| / ||b||.
     Returns (x, iterations, relative_residual); raises RuntimeError on
     non-convergence or breakdown (p^H A p not finite and positive, or a
     non-finite residual) so that failed solves are never silently used.
-    With m, x is formed on the first m words alone: the iteration reads
-    only res and p, so these are the first m entries of the whole x, bit
-    for bit, with the same iterations and residual.  CG overwrites
-    matvec's result (alpha Ap for res, then p alpha for x, not a BLAS axpy,
-    whose fused multiply-add can round differently), so it may be a reused
-    buffer; a result that shares memory with matvec's argument is copied.
+    With size, the system has size unknowns and b gives the first len(b)
+    entries of its right-hand side, zero beyond; matvec gets the first k
+    entries of p, all that can be nonzero, and returns A p on its first
+    k' >= k, zero beyond, and res and p grow to k' entries: for an operator
+    of grade band q (_cg_corner's) and b through grade g, iteration i works
+    on the words of grade <= g + i q alone.  Without size, every vector has
+    len(b) entries.  With m (at most len(b)), x is formed on the first m
+    words alone: the iteration reads only res and p, so these are the first
+    m entries of the whole x, bit for bit, with the same iterations and
+    residual.  CG overwrites matvec's result (alpha Ap for res, then p
+    alpha for x, not a BLAS axpy, whose fused multiply-add can round
+    differently), so it may be a reused buffer; a result that shares memory
+    with matvec's argument is copied.
     """
-    res = np.array(b, dtype=complex)  # x, res and p are updated in place
-    x = np.zeros(len(res) if m is None else m, dtype=complex)
-    p = res.copy()
-    rs = float(np.vdot(res, res).real)
+    n, k = (len(b) if size is None else size), len(b)
+    if m is not None and m > k:
+        raise ValueError(f"x on {m} words needs b on at least as many, got {k}")
+    res = np.zeros(n, dtype=complex)  # x, res and p are updated in place
+    res[:k] = b
+    x = np.zeros(n if m is None else m, dtype=complex)
+    p = np.zeros(n, dtype=complex)
+    p[:k] = res[:k]
+    rs = float(np.vdot(res[:k], res[:k]).real)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0, 0.0
     for it in range(1, maxiter + 1):
-        Ap = matvec(p)
+        Ap = matvec(p[:k])
+        if not k <= len(Ap) <= n:
+            raise ValueError(f"matvec returned {len(Ap)} words for {k} of {n}")
         if np.may_share_memory(Ap, p):
             Ap = Ap.copy()
-        pAp = float(np.vdot(p, Ap).real)
+        pAp = float(np.vdot(p[:k], Ap[:k]).real)
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise RuntimeError(
                 f"CG breakdown at iteration {it}: p^H A p = {pAp:.3e}, "
                 "operator not positive definite")
         alpha = rs / pAp
-        res -= np.multiply(Ap, alpha, out=Ap)
-        x += np.multiply(p[:len(x)], alpha, out=Ap[:len(x)])
-        rs_new = float(np.vdot(res, res).real)
+        mx = min(k, len(x))
+        k = len(Ap)
+        res[:k] -= np.multiply(Ap, alpha, out=Ap)
+        x[:mx] += np.multiply(p[:mx], alpha, out=Ap[:mx])
+        rs_new = float(np.vdot(res[:k], res[:k]).real)
         if not np.isfinite(rs_new):
             raise RuntimeError(f"CG breakdown at iteration {it}: non-finite residual")
         if np.sqrt(rs_new) <= tol * bnorm:
             return x, it, np.sqrt(rs_new) / bnorm
-        p *= rs_new / rs
-        p += res
+        p[:k] *= rs_new / rs
+        p[:k] += res[:k]
         rs = rs_new
     raise RuntimeError(
         f"CG did not converge in {maxiter} iterations "
@@ -368,28 +360,56 @@ def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
 
 
 def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
-    """The matrix-free corner of the Schur symbol B at radius r, one CG
-    solve of (eps I + T_r) x = e_j per column j to _CG_TOL, with the
-    operator eps I + T_r written into the first of two work rows
-    (_radial_matrix_free) and scaled there in place by CG, so that the
-    corner holds three basis rows, e and the work rows, and a CG
-    iteration allocates no basis-length vector beyond the substitutions'
-    scratch rows.  CG forms x on the m corner words alone (hermitian_cg's
-    m): (Hermitized corner, iteration counts, largest final relative
-    residual).
+    """The matrix-free corner of the Schur symbol B at radius r: the first
+    m columns of (eps I + T_r)^{-1} on the truncated basis, on the corner
+    words, by CG on the banded form of eps I + T_r.
+
+    K = I - B(rR) is lower triangular by grade, so the compression of
+    K^{-1} is K_N^{-1}, and T_r = K^{-1} + K^{-*} - I gives eps I + T_r =
+    K_N^{-*} A K_N^{-1} on the truncation, with A = K_N + K_N^* + (eps - 1)
+    K_N^* K_N = (1 + eps) I - eps (B_N + B_N^*) + (eps - 1) B_N^* B_N of
+    grade band q = deg B.  Column j is x = K_N y with A y = K_N^* e_j,
+    solved by CG to _CG_TOL.  K_N^* e_j lives on the m corner words, of
+    grade <= M_rec, so CG's k-th residual and direction live on the words
+    of grade <= M_rec + k q, and each iteration works on those alone
+    (hermitian_cg's size): only the last iterations touch the whole basis,
+    and no triangular solve runs.  x on the corner words needs y on them
+    alone (hermitian_cg's m).  A v = K v + K^* (v + (eps - 1) K v) is
+    formed in two work rows, which CG scales in place, so a corner holds
+    four basis rows: those two and CG's res and p.  Returns (Hermitized
+    corner, iteration counts, largest final relative residual of A y =
+    K_N^* e_j).
     """
     if m > 256:
         raise ValueError(
             f"matrix-free corner extraction with {m} columns is not "
             "practical; use a smaller corner")
+    basis = B.basis
+    support = WordBasis(basis.d, B.degree())
+    k = NCSeries.one(support) - radial_scale(NCSeries(support, B.coeffs[:support.size]), r)
+    K = _GradedProduct(basis, transpose_conjugate(k).coeffs, "right")
+    work = np.empty((2, basis.size), dtype=complex)
+
+    def matvec(v):
+        Kv = K.matvec(v, out=work[0])
+        if eps == 1.0:
+            Av, spare = Kv, work[1]
+        else:
+            Av = K.rmatvec(Kv, out=work[1])
+            Av *= eps - 1.0
+            Av += Kv
+            spare = work[0]
+        Av[:len(v)] += K.rmatvec(v, out=spare)
+        return Av
+
     corner = np.zeros((m, m), dtype=complex)
-    e, *work = np.zeros((3, B.basis.size), dtype=complex)
-    matvec = _radial_matrix_free(B, r, work, eps)
+    e = np.zeros(m, dtype=complex)
     iters, residual = [], 0.0
     for j in range(m):
         e[j] = 1.0
-        x, it, rel = hermitian_cg(matvec, e, tol=_CG_TOL, maxiter=_CG_MAXITER, m=m)
-        corner[:, j] = x
+        y, it, rel = hermitian_cg(matvec, K.rmatvec(e), tol=_CG_TOL, maxiter=_CG_MAXITER,
+                                  m=m, size=basis.size)
+        corner[:, j] = K.matvec(y)[:m]
         iters.append(it)
         residual = max(residual, float(rel))
         e[j] = 0.0
@@ -403,8 +423,9 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
 class StageRecord:
     """One stage of the coupled limit; mode ('elimination', 'toeplitz' or
     'matrix-free', as _stage routed it), words (the basis size),
-    cg_residual (the largest final relative CG residual, 0.0 if direct)
-    and seconds (the stage's wall time, forming its mu_r, or its symbol
+    cg_residual (the largest final relative CG residual of A y = K_N^* e_j
+    over the corner columns, _cg_corner's banded form; 0.0 if direct) and
+    seconds (the stage's wall time, forming its mu_r, or its symbol
     on the stage basis, included) enter no CSV."""
 
     r: float
@@ -474,7 +495,8 @@ def rn_derivative(source, *, M: int = 8, eps_grid=(0.25, 1.0),
     the symbol is not positive, unless the recovery corner is the whole
     basis (m_rec = n) and the stage is eliminated.  A Schur symbol on a
     d >= 2 basis of more than DENSE_LIMIT words takes B itself, reads its
-    corner by CG (each column to _CG_TOL) and T_stage from its inverse.
+    corner by CG on the banded form of eps I + T_r (_cg_corner, each column
+    to _CG_TOL) and T_stage from its inverse.
     The reported T_hat comes from the smallest eps in the grid (least
     upward bias on near-singular directions); the other grid values only
     feed the eps-consistency cross-check, which reruns the last stage at

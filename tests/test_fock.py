@@ -10,6 +10,8 @@ from ncfatou.fock import (FockVector, basis_vector, graded_inverse,
 from ncfatou.series import NCSeries, left_multiplier, multiply
 from ncfatou.words import WordBasis
 
+from helpers import adjoint_residual
+
 
 @pytest.fixture
 def basis():
@@ -100,7 +102,7 @@ def test_adjoint_pairs_on_probes(basis):
     monomial[basis.index((1, 2))] = 1.0
     for op in (left_shift(basis, 1), right_shift(basis, 2),
                transpose_unitary(basis), graded_multiplier(basis, monomial)):
-        assert op.adjoint_residual(rng) < 1e-12
+        assert adjoint_residual(op, rng) < 1e-12
 
 
 def test_operator_algebra_and_vectors(basis):
@@ -153,8 +155,8 @@ def test_graded_product_kernel_properties(d, N, side, sparsity, seed):
     assert np.abs(op.to_dense() - cols).max() < 1e-14
     m = int(rng.integers(1, basis.size + 1))
     assert np.array_equal(fock._GradedProduct(basis, c, side).dense(m), op.to_dense()[:, :m])
-    assert op.adjoint_residual(rng) < 1e-12
-    assert inv.adjoint_residual(rng) < 1e-12
+    assert adjoint_residual(op, rng) < 1e-12
+    assert adjoint_residual(inv, rng) < 1e-12
     x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     assert np.abs(inv.apply(op.apply(x)) - x).max() < 1e-12
     assert np.abs(inv.adjoint_apply(op.adjoint_apply(x)) - x).max() < 1e-12
@@ -235,8 +237,8 @@ def _outer_product_substitution(basis, c, side, w, adjoint):
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])
 @pytest.mark.parametrize("f0", [1.0, 1.3 - 0.4j])
 def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, monkeypatch):
-    # the scratch-row substitution, with and without out, equals the one
-    # with a fresh product per grade exactly: for 1 + a Z1 + b Z1Z2Z1,
+    # the scratch-row substitution, into a new array, equals the one with
+    # a fresh product per grade exactly: for 1 + a Z1 + b Z1Z2Z1,
     # whose grade-2 block is zero, and for symbols dense through grade 2
     # and through grade 3, each with f_0 = 1 (no division) and f_0 != 1;
     # with whole grades and with forward chunks of d and of d**3 words,
@@ -265,10 +267,8 @@ def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, mo
                 ref = _outer_product_substitution(basis, c, side, w, adjoint)
                 for chunk in chunks:
                     monkeypatch.setattr(fock, "_CHUNK", chunk)
-                    out = np.full(basis.size, np.nan, dtype=complex)
-                    assert k.solve(w, adjoint, out=out) is out
-                    assert np.array_equal(out, ref)
-                    assert np.array_equal(k.solve(w, adjoint), ref)
+                    x = k.solve(w, adjoint)
+                    assert np.array_equal(x, ref) and not np.shares_memory(x, w)
                 exact = np.linalg.solve(A.conj().T if adjoint else A, w)
                 assert np.abs(ref - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -317,10 +317,11 @@ def test_graded_product_up_keeps_the_operand_order(shape):
 
 
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])
-def test_graded_matvec_is_the_outer_product_sum_bit_for_bit(d, N):
+def test_graded_matvec_is_the_outer_product_sum_bit_for_bit(d, N, monkeypatch):
     # matvec sums np.outer of every block of f against every grade of x,
-    # block by block, exactly; rmatvec is its adjoint, against the matrix
-    # of those products
+    # block by block, exactly, with the right side's words of x in one
+    # chunk or in chunks of 1, d and 7 words; rmatvec is its adjoint,
+    # against the matrix of those products
     rng = np.random.default_rng(79)
     basis = WordBasis(d, N)
     m = basis.sub_basis_size(3)
@@ -338,17 +339,42 @@ def test_graded_matvec_is_the_outer_product_sum_bit_for_bit(d, N):
 
     for side in ("left", "right"):
         k = fock._GradedProduct(basis, c, side)
-        assert np.array_equal(k.matvec(x), reference(side, x))
+        for chunk in (fock._CHUNK, 1, d, 7):
+            monkeypatch.setattr(fock, "_CHUNK", chunk)
+            assert np.array_equal(k.matvec(x), reference(side, x))
         A = np.column_stack([reference(side, e) for e in np.eye(basis.size, dtype=complex)])
         ref = A.conj().T @ x
         assert np.abs(k.rmatvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("d, N", [(2, 15), (3, 9)])
+def test_graded_rmatvec_in_chunks_is_the_whole_grade_product_bit_for_bit(d, N):
+    # the grades beyond the chunk (2^14 words at d = 2, 3^8 at d = 3) are
+    # taken in chunks of it: the same bits as one np.matmul per grade and
+    # block, added into zeros by increasing j
+    rng = np.random.default_rng(37)
+    basis = WordBasis(d, N)
+    m = basis.sub_basis_size(2)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    y = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    sl = [basis.grade_slice(g) for g in range(N + 1)]
+    for side in ("left", "right"):
+        ref = np.zeros(basis.size, dtype=complex)
+        for j in range(3):
+            fj = c[sl[j]].conj()
+            for h in range(N + 1 - j):
+                yh = y[sl[h + j]]
+                ref[sl[h]] += (fj @ yh.reshape(len(fj), -1) if side == "left"
+                               else yh.reshape(-1, len(fj)) @ fj)
+        got = fock._GradedProduct(basis, c, side).rmatvec(y)
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("d, N", [(1, 9), (2, 6), (3, 4)])
 def test_graded_solve_takes_a_right_hand_side_through_a_grade(d, N):
     # w given through grade g solves as w padded with zeros, bit for bit,
-    # for every g (the vacuum is g = 0), both sides, adjoint or not, with
-    # and without out
+    # for every g (the vacuum is g = 0), both sides, adjoint or not, into
+    # a new array of the basis's size
     rng = np.random.default_rng(29)
     basis = WordBasis(d, N)
     for c in (random_symbol(rng, basis, 0.5), random_symbol(rng, basis, 0.0)):
@@ -363,9 +389,44 @@ def test_graded_solve_takes_a_right_hand_side_through_a_grade(d, N):
                     short = k.solve(padded[:m], adjoint)
                     assert short.shape == ref.shape
                     assert ref.tobytes() == short.tobytes()  # signed zeros too
-                    out = np.full(basis.size, np.nan, dtype=complex)
-                    assert k.solve(padded[:m], adjoint, out=out) is out
-                    assert ref.tobytes() == out.tobytes()
+                    assert not np.shares_memory(short, padded)
+
+
+@pytest.mark.parametrize("d, N", [(1, 9), (2, 6), (3, 4)])
+def test_graded_products_take_a_vector_through_a_grade(d, N):
+    # x given through grade g multiplies as x padded with zeros, bit for
+    # bit, signed zeros too: matvec returns the words of grade <= g + deg f
+    # (at most N), the rest being zero, and rmatvec those of grade <= g;
+    # with out, into its first words (beyond them out is left as it was)
+    rng = np.random.default_rng(31)
+    basis = WordBasis(d, N)
+    sparse = np.zeros(basis.sub_basis_size(2), dtype=complex)
+    sparse[[0, basis.sub_basis_size(1)]] = 1.0, 0.5j
+    for c in (random_symbol(rng, basis, 0.5)[:basis.sub_basis_size(2)], sparse,
+              random_symbol(rng, basis, 0.0)):
+        deg = max(g for g in range(N + 1) if c[basis.grade_slice(g)].any())
+        for side in ("left", "right"):
+            k = fock._GradedProduct(basis, c, side)
+            for g in range(N + 1):
+                m = basis.sub_basis_size(g)
+                padded = np.zeros(basis.size, dtype=complex)
+                padded[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                padded[basis.grade_slice(0)] = 0.0  # a leading zero grade
+                for apply, reach in ((k.matvec, basis.sub_basis_size(min(N, g + deg))),
+                                     (k.rmatvec, m)):
+                    ref = apply(padded)
+                    short = apply(padded[:m])
+                    assert len(short) == reach
+                    assert short.tobytes() == ref[:reach].tobytes()
+                    assert not ref[reach:].any()
+                    out = np.full(basis.size + 1, np.nan, dtype=complex)
+                    into = apply(padded[:m], out=out)
+                    assert np.shares_memory(into, out) and len(into) == reach
+                    assert out[:reach].tobytes() == short.tobytes()
+                    assert np.isnan(out[reach:]).all()
+    if d > 1:
+        with pytest.raises(ValueError, match="not the words of grade <= g"):
+            fock._GradedProduct(basis, np.ones(1), "left").matvec(np.ones(basis.size - 1))
 
 
 @st.composite

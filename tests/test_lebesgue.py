@@ -8,9 +8,8 @@ from scipy.linalg import solve_toeplitz, toeplitz
 from ncfatou import lebesgue
 from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
 from ncfatou.lebesgue import (DENSE_LIMIT, Schedule, _cg_corner, _eliminate, _herm,
-                              _inverse_corner, _radial_matrix_free, _spectral_block,
-                              _stage, fatou_form_check, hermitian_cg, majorant_check,
-                              resolvent_corner, rn_derivative)
+                              _inverse_corner, _spectral_block, _stage, fatou_form_check,
+                              hermitian_cg, majorant_check, resolvent_corner, rn_derivative)
 from ncfatou.measure import (MomentFunctional, clark_measure, gram, gram_matvec,
                              herglotz_transform, nc_lebesgue, radial_measure,
                              vector_state)
@@ -19,6 +18,8 @@ from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
 from ncfatou.series import (NCSeries, radial_scale, series_at_right_shifts,
                             transpose_conjugate)
 from ncfatou.words import WordBasis
+
+from helpers import adjoint_residual
 
 
 def schur_z(basis, coeff=1.0):
@@ -68,6 +69,16 @@ def clark_r(B, r):
     return radial_measure(clark_measure(B), r)
 
 
+def t_r_by_inverses(B, r):
+    """v -> K^{-1} v + K^{-*} v - v, K = I - B(rR): T_r of the Schur symbol
+    B from its two graded inverses (graded_inverse), computed apart from
+    the Gram matrix of mu_r and from the banded form that _cg_corner
+    solves."""
+    K = transpose_conjugate(NCSeries.one(B.basis) - radial_scale(B, r))
+    inv = graded_inverse(B.basis, K.coeffs, "right")
+    return lambda v: inv.apply(v) + inv.adjoint_apply(v) - v
+
+
 def columns(matvec, basis):
     """The dense matrix of matvec, one column per unit vector."""
     return TruncatedOperator(basis, matvec, matvec).to_dense()
@@ -99,7 +110,7 @@ def test_matrix_free_t_r_vacuum_moment_is_r_independent():
     e0 = np.zeros(basis.size, dtype=complex)
     e0[0] = 1.0
     for r in (0.3, 0.6, 0.9):
-        T = _radial_matrix_free(B, r)
+        T = t_r_by_inverses(B, r)
         assert np.vdot(e0, T(e0)).real == pytest.approx(mu_mass, abs=1e-12)
 
 
@@ -114,13 +125,13 @@ def test_radial_gram_and_matrix_free_t_r_agree_and_are_self_adjoint_psd():
         return gram_matvec(mu_r, u)
 
     gram_op = TruncatedOperator(basis, g, g)
-    T = _radial_matrix_free(B, 0.85)
+    T = t_r_by_inverses(B, 0.85)
     free = TruncatedOperator(basis, T, T)
     ref = fatou_toeplitz(0.8, 0.85, 40) @ v
     assert np.abs(gram_op.apply(v) - ref).max() < 1e-10
     assert np.abs(free.apply(v) - ref).max() < 1e-10
-    assert gram_op.adjoint_residual(rng) < 1e-12
-    assert free.adjoint_residual(rng) < 1e-12
+    assert adjoint_residual(gram_op, rng) < 1e-12
+    assert adjoint_residual(free, rng) < 1e-12
     lam = np.linalg.eigvalsh(gram(mu_r).matrix).min()
     assert lam >= -1e-10
 
@@ -131,7 +142,7 @@ def test_matrix_free_t_r_nonzero_germ_neumann():
     B = NCSeries.from_dict(basis, {(): 0.4, (1,): 0.3, (2,): -0.2j})
     rng = np.random.default_rng(43)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    free = _radial_matrix_free(B, 0.7)(v)
+    free = t_r_by_inverses(B, 0.7)(v)
     assert np.abs(gram_matvec(clark_r(B, 0.7), v) - free).max() < 1e-12
 
 
@@ -209,7 +220,7 @@ def test_radial_gram_vanishes_off_prefix_comparable_pairs(d, N):
         assert np.array_equal(gram(mu_r).matrix, T)
         assert np.array_equal(T[p, w], mu_r.moments[v])
         assert np.all(np.diag(T) == mu_r.moments[0].real)
-    free = columns(_radial_matrix_free(B, 0.8), basis)
+    free = columns(t_r_by_inverses(B, 0.8), basis)
     assert np.all(free[off] == 0.0)
     assert np.abs(free[~off]).max() > 0.0
 
@@ -242,7 +253,7 @@ def test_radial_gram_of_the_clark_measure_is_the_matrix_free_t_r(d, N, r, l1, se
     mu = clark_measure(B)
     mu_r = radial_measure(mu, r)
     T = gram(mu_r).matrix
-    free = columns(_radial_matrix_free(B, r), basis)
+    free = columns(t_r_by_inverses(B, r), basis)
     assert _close(T, free, 1e-12)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     assert _close(gram_matvec(mu_r, v), free @ v, 1e-12)
@@ -466,7 +477,7 @@ def test_dense_recovery_is_the_schur_complement_of_one_factor(d, eps, r, l1, see
     assert _close(corner, delta[:m_out, :m_out], 1e-10)
     assert corner[0, 0].real == pytest.approx(delta[0, 0].real, rel=1e-10)
     # against the matrix-free T_r, one CG solve per corner column
-    free = _radial_matrix_free(B, r)
+    free = t_r_by_inverses(B, r)
     cg = np.column_stack([
         hermitian_cg(lambda v: eps * v + free(v), e, tol=1e-12)[0][:m]
         for e in np.eye(n, m, dtype=complex).T])
@@ -638,6 +649,38 @@ def test_hermitian_cg_applies_the_operator_once_per_iteration():
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
 
 
+def test_hermitian_cg_on_prefixes_is_cg_on_whole_vectors():
+    # a banded operator (band 1) and b on its first 2 of 40 entries: with
+    # size, the k-th iteration applies A to the first 2 + k entries of p
+    # and reads A p on one more; x, the iteration count and the residual
+    # are those of CG on whole vectors, to rounding; a matvec that returns
+    # fewer words than it was given, and x on more words than b has, are
+    # refused
+    rng = np.random.default_rng(89)
+    n = 40
+    off = 0.4 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    A = np.diag(np.full(n, 2.0)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    b = np.zeros(n, dtype=complex)
+    b[:2] = 1.0, 0.5j
+    seen = []
+
+    def banded(v):
+        seen.append(len(v))
+        return A[:min(n, len(v) + 1), :len(v)] @ v
+
+    x, it, rel = hermitian_cg(lambda v: A @ v, b, tol=1e-12, maxiter=500)
+    for m in (None, 2):
+        seen.clear()
+        xp, it_p, rel_p = hermitian_cg(banded, b[:2], tol=1e-12, maxiter=500, m=m, size=n)
+        assert seen == [min(n, 2 + k) for k in range(it_p)]
+        assert it_p == it and rel_p == pytest.approx(rel, rel=1e-6)
+        assert np.abs(xp - x[:len(xp)]).max() <= 1e-12 * np.abs(x).max()
+    with pytest.raises(ValueError, match="returned 1 words for 2 of 40"):
+        hermitian_cg(lambda v: v[:1].copy(), b[:2], size=n)
+    with pytest.raises(ValueError, match="x on 3 words needs b on at least as many"):
+        hermitian_cg(banded, b[:2], m=3, size=n)
+
+
 def test_hermitian_cg_zero_operator_breaks_down():
     b = np.ones(5, dtype=complex)
     with pytest.raises(RuntimeError, match="breakdown"):
@@ -666,60 +709,96 @@ def _matrix_free_case():
     return B, 0.8, v
 
 
-def test_matrix_free_t_r_is_pure_and_reuses_its_work_rows():
-    # without work rows T_r returns a new array per call and leaves v
-    # alone; with them it gives the same bits in the first work row; both
-    # equal the two graded inverses of the K transposed on the whole
-    # basis, bit for bit
-    B, r, v = _matrix_free_case()
-    v0 = v.copy()
-    T = _radial_matrix_free(B, r)
-    a, b = T(v), T(v)
-    assert not np.shares_memory(a, b) and not np.shares_memory(a, v)
-    assert np.array_equal(a, b) and np.array_equal(v, v0)
-    K = transpose_conjugate(NCSeries.one(B.basis) - radial_scale(B, r))
-    K_inv = graded_inverse(B.basis, K.coeffs, "right")
-    assert np.array_equal(a, K_inv.apply(v) + K_inv.adjoint_apply(v) - v)
-    work = np.empty((2, B.basis.size), dtype=complex)
-    buffered = _radial_matrix_free(B, r, work)
-    first = buffered(v)
-    assert np.array_equal(first, a) and np.shares_memory(first, work[0])
-    assert not np.shares_memory(first, v)
-    second = buffered(2 * v)
-    assert np.shares_memory(first, second) and np.array_equal(v, v0)
+def _k_dense(B, r):
+    """K = I - B(rR) on B's basis, as a dense matrix."""
+    return np.eye(B.basis.size) - series_at_right_shifts(radial_scale(B, r)).to_dense()
 
 
 def test_resolvent_corner_applies_eps_plus_t_in_one_buffer(monkeypatch):
-    # the matrix-free corner's CG operator is _radial_matrix_free's eps I +
-    # T_r bit for bit, within 1e-14 relative of eps v + T_r v, written into
-    # one buffer for every column, and the corner equals CG on fresh arrays
-    # bit for bit, iteration counts included
+    # the matrix-free corner's CG operator is the banded form A = K^*
+    # (eps I + T_r) K, K = I - B(rR) on the truncation, within 1e-14
+    # relative of the dense product, on v and on v through grade 3, whose
+    # A v it returns on the words of grade <= 3 + deg B; it leaves v alone
+    # and writes A v into one buffer for every call and column; and CG on
+    # copies of its results returns the same y, iteration count and
+    # residual, bit for bit
     B, r, v = _matrix_free_case()
-    T, m = _radial_matrix_free(B, r), 3
+    basis, deg = B.basis, B.degree()
+    K, T = _k_dense(B, r), gram(clark_r(B, r)).matrix
     cg = lebesgue.hermitian_cg
-    for eps in (0.25, 1.0):
-        buffers, op = [], _radial_matrix_free(B, r, eps=eps)
+    for eps in (0.25, 1.0, 2.0):
+        A = K.conj().T @ (eps * np.eye(basis.size) + T) @ K
+        buffers = []
 
         def spy(matvec, b, **kw):
-            buffers.append(matvec(v))
-            assert np.array_equal(buffers[-1], op(v))
-            ref = eps * v + T(v)
-            assert np.abs(buffers[-1] - ref).max() <= 1e-14 * np.abs(ref).max()
-            return cg(matvec, b, **kw)
+            for g in (3, basis.N):
+                u = v[:basis.sub_basis_size(g)]
+                u0 = u.copy()
+                buffers.append(matvec(u))
+                Au, ref = buffers[-1], A[:, :len(u)] @ u
+                assert np.array_equal(u, u0)
+                assert len(Au) == basis.sub_basis_size(min(basis.N, g + deg))
+                scale = np.abs(ref).max()
+                assert np.abs(Au - ref[:len(Au)]).max() <= 1e-14 * scale
+                assert np.abs(ref[len(Au):]).max(initial=0.0) <= 1e-14 * scale
+            x, it, rel = cg(matvec, b, **kw)
+            x_fresh, it_fresh, rel_fresh = cg(lambda u: matvec(u).copy(), b, **kw)
+            assert np.array_equal(x, x_fresh) and (it, rel) == (it_fresh, rel_fresh)
+            return x, it, rel
 
         monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
-        corner, iters, _ = _cg_corner(B, r, eps, m)
-        assert len(buffers) == m and all(np.shares_memory(x, buffers[0]) for x in buffers)
-        fresh = [cg(op, e, tol=1e-10, maxiter=2000)
-                 for e in np.eye(B.basis.size, m, dtype=complex).T]
-        ref = np.column_stack([x[:m] for x, _, _ in fresh])
-        assert np.array_equal(corner, 0.5 * (ref + ref.conj().T))
-        assert iters == tuple(it for _, it, _ in fresh)
+        _cg_corner(B, r, eps, 3)
+        assert len(buffers) == 6 and all(np.shares_memory(x, buffers[0]) for x in buffers)
 
 
-def test_cg_corner_holds_at_most_six_basis_rows():
-    # e and the two work rows, CG's res and p, and the substitutions'
-    # scratch rows: one corner at d = 2, N = 12 peaks at most 6 rows
+@pytest.mark.parametrize("eps", [0.25, 1.0, 2.0])
+@pytest.mark.parametrize("symbol, m", [
+    ({(): 0.2, (1,): 0.5, (2, 1): 0.3j}, 7),  # B(0) != 0, deg B = 2
+    ({(1,): 0.5, (2,): -0.4j}, 3),
+    ({(2,): 0.3, (1, 2): 0.4, (2, 2): -0.2j}, 15)])
+def test_cg_corner_is_the_dense_reference_corner(symbol, m, eps):
+    # the banded form's corner K_N A^{-1} K_N^* against the corner of the
+    # dense inverse of eps I + T_r, on 255 words (DENSE_LIMIT allows the
+    # reference); the relative CG residual of A y = K_N^* e_j meets _CG_TOL
+    B = NCSeries.from_dict(WordBasis(2, 7), symbol)
+    assert B.basis.size <= DENSE_LIMIT
+    corner, iters, residual = _cg_corner(B, 0.8, eps, m)
+    ref = resolvent_corner(clark_r(B, 0.8), eps, m)
+    assert np.abs(corner - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert len(iters) == m and 0.0 < residual <= lebesgue._CG_TOL
+
+
+@pytest.mark.parametrize("M_rec", [0, 1, 2])
+def test_cg_corner_iteration_k_sees_the_words_of_grade_m_rec_plus_k_deg_b(M_rec, monkeypatch):
+    # the right-hand side K_N^* e_j lives on the corner words, of grade <=
+    # M_rec, and A has grade band deg B, so CG's k-th iteration (from 0)
+    # applies A to the words of grade <= M_rec + k deg B alone; the last
+    # iterations reach the whole basis
+    basis = WordBasis(2, 9)
+    B = NCSeries.from_dict(basis, {(): 0.1, (1,): 0.4, (2, 1): 0.3j})
+    seen = []
+    cg = lebesgue.hermitian_cg
+
+    def spy(matvec, b, **kw):
+        lengths = []
+        seen.append(lengths)
+        return cg(lambda v: lengths.append(len(v)) or matvec(v), b, **kw)
+
+    monkeypatch.setattr(lebesgue, "hermitian_cg", spy)
+    m = basis.sub_basis_size(M_rec)
+    iters = _cg_corner(B, 0.8, 1.0, m)[1]
+    assert len(seen) == m and [len(s) for s in seen] == list(iters)
+    for lengths in seen:
+        reach = [basis.sub_basis_size(min(basis.N, M_rec + 2 * k))
+                 for k in range(len(lengths))]
+        assert lengths == reach
+        assert lengths[-1] == basis.size
+
+
+def test_cg_corner_holds_at_most_five_basis_rows():
+    # the two work rows, CG's res and p, and the products' scratch rows
+    # (x f of a prefix of at most half a row, and the adjoint's grade
+    # products): one corner at d = 2, N = 12 peaks at most 5 rows
     basis = WordBasis(2, 12)
     B = NCSeries.from_dict(basis, {(1,): 0.5, (2,): 0.4j, (2, 1): 0.2})
     row = basis.size * np.dtype(complex).itemsize
@@ -729,7 +808,7 @@ def test_cg_corner_holds_at_most_six_basis_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * row
+    assert peak <= 5 * row
 
 
 @pytest.mark.parametrize("eps", [0.25, 1.0])
@@ -784,7 +863,7 @@ def _corner_operator_case():
     # _cg_corner's operator eps I + T_r at d = 2, N = 10, on its first column
     basis = WordBasis(2, 10)
     B = NCSeries.from_dict(basis, {(1,): 0.5, (2,): 0.4j, (2, 1): 0.2})
-    T = _radial_matrix_free(B, 0.8)
+    T = t_r_by_inverses(B, 0.8)
     return (lambda v: 0.5 * v + T(v)), np.eye(basis.size, 1, dtype=complex)[:, 0]
 
 
@@ -936,6 +1015,21 @@ def test_cg_stages_of_an_inner_symbol_with_phases_meet_the_closed_forms():
         assert st.mode == "matrix-free"
         assert st.vacuum_delta == pytest.approx(1 / (1 + h), abs=1e-10)
         assert st.mass == pytest.approx(h, abs=1e-10)
+
+
+def test_cg_stages_of_the_committed_d2_config_meet_the_closed_forms_to_1e_14():
+    # the shape of configs/inner_singular_d2.json: (Z1 + Z2)/sqrt(2) at d = 2,
+    # N = 18 (524287 words), M = 0, no buffer, eps 1, r = 0.5/0.6/0.7, on the
+    # CG route, whose banded form meets 1/(1 + sqrt(1 - r^2)) and sqrt(1 -
+    # r^2) to 1e-14 (the largest error is 2.1e-15)
+    B = NCSeries.from_dict(WordBasis(2, 1), {(1,): 2 ** -0.5, (2,): 2 ** -0.5})
+    res = rn_derivative(B, M=0, eps_grid=(1.0,), recovery_buffer=0,
+                        schedule=Schedule.explicit([(r, 18) for r in (0.5, 0.6, 0.7)]))
+    for st in res.stages:
+        h = np.sqrt(1 - st.r ** 2)
+        assert (st.mode, st.words) == ("matrix-free", 524287)
+        assert abs(st.vacuum_delta - 1 / (1 + h)) <= 1e-14
+        assert abs(st.mass - h) <= 1e-14
 
 
 def test_rn_derivative_classical_fatou_small():
