@@ -15,16 +15,16 @@ from .lebesgue import (RNResult, Schedule, StageRecord, fatou_form_check,
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       clark_measure, gram, gram_matvec, herglotz_eval,
                       herglotz_transform, hermitian_floor, is_positive,
-                      nc_lebesgue, quadratic_form, radial_measure,
-                      read_moments_csv, sos_split, vector_state,
-                      write_moments_csv)
+                      left_multiplier_norm, nc_lebesgue, quadratic_form,
+                      radial_measure, read_moments_csv, sos_split,
+                      vector_state, write_moments_csv)
 from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
                        fatou_symbol, fourier_coefficients, herglotz_integral,
                        poisson_density, toeplitz_from_symbol)
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
-                     invert, left_multiplier, left_multiplier_norm, multiply,
-                     radial_scale, read_series_csv, right_multiplier,
+                     invert, left_multiplier, multiply, radial_scale,
+                     read_series_csv, right_multiplier,
                      series_at_right_shifts, szego_kernel,
                      szego_kernel_matrix, transpose_conjugate,
                      write_series_csv)

@@ -6,7 +6,8 @@ Usage:
 
 Exit codes: 0 success, 2 config validation failure (the message names the
 field path), 3 numerical-diagnostic failure (CG non-convergence, a d=1
-symbol that is not positive, PSD floor or residual beyond tolerance).
+symbol that is not positive, PSD floor or residual beyond tolerance, a
+basis beyond int64 or an allocation that fails).
 Identical configs produce bit-identical CSV outputs at a fixed BLAS thread
 count: fixed reduction order, seeded probes, and the seed recorded in
 every output header.  Threaded BLAS reductions (norms over 2^21
@@ -558,18 +559,19 @@ SCHEMAS = {
 __doc__ = (__doc__ or "") + schema_doc()
 
 
-def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool,
-             source: str = "--output-dir") -> int:
+def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool) -> int:
     """Validate cfg, run it, then make out and write its tables and
-    summary.txt (verify has its CSV alone); returns the exit code.  An
-    output location that cannot be written exits 2 with one line naming
-    the path and its source (output_dir, NCFATOU_OUTDIR or --output-dir)."""
+    summary.txt (verify has its CSV alone); returns the exit code.  The
+    output directory is NCFATOU_OUTDIR, else out (--output-dir), else
+    output_dir, the first two relative to base_dir.  An output location
+    that cannot be written exits 2 with one line naming the path and its
+    source; an allocation that fails exits 3 with one line."""
+    source = "output_dir" if out is None else "--output-dir"
+    if os.environ.get("NCFATOU_OUTDIR"):
+        out, source = os.environ["NCFATOU_OUTDIR"], "NCFATOU_OUTDIR"
     try:
         c = validate(cfg, base_dir)
-        if out is None:  # NCFATOU_OUTDIR, else output_dir relative to the config
-            env = os.environ.get("NCFATOU_OUTDIR")
-            out = base_dir / (env or c["output_dir"])
-            source = "NCFATOU_OUTDIR" if env else "output_dir"
+        out = base_dir / (c["output_dir"] if out is None else out)
         tables, lines, passed = SCHEMAS[c["experiment"]][1](c, threads)
         out.mkdir(parents=True, exist_ok=True)
         for name, header, rows in tables:
@@ -586,6 +588,9 @@ def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool,
     except (ValueError, RuntimeError) as exc:
         print(f"numerical diagnostic failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
     if not quiet:
         print("\n".join(lines))
     return 0 if passed else 3
@@ -600,9 +605,9 @@ def run_config(path: str, threads: int = 1, quiet: bool = False) -> int:
     return _execute(cfg, Path(path).parent, None, threads, quiet)
 
 
-def run_verify(out, quiet: bool = False, source: str = "--output-dir") -> int:
+def run_verify(out, quiet: bool = False) -> int:
     """The core invariant suite, written to the directory out."""
-    return _execute({"experiment": "verify"}, Path("."), Path(out), 1, quiet, source)
+    return _execute({"experiment": "verify"}, Path("."), out, 1, quiet)
 
 
 def main(argv=None) -> int:
@@ -620,9 +625,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_config(args.config, threads=args.threads, quiet=args.quiet)
-    env = os.environ.get("NCFATOU_OUTDIR")
-    return run_verify(env or args.output_dir, args.quiet,
-                      "NCFATOU_OUTDIR" if env else "--output-dir")
+    return run_verify(args.output_dir, args.quiet)
 
 
 if __name__ == "__main__":

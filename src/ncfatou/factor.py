@@ -7,12 +7,12 @@ multiplication by psi inverts the outer factor, and the factor itself is
 right multiplication by the graded inverse of psi.  The unimodular gauge
 is fixed by making the constant coefficient of psi real and positive.
 
-phi is solved on the tree of prefixes at d >= 2: the zero-fill sweep that
-eliminates the stages of rn_derivative (measure._prefix_sweep), run down
-through grade 0, then back-substitution up the grades, in O(n N) work on
-O(n) numbers with no n x n matrix.  At d = 1 the tree is a path of
-N + 1 words and one dense solve of eps I + T_tau is faster than the
-sweep's Python loop over grades.
+phi is solved on the tree of prefixes at d >= 2 (measure._prefix_solve):
+the zero-fill sweep that eliminates the stages of rn_derivative
+(measure._prefix_sweep) run down through grade 0, then back-substitution
+up the grades, in O(n N) work on O(n) numbers with no n x n matrix.  At
+d = 1 the tree is a path of N + 1 words and one dense solve of
+eps I + T_tau is faster than the sweep's Python loop over grades.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import TruncatedOperator, _GradedProduct
-from .measure import MomentFunctional, _gram_apply, _prefix_sweep, gram
+from .measure import MomentFunctional, _gram_apply, _prefix_solve, gram
 from .series import NCSeries, invert, right_multiplier
 
 #: Rayleigh probes of T_tau, their relative PSD tolerance, the factor's coefficient floor
@@ -58,7 +58,7 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     Rayleigh probes (T_tau v from its half multiplier, built once) or a pivot of the solve for
     phi = (eps I + T_tau)^{-1} 1, with a named ValueError.  At d >= 2 that
     solve is the sweep of eps I + T_tau on the tree of prefixes and its
-    back-substitution (_vacuum_solve): O(n N) work on O(n) numbers and no
+    back-substitution (_prefix_solve): O(n N) work on O(n) numbers and no
     n x n matrix.  At d = 1, where n = N + 1, it is one np.linalg.solve
     of the dense eps I + T_tau, after its Cholesky factorization
     (np.linalg.cholesky) has checked that it is positive definite; numpy
@@ -90,7 +90,7 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
             np.linalg.cholesky(A)  # raises LinAlgError if A is not positive definite
             phi = np.linalg.solve(A, np.eye(n, 1))[:, 0]
         else:
-            phi = _vacuum_solve(tau, eps)
+            phi = _prefix_solve(tau, eps)
     except np.linalg.LinAlgError as err:
         raise ValueError(
             f"eps I + tau is not positive definite at eps = {eps!r}: {err}") from None
@@ -114,30 +114,3 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
         eps=eps, psi=psi, y_series=y_series, y_inv=y_inv, y=y,
         residual=residual, check_grade=check_grade,
         contraction_norm_bound=float(1.0 / np.sqrt(eps)))
-
-
-def _vacuum_solve(tau: MomentFunctional, eps: float) -> np.ndarray:
-    """phi = (eps I + T_tau)^{-1} 1 at d >= 2, from the sweep of every grade
-    down through grade 0 (_prefix_sweep).
-
-    The right-hand side 1 lives on the root, which is eliminated last, so
-    the sweep leaves it as it is and phi(0) = 1/(D[0] + eps).  Each grade
-    then follows from its prefixes: phi at a word of grade g is
-    -(1/(D[g] + eps)) sum_k conj(E_g,k)[v] phi[p], p its k-th prefix and v
-    its last k letters, one outer product per (g, k) on phi_g as a
-    d^(g-k) x d^k matrix, prefix by suffix.  Each grade starts from +0.0
-    and is divided by its positive pivot last, so no -0.0 is written.
-    """
-    b = tau.basis
-    d, o = b.d, b.offsets - 1
-    D, E = next(_prefix_sweep(tau, eps, (-1,)))
-    phi = np.zeros(b.size, dtype=complex)
-    phi[0] = 1.0 / (D[0] + eps)
-    for g in range(1, b.N + 1):
-        phi_g = phi[b.grade_slice(g)]
-        for k in range(1, g + 1):
-            by_prefix = phi_g.reshape(d ** (g - k), d ** k)
-            by_prefix -= np.multiply.outer(phi[b.grade_slice(g - k)],
-                                           E[g][o[k]:o[k + 1]].conj())
-        phi_g /= D[g] + eps
-    return phi

@@ -27,13 +27,9 @@ three stage modes forms them:
 
 - elimination (d >= 2, at every size but a Schur symbol's beyond
   DENSE_LIMIT words): T_r vanishes on every pair of words neither of
-  which is a prefix of the other, since L_i^* L_j = delta_ij I, so
-  eliminating grades N, N-1, ... (leaves first on the tree of prefixes)
-  creates no fill (Parter 1961; Rose, Tarjan & Lueker, SIAM J. Comput.
-  1976), and each entry between a word and its k-th prefix depends only
-  on the grade and the word's last k letters: one float and one
-  contiguous array per grade, O(n) numbers and O(n N) work, no dense
-  matrix (measure._prefix_sweep, which outer_factor runs to grade 0).
+  which is a prefix of the other, so eliminating grades N, N-1, ...
+  creates no fill: O(n) numbers and O(n N) work, no dense matrix
+  (measure._prefix_sweep, which outer_factor runs to grade 0).
   The sweep stops at the recovery grade for T_hat and goes on to grade
   M, where the corner is the inverse of the block it leaves.  A d = 1
   stage whose corner is the whole truncated basis (m = n) leaves no word
@@ -67,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, _GradedProduct, toeplitz
-from .measure import (MomentFunctional, PositivityReport, _prefix_sweep, clark_measure,
+from .measure import (MomentFunctional, PositivityReport, _prefix_blocks, clark_measure,
                       gram, hermitian_floor, is_positive, nc_lebesgue, radial_measure,
                       vector_state)
 from .series import NCSeries, radial_scale, series_at_right_shifts, transpose_conjugate
@@ -232,34 +228,17 @@ def _eliminate(mu_r: MomentFunctional, r: float, eps: float, m: int, m_out: int)
 
     m and m_out count the words of grade <= M_rec and <= M.  T_r is the
     Gram matrix of mu_r, and one sweep of eps I + T_r on the tree of
-    prefixes (measure._prefix_sweep) runs in two legs, with eps kept
-    off its diagonal D, so that it works on S - eps I: after grades
-    N..M_rec + 1 the grade-M block is T_hat; after grades M_rec..M + 1 it
-    is the inverse of the corner less eps I.  block() reads each off the
-    sweep's state per grade g: D[g] on the diagonal and, between a word
-    of grade g and its k-th prefix, E[g][offsets[k] - 1 + rank(v)], v the
-    word's last k letters.  Raises LinAlgError if a pivot is not positive.
+    prefixes (measure._prefix_sweep, whose docstring gives its state) runs
+    in two legs, with eps kept off its diagonal, so that it works on
+    S - eps I: after grades N..M_rec + 1 the grade-M block
+    (measure._prefix_blocks) is T_hat; after grades M_rec..M + 1 it is
+    the inverse of the corner less eps I.  Raises LinAlgError if a pivot
+    is not positive.
     """
     b = mu_r.basis
-    d, o = b.d, b.offsets - 1
     grade_rec, M = (int(np.searchsorted(b.offsets, k)) - 1 for k in (m, m_out))
-
-    def block(D, E):
-        X = np.zeros((m_out, m_out), dtype=complex)
-        for g in range(M + 1):
-            rank = np.arange(d ** g)
-            w = b.offsets[g] + rank
-            X[w, w] = D[g]
-            for k in range(1, g + 1):
-                p = b.offsets[g - k] + rank // d ** k
-                X[p, w] = E[g][o[k] + rank % d ** k]
-                X[w, p] = X[p, w].conj()
-        return X
-
-    sweep = _prefix_sweep(mu_r, eps, (grade_rec, M))
     try:
-        T = block(*next(sweep))
-        C = block(*next(sweep))
+        T, C = _prefix_blocks(mu_r, eps, (grade_rec, M), M)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(
             f"eps I + T_r is not positive definite at r = {r!r}: {err}") from None

@@ -18,6 +18,9 @@ from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      radial_scale, read_word_csv)
 from .words import WordBasis, word_to_str
 
+#: eigsh's relative tolerance in left_multiplier_norm
+_NORM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MomentFunctional:
@@ -141,7 +144,8 @@ def _prefix_sweep(mu: MomentFunctional, eps: float, stops):
     whose entry in the prefix's row is mu(v), and eliminating a grade
     keeps it.  Grade g therefore keeps one float D[g], its diagonal less
     eps, and one array E[g] of its entries in the rows of its prefixes,
-    k = 1..g in turn: E[g][offsets[k] - 1 + rank(v)].  O(n) numbers.
+    k = 1..g in turn: E[g][offsets[k] - 1 + rank(v)].  O(n) numbers,
+    read by _prefix_blocks and _prefix_solve alone.
 
     Eliminating grade g subtracts E_g,j conj(E_g,i) / (eps + D[g]), E_g,k
     the k-th part of E[g], summed over the d^i words below each i-th
@@ -174,6 +178,53 @@ def _prefix_sweep(mu: MomentFunctional, eps: float, stops):
         yield D, E
 
 
+def _prefix_blocks(mu: MomentFunctional, eps: float, stops, M: int):
+    """After each stop of the sweep (_prefix_sweep), its state on the words
+    of grade <= M as a new dense matrix with eps kept off the diagonal:
+    D[g] there, and E[g]'s entry for a word's last k letters between it
+    and its k-th prefix.  Raises LinAlgError if a pivot is not positive."""
+    b = mu.basis
+    d, o, m = b.d, b.offsets - 1, int(b.offsets[M + 1])
+    for D, E in _prefix_sweep(mu, eps, stops):
+        X = np.zeros((m, m), dtype=complex)
+        for g in range(M + 1):
+            rank = np.arange(d ** g)
+            w = b.offsets[g] + rank
+            X[w, w] = D[g]
+            for k in range(1, g + 1):
+                p = b.offsets[g - k] + rank // d ** k
+                X[p, w] = E[g][o[k] + rank % d ** k]
+                X[w, p] = X[p, w].conj()
+        yield X
+
+
+def _prefix_solve(mu: MomentFunctional, eps: float) -> np.ndarray:
+    """phi = (eps I + gram(mu))^{-1} 1, from the sweep of every grade down
+    through grade 0 (_prefix_sweep) and back-substitution up the grades.
+
+    The right-hand side 1 lives on the root, which is eliminated last, so
+    the sweep leaves it as it is and phi(0) = 1/(D[0] + eps).  Each grade
+    then follows from its prefixes: phi at a word of grade g is
+    -(1/(D[g] + eps)) sum_k conj(E_g,k)[v] phi[p], p its k-th prefix and v
+    its last k letters, one outer product per (g, k) on phi_g as a
+    d^(g-k) x d^k matrix, prefix by suffix.  Each grade starts from +0.0
+    and is divided by its positive pivot last, so no -0.0 is written.
+    Raises LinAlgError if a pivot is not positive."""
+    b = mu.basis
+    d, o = b.d, b.offsets - 1
+    (D, E), = _prefix_sweep(mu, eps, (-1,))
+    phi = np.zeros(b.size, dtype=complex)
+    phi[0] = 1.0 / (D[0] + eps)
+    for g in range(1, b.N + 1):
+        phi_g = phi[b.grade_slice(g)]
+        for k in range(1, g + 1):
+            by_prefix = phi_g.reshape(d ** (g - k), d ** k)
+            by_prefix -= np.multiply.outer(phi[b.grade_slice(g - k)],
+                                           E[g][o[k]:o[k + 1]].conj())
+        phi_g /= D[g] + eps
+    return phi
+
+
 @dataclass(frozen=True)
 class PositivityReport:
     """Every PSD verdict: min_eigenvalue of a Hermitian matrix on the size
@@ -199,6 +250,30 @@ def is_positive(mu: MomentFunctional, tol: float = 1e-10) -> PositivityReport:
     Necessary-condition check only: full positivity would need all grades.
     """
     return PositivityReport(hermitian_floor(gram(mu).matrix), mu.basis.N, mu.basis.size, tol)
+
+
+def left_multiplier_norm(f: NCSeries) -> float:
+    """Norm of M^L_f restricted to the grade <= N subspace.
+
+    M^L_f e_b = R^b f and R^b = U L^{transpose(b)} U, U the transpose
+    unitary, so M^L_f* M^L_f is the Gram matrix of the vector state of
+    U f with its basis permuted by transposition, exact on f's own basis.
+    Its top eigenvalue is read by eigvalsh up to 64 words, else by eigsh
+    on the Gram matvec.  This is a lower bound for the full-space
+    multiplier norm; certifying Schur-class membership of a general
+    polynomial is the caller's responsibility.
+    """
+    m = f.basis.size
+    mu = vector_state(FockVector(f.basis, f.coeffs[f.basis.transpose_permutation]))
+    if m <= 64:
+        lam = float(np.linalg.eigvalsh(gram(mu).matrix).max())
+    else:
+        import scipy.sparse.linalg  # here only: importing ncfatou need not load scipy.sparse
+        lin = scipy.sparse.linalg.LinearOperator((m, m), matvec=_gram_apply(mu), dtype=complex)
+        lam = float(scipy.sparse.linalg.eigsh(
+            lin, k=1, which="LA", tol=_NORM_TOL, v0=np.ones(m) / np.sqrt(m),
+            maxiter=10000, return_eigenvectors=False)[0])
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -354,41 +354,6 @@ def series_at_right_shifts(f: NCSeries) -> TruncatedOperator:
     return right_multiplier(transpose_conjugate(f))
 
 
-def left_multiplier_norm(f: NCSeries, tol: float = 1e-12) -> float:
-    """Norm of M^L_f restricted to the grade <= N subspace.
-
-    Computed as the top eigenvalue of the exact compression of
-    M^L_f* M^L_f, obtained by enlarging the working basis by deg(f) so
-    that no product leaves the truncation.  This is a lower bound for the
-    full-space multiplier norm; certifying Schur-class membership of a
-    general polynomial is the caller's responsibility.
-    """
-    basis = f.basis
-    deg = f.degree()
-    big = WordBasis(basis.d, basis.N + deg)
-    fat = NCSeries.from_dict(big, dict(f.support()))
-    op = left_multiplier(fat)
-    m = basis.size
-
-    def gram_mv(v):
-        v = np.asarray(v, dtype=complex).ravel()
-        padded = np.zeros(big.size, dtype=complex)
-        padded[:m] = v
-        return op.adjoint_apply(op.apply(padded))[:m]
-
-    if m <= 64:
-        A = TruncatedOperator(basis, gram_mv, gram_mv).to_dense()  # Hermitian
-        lam = float(np.linalg.eigvalsh(A).max())
-    else:
-        import scipy.sparse.linalg  # here only: importing ncfatou need not load scipy.sparse
-        lin = scipy.sparse.linalg.LinearOperator((m, m), matvec=gram_mv, dtype=complex)
-        v0 = np.ones(m) / np.sqrt(m)
-        lam = float(scipy.sparse.linalg.eigsh(
-            lin, k=1, which="LA", tol=tol, v0=v0, maxiter=10000,
-            return_eigenvectors=False)[0])
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # NC kernels
 

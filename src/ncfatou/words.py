@@ -73,11 +73,14 @@ class WordBasis:
             raise ValueError(f"alphabet size d must be >= 1, got {d}")
         if N < 0:
             raise ValueError(f"truncation grade N must be >= 0, got {N}")
+        self.size = word_count(d, N)
+        if self.size >= 1 << 63:  # the offsets are int64
+            raise ValueError(f"d = {d}, N = {N}: {self.size} words are more than "
+                             "int64 can index")
         self.d = d
         self.N = N
         counts = d ** np.arange(N + 1, dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.size = int(self.offsets[-1])
 
     def __len__(self) -> int:
         return self.size

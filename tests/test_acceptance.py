@@ -12,14 +12,14 @@ from ncfatou.cli import run_verify
 from ncfatou.factor import outer_factor
 from ncfatou.fock import FockVector
 from ncfatou.lebesgue import Schedule, majorant_check, rn_derivative
-from ncfatou.measure import (clark_measure, herglotz_transform, radial_measure,
-                             vector_state)
+from ncfatou.measure import (clark_measure, herglotz_transform, left_multiplier_norm,
+                             radial_measure, vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
 from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                             cayley_to_schur, dbr_kernel, evaluate,
-                            herglotz_kernel, left_multiplier_norm,
-                            right_multiplier, szego_kernel_matrix)
+                            herglotz_kernel, right_multiplier,
+                            szego_kernel_matrix)
 from ncfatou.words import WordBasis
 
 INV_SQRT2 = 2 ** -0.5

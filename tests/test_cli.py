@@ -107,6 +107,35 @@ def test_unwritable_output_location_exits_2_naming_it_and_its_source(tmp_path, m
         assert f"({source} " in err, err
 
 
+def test_failed_allocation_exits_3_with_one_line_and_no_output(tmp_path, monkeypatch,
+                                                              capsys):
+    # numpy raises a MemoryError subclass when it cannot allocate; the
+    # runner here raises it without allocating anything
+    def runner(c, threads):
+        raise MemoryError("Unable to allocate 512. TiB for an array")
+
+    monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
+    monkeypatch.setitem(cli.SCHEMAS, "factor", (cli.SCHEMAS["factor"][0], runner))
+    cfg = {"experiment": "factor", "d": 2, "N": 4,
+           "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("out of memory: Unable to allocate")
+    assert not (tmp_path / "out").exists()
+
+
+def test_basis_beyond_int64_exits_3_with_one_line_and_no_output(tmp_path, monkeypatch,
+                                                                capsys):
+    # 3^61 words: WordBasis refuses the grade before anything is allocated
+    monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
+    cfg = {"experiment": "factor", "d": 3, "N": 60,
+           "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "d = 3, N = 60" in err and "int64" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_outputs_are_bit_identical(tmp_path):
     cfg = {"experiment": "factor", "d": 2, "N": 5, "epsilon": 1.0,
            "tau": {"type": "vector-state",

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncfatou import measure
 from ncfatou.fock import FockVector, basis_vector, graded_multiplier, vacuum
-from ncfatou.measure import (MomentFunctional, _prefix_sweep, clark_measure, gram,
-                             gram_matvec, herglotz_eval,
-                             herglotz_transform, is_positive, nc_lebesgue,
-                             quadratic_form, read_moments_csv, sos_split,
-                             vector_state, write_moments_csv)
+from ncfatou.measure import (MomentFunctional, _prefix_blocks, _prefix_sweep,
+                             clark_measure, gram, gram_matvec, herglotz_eval,
+                             herglotz_transform, is_positive, left_multiplier_norm,
+                             nc_lebesgue, quadratic_form, read_moments_csv,
+                             sos_split, vector_state, write_moments_csv)
 from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
-                            evaluate)
+                            evaluate, left_multiplier)
 from ncfatou.words import WordBasis
 
 
@@ -301,6 +302,49 @@ def test_prefix_sweep_checks_the_grade_0_pivot():
     assert D[0] + 0.25 == pytest.approx(-0.35)
     with pytest.raises(np.linalg.LinAlgError, match="pivot -3.500e-01 at grade 0"):
         list(_prefix_sweep(mu, 0.25, (-1,)))
+
+
+@pytest.mark.parametrize("d, N, M", [(1, 6, 2), (2, 4, 1), (3, 3, 2)])
+def test_prefix_blocks_are_new_arrays_at_every_stop(d, N, M, monkeypatch):
+    # the sweep updates its (D, E) in place between the yields; the blocks
+    # read off it share no memory with it or with each other, and a block
+    # kept past the next stop still holds the Schur complement of its stop
+    basis = WordBasis(d, N)
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    mu = vector_state(FockVector(basis, x * (rng.random(basis.size) < 0.5)))
+    states = []
+
+    def spy(*args):
+        for D, E in _prefix_sweep(*args):
+            states.append(E)
+            yield D, E
+    monkeypatch.setattr(measure, "_prefix_sweep", spy)
+    eps, stops = 0.5, (N - 1, M)
+    blocks = list(_prefix_blocks(mu, eps, stops, M))
+    assert len(blocks) == 2 and not np.shares_memory(*blocks)
+    assert not any(np.shares_memory(X, e) for X in blocks for E in states for e in E)
+    A = gram(mu).matrix + eps * np.eye(basis.size)
+    m = basis.sub_basis_size(M)
+    for X, stop in zip(blocks, stops):
+        k = basis.sub_basis_size(stop)
+        S = A[:k, :k] - A[:k, k:] @ np.linalg.solve(A[k:, k:], A[k:, :k])
+        assert np.allclose(X + eps * np.eye(m), S[:m, :m], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("d, N, terms", [(1, 9, 3), (2, 5, 4), (3, 3, 3), (2, 6, 3)])
+def test_left_multiplier_norm_is_the_norm_on_an_enlarged_basis(d, N, terms):
+    # against the compression of M^L_f to the grade <= N words inside a
+    # basis deg f grades higher, where no product is truncated; the last
+    # case has 127 words and takes the eigsh branch
+    basis = WordBasis(d, N)
+    rng = np.random.default_rng(N)
+    words = [basis.word(int(i)) for i in rng.integers(0, basis.sub_basis_size(2), terms)]
+    entries = {w: complex(*rng.standard_normal(2)) for w in words}
+    f = NCSeries.from_dict(basis, entries)
+    big = WordBasis(d, N + f.degree())
+    cols = left_multiplier(NCSeries.from_dict(big, entries)).to_dense()[:, :basis.size]
+    assert left_multiplier_norm(f) == pytest.approx(np.linalg.norm(cols, 2), rel=1e-11)
 
 
 def test_gram_cone_structure():

@@ -4,11 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncfatou import fock
 from ncfatou.fock import transpose_unitary
+from ncfatou.measure import left_multiplier_norm
 from ncfatou.series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                             cayley_to_schur, dbr_kernel, evaluate,
                             herglotz_kernel, invert, left_multiplier,
-                            left_multiplier_norm, multiply, radial_scale,
-                            read_series_csv, right_multiplier,
+                            multiply, radial_scale, read_series_csv,
+                            right_multiplier,
                             series_at_right_shifts, szego_kernel,
                             szego_kernel_matrix, transpose_conjugate,
                             write_series_csv)

@@ -32,6 +32,14 @@ def test_enumerate_rejects_bad_arguments():
         WordBasis(2, -1)
 
 
+def test_a_basis_beyond_int64_is_refused():
+    # the offsets are int64: a larger word count would wrap, not fail
+    for d, N in ((3, 40), (2, 63)):
+        with pytest.raises(ValueError, match=f"d = {d}, N = {N}: {word_count(d, N)} words"):
+            WordBasis(d, N)
+    assert WordBasis(2, 62).size == 2 ** 63 - 1
+
+
 def test_word_count_formula():
     assert word_count(2, 3) == (2 ** 4 - 1) // (2 - 1)
     assert word_count(1, 7) == 8
