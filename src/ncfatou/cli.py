@@ -5,14 +5,14 @@ Usage:
     ncfatou verify --suite core [--output-dir DIR] [--quiet]
 
 Exit codes: 0 success, 2 config validation failure (the message names the
-field path), 3 numerical-diagnostic failure (CG non-convergence, a d=1
-symbol that is not positive, PSD floor or residual beyond tolerance, a
-basis beyond int64 or an allocation that fails).
-Identical configs produce bit-identical CSV outputs at a fixed BLAS thread
-count: fixed reduction order, seeded probes, and the seed recorded in
-every output header.  Threaded BLAS reductions (norms over 2^21
-coefficients, say) round differently at another thread count, so values
-may then differ in the last digits.
+field path; an N whose words int64 cannot index names N), 3
+numerical-diagnostic failure (CG non-convergence, a d=1 symbol that is not
+positive, PSD floor or residual beyond tolerance, or an allocation that
+fails).
+Identical configs produce bit-identical CSV outputs: fixed reduction
+order, seeded probes, and the seed recorded in every output header.  CI
+compares the committed configs' outputs with their golden files at one
+and at two BLAS threads.
 
 Config keys by experiment, as `key: type = default`.  An interval such as
 [0,inf) bounds a number and may name another field, [t, ...] is a nonempty
@@ -85,14 +85,21 @@ def validate(cfg, base_dir=Path(".")) -> dict:
     """Check a parsed config against SCHEMAS before any numerics run.
 
     Returns it with every default filled in, coefficients as {word:
-    complex} and files joined to base_dir, or raises ConfigError.
+    complex} and files joined to base_dir, or raises ConfigError; a
+    grade N whose words int64 cannot index is one too.
     """
     if not isinstance(cfg, dict):
         _fail("", "top-level config must be an object")
     exp = cfg.get("experiment")
     if not isinstance(exp, str) or exp not in SCHEMAS:
         _fail("experiment", f"expected one of {', '.join(SCHEMAS)}, got {exp!r}")
-    return _check(SCHEMAS[exp][0], cfg, "", ChainMap({"base_dir": Path(base_dir)}))
+    c = _check(SCHEMAS[exp][0], cfg, "", ChainMap({"base_dir": Path(base_dir)}))
+    if "N" in c:  # the runners build WordBasis(d, N); it refuses before allocating
+        try:
+            WordBasis(c["d"], c["N"])
+        except ValueError as exc:
+            _fail("N", str(exc))
+    return c
 
 
 def _check(t, v, path, ctx):

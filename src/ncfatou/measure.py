@@ -310,7 +310,11 @@ def herglotz_eval(mu: MomentFunctional, Z: MatrixPoint) -> EvalResult:
     The grade-lowering contraction ZL* = sum_k Z_k (x) L_k^* is nilpotent
     on the truncation, so (I - ZL*)^{-1} applied to u = conj(mu) is one
     substitution from the top grade down: X_w = u_w I + sum_k Z_k X_{kw},
-    and H = 2 X_empty - u_empty I.  Agrees with
+    and H = 2 X_empty - u_empty I.  The blocks are kept transposed,
+    Y_w = X_w^T = u_w I + sum_k Y_{kw} Z_k^T, so that the words k.w of
+    one letter k are a contiguous (d^g n) x n matrix of stacked Y_{kw}:
+    each grade and letter is one BLAS product by Z_k^T, added in place
+    into the new grade's blocks.  Agrees with
     evaluate(herglotz_transform(mu), Z) exactly through grade N.  It is
     kept independent of evaluate, which extends words on the right
     (X_w from X_{wk}) and splits the trie at mid depth, because the tests
@@ -325,13 +329,15 @@ def herglotz_eval(mu: MomentFunctional, Z: MatrixPoint) -> EvalResult:
     u = np.conj(mu.moments)
     u[0] = mu.moments[0].real  # Im H(0) = 0 gauge
     eye = np.eye(n, dtype=complex)
-    X = u[basis.grade_slice(N)][:, None, None] * eye
+    ZT = [Zk.T for Zk in Z.Z]
+    Y = u[basis.grade_slice(N)][:, None, None] * eye
     for g in range(N - 1, -1, -1):
-        ext = X.reshape(d, d ** g, n, n)  # X at the words k.w, as [k, w]
-        X = u[basis.grade_slice(g)][:, None, None] * eye
+        ext = Y.reshape(d, d ** g * n, n)  # Y at the words k.w, as [k, (w, row)]
+        Y = u[basis.grade_slice(g)][:, None, None] * eye
+        flat = Y.reshape(d ** g * n, n)
         for k in range(d):
-            X = X + Z.Z[k] @ ext[k]
-    H = 2.0 * X[0] - u[0] * eye
+            flat += ext[k] @ ZT[k]
+    H = 2.0 * Y[0].T - u[0] * eye
     rho = Z.row_norm
     tail = 2.0 * abs(mu.moments[0]) * rho ** (N + 1) / (1.0 - rho)
     return EvalResult(H, float(tail))

@@ -31,7 +31,9 @@ class NCSeries:
 
     norm() and degree() are computed once per series; the first call
     makes coeffs read-only, so that an in-place write after it raises
-    instead of leaving a stale value.
+    instead of leaving a stale value.  one() and from_dict() know their
+    degree from the words they write, so they return read-only
+    coefficients and degree() scans nothing.
     """
 
     basis: WordBasis
@@ -52,14 +54,26 @@ class NCSeries:
     def one(basis: WordBasis) -> "NCSeries":
         c = np.zeros(basis.size, dtype=complex)
         c[0] = 1.0
-        return NCSeries(basis, c)
+        return NCSeries(basis, c)._known_degree(0)
 
     @staticmethod
     def from_dict(basis: WordBasis, entries: dict) -> "NCSeries":
+        """The series with the given {word: value} entries, zero elsewhere;
+        its degree is the longest word with a nonzero value, NaN included."""
         c = np.zeros(basis.size, dtype=complex)
+        degree = 0
         for w, v in entries.items():
-            c[basis.index(tuple(w))] = v
-        return NCSeries(basis, c)
+            i = basis.index(tuple(w))
+            c[i] = v
+            if c[i] != 0:  # -0.0 is not, NaN is
+                degree = max(degree, len(w))
+        return NCSeries(basis, c)._known_degree(degree)
+
+    def _known_degree(self, degree: int) -> "NCSeries":
+        """Cache degree() as given, making coeffs read-only as its scan does."""
+        self.coeffs.setflags(write=False)
+        self.__dict__["_degree"] = degree
+        return self
 
     def coefficient(self, w: Word) -> complex:
         return complex(self.coeffs[self.basis.index(w)])
@@ -105,9 +119,12 @@ class NCSeries:
 
     @cached_property
     def _norm(self) -> float:
-        """Over the coefficients through degree(), the last nonzero grade."""
+        """Over the coefficients through degree(), the last nonzero grade:
+        one contiguous einsum pass over their real view, summed in a fixed
+        order that no BLAS thread count changes."""
         self.coeffs.setflags(write=False)
-        return float(np.linalg.norm(self.coeffs[:self.basis.sub_basis_size(self.degree())]))
+        v = self.coeffs[:self.basis.sub_basis_size(self.degree())].view(float)
+        return float(np.sqrt(np.einsum("i,i", v, v)))
 
     def __add__(self, other):
         other = _coerce(other, self.basis)
@@ -194,15 +211,16 @@ def cayley_to_schur(H: NCSeries) -> NCSeries:
 
 
 def _cayley(f: NCSeries, s: float) -> NCSeries:
-    """s (1 - s f)^{-1}(1 + s f) = s (2 (1 - s f)^{-1} - 1), since
-    1 + s f = 2 - (1 - s f): one graded solve against the vacuum (a
-    one-entry right-hand side), with 1 - s f cut at the degree of f,
-    scaled in place, and no product.
+    """s (1 - s f)^{-1}(1 + s f) = (1 - s f)^{-1} 2s - s, since
+    1 + s f = 2 - (1 - s f): one graded solve against the vacuum times
+    2s (a one-entry right-hand side), with 1 - s f cut at the degree of
+    f, and no product.  2s = +-2 is a power of two, so every product and
+    difference of the substitution scales exactly: the bits are those of
+    2s times the solve against the vacuum, without a pass to scale it.
     s = 1 maps B to H, s = -1 maps H back to B."""
     k = f.coeffs[:f.basis.sub_basis_size(f.degree())] * -s
     k[0] += 1.0
-    h = _GradedProduct(f.basis, k, "left").solve(np.ones(1, dtype=complex))
-    h *= 2.0 * s
+    h = _GradedProduct(f.basis, k, "left").solve(np.full(1, 2.0 * s, dtype=complex))
     h[0] -= s
     return NCSeries(f.basis, h)
 
@@ -372,11 +390,14 @@ def szego_kernel(Z: MatrixPoint, W: MatrixPoint, P: np.ndarray,
     P = np.ascontiguousarray(P, dtype=complex)
     if P.shape[-2:] != (Z.n, W.n):
         raise ValueError(f"P must be {Z.n} x {W.n}, got {P.shape}")
-    Wh = [M.conj().T for M in W.Z]
+    # the letters stacked once, on an axis of their own in front of P's stack
+    lead = (Z.d,) + (1,) * (P.ndim - 2)
+    Zs = np.stack(Z.Z).reshape(lead + (Z.n, Z.n))
+    Wh = np.stack([M.conj().T for M in W.Z]).reshape(lead + (W.n, W.n))
     total = P.copy()
     S = P.copy()
     for _ in range(order):
-        S = sum(Zk @ S @ Whk for Zk, Whk in zip(Z.Z, Wh))
+        S = sum(Zs @ S @ Wh)
         total += S
     rr = Z.row_norm * W.row_norm
     tail = np.linalg.norm(P, 2, axis=(-2, -1)) * rr ** (order + 1) / (1.0 - rr)

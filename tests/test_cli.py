@@ -124,16 +124,29 @@ def test_failed_allocation_exits_3_with_one_line_and_no_output(tmp_path, monkeyp
     assert not (tmp_path / "out").exists()
 
 
-def test_basis_beyond_int64_exits_3_with_one_line_and_no_output(tmp_path, monkeypatch,
+def test_basis_beyond_int64_exits_2_with_one_line_and_no_output(tmp_path, monkeypatch,
                                                                 capsys):
-    # 3^61 words: WordBasis refuses the grade before anything is allocated
+    # 3^61 words: validation refuses N before the runner, which would
+    # build WordBasis(d, N), is called
+    def runner(c, threads):
+        raise AssertionError("the runner ran")
+
     monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
-    cfg = {"experiment": "factor", "d": 3, "N": 60,
-           "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}
-    assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "d = 3, N = 60" in err and "int64" in err
-    assert not (tmp_path / "out").exists()
+    huge = {"d": 3, "N": 60}
+    for cfg in ({"experiment": "factor", **huge,
+                 "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}},
+                {"experiment": "majorant", **huge, "schur_coeffs": {"1": [0.3, 0.0]}},
+                {"experiment": "kernels", **huge, "schur_coeffs": {"1": [0.3, 0.0]}}):
+        exp = cfg["experiment"]
+        monkeypatch.setitem(cli.SCHEMAS, exp, (cli.SCHEMAS[exp][0], runner))
+        assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 2, exp
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: N: d = 3, N = 60: ")
+        assert "int64" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+    # the largest grade int64 can index at d = 2 passes validation
+    assert validate({"experiment": "kernels", "d": 2, "N": 62,
+                     "schur_coeffs": {"1": [0.3, 0.0]}})["N"] == 62
 
 
 def test_experiment_outputs_are_bit_identical(tmp_path):

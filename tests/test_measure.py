@@ -180,6 +180,20 @@ def test_herglotz_eval_matches_series_evaluation_deep_trie(n):
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
+@pytest.mark.parametrize("d, N, n", [(1, 40, 2), (3, 7, 1), (3, 7, 3)])
+def test_herglotz_eval_matches_series_evaluation_at_d_1_and_3(d, N, n):
+    rng = np.random.default_rng(5 * d + n)
+    basis = WordBasis(d, N)
+    B = NCSeries.from_dict(basis, {(1,): 0.3, (d,) * 2: 0.25j, (1, d): 0.2})
+    mu = clark_measure(B)
+    Z = MatrixPoint(tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                          for _ in range(d)))
+    Z = Z.scaled(0.6 / Z.row_norm)
+    lhs = herglotz_eval(mu, Z).value
+    rhs = evaluate(herglotz_transform(mu), Z).value
+    assert np.abs(lhs - rhs).max() < 1e-13
+
+
 def test_herglotz_eval_identity_for_vacuum_state():
     basis = WordBasis(2, 4)
     Z = MatrixPoint((0.2 * np.eye(2), 0.1 * np.ones((2, 2))))

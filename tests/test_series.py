@@ -164,6 +164,32 @@ def test_cayley_is_one_solve_and_no_product(monkeypatch):
     assert calls == ["solve", "solve"]
 
 
+def _cayley_by_rescale(f, s):
+    # the reference: solve against the vacuum, then scale the whole
+    # solution by 2s in a pass of its own
+    k = f.coeffs[:f.basis.sub_basis_size(f.degree())] * -s
+    k[0] += 1.0
+    h = fock._GradedProduct(f.basis, k, "left").solve(np.ones(1, dtype=complex))
+    h *= 2.0 * s
+    h[0] -= s
+    return h
+
+
+@pytest.mark.parametrize("d, N", [(1, 300), (2, 9), (3, 6)])
+def test_cayley_is_the_rescaled_solve_bit_for_bit(d, N):
+    # 2s = +-2 is a power of two: solving against 2s rounds every product
+    # and difference exactly as scaling the solution afterwards does
+    rng = np.random.default_rng(41 + d)
+    basis = WordBasis(d, N)
+    m = basis.sub_basis_size(2)
+    c = np.zeros(basis.size, dtype=complex)
+    c[:m] = 0.3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(m)
+    B = NCSeries(basis, c)
+    H = cayley_to_herglotz(B)
+    assert np.array_equal(H.coeffs, _cayley_by_rescale(B, 1.0))
+    assert np.array_equal(cayley_to_schur(H).coeffs, _cayley_by_rescale(H, -1.0))
+
+
 def test_radial_scale():
     basis = WordBasis(1, 4)
     const = NCSeries.one(basis)
@@ -312,7 +338,9 @@ def test_evaluate_matches_explicit_products(d, N, deg, n, rho, seed):
     ref, scale = brute_evaluate(f, Z)
     assert np.linalg.norm(value - ref) <= 1e-12 * scale
     r = Z.row_norm
-    assert tail == np.linalg.norm(coeffs[:m]) * r ** (N + 1) / np.sqrt(1.0 - r ** 2)
+    # ||f|| is one fixed-order pass over the real view, not a BLAS norm
+    v = coeffs[:m].view(float)
+    assert tail == np.sqrt(np.einsum("i,i", v, v)) * r ** (N + 1) / np.sqrt(1.0 - r ** 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -412,6 +440,25 @@ def test_szego_kernel_matrix_is_the_column_loop_bit_for_bit():
             assert val.shape == stack.shape and tail.shape == (2, 4)
             one = szego_kernel(Z, W, stack[1, 3], 12)
             assert np.array_equal(val[1, 3], one.value) and tail[1, 3] == one.tail
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_szego_kernel_is_the_per_letter_loop_bit_for_bit(d):
+    # the letters stacked once against the sum over letters, one pair of
+    # products per letter, in the same order
+    rng = np.random.default_rng(29 + d)
+    order = 10
+    for n, m in ((1, 1), (2, 3), (3, 2)):
+        Z, W = (MatrixPoint(tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                                  for _ in range(d))) for k in (n, m))
+        Z, W = Z.scaled(0.4 / Z.row_norm), W.scaled(0.3 / W.row_norm)
+        for shape in ((n, m), (3, n, m), (2, 2, n, m)):
+            P = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            total, S = P.copy(), P.copy()
+            for _ in range(order):
+                S = sum(Zk @ S @ Wk.conj().T for Zk, Wk in zip(Z.Z, W.Z))
+                total += S
+            assert np.array_equal(szego_kernel(Z, W, P, order).value, total)
 
 
 def test_dbr_kernel_is_the_difference_of_two_szego_kernels_bit_for_bit():
@@ -521,6 +568,28 @@ def test_degree_counts_nan_as_nonzero():
     g = series_from(WordBasis(2, 5), {(1,) * 5: 1.0, (2,) * 5: np.nan})
     assert g.degree(0.5) == 5
     assert series_from(basis, {(1,): 0.3, (1, 2, 1): np.nan}).degree(0.5) == 3
+
+
+def test_from_dict_and_one_know_the_scanned_degree():
+    # the degree from the words written equals the scan of the same
+    # coefficients, and the coefficients are read-only from the start
+    big, small = WordBasis(2, 20), WordBasis(3, 4)
+    cases = [(big, {}), (big, {(1,): 0.0}), (big, {(1, 2): 0.5, (2,) * 20: 0.0}),
+             (big, {(2,) * 20: 1e-300j, (): 1.0}),  # the deepest word first
+             (big, {(1,) * 7: 0.25, (2,): 0.5j, (1, 2): -1.0}),
+             (small, {(1, 2, 3): np.nan}), (small, {(): complex(0.0, np.nan), (3, 3): -0.0}),
+             (small, {(2, 1): complex(0.0, -0.0), (1,): 2.0}),
+             (small, {(3, 1, 2, 2): np.nan, (1,): 0.0})]
+    for basis, entries in cases:
+        f = NCSeries.from_dict(basis, entries)
+        assert not f.coeffs.flags.writeable
+        assert f.degree() == NCSeries(basis, f.coeffs.copy()).degree(), entries
+    for basis in (big, small, WordBasis(1, 0)):
+        f = NCSeries.one(basis)
+        assert not f.coeffs.flags.writeable
+        assert f.degree() == NCSeries(basis, f.coeffs.copy()).degree() == 0
+        with pytest.raises(ValueError):
+            f.coeffs[1 % basis.size] = 1.0
 
 
 @settings(max_examples=40, deadline=None)
