@@ -5,14 +5,14 @@ Usage:
     ncfatou verify --suite core [--output-dir DIR] [--quiet]
 
 Exit codes: 0 success, 2 config validation failure (the message names the
-field path; an N whose words int64 cannot index names N), 3
+field path; a grade whose words int64 cannot index names its field), 3
 numerical-diagnostic failure (CG non-convergence, a d=1 symbol that is not
 positive, PSD floor or residual beyond tolerance, or an allocation that
 fails).
 Identical configs produce bit-identical CSV outputs: fixed reduction
 order, seeded probes, and the seed recorded in every output header.  CI
-compares the committed configs' outputs with their golden files at one
-and at two BLAS threads.
+compares the committed configs' outputs with their golden files at one,
+two and four BLAS threads.
 
 Config keys by experiment, as `key: type = default`.  An interval such as
 [0,inf) bounds a number and may name another field, [t, ...] is a nonempty
@@ -85,8 +85,8 @@ def validate(cfg, base_dir=Path(".")) -> dict:
     """Check a parsed config against SCHEMAS before any numerics run.
 
     Returns it with every default filled in, coefficients as {word:
-    complex} and files joined to base_dir, or raises ConfigError; a
-    grade N whose words int64 cannot index is one too.
+    complex} and files joined to base_dir, or raises ConfigError, also
+    for a grade (N, symbol_grade, a stage's) whose words int64 cannot index.
     """
     if not isinstance(cfg, dict):
         _fail("", "top-level config must be an object")
@@ -94,11 +94,13 @@ def validate(cfg, base_dir=Path(".")) -> dict:
     if not isinstance(exp, str) or exp not in SCHEMAS:
         _fail("experiment", f"expected one of {', '.join(SCHEMAS)}, got {exp!r}")
     c = _check(SCHEMAS[exp][0], cfg, "", ChainMap({"base_dir": Path(base_dir)}))
-    if "N" in c:  # the runners build WordBasis(d, N); it refuses before allocating
-        try:
-            WordBasis(c["d"], c["N"])
+    stages = enumerate(c.get("schedule", {}).get("stages", ()))
+    for path, N in [(k, c[k]) for k in ("N", "symbol_grade") if k in c] + [
+            (f"schedule.stages[{i}][1]", N) for i, (_, N) in stages]:
+        try:  # the runners build WordBasis(d, N); it refuses before allocating
+            WordBasis(c["d"], N)
         except ValueError as exc:
-            _fail("N", str(exc))
+            _fail(path, str(exc))
     return c
 
 

@@ -164,28 +164,31 @@ class _GradedProduct:
         blocks = ((j, self.coeffs[s]) for j, s in enumerate(self.slices))
         return [(j, fj) for j, fj in blocks if fj.any()]
 
-    def _up(self, fj, xh, out=None, start=0):
-        """Grade-(h+j) contribution of f_j and x_h; into out, only its
-        words start .. start + len(out) - 1, with len(out) a power of d
-        and start a multiple of it: the outer product a c of a slice of
-        each factor (a = f_j on the left, x_h on the right), one scalar
-        product per entry of the shorter factor, so that the long factor
-        is numpy's inner loop.  Each is a[i] c or a c[k], in that operand
-        order: numpy's complex-times-scalar loop fuses a multiply-add,
-        and c a[i] can differ from a[i] c in the last bit."""
+    def _up(self, fj, xh, part, start, t, base=None, op=np.subtract):
+        """part = op(base, P), P the words start .. start + len(part) - 1
+        of the grade-(h+j) contribution of f_j and x_h (len(part) a power
+        of d, start a multiple of it; base None is part itself): the outer
+        product a c of a slice of each factor (a = f_j on the left, x_h on
+        the right), one scalar product per entry of the shorter factor,
+        into t.  Each is a[i] c or a c[k], in that operand order: numpy's
+        complex-times-scalar loop fuses a multiply-add, and c a[i] can
+        differ from a[i] c in the last bit.  A zero word of f_j along the
+        loop adds nothing: its row (left) or column (right) takes base."""
         a, c = (fj, xh) if self.left else (xh, fj)
-        n, m = len(a) * len(c) if out is None else len(out), len(c)
+        n, m = len(part), len(c)
         a = a[start // m:start // m + max(1, n // m)]
         c = c[start % m:start % m + n]
-        o = (np.empty((len(a), len(c)), dtype=complex) if out is None
-             else out.reshape(len(a), len(c)))
-        if len(a) <= len(c):
-            for i, ai in enumerate(a):
-                np.multiply(ai, c, out=o[i])
-        else:
-            for k, ck in enumerate(c):
-                np.multiply(a, ck, out=o[:, k])
-        return o.ravel()
+        o = part.reshape(len(a), len(c))
+        b = o if base is None else base.reshape(o.shape)
+        rows = len(a) <= len(c)
+        o, b = (o, b) if rows else (o.T, b.T)
+        for i in range(len(o)):
+            s = a[i] if rows else c[i]
+            if s != 0 or rows != self.left:
+                p = np.multiply(s, c, out=t[:len(c)]) if rows else np.multiply(a, s, out=t[:len(a)])
+                op(b[i], p, out=o[i])
+            elif base is not None:  # a zero word of f_j: base as it is
+                o[i] = b[i]
 
     def _down(self, fj, y, h, out=None, start=0):
         """Adjoint of _up: the grade-h contribution of the grade-(h+j) y;
@@ -227,7 +230,7 @@ class _GradedProduct:
         size.  At d = 1 it is one np.convolve."""
         b = self.basis
         g = self._grade(len(x))
-        top = self.blocks[-1][0] if self.blocks else 0
+        top = len(self.trimmed) - 1 if b.d == 1 else self.blocks[-1][0] if self.blocks else 0
         o = self._zeros(int(b.offsets[min(b.N, g + top) + 1]), out)
         if b.d == 1:
             p = np.convolve(self.trimmed, _trim(x))[:len(o)]
@@ -237,11 +240,12 @@ class _GradedProduct:
         hs = (h for h in range(g + 1) if x[sl[h]].any())
         if self.left:
             hs = list(hs)
+            t = np.empty(b.d ** max([top] + hs), dtype=complex)  # the longer factor
             for j, fj in self.blocks:
                 for h in hs:
                     if h + j > b.N:
                         break
-                    o[sl[h + j]] += self._up(fj, x[sl[h]])
+                    self._up(fj, x[sl[h]], o[sl[h + j]], 0, t, op=np.add)
             return o
         lo = next((int(b.offsets[h]) for h in hs), len(x))
         t = None
@@ -316,14 +320,13 @@ class _GradedProduct:
         basis's size.  Like coeffs, w may stop after the words of some
         grade, the higher ones being zero (the vacuum is one entry).  At
         d >= 2 the forward pass takes each grade in chunks of at most
-        _CHUNK words, and finishes a chunk while it is in cache: its first
-        product is subtracted from w's words straight into x, the others
-        after it, then it is divided by f_0 (skipped for f_0 = 1).  The
-        adjoint takes whole grades.  The products go into one scratch row,
-        the forward ones by _up's scalar products, so that a grade of x
-        against a short f_j costs one pass per letter of f_j.  The grade
-        slices are built once per product (slices).  At d = 1 it is
-        _band_solve."""
+        _CHUNK words, and finishes a chunk while it is in cache: _up
+        subtracts each f_j's products from w's words straight into x, then
+        from x, over the nonzero words of f_j only (on the left word i of
+        f_j covers x_g[i d^h:(i+1) d^h]), then it is divided by f_0
+        (skipped for f_0 = 1).  The adjoint takes whole grades.  The
+        products go into one scratch row; the grade slices are built once
+        per product (slices).  At d = 1 it is _band_solve."""
         b = self.basis
         if b.d == 1:
             return self._band_solve(w, adjoint)
@@ -333,6 +336,7 @@ class _GradedProduct:
         # forward chunks: the largest power of d within _CHUNK words
         q = b.N if adjoint else min(b.N, int(np.log2(_CHUNK) / np.log2(b.d)))
         row = np.empty(b.d ** q, dtype=complex)
+        zero = np.broadcast_to(np.zeros(1, dtype=complex), len(row))
         for g in (range(b.N, -1, -1) if adjoint else range(b.N + 1)):
             acc = x[sl[g]]
             wg = w[sl[g]] if b.offsets[g + 1] <= len(w) else None
@@ -340,11 +344,13 @@ class _GradedProduct:
                     if (g + j <= b.N if adjoint else j <= g)]
             n = min(len(acc), len(row))
             for s in range(0, len(acc), n):
-                part, t = acc[s:s + n], row[:n]
-                base = 0.0 if wg is None else wg[s:s + n]
+                part = acc[s:s + n]
+                base = zero[:n] if wg is None else wg[s:s + n]
                 for i, (fj, xs) in enumerate(srcs):
-                    p = self._down(fj, xs, g, t) if adjoint else self._up(fj, xs, t, s)
-                    np.subtract(part if i else base, p, out=part)
+                    if adjoint:
+                        np.subtract(part if i else base, self._down(fj, xs, g, row[:n]), out=part)
+                    else:
+                        self._up(fj, xs, part, s, row, None if i else base)
                 if not srcs:
                     part[:] = base
                 if f0 != 1:

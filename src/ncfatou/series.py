@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock import TruncatedOperator, _GradedProduct, graded_inverse, graded_multiplier
-from .words import Word, WordBasis, word_from_str, word_to_str
+from .words import Word, WordBasis, reversals, word_from_str, word_to_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
 #: germs are rejected as degenerate.
@@ -292,15 +292,15 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
     |w| = g0 and |v| <= j.  The blocks X_w = sum_{|v| <= j} c_{wv} Z^v
     come from a table of Z^v and one BLAS product per grade g0 + i, the
     coefficients viewed without a copy as a d^g0 x d^i matrix and the
-    tables of all points side by side as its right factor, padded to
-    whole tiles of _TILE columns: about |basis| sum_p n_p^2 multiply-adds.
-    Each point's grade-i table is d GEMMs, Z^{vk} = Z^v Z_k for all v of
-    grade i-1 at once as a (d^(i-1) n) x n by n x n product.  Horner over
-    grades g0-1..0, X_w = c_w I + sum_k Z_k X_{wk}, runs once per point
-    size on the stacked points of that size (d einsum calls per grade).
-    Table and Horner take about (d^j + d^g0) n^3 per point, and the
-    working memory beyond the coefficients is about (d^j + d^g0)
-    sum_p n_p^2 numbers.
+    tables of all points, by size, side by side as its right factor,
+    padded to whole tiles of _TILE columns: about |basis| sum_p n_p^2
+    multiply-adds.  The P points of a size n share one batched product
+    per letter and grade, a BLAS call per point: the table's Z^{vk} =
+    Z^v Z_k, (P, d^(i-1) n, n) @ (P, n, n), and Horner's X_w = c_w I +
+    sum_k Z_k X_{wk} over grades g0-1..0 on (P, n, d^m n), with a grade's
+    words in reversed-digit order, so that those ending in one letter are
+    one block.  Table and Horner take about (d^j + d^g0) n^3 per point,
+    and the memory beyond the coefficients (d^j + d^g0) sum_p n_p^2.
 
     The tail bound is ||f|| * rho^(N+1) / sqrt(1 - rho^2) with rho the row
     norm of Z and N the truncation grade of the basis, valid for the
@@ -316,40 +316,47 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
     N = f.degree()
     j = (N + 1) // 2
     g0 = N - j
-    cols = np.cumsum([0] + [pt.n ** 2 for pt in points])
+    rev = reversals(d, j)  # rev[i][place]: rank of the grade-i word at a reversed-order place
+    sizes, a = [], 0  # per size: its points, letters (d, P, n, n), table columns, last Z^v
+    for n in dict.fromkeys(pt.n for pt in points):
+        same = [p for p, pt in enumerate(points) if pt.n == n]
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (len(same), n, n))
+        Zs = np.stack([[points[p].Z[k] for p in same] for k in range(d)])
+        sizes.append([same, Zs, slice(a, a + eye.size), eye])
+        a += eye.size
     # whole tiles, so no point's value depends on which others share the sweep
-    table = np.zeros((d ** j, -(-cols[-1] // _TILE) * _TILE), dtype=complex)
-    powers = []  # per point, Z^v over the words v of grade i, in rank order
-    for pt, a in zip(points, cols):
-        powers.append(np.eye(pt.n, dtype=complex)[None])
-        table[0, a:a + pt.n ** 2] = powers[-1].ravel()
+    table = np.zeros((d ** j, -(-a // _TILE) * _TILE), dtype=complex)
+    for _, _, cs, eye in sizes:
+        table[0, cs] = eye.ravel()
     X = f.coeffs[basis.grade_slice(g0)][:, None] * table[:1]
     for i in range(1, j + 1):
-        for p, (pt, a) in enumerate(zip(points, cols)):
-            n, flat = pt.n, powers[p].reshape(-1, pt.n)
-            nxt = np.empty((d ** (i - 1), d, n, n), dtype=complex)
-            for k, Zk in enumerate(pt.Z):  # rank(vk) = d rank(v) + k
-                nxt[:, k] = (flat @ Zk).reshape(-1, n, n)
-            powers[p] = nxt.reshape(d ** i, n, n)
-            table[:d ** i, a:a + n * n] = nxt.reshape(d ** i, -1)
+        for size in sizes:
+            _, Zs, cs, pw = size
+            P, n = Zs.shape[1:3]
+            nxt = np.empty((P, d, d ** (i - 1) * n, n), dtype=complex)
+            for k in range(d):
+                np.matmul(pw, Zs[k], out=nxt[:, k])
+            size[3] = nxt.reshape(P, d ** i * n, n)
+            view = table[:, cs].reshape(d ** j, P, n, n)
+            view[rev[i]] = nxt.reshape(P, d ** i, n, n).swapaxes(0, 1)
         c = f.coeffs[basis.grade_slice(g0 + i)].reshape(d ** g0, d ** i)
         X += c @ table[:d ** i]
+    X = X[rev[g0]]
     results = [None] * len(points)
-    for n in {pt.n for pt in points}:
-        same = [p for p, pt in enumerate(points) if pt.n == n]
-        Zs = np.stack([points[p].Z for p in same], axis=1)  # (d, points, n, n)
-        eye = np.eye(n, dtype=complex)
-        Xp = X[:, (cols[same][:, None] + np.arange(n * n)).ravel()]
-        Xp = Xp.reshape(d ** g0, len(same), n, n)
+    for same, Zs, cs, _ in sizes:
+        P, n = Zs.shape[1:3]
+        Y = X[:, cs].reshape(d ** g0, P, n, n).transpose(1, 2, 0, 3).reshape(P, n, -1)
         for m in range(g0 - 1, -1, -1):
-            kids = Xp.reshape(d ** m, d, len(same), n, n)
-            Xp = f.coeffs[basis.grade_slice(m)][:, None, None, None] * eye
-            for k in range(d):  # einsum, not @, rounds as configs/out was computed
-                Xp = Xp + np.einsum("pij,wpjk->wpik", Zs[k], kids[:, k])
+            w = d ** m * n
+            cI = f.coeffs[basis.grade_slice(m)][rev[m], None] * np.eye(n, dtype=complex)[:, None]
+            nY = cI.reshape(n, w) + Zs[0] @ Y[:, :, :w]
+            for k in range(1, d):
+                nY += Zs[k] @ Y[:, :, k * w:(k + 1) * w]
+            Y = nY
         for q, p in enumerate(same):
             rho = points[p].row_norm
             tail = f.norm() * rho ** (basis.N + 1) / np.sqrt(1.0 - rho ** 2)
-            results[p] = EvalResult(Xp[0, q], float(tail))
+            results[p] = EvalResult(Y[q], float(tail))
     return results[0] if isinstance(Z, MatrixPoint) else results
 
 

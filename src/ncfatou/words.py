@@ -51,6 +51,17 @@ def word_from_str(s: str, d: int | None = None) -> Word:
     return w
 
 
+def reversals(d: int, N: int) -> list:
+    """rev[g] for g <= N: rev[g][r] is the rank of the reversal of the
+    grade-g word of rank r, base-d digit reversal (an involution).  The
+    reversal of k u has rank d rank(reversal of u) + k, so rev[g] is, over
+    the words that begin with each letter k in turn, d rev[g-1] + k."""
+    rev = [np.zeros(1, dtype=np.int64)]
+    for _ in range(N):
+        rev.append((d * rev[-1] + np.arange(d)[:, None]).ravel())
+    return rev
+
+
 def word_count(d: int, N: int) -> int:
     """Number of words of length <= N over d letters."""
     if d == 1:
@@ -117,6 +128,8 @@ class WordBasis:
         if not 0 <= i < self.size:
             raise IndexError(f"index {i} outside basis of size {self.size}")
         g = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        if self.d == 1:
+            return (1,) * g
         r = i - int(self.offsets[g])
         letters = []
         for _ in range(g):
@@ -138,18 +151,7 @@ class WordBasis:
         """
         if self.d == 1:
             return np.arange(self.size, dtype=np.int64)
-        p = np.empty(self.size, dtype=np.int64)
-        p[0] = 0
-        for g in range(1, self.N + 1):
-            r = np.arange(self.d ** g, dtype=np.int64)
-            rev = np.zeros_like(r)
-            t = r.copy()
-            for _ in range(g):
-                rev = rev * self.d + t % self.d
-                t //= self.d
-            sl = self.grade_slice(g)
-            p[sl.start:sl.stop] = self.offsets[g] + rev
-        return p
+        return np.concatenate([o + r for o, r in zip(self.offsets, reversals(self.d, self.N))])
 
     def sub_basis_size(self, M: int) -> int:
         """Number of words of length <= M (M <= N)."""

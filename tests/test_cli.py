@@ -126,22 +126,31 @@ def test_failed_allocation_exits_3_with_one_line_and_no_output(tmp_path, monkeyp
 
 def test_basis_beyond_int64_exits_2_with_one_line_and_no_output(tmp_path, monkeypatch,
                                                                 capsys):
-    # 3^61 words: validation refuses N before the runner, which would
-    # build WordBasis(d, N), is called
+    # 3^61 and 2^71 - 1 words: validation refuses the grade, N, a stage's
+    # or symbol_grade, naming its field, before the runner, which would
+    # build WordBasis(d, grade), is called
     def runner(c, threads):
         raise AssertionError("the runner ran")
 
     monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
     huge = {"d": 3, "N": 60}
-    for cfg in ({"experiment": "factor", **huge,
-                 "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}},
-                {"experiment": "majorant", **huge, "schur_coeffs": {"1": [0.3, 0.0]}},
-                {"experiment": "kernels", **huge, "schur_coeffs": {"1": [0.3, 0.0]}}):
+    inner = {"experiment": "inner-singular", "d": 2, "M": 0, "schur_coeffs": {"1": [0.5, 0.0]}}
+    for cfg, path in (({"experiment": "factor", **huge,
+                        "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}, "N"),
+                      ({"experiment": "majorant", **huge,
+                        "schur_coeffs": {"1": [0.3, 0.0]}}, "N"),
+                      ({"experiment": "kernels", **huge, "schur_coeffs": {"1": [0.3, 0.0]}}, "N"),
+                      ({**inner, "schedule": {"stages": [[0.5, 70]]}}, "schedule.stages[0][1]"),
+                      ({**inner, "schedule": {"stages": [[0.4, 8], [0.5, 70]]}},
+                       "schedule.stages[1][1]"),
+                      ({**inner, "symbol_grade": 70, "schedule": {"stages": [[0.5, 8]]}},
+                       "symbol_grade")):
         exp = cfg["experiment"]
         monkeypatch.setitem(cli.SCHEMAS, exp, (cli.SCHEMAS[exp][0], runner))
-        assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 2, exp
+        assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 2, path
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("config error: N: d = 3, N = 60: ")
+        grade = "d = 3, N = 60" if "N" in cfg else "d = 2, N = 70"
+        assert err.count("\n") == 1 and err.startswith(f"config error: {path}: {grade}: ")
         assert "int64" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
     # the largest grade int64 can index at d = 2 passes validation

@@ -238,17 +238,23 @@ def _outer_product_substitution(basis, c, side, w, adjoint):
 @pytest.mark.parametrize("f0", [1.0, 1.3 - 0.4j])
 def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, monkeypatch):
     # the scratch-row substitution, into a new array, equals the one with
-    # a fresh product per grade exactly: for 1 + a Z1 + b Z1Z2Z1,
-    # whose grade-2 block is zero, and for symbols dense through grade 2
-    # and through grade 3, each with f_0 = 1 (no division) and f_0 != 1;
-    # with whole grades and with forward chunks of d and of d**3 words,
-    # which cut the rows of f_j and of x_h, so that the products loop over
-    # the entries of f_j and over those of x_h
+    # a fresh product of every word per grade exactly, signed zeros too,
+    # although the forward pass subtracts only the nonzero words of each
+    # f_j: for 1 + a Z1 + b Z1Z2Z1, whose grade-2 block is zero, for the
+    # kernels symbol 1 - B (one nonzero grade-2 word of d**2), for a symbol
+    # with about half of its words zero through grade 3, and for symbols
+    # dense through grade 2 and through grade 3, each with f_0 = 1 (no
+    # division) and f_0 != 1; against a full right-hand side and the
+    # one-entry vacuum; with whole grades and with forward chunks of d and
+    # of d**3 words, which cut the rows of f_j and of x_h, so that the
+    # products loop over the entries of f_j and over those of x_h
     rng = np.random.default_rng(17)
     basis = WordBasis(d, N)
-    sparse = np.zeros(basis.size, dtype=complex)
+    sparse, kernels, half = (np.zeros(basis.size, dtype=complex) for _ in range(3))
     sparse[basis.index((1,))] = 0.4 - 0.2j
     sparse[basis.index((1, 2, 1))] = 0.3j
+    for word, v in (((1,), -0.3), ((2,), -0.25j), ((1, 2), -0.2)):
+        kernels[basis.index(word)] = v
     denses = []
     for g in (2, 3):
         dense = np.zeros(basis.size, dtype=complex)
@@ -257,18 +263,24 @@ def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, mo
         dense[:m] *= 0.5 / np.abs(dense[1:m]).sum()
         denses.append(dense)
     w = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    half[:m] = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * (rng.random(m) < 0.5)
+    half[:m] *= 0.5 / np.abs(half[1:m]).sum()
+    vacuum = np.zeros(basis.size, dtype=complex)
+    vacuum[0] = 2.0
     chunks = (fock._CHUNK, d, d ** 3)
-    for c in (sparse, *denses):
+    for c in (sparse, kernels, half, *denses):
         c[0] = f0
         for side in ("left", "right"):
             k = fock._GradedProduct(basis, c, side)
             A = graded_multiplier(basis, c, side).to_dense()
             for adjoint in (False, True):
-                ref = _outer_product_substitution(basis, c, side, w, adjoint)
-                for chunk in chunks:
-                    monkeypatch.setattr(fock, "_CHUNK", chunk)
-                    x = k.solve(w, adjoint)
-                    assert np.array_equal(x, ref) and not np.shares_memory(x, w)
+                for rhs, given in ((vacuum, vacuum[:1]), (w, w)):
+                    ref = _outer_product_substitution(basis, c, side, rhs, adjoint)
+                    for chunk in chunks:
+                        monkeypatch.setattr(fock, "_CHUNK", chunk)
+                        x = k.solve(given, adjoint)
+                        assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+                        assert not np.shares_memory(x, given)
                 exact = np.linalg.solve(A.conj().T if adjoint else A, w)
                 assert np.abs(ref - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -280,23 +292,39 @@ def _outer(side, fj, xh):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_graded_product_up_is_the_outer_product_bit_for_bit(side):
     # every shape of f_j against x_h, the shorter factor on either axis
-    # (one scalar product per entry of f_j or of x_h), whole and cut into
-    # every aligned window of d**q words
+    # (one scalar product per entry of f_j or of x_h), cut into every
+    # aligned window of d**q words, the whole product among them,
+    # subtracted from a base and from the window itself, and added; with
+    # f_j dense and with every other word zero
     rng = np.random.default_rng(71)
     d = 2
     k = fock._GradedProduct(WordBasis(d, 7), np.ones(1), side)
+    t = np.full(d ** 7, np.nan, dtype=complex)
     for j in range(4):
         for h in range(5):
             fj = rng.standard_normal(d ** j) + 1j * rng.standard_normal(d ** j)
             xh = rng.standard_normal(d ** h) + 1j * rng.standard_normal(d ** h)
-            ref = _outer(side, fj, xh)
-            assert np.array_equal(k._up(fj, xh), ref)
-            for q in range(j + h + 1):
-                n = d ** q
-                for start in range(0, len(ref), n):
-                    out = np.full(n, np.nan, dtype=complex)
-                    assert np.shares_memory(k._up(fj, xh, out, start), out)
-                    assert np.array_equal(out, ref[start:start + n])
+            for f in (fj, np.where(np.arange(d ** j) % 2, fj, 0)):
+                ref = _outer(side, f, xh)
+                for q in range(j + h + 1):
+                    n = d ** q
+                    for start in range(0, len(ref), n):
+                        p = ref[start:start + n]
+                        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                        part = np.full(n, np.nan, dtype=complex)
+                        k._up(f, xh, part, start, t, base)
+                        assert np.array_equal(part, base - p)
+                        k._up(f, xh, part, start, t)
+                        assert np.array_equal(part, base - p - p)
+                        k._up(f, xh, part, start, t, op=np.add)
+                        assert np.array_equal(part, base - p - p + p)
+    # a zero word of f_j multiplies nothing: a NaN in x_h stays out of its
+    # rows (left) or columns (right), which keep the base
+    f, xh = np.array([0, 0.5j]), np.array([np.nan, 1, 2, 3], dtype=complex)
+    part, base = np.empty(8, dtype=complex), np.arange(8) + 1j
+    k._up(f, xh, part, 0, t, base)
+    shape, pick = ((2, 4), np.s_[0]) if side == "left" else ((4, 2), np.s_[:, 0])
+    assert np.array_equal(part.reshape(shape)[pick], base.reshape(shape)[pick])
 
 
 @pytest.mark.parametrize("shape", [(2, 8), (3, 5), (8, 2), (5, 3)])
@@ -313,7 +341,9 @@ def test_graded_product_up_keeps_the_operand_order(shape):
     assert not np.array_equal(swapped, ref)
     for side, fj, xh in (("left", a, c), ("right", c, a)):
         k = fock._GradedProduct(WordBasis(2, 1), np.ones(1), side)
-        assert np.array_equal(k._up(fj, xh), ref.ravel())
+        part = np.zeros(ref.size, dtype=complex)
+        k._up(fj, xh, part, 0, np.empty(max(shape), dtype=complex), op=np.add)
+        assert np.array_equal(part, ref.ravel())
 
 
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])

@@ -343,14 +343,23 @@ def test_evaluate_matches_explicit_products(d, N, deg, n, rho, seed):
     assert tail == np.sqrt(np.einsum("i,i", v, v)) * r ** (N + 1) / np.sqrt(1.0 - r ** 2)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(1, 3), N=st.integers(0, 8), deg=st.integers(0, 8),
-       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=9),
        seed=st.integers(0, 2 ** 16))
 @example(d=2, N=7, deg=7, sizes=[3, 1, 2, 3], seed=0)  # n = 3 and n = 1 beside others
 @example(d=3, N=1, deg=1, sizes=[1, 1, 3], seed=1)  # no split: g0 = 0
 @example(d=1, N=8, deg=0, sizes=[2], seed=2)
+@example(d=2, N=8, deg=8, sizes=[1, 2, 3] * 3, seed=3)  # three points of each size
+@example(d=3, N=5, deg=5, sizes=[2, 2, 1, 3, 3, 1, 2], seed=4)
 def test_evaluate_at_several_points_equals_each_point_alone(d, N, deg, sizes, seed):
+    # the points of one size share batched products, and the points of all
+    # sizes one coefficient sweep; each point's value and tail are the same
+    # bits alone, as a one-point sweep, in the sweep and in a shuffled sweep
     deg = min(deg, N)
     rng = np.random.default_rng(seed)
     basis = WordBasis(d, N)
@@ -365,11 +374,15 @@ def test_evaluate_at_several_points_equals_each_point_alone(d, N, deg, sizes, se
         points.append(Z.scaled(rng.uniform(0.05, 0.95) / Z.row_norm))
     results = evaluate(f, points)
     assert isinstance(results, list) and len(results) == len(points)
-    for Z, res in zip(points, results):
+    order = rng.permutation(len(points))
+    shuffled = evaluate(f, [points[i] for i in order])
+    for Z, res, again in zip(points, results, [shuffled[i] for i in np.argsort(order)]):
         alone = evaluate(f, Z)
         assert isinstance(alone, EvalResult)
-        assert np.array_equal(res.value, alone.value)
-        assert res.tail == alone.tail
+        (single,) = evaluate(f, [Z])
+        for other in (single, res, again):  # signed zeros too
+            assert np.array_equal(_bits(other.value), _bits(alone.value))
+            assert other.tail == alone.tail
 
 
 def test_evaluate_rejects_boundary_point():
