@@ -7,27 +7,23 @@ and cross-validates everything against the classical one-variable theory.
 """
 
 from .factor import FactorResult, outer_factor
-from .fock import (FockVector, TruncatedOperator, basis_vector, graded_inverse,
-                   graded_multiplier, left_shift, right_shift, transpose_unitary,
-                   vacuum)
+from .fock import (FockVector, TruncatedOperator, graded_inverse, graded_multiplier,
+                   left_shift, right_shift, transpose_unitary)
 from .lebesgue import (RNResult, Schedule, StageRecord, fatou_form_check,
                        majorant_check, rn_derivative, resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
-                      clark_measure, gram, gram_matvec, herglotz_eval,
-                      herglotz_transform, hermitian_floor, is_positive,
-                      left_multiplier_norm, nc_lebesgue, quadratic_form,
-                      radial_measure, read_moments_csv, sos_split,
-                      vector_state, write_moments_csv)
+                      clark_measure, gram, herglotz_eval, herglotz_transform,
+                      hermitian_floor, is_positive, left_multiplier_norm,
+                      nc_lebesgue, quadratic_form, radial_measure,
+                      read_moments_csv, sos_split, vector_state)
 from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
-                       fatou_symbol, fourier_coefficients, herglotz_integral,
-                       poisson_density, toeplitz_from_symbol)
+                       fatou_symbol, fourier_coefficients, poisson_density,
+                       toeplitz_from_symbol)
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
-                     invert, left_multiplier, multiply, radial_scale,
-                     read_series_csv, right_multiplier,
-                     series_at_right_shifts, szego_kernel,
-                     szego_kernel_matrix, transpose_conjugate,
-                     write_series_csv)
-from .words import Word, WordBasis, concat, transpose, word_count
+                     invert, multiply, radial_scale, read_series_csv,
+                     right_multiplier, series_at_right_shifts, szego_kernel,
+                     szego_kernel_matrix, transpose_conjugate)
+from .words import Word, WordBasis, transpose, word_count
 
 __version__ = "0.1.0"

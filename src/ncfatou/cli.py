@@ -5,7 +5,8 @@ Usage:
     ncfatou verify --suite core [--output-dir DIR] [--quiet]
 
 Exit codes: 0 success, 2 config validation failure (the message names the
-field path; a grade whose words int64 cannot index names its field), 3
+field path; a grade whose words int64 cannot index, or whose basis at 64
+bytes a word exceeds physical memory, names its field), 3
 numerical-diagnostic failure (CG non-convergence, a d=1 symbol that is not
 positive, PSD floor or residual beyond tolerance, or an allocation that
 fails).
@@ -38,7 +39,7 @@ import numpy as np
 from . import oracle1d
 from .factor import _SUPPORT_FLOOR, outer_factor
 from .fock import FockVector
-from .lebesgue import Schedule, fatou_form_check, majorant_check, rn_derivative
+from .lebesgue import _WORD_BYTES, Schedule, fatou_form_check, majorant_check, rn_derivative
 from .measure import (clark_measure, hermitian_floor, nc_lebesgue, radial_measure,
                       read_moments_csv, vector_state)
 from .series import (MatrixPoint, NCSeries, cayley_to_herglotz,
@@ -86,7 +87,8 @@ def validate(cfg, base_dir=Path(".")) -> dict:
 
     Returns it with every default filled in, coefficients as {word:
     complex} and files joined to base_dir, or raises ConfigError, also
-    for a grade (N, symbol_grade, a stage's) whose words int64 cannot index.
+    for a grade (N, symbol_grade, a stage's) whose words int64 cannot index
+    or whose basis, at _WORD_BYTES bytes a word, exceeds physical memory.
     """
     if not isinstance(cfg, dict):
         _fail("", "top-level config must be an object")
@@ -95,12 +97,16 @@ def validate(cfg, base_dir=Path(".")) -> dict:
         _fail("experiment", f"expected one of {', '.join(SCHEMAS)}, got {exp!r}")
     c = _check(SCHEMAS[exp][0], cfg, "", ChainMap({"base_dir": Path(base_dir)}))
     stages = enumerate(c.get("schedule", {}).get("stages", ()))
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for path, N in [(k, c[k]) for k in ("N", "symbol_grade") if k in c] + [
             (f"schedule.stages[{i}][1]", N) for i, (_, N) in stages]:
         try:  # the runners build WordBasis(d, N); it refuses before allocating
-            WordBasis(c["d"], N)
+            n = WordBasis(c["d"], N).size
         except ValueError as exc:
             _fail(path, str(exc))
+        if n * _WORD_BYTES > ram:  # allocated, it could be killed rather than exit 3
+            _fail(path, f"d = {c['d']}, N = {N}: {n} words at {_WORD_BYTES:g} bytes "
+                  f"each exceed the {ram / 2 ** 30:.3g} GiB of physical memory")
     return c
 
 

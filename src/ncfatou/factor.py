@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncatedOperator, _GradedProduct
+from .fock import _GradedProduct
 from .measure import MomentFunctional, _gram_apply, _prefix_solve, gram
-from .series import NCSeries, invert, right_multiplier
+from .series import NCSeries, invert
 
 #: Rayleigh probes of T_tau, their relative PSD tolerance, the factor's coefficient floor
 _PROBES = 6
@@ -35,17 +35,16 @@ _SUPPORT_FLOOR = 1e-12
 class FactorResult:
     """Outer factorization data for eps I + T_tau.
 
-    psi has a real positive constant coefficient (the gauge fix); y_inv is
-    right multiplication by psi, y its graded inverse, and residual is the
-    max entry of y* y - (eps I + T_tau) on the compression of grade <=
-    check_grade (see outer_factor).
+    psi has a real positive constant coefficient (the gauge fix).  The
+    factor y is right multiplication by y_series = invert(psi), and right
+    multiplication by psi is its inverse.  residual is the max entry of
+    y* y - (eps I + T_tau) on the compression of grade <= check_grade (see
+    outer_factor).
     """
 
     eps: float
     psi: NCSeries
     y_series: NCSeries
-    y_inv: TruncatedOperator
-    y: TruncatedOperator
     residual: float
     check_grade: int
     contraction_norm_bound: float
@@ -100,8 +99,6 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     phi[0] = inner  # real in exact arithmetic, so the gauge leaves psi(0) real
     psi = NCSeries(basis, phi / np.sqrt(inner))
     y_series = invert(psi)
-    y_inv = right_multiplier(psi)
-    y = right_multiplier(y_series)
 
     check_grade = max(0, basis.N - y_series.degree(floor=_SUPPORT_FLOOR))
     m = basis.sub_basis_size(check_grade)
@@ -111,6 +108,6 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     A = gram(tau.restricted(check_grade)).matrix + eps * np.eye(m)
     residual = float(np.abs(cols.conj().T @ cols - A).max())
     return FactorResult(
-        eps=eps, psi=psi, y_series=y_series, y_inv=y_inv, y=y,
+        eps=eps, psi=psi, y_series=y_series,
         residual=residual, check_grade=check_grade,
         contraction_norm_bound=float(1.0 / np.sqrt(eps)))

@@ -18,11 +18,7 @@ from .words import Word, WordBasis
 
 @dataclass(frozen=True)
 class FockVector:
-    """Coefficient vector over words of length <= N.
-
-    The inner product is the l2 pairing of coefficients, conjugate-linear
-    in the first slot.
-    """
+    """Coefficient vector over words of length <= N."""
 
     basis: WordBasis
     coeffs: np.ndarray
@@ -33,40 +29,6 @@ class FockVector:
             raise ValueError(
                 f"coefficient vector has shape {c.shape}, basis size {self.basis.size}")
         object.__setattr__(self, "coeffs", c)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def inner(self, other: "FockVector") -> complex:
-        """<self, other>, conjugate-linear in self."""
-        _same_basis(self.basis, other.basis)
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        _same_basis(self.basis, other.basis)
-        return FockVector(self.basis, self.coeffs + other.coeffs)
-
-    def __mul__(self, c: complex) -> "FockVector":
-        return FockVector(self.basis, self.coeffs * c)
-
-    __rmul__ = __mul__
-
-
-def vacuum(basis: WordBasis) -> FockVector:
-    c = np.zeros(basis.size, dtype=complex)
-    c[0] = 1.0
-    return FockVector(basis, c)
-
-
-def basis_vector(basis: WordBasis, w: Word) -> FockVector:
-    c = np.zeros(basis.size, dtype=complex)
-    c[basis.index(w)] = 1.0
-    return FockVector(basis, c)
-
-
-def _same_basis(a: WordBasis, b: WordBasis):
-    if a != b:
-        raise ValueError(f"basis mismatch: {a} vs {b}")
 
 
 class TruncatedOperator:
@@ -86,15 +48,9 @@ class TruncatedOperator:
         self._dense = dense
 
     def apply(self, v):
-        if isinstance(v, FockVector):
-            _same_basis(v.basis, self.basis)
-            return FockVector(self.basis, self._matvec(v.coeffs))
         return self._matvec(np.asarray(v, dtype=complex))
 
     def adjoint_apply(self, v):
-        if isinstance(v, FockVector):
-            _same_basis(v.basis, self.basis)
-            return FockVector(self.basis, self._rmatvec(v.coeffs))
         return self._rmatvec(np.asarray(v, dtype=complex))
 
     def to_dense(self) -> np.ndarray:

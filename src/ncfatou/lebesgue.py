@@ -73,6 +73,12 @@ from .words import WordBasis, word_count
 # ---------------------------------------------------------------------------
 # schedules
 
+#: Bytes per word of a basis that a run is taken to hold: four complex
+#: vectors of the basis size.  The memory budget of Schedule.coupled and
+#: the config check against physical memory (cli.validate) both count it.
+_WORD_BYTES = 16.0 * 4.0
+
+
 @dataclass(frozen=True)
 class Schedule:
     """List of (r, N) stages with r increasing toward 1."""
@@ -94,7 +100,7 @@ class Schedule:
             raise ValueError(f"tail_tol must be in (0,1), got {tail_tol}")
         if j_min < 1 or j_max < j_min:
             raise ValueError(f"bad schedule range j_min={j_min}, j_max={j_max}")
-        budget_coeffs = memory_budget_mb * 2 ** 20 / (16.0 * 4.0)
+        budget_coeffs = memory_budget_mb * 2 ** 20 / _WORD_BYTES
         if d == 1:
             n_cap = min(int(budget_coeffs) - 1, 2_000_000)
         else:

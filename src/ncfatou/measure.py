@@ -8,7 +8,6 @@ records the grade it was computed at.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .fock import FockVector, graded_multiplier
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      radial_scale, read_word_csv)
-from .words import WordBasis, word_to_str
+from .words import WordBasis
 
 #: eigsh's relative tolerance in left_multiplier_norm
 _NORM_TOL = 1e-12
@@ -124,11 +123,6 @@ def _gram_apply(mu: MomentFunctional):
         w = np.conj(np.asarray(v, dtype=complex))
         return np.conj(Y.apply(w) + Y.adjoint_apply(w))
     return apply
-
-
-def gram_matvec(mu: MomentFunctional, v: np.ndarray) -> np.ndarray:
-    """Apply G v without materializing G."""
-    return _gram_apply(mu)(v)
 
 
 def _prefix_sweep(mu: MomentFunctional, eps: float, stops):
@@ -361,23 +355,12 @@ def sos_split(p: FockVector) -> NCSeries:
 
 def quadratic_form(mu: MomentFunctional, p: FockVector) -> float:
     """q_mu(p, p) = mu(p* p) evaluated through the Gram matrix."""
-    v = gram_matvec(mu, p.coeffs)
+    v = _gram_apply(mu)(p.coeffs)
     return float(np.vdot(p.coeffs, v).real)
 
 
 # ---------------------------------------------------------------------------
 # file format: CSV with header word,re,im; the file must contain "e"
-
-def write_moments_csv(mu: MomentFunctional, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word", "re", "im"])
-        for i in range(mu.basis.size):
-            c = mu.moments[i]
-            if i == 0 or c != 0:
-                writer.writerow([word_to_str(mu.basis.word(i)),
-                                 repr(float(c.real)), repr(float(c.imag))])
-
 
 def read_moments_csv(path, basis: WordBasis) -> MomentFunctional:
     values = read_word_csv(path, basis)

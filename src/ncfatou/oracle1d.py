@@ -113,21 +113,6 @@ def classical_moments(spec: MeasureSpec, N: int) -> MomentFunctional:
     return MomentFunctional(WordBasis(1, N), moments)
 
 
-def herglotz_integral(spec: MeasureSpec, z: complex) -> complex:
-    """int (1 + z conj(zeta)) / (1 - z conj(zeta)) dmu(zeta), |z| < 1."""
-    if abs(z) >= 1:
-        raise ValueError(f"Herglotz integral needs |z| < 1, got {abs(z)}")
-    total = 0.0 + 0.0j
-    for angle, weight in spec.point_masses:
-        zc = np.conj(np.exp(1j * angle))
-        total += weight * (1 + z * zc) / (1 - z * zc)
-    if spec.density is not None:
-        zetas = circle_grid(spec.grid)
-        vals = (1 + z * zetas.conj()) / (1 - z * zetas.conj())
-        total += np.mean(vals * spec.density)
-    return complex(total)
-
-
 def poisson_density(r: float, center_angle: float = 0.0,
                     grid: int = DEFAULT_GRID) -> np.ndarray:
     """Poisson kernel (1 - r^2)/|1 - r conj(c) zeta|^2 sampled on the grid."""

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock import TruncatedOperator, _GradedProduct, graded_inverse, graded_multiplier
-from .words import Word, WordBasis, reversals, word_from_str, word_to_str
+from .words import Word, WordBasis, reversals, word_from_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
 #: germs are rejected as degenerate.
@@ -363,11 +363,6 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
 # ---------------------------------------------------------------------------
 # multiplier operators
 
-def left_multiplier(f: NCSeries) -> TruncatedOperator:
-    """Compression of M^L_f: e_b -> sum_a c_a e_{ab}."""
-    return graded_multiplier(f.basis, f.coeffs, "left")
-
-
 def right_multiplier(f: NCSeries) -> TruncatedOperator:
     """Compression of M^R_f: e_b -> sum_a c_a e_{ba} (multiplication by f
     on the right)."""
@@ -445,14 +440,6 @@ def dbr_kernel(BZ: EvalResult, BW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
 
 # ---------------------------------------------------------------------------
 # file format: CSV with header word,re,im; absent words are zero
-
-def write_series_csv(f: NCSeries, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word", "re", "im"])
-        for w, c in f.support():
-            writer.writerow([word_to_str(w), repr(float(c.real)), repr(float(c.imag))])
-
 
 def read_word_csv(path, basis: WordBasis) -> dict:
     """{basis index: value} over the rows of a word,re,im file; a word

@@ -17,11 +17,6 @@ import numpy as np
 Word = tuple  # tuple of int letters, each in 1..d
 
 
-def concat(a: Word, b: Word) -> Word:
-    """Concatenation a followed by b; the monoid product."""
-    return tuple(a) + tuple(b)
-
-
 def transpose(a: Word) -> Word:
     """Letter reversal; an involutive anti-homomorphism of the monoid."""
     return tuple(reversed(a))

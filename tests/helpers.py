@@ -1,6 +1,20 @@
-"""Checks shared by the test modules."""
+"""Checks, fixtures and references shared by the test modules.
+
+The fixtures build unit vectors of the Fock space and write series and
+moment files; herglotz_integral is the d = 1 reference for herglotz_eval,
+the Herglotz integral of a classical measure on the circle.  None of them
+is part of the package: no run needs them.
+"""
+
+import csv
 
 import numpy as np
+
+from ncfatou.fock import FockVector
+from ncfatou.measure import MomentFunctional
+from ncfatou.oracle1d import MeasureSpec, circle_grid
+from ncfatou.series import NCSeries
+from ncfatou.words import Word, WordBasis, word_to_str
 
 
 def adjoint_residual(op, rng: np.random.Generator, probes: int = 4) -> float:
@@ -17,3 +31,53 @@ def adjoint_residual(op, rng: np.random.Generator, probes: int = 4) -> float:
         rhs = np.vdot(op.adjoint_apply(u), v)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+# -- fixtures ----------------------------------------------------------------
+
+def vacuum(basis: WordBasis) -> FockVector:
+    c = np.zeros(basis.size, dtype=complex)
+    c[0] = 1.0
+    return FockVector(basis, c)
+
+
+def basis_vector(basis: WordBasis, w: Word) -> FockVector:
+    c = np.zeros(basis.size, dtype=complex)
+    c[basis.index(w)] = 1.0
+    return FockVector(basis, c)
+
+
+def write_series_csv(f: NCSeries, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["word", "re", "im"])
+        for w, c in f.support():
+            writer.writerow([word_to_str(w), repr(float(c.real)), repr(float(c.imag))])
+
+
+def write_moments_csv(mu: MomentFunctional, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["word", "re", "im"])
+        for i in range(mu.basis.size):
+            c = mu.moments[i]
+            if i == 0 or c != 0:
+                writer.writerow([word_to_str(mu.basis.word(i)),
+                                 repr(float(c.real)), repr(float(c.imag))])
+
+
+# -- references --------------------------------------------------------------
+
+def herglotz_integral(spec: MeasureSpec, z: complex) -> complex:
+    """int (1 + z conj(zeta)) / (1 - z conj(zeta)) dmu(zeta), |z| < 1."""
+    if abs(z) >= 1:
+        raise ValueError(f"Herglotz integral needs |z| < 1, got {abs(z)}")
+    total = 0.0 + 0.0j
+    for angle, weight in spec.point_masses:
+        zc = np.conj(np.exp(1j * angle))
+        total += weight * (1 + z * zc) / (1 - z * zc)
+    if spec.density is not None:
+        zetas = circle_grid(spec.grid)
+        vals = (1 + z * zetas.conj()) / (1 - z * zetas.conj())
+        total += np.mean(vals * spec.density)
+    return complex(total)

@@ -128,34 +128,38 @@ def test_basis_beyond_int64_exits_2_with_one_line_and_no_output(tmp_path, monkey
                                                                 capsys):
     # 3^61 and 2^71 - 1 words: validation refuses the grade, N, a stage's
     # or symbol_grade, naming its field, before the runner, which would
-    # build WordBasis(d, grade), is called
+    # build WordBasis(d, grade), is called.  So it does for 2^61 - 1
+    # words, which int64 indexes but no machine's memory holds
     def runner(c, threads):
         raise AssertionError("the runner ran")
 
     monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
-    huge = {"d": 3, "N": 60}
     inner = {"experiment": "inner-singular", "d": 2, "M": 0, "schur_coeffs": {"1": [0.5, 0.0]}}
-    for cfg, path in (({"experiment": "factor", **huge,
-                        "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}, "N"),
-                      ({"experiment": "majorant", **huge,
-                        "schur_coeffs": {"1": [0.3, 0.0]}}, "N"),
-                      ({"experiment": "kernels", **huge, "schur_coeffs": {"1": [0.3, 0.0]}}, "N"),
-                      ({**inner, "schedule": {"stages": [[0.5, 70]]}}, "schedule.stages[0][1]"),
-                      ({**inner, "schedule": {"stages": [[0.4, 8], [0.5, 70]]}},
-                       "schedule.stages[1][1]"),
-                      ({**inner, "symbol_grade": 70, "schedule": {"stages": [[0.5, 8]]}},
-                       "symbol_grade")):
-        exp = cfg["experiment"]
-        monkeypatch.setitem(cli.SCHEMAS, exp, (cli.SCHEMAS[exp][0], runner))
-        assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 2, path
-        err = capsys.readouterr().err
-        grade = "d = 3, N = 60" if "N" in cfg else "d = 2, N = 70"
-        assert err.count("\n") == 1 and err.startswith(f"config error: {path}: {grade}: ")
-        assert "int64" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-    # the largest grade int64 can index at d = 2 passes validation
-    assert validate({"experiment": "kernels", "d": 2, "N": 62,
-                     "schur_coeffs": {"1": [0.3, 0.0]}})["N"] == 62
+    for d, N, top, reason in ((3, 60, 70, "int64"), (2, 60, 60, "physical memory")):
+        huge = {"d": d, "N": N}
+        for cfg, path in (({"experiment": "factor", **huge,
+                            "tau": {"type": "vector-state", "coeffs": {"e": [1.0, 0.0]}}}, "N"),
+                          ({"experiment": "majorant", **huge,
+                            "schur_coeffs": {"1": [0.3, 0.0]}}, "N"),
+                          ({"experiment": "kernels", **huge,
+                            "schur_coeffs": {"1": [0.3, 0.0]}}, "N"),
+                          ({**inner, "schedule": {"stages": [[0.5, top]]}},
+                           "schedule.stages[0][1]"),
+                          ({**inner, "schedule": {"stages": [[0.4, 8], [0.5, top]]}},
+                           "schedule.stages[1][1]"),
+                          ({**inner, "symbol_grade": top,
+                            "schedule": {"stages": [[0.5, 8]]}}, "symbol_grade")):
+            exp = cfg["experiment"]
+            monkeypatch.setitem(cli.SCHEMAS, exp, (cli.SCHEMAS[exp][0], runner))
+            assert run_config(write_cfg(tmp_path, "cfg.json", cfg)) == 2, path
+            err = capsys.readouterr().err
+            grade = f"d = {d}, N = {N}" if "N" in cfg else f"d = 2, N = {top}"
+            assert err.count("\n") == 1 and err.startswith(f"config error: {path}: {grade}: ")
+            assert reason in err and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+    # the grade of the committed kernels config passes validation
+    assert validate({"experiment": "kernels", "d": 2, "N": 20,
+                     "schur_coeffs": {"1": [0.3, 0.0]}})["N"] == 20
 
 
 def test_experiment_outputs_are_bit_identical(tmp_path):
@@ -605,5 +609,8 @@ def test_docs_list_the_schema_table():
     assert doc in readme
     for gone in ("null_tol", "verify --threads", "free Cauchy transform",
                  "GNS quotient isometries", "form-decomposition diagnostic",
-                 "RadialOperator", "radial_operator"):
+                 "RadialOperator", "radial_operator", "`left_multiplier`", "`concat`",
+                 "gram_matvec", "y_inv", "FockVector.inner", "FockVector.norm",
+                 "basis_vector", "`vacuum`", "write_series_csv", "write_moments_csv",
+                 "herglotz_integral"):
         assert gone not in readme and gone not in cli.__doc__

@@ -4,13 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ncfatou import fock
-from ncfatou.fock import (FockVector, basis_vector, graded_inverse,
-                          graded_multiplier, left_shift, right_shift,
-                          transpose_unitary, vacuum)
-from ncfatou.series import NCSeries, left_multiplier, multiply
+from ncfatou.fock import (FockVector, graded_inverse, graded_multiplier, left_shift,
+                          right_shift, transpose_unitary)
+from ncfatou.series import NCSeries, multiply
 from ncfatou.words import WordBasis
 
-from helpers import adjoint_residual
+from helpers import adjoint_residual, basis_vector, vacuum
 
 
 @pytest.fixture
@@ -24,23 +23,21 @@ def as_array(op, basis):
 
 def test_left_shift_examples(basis):
     L1 = left_shift(basis, 1)
-    assert np.allclose(L1.apply(vacuum(basis)).coeffs,
-                       basis_vector(basis, (1,)).coeffs)
-    top = basis_vector(basis, (1, 2, 1))
-    assert np.allclose(L1.apply(top).coeffs, 0.0)
+    e = vacuum(basis).coeffs
+    assert np.allclose(L1.apply(e), basis_vector(basis, (1,)).coeffs)
+    top = basis_vector(basis, (1, 2, 1)).coeffs
+    assert np.allclose(L1.apply(top), 0.0)
     L2 = left_shift(basis, 2)
-    assert abs(L2.adjoint_apply(L1.apply(vacuum(basis))).coeffs).max() == 0.0
-    assert np.allclose(L1.adjoint_apply(L1.apply(vacuum(basis))).coeffs,
-                       vacuum(basis).coeffs)
+    assert abs(L2.adjoint_apply(L1.apply(e))).max() == 0.0
+    assert np.allclose(L1.adjoint_apply(L1.apply(e)), e)
 
 
 def test_right_shift_examples(basis):
     R2 = right_shift(basis, 2)
-    assert np.allclose(R2.apply(basis_vector(basis, (1,))).coeffs,
+    assert np.allclose(R2.apply(basis_vector(basis, (1,)).coeffs),
                        basis_vector(basis, (1, 2)).coeffs)
-    assert np.allclose(R2.apply(vacuum(basis)).coeffs,
-                       basis_vector(basis, (2,)).coeffs)
-    assert abs(R2.apply(basis_vector(basis, (2, 2, 2))).coeffs).max() == 0.0
+    assert np.allclose(R2.apply(vacuum(basis).coeffs), basis_vector(basis, (2,)).coeffs)
+    assert abs(R2.apply(basis_vector(basis, (2, 2, 2)).coeffs)).max() == 0.0
 
 
 def test_shift_letter_out_of_range(basis):
@@ -52,7 +49,7 @@ def test_shift_letter_out_of_range(basis):
 
 def test_transpose_unitary_examples(basis):
     U = transpose_unitary(basis)
-    assert np.allclose(U.apply(basis_vector(basis, (1, 2))).coeffs,
+    assert np.allclose(U.apply(basis_vector(basis, (1, 2)).coeffs),
                        basis_vector(basis, (2, 1)).coeffs)
     Ud = U.to_dense()
     assert np.allclose(Ud @ Ud, np.eye(basis.size))
@@ -105,23 +102,12 @@ def test_adjoint_pairs_on_probes(basis):
         assert adjoint_residual(op, rng) < 1e-12
 
 
-def test_operator_algebra_and_vectors(basis):
-    rng = np.random.default_rng(3)
-    v = FockVector(basis, rng.standard_normal(basis.size)
-                   + 1j * rng.standard_normal(basis.size))
-    w = FockVector(basis, rng.standard_normal(basis.size))
-    L1 = left_shift(basis, 1)
-    # <u, Lv> = <L* u, v>, conjugate-linear in the first slot
-    assert np.isclose(w.inner(L1.apply(v)), L1.adjoint_apply(w).inner(v))
-    assert np.isclose((2.0 * v).norm(), 2.0 * v.norm())
-
-
 def test_dimension_mismatch_rejected(basis):
     with pytest.raises(ValueError):
         FockVector(basis, np.zeros(3))
-    other = WordBasis(2, 2)
+    # a vector that is not the words of grade <= g for any g
     with pytest.raises(ValueError):
-        left_shift(basis, 1).apply(vacuum(other))
+        left_shift(basis, 1).apply(np.zeros(5))
 
 
 # -- graded products ---------------------------------------------------------
@@ -163,7 +149,8 @@ def test_graded_product_kernel_properties(d, N, side, sparsity, seed):
     assert np.abs(op.apply(inv.apply(x)) - x).max() < 1e-12
     f = NCSeries(basis, c)
     g = NCSeries(basis, rng.standard_normal(basis.size))
-    assert np.abs(multiply(f, g).coeffs - left_multiplier(f).apply(g.coeffs)).max() < 1e-12
+    left = graded_multiplier(f.basis, f.coeffs, "left")
+    assert np.abs(multiply(f, g).coeffs - left.apply(g.coeffs)).max() < 1e-12
 
 
 def test_graded_product_sides_and_germ():

@@ -4,11 +4,12 @@ from scipy.linalg import toeplitz
 
 from ncfatou.measure import clark_measure
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
-                              fatou_symbol, fourier_coefficients,
-                              herglotz_integral, poisson_density,
+                              fatou_symbol, fourier_coefficients, poisson_density,
                               toeplitz_from_symbol)
 from ncfatou.series import NCSeries
 from ncfatou.words import WordBasis
+
+from helpers import herglotz_integral
 
 
 def test_fatou_symbol_examples():

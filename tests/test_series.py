@@ -3,17 +3,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ncfatou import fock
-from ncfatou.fock import transpose_unitary
+from ncfatou.fock import graded_multiplier, transpose_unitary
 from ncfatou.measure import left_multiplier_norm
 from ncfatou.series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                             cayley_to_schur, dbr_kernel, evaluate,
-                            herglotz_kernel, invert, left_multiplier,
-                            multiply, radial_scale, read_series_csv,
-                            right_multiplier,
+                            herglotz_kernel, invert, multiply, radial_scale,
+                            read_series_csv, right_multiplier,
                             series_at_right_shifts, szego_kernel,
-                            szego_kernel_matrix, transpose_conjugate,
-                            write_series_csv)
+                            szego_kernel_matrix, transpose_conjugate)
 from ncfatou.words import WordBasis
+from helpers import write_series_csv
 from test_measure import brute_cayley_herglotz
 
 
@@ -234,11 +233,12 @@ def test_right_multiplier_is_transposed_left_multiplier():
     U = transpose_unitary(basis)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     lhs = right_multiplier(f).apply(v)
-    rhs = U.apply(left_multiplier(transpose_conjugate(f)).apply(U.apply(v)))
+    ft = transpose_conjugate(f)
+    rhs = U.apply(graded_multiplier(basis, ft.coeffs, "left").apply(U.apply(v)))
     assert np.abs(lhs - rhs).max() < 1e-12
     # and f(R) = U f(L) U
     lhs2 = series_at_right_shifts(f).apply(v)
-    rhs2 = U.apply(left_multiplier(f).apply(U.apply(v)))
+    rhs2 = U.apply(graded_multiplier(basis, f.coeffs, "left").apply(U.apply(v)))
     assert np.abs(lhs2 - rhs2).max() < 1e-12
 
 
@@ -246,10 +246,11 @@ def test_left_multiplier_examples():
     basis = WordBasis(2, 3)
     from ncfatou.fock import left_shift
     z1 = series_from(basis, {(1,): 1.0})
-    assert np.abs(left_multiplier(z1).to_dense()
+    assert np.abs(graded_multiplier(basis, z1.coeffs, "left").to_dense()
                   - left_shift(basis, 1).to_dense()).max() == 0.0
     one = NCSeries.one(basis)
-    assert np.allclose(left_multiplier(one).to_dense(), np.eye(basis.size))
+    assert np.allclose(graded_multiplier(basis, one.coeffs, "left").to_dense(),
+                       np.eye(basis.size))
 
 
 def test_left_multiplier_homomorphism_exact():
@@ -259,8 +260,10 @@ def test_left_multiplier_homomorphism_exact():
     f = series_from(basis, {(1,): 0.5, (2, 1): 0.25})
     g = series_from(basis, {(): 1.0, (2,): -0.5j})
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    lhs = left_multiplier(multiply(f, g)).apply(v)
-    rhs = left_multiplier(f).apply(left_multiplier(g).apply(v))
+    fg = multiply(f, g)
+    lhs = graded_multiplier(basis, fg.coeffs, "left").apply(v)
+    rhs = graded_multiplier(basis, f.coeffs, "left").apply(
+        graded_multiplier(basis, g.coeffs, "left").apply(v))
     assert np.abs(lhs - rhs).max() < 1e-14
 
 

@@ -1,14 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfatou.words import (WordBasis, concat, transpose,
-                           word_count, word_from_str, word_to_str)
-
-
-def test_concat_examples():
-    assert concat((1, 2), (1,)) == (1, 2, 1)
-    assert concat((), (2, 1)) == (2, 1)
-    assert concat((1,), ()) == (1,)
+from ncfatou.words import WordBasis, transpose, word_count, word_from_str, word_to_str
 
 
 def test_transpose_examples():
@@ -92,15 +85,7 @@ words_strategy = st.lists(st.integers(min_value=1, max_value=3),
 
 
 @settings(max_examples=200, deadline=None)
-@given(words_strategy, words_strategy, words_strategy)
-def test_concat_associative_with_unit(a, b, c):
-    assert concat(concat(a, b), c) == concat(a, concat(b, c))
-    assert concat(a, ()) == a
-    assert concat((), a) == a
-
-
-@settings(max_examples=200, deadline=None)
 @given(words_strategy, words_strategy)
 def test_transpose_antihomomorphism(a, b):
-    assert transpose(concat(a, b)) == concat(transpose(b), transpose(a))
+    assert transpose(a + b) == transpose(b) + transpose(a)
     assert transpose(transpose(a)) == a
