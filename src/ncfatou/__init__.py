@@ -7,8 +7,7 @@ and cross-validates everything against the classical one-variable theory.
 """
 
 from .factor import FactorResult, outer_factor
-from .fock import (FockVector, TruncatedOperator, graded_inverse, graded_multiplier,
-                   left_shift, right_shift, transpose_unitary)
+from .fock import FockVector, TruncatedOperator, left_shift, right_shift
 from .lebesgue import (RNResult, Schedule, StageRecord, fatou_form_check,
                        majorant_check, rn_derivative, resolvent_corner)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,

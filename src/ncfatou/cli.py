@@ -6,7 +6,8 @@ Usage:
 
 Exit codes: 0 success, 2 config validation failure (the message names the
 field path; a grade whose words int64 cannot index, or whose basis at 64
-bytes a word exceeds physical memory, names its field), 3
+bytes a word exceeds physical memory, names its field, and a coupled
+schedule's grade names schedule.memory_budget_mb), 3
 numerical-diagnostic failure (CG non-convergence, a d=1 symbol that is not
 positive, PSD floor or residual beyond tolerance, or an allocation that
 fails).
@@ -87,8 +88,9 @@ def validate(cfg, base_dir=Path(".")) -> dict:
 
     Returns it with every default filled in, coefficients as {word:
     complex} and files joined to base_dir, or raises ConfigError, also
-    for a grade (N, symbol_grade, a stage's) whose words int64 cannot index
-    or whose basis, at _WORD_BYTES bytes a word, exceeds physical memory.
+    for a grade (N, symbol_grade, a stage's) that _check_grade refuses.
+    A coupled schedule's grades come from its memory budget, so _schedule
+    checks them.
     """
     if not isinstance(cfg, dict):
         _fail("", "top-level config must be an object")
@@ -97,17 +99,23 @@ def validate(cfg, base_dir=Path(".")) -> dict:
         _fail("experiment", f"expected one of {', '.join(SCHEMAS)}, got {exp!r}")
     c = _check(SCHEMAS[exp][0], cfg, "", ChainMap({"base_dir": Path(base_dir)}))
     stages = enumerate(c.get("schedule", {}).get("stages", ()))
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for path, N in [(k, c[k]) for k in ("N", "symbol_grade") if k in c] + [
             (f"schedule.stages[{i}][1]", N) for i, (_, N) in stages]:
-        try:  # the runners build WordBasis(d, N); it refuses before allocating
-            n = WordBasis(c["d"], N).size
-        except ValueError as exc:
-            _fail(path, str(exc))
-        if n * _WORD_BYTES > ram:  # allocated, it could be killed rather than exit 3
-            _fail(path, f"d = {c['d']}, N = {N}: {n} words at {_WORD_BYTES:g} bytes "
-                  f"each exceed the {ram / 2 ** 30:.3g} GiB of physical memory")
+        _check_grade(path, c["d"], N)
     return c
+
+
+def _check_grade(path: str, d: int, N: int):
+    """ConfigError naming path for a grade whose words int64 cannot index
+    or whose basis, at _WORD_BYTES bytes a word, exceeds physical memory."""
+    try:  # the runners build WordBasis(d, N); it refuses before allocating
+        n = WordBasis(d, N).size
+    except ValueError as exc:
+        _fail(path, str(exc))
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * _WORD_BYTES > ram:  # allocated, it could be killed rather than exit 3
+        _fail(path, f"d = {d}, N = {N}: {n} words at {_WORD_BYTES:g} bytes "
+              f"each exceed the {ram / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _check(t, v, path, ctx):
@@ -226,6 +234,8 @@ def _schedule(c) -> Schedule:
         sched = Schedule.coupled(c["d"], **s)
     except ValueError as exc:  # whether the budget holds a basis depends on d
         _fail("schedule.memory_budget_mb", str(exc))
+    # the budget has no upper bound, so its grades may outgrow the machine
+    _check_grade("schedule.memory_budget_mb", c["d"], sched.max_grade())
     if sched.stages[0][1] < c["M"]:
         _fail("schedule", f"coupled stage grade {sched.stages[0][1]} is below M = {c['M']}")
     return sched
@@ -432,7 +442,7 @@ def _kernels(c, threads):
 
 def _core_checks():
     """Deterministic invariant battery; yields (name, value, threshold)."""
-    from .fock import left_shift, right_shift, transpose_unitary
+    from .fock import left_shift, right_shift
     from .measure import herglotz_transform, quadratic_form, sos_split
     from .series import radial_scale
 
@@ -440,13 +450,13 @@ def _core_checks():
     checks = []
 
     basis = WordBasis(2, 5)
-    U = transpose_unitary(basis)
+    p = basis.transpose_permutation  # U: e_w -> e_{transpose(w)}, an involution
     worst = 0.0
     for k in (1, 2):
         L, R = left_shift(basis, k), right_shift(basis, k)
         v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         worst = max(worst, float(np.abs(
-            U.apply(L.apply(U.apply(v))) - R.apply(v)).max()))
+            L.apply(v[p])[p] - R.apply(v)).max()))
     checks.append(("transpose_conjugation_of_shifts", worst, 1e-14))
 
     B = NCSeries.from_dict(basis, {(1,): 0.35, (2,): -0.25j, (1, 2): 0.2})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _GradedProduct
+from .fock import TruncatedOperator
 from .measure import MomentFunctional, _gram_apply, _prefix_solve, gram
 from .series import NCSeries, invert
 
@@ -104,7 +104,7 @@ def outer_factor(tau: MomentFunctional, eps: float, *, seed: int = 0) -> FactorR
     m = basis.sub_basis_size(check_grade)
     # y's first m columns, entry for entry those of its dense matrix, in a
     # C-ordered array: that fixes the product's BLAS path, hence its rounding
-    cols = _GradedProduct(basis, y_series.coeffs, "right").dense(m)
+    cols = TruncatedOperator(basis, y_series.coeffs, "right").to_dense(m)
     A = gram(tau.restricted(check_grade)).matrix + eps * np.eye(m)
     residual = float(np.abs(cols.conj().T @ cols - A).max())
     return FactorResult(

@@ -1,9 +1,12 @@
-"""Truncated full Fock space: vectors, operators, graded products, shifts.
+"""Truncated full Fock space: vectors and the one operator class.
 
-Everything here is a compression P_N (.) P_N of the corresponding operator
-on l2 of the free monoid; identities that hold on the full space hold here
-only after composing with grade projections that excise boundary grades.
-Operators are immutable and application is pure.
+Every operator the package applies (the shifts L_k and R_k, the
+multipliers M^R_f, the half of the Gram matrix, K = I - B(rR), the outer
+factor) is multiplication by a series on one side, so it is a
+TruncatedOperator.  Each is a compression P_N (.) P_N of the
+corresponding operator on l2 of the free monoid; identities that hold on
+the full space hold here only after composing with grade projections that
+excise boundary grades.  Operators are immutable and application is pure.
 """
 
 from __future__ import annotations
@@ -31,43 +34,6 @@ class FockVector:
         object.__setattr__(self, "coeffs", c)
 
 
-class TruncatedOperator:
-    """Linear operator on the truncated word basis, with explicit adjoint.
-
-    Holds a matvec/rmatvec pair acting on raw coefficient arrays; the pair
-    must be mutually adjoint.  Dense materialization is opt-in via
-    to_dense() since dim = O(d**N): dense, if given, is a function that
-    builds the matrix on the first call, else the matvec fills it column
-    by column.
-    """
-
-    def __init__(self, basis: WordBasis, matvec, rmatvec, dense=None):
-        self.basis = basis
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-        self._dense = dense
-
-    def apply(self, v):
-        return self._matvec(np.asarray(v, dtype=complex))
-
-    def adjoint_apply(self, v):
-        return self._rmatvec(np.asarray(v, dtype=complex))
-
-    def to_dense(self) -> np.ndarray:
-        if callable(self._dense):
-            self._dense = self._dense()
-        elif self._dense is None:
-            n = self.basis.size
-            A = np.empty((n, n), dtype=complex)
-            e = np.zeros(n, dtype=complex)
-            for j in range(n):
-                e[j] = 1.0
-                A[:, j] = self._matvec(e)
-                e[j] = 0.0
-            self._dense = A
-        return self._dense
-
-
 # ---------------------------------------------------------------------------
 # graded products: multiplication by a coefficient vector, and its inverse
 
@@ -81,8 +47,13 @@ _CHUNK = 1 << 14
 _BAND_BLOCK = 256
 
 
-class _GradedProduct:
-    """Multiplication x -> f x (side 'left') or x -> x f (side 'right').
+class TruncatedOperator:
+    """Compression of multiplication by f = sum_a c_a Z^a: x -> f x (side
+    'left', e_b -> sum_a c_a e_{ab}) or x -> x f (side 'right', e_b ->
+    sum_a c_a e_{ba}), with its adjoint (adjoint_apply), its dense matrix
+    (to_dense) and its inverse (solve).  The Gram matrix (and with it the
+    radial operator T_r), vector states and the sum-of-squares split of
+    measure are all built on it.
 
     f is stored as its nonzero grade blocks f_j (the coefficients of the
     grade-j words in lex order).  Since rank(a.b) = rank(a) d**|b| +
@@ -91,12 +62,11 @@ class _GradedProduct:
     is block lower-triangular in the graded-lex basis, so with f_0 != 0
     it is inverted by one substitution over grades; at d = 1 it is the
     banded lower-triangular Toeplitz matrix of f, solved by blocks (solve).
-    coeffs, and the vectors that matvec, rmatvec and solve take, may stop
-    after the words of some grade g, the higher ones being zero;
-    graded_multiplier and graded_inverse take the whole basis.
+    coeffs, and the vectors that apply, adjoint_apply and solve take, may
+    stop after the words of some grade g, the higher ones being zero.
     """
 
-    def __init__(self, basis: WordBasis, coeffs, side: str):
+    def __init__(self, basis: WordBasis, coeffs, side: str = "left"):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
@@ -169,7 +139,7 @@ class _GradedProduct:
         out[:n] = 0.0
         return out[:n]
 
-    def matvec(self, x, out=None):
+    def apply(self, x, out=None):
         """f x (left) or x f (right) for x given through some grade g: the
         words of grade <= min(N, g + deg f), in out[:k] if given, else in
         a new array; the blocks f_j are added into zeros by increasing j.
@@ -184,6 +154,7 @@ class _GradedProduct:
         bits as an add, signed zeros too); a later one goes through a
         scratch row of at most _CHUNK words, w taken in chunks of that
         size.  At d = 1 it is one np.convolve."""
+        x = np.asarray(x, dtype=complex)
         b = self.basis
         g = self._grade(len(x))
         top = len(self.trimmed) - 1 if b.d == 1 else self.blocks[-1][0] if self.blocks else 0
@@ -225,12 +196,13 @@ class _GradedProduct:
                     view[:, s] += np.multiply(x[c:e], fs, out=t[:e - c])
         return o
 
-    def rmatvec(self, y, out=None):
-        """The adjoint of matvec, for y given through some grade g: the
+    def adjoint_apply(self, y, out=None):
+        """The adjoint of apply, for y given through some grade g: the
         words of grade <= g, in out[:len(y)] if given, else in a new
         array; grade by grade through _down, the blocks added into zeros
         by increasing j, each grade in chunks of the largest power of d
         within _CHUNK words, through one scratch row of that size."""
+        y = np.asarray(y, dtype=complex)
         b = self.basis
         g = self._grade(len(y))
         o = self._zeros(len(y), out)
@@ -248,7 +220,7 @@ class _GradedProduct:
                     part += self._down(fj, y[sl[h + j]], h, t[:len(part)], c)
         return o
 
-    def dense(self, m: int | None = None) -> np.ndarray:
+    def to_dense(self, m: int | None = None) -> np.ndarray:
         """Index fill of every block f_j in one assignment: f_j[k] times
         x_h[i] lands at rank k d**h + i (left) or i d**j + k (right) of
         grade h+j, for every word of grade h <= N - j.  With m, only the
@@ -271,7 +243,8 @@ class _GradedProduct:
         return A
 
     def solve(self, w, adjoint: bool = False):
-        """x with (f x) = w, or its adjoint: forward over grades, backward
+        """x with (f x) = w, or its adjoint; needs f_0 != 0 (ValueError
+        otherwise).  Exact on the truncation: forward over grades, backward
         for the adjoint, one pass either way, into one new array of the
         basis's size.  Like coeffs, w may stop after the words of some
         grade, the higher ones being zero (the vacuum is one entry).  At
@@ -282,7 +255,10 @@ class _GradedProduct:
         f_j covers x_g[i d^h:(i+1) d^h]), then it is divided by f_0
         (skipped for f_0 = 1).  The adjoint takes whole grades.  The
         products go into one scratch row; the grade slices are built once
-        per product (slices).  At d = 1 it is _band_solve."""
+        per product (slices).  At d = 1 it is _band_solve, O(N max(256,
+        deg f)) work on O(N) numbers."""
+        if self.coeffs[0] == 0:
+            raise ValueError("graded inverse needs a nonzero constant coefficient")
         b = self.basis
         if b.d == 1:
             return self._band_solve(w, adjoint)
@@ -382,43 +358,6 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[:nz[-1] + 1] if nz.size else c[:1]
 
 
-def _full(basis: WordBasis, coeffs):
-    if np.shape(coeffs) != (basis.size,):
-        raise ValueError(
-            f"coefficient vector has shape {np.shape(coeffs)}, basis size {basis.size}")
-    return coeffs
-
-
-def graded_multiplier(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOperator:
-    """Compression of multiplication by f = sum_a c_a Z^a.
-
-    side 'left': e_b -> sum_a c_a e_{ab}; side 'right': e_b -> sum_a c_a
-    e_{ba}.  coeffs lists c_a over the words of basis.  to_dense() writes
-    the nonzero entries by index, every coefficient block in one
-    assignment.  The Gram matrix (and with it the radial operator T_r),
-    vector state and sum-of-squares split of measure are all built on
-    this kernel.
-    """
-    k = _GradedProduct(basis, _full(basis, coeffs), side)
-    return TruncatedOperator(basis, k.matvec, k.rmatvec, dense=k.dense)
-
-
-def graded_inverse(basis: WordBasis, coeffs, side: str = "left") -> TruncatedOperator:
-    """Inverse of graded_multiplier(basis, coeffs, side); needs c_empty != 0.
-
-    The product is block lower-triangular with diagonal c_empty I, so
-    apply() is one forward substitution over grades and adjoint_apply()
-    one backward substitution, each into one new array through one
-    scratch row (_GradedProduct.solve).  At d = 1 each is a substitution
-    by blocks of at least 256 words, O(N max(256, deg f)) work on O(N)
-    numbers.  Exact on the truncation.
-    """
-    k = _GradedProduct(basis, _full(basis, coeffs), side)
-    if k.coeffs[0] == 0:
-        raise ValueError("graded inverse needs a nonzero constant coefficient")
-    return TruncatedOperator(basis, k.solve, lambda w: k.solve(w, adjoint=True))
-
-
 def left_shift(basis: WordBasis, k: int) -> TruncatedOperator:
     """Compression of L_k: e_w -> e_{kw}, words of top grade map to 0."""
     _check_letter(basis, k)
@@ -441,17 +380,4 @@ def _monomial(basis: WordBasis, w: Word, side: str) -> TruncatedOperator:
     c = np.zeros(basis.size, dtype=complex)
     if len(w) <= basis.N:
         c[basis.index(w)] = 1.0
-    return graded_multiplier(basis, c, side)
-
-
-def transpose_unitary(basis: WordBasis) -> TruncatedOperator:
-    """Self-adjoint involution e_w -> e_{transpose(w)}; U L_k U = R_k exactly."""
-    p = basis.transpose_permutation
-
-    def mv(v):
-        out = np.empty_like(v)
-        out[p] = v
-        return out
-
-    return TruncatedOperator(basis, mv, mv)
-
+    return TruncatedOperator(basis, c, side)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, _GradedProduct, toeplitz
+from .fock import FockVector, TruncatedOperator, toeplitz
 from .measure import (MomentFunctional, PositivityReport, _prefix_blocks, clark_measure,
                       gram, hermitian_floor, is_positive, nc_lebesgue, radial_measure,
                       vector_state)
@@ -372,19 +372,19 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
     basis = B.basis
     support = WordBasis(basis.d, B.degree())
     k = NCSeries.one(support) - radial_scale(NCSeries(support, B.coeffs[:support.size]), r)
-    K = _GradedProduct(basis, transpose_conjugate(k).coeffs, "right")
+    K = TruncatedOperator(basis, transpose_conjugate(k).coeffs, "right")
     work = np.empty((2, basis.size), dtype=complex)
 
     def matvec(v):
-        Kv = K.matvec(v, out=work[0])
+        Kv = K.apply(v, out=work[0])
         if eps == 1.0:
             Av, spare = Kv, work[1]
         else:
-            Av = K.rmatvec(Kv, out=work[1])
+            Av = K.adjoint_apply(Kv, out=work[1])
             Av *= eps - 1.0
             Av += Kv
             spare = work[0]
-        Av[:len(v)] += K.rmatvec(v, out=spare)
+        Av[:len(v)] += K.adjoint_apply(v, out=spare)
         return Av
 
     corner = np.zeros((m, m), dtype=complex)
@@ -392,9 +392,9 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
     iters, residual = [], 0.0
     for j in range(m):
         e[j] = 1.0
-        y, it, rel = hermitian_cg(matvec, K.rmatvec(e), tol=_CG_TOL, maxiter=_CG_MAXITER,
+        y, it, rel = hermitian_cg(matvec, K.adjoint_apply(e), tol=_CG_TOL, maxiter=_CG_MAXITER,
                                   m=m, size=basis.size)
-        corner[:, j] = K.matvec(y)[:m]
+        corner[:, j] = K.apply(y)[:m]
         iters.append(it)
         residual = max(residual, float(rel))
         e[j] = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, graded_multiplier
+from .fock import FockVector, TruncatedOperator
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      radial_scale, read_word_csv)
 from .words import WordBasis
@@ -81,7 +81,7 @@ def vector_state(x: FockVector) -> MomentFunctional:
     w is sum_b conj(x_{wb}) x_b over words b with |w| + |b| <= N, which is
     conj(R_x^* x) for R_x right multiplication by x.
     """
-    R = graded_multiplier(x.basis, x.coeffs, "right")
+    R = TruncatedOperator(x.basis, x.coeffs, "right")
     return MomentFunctional(x.basis, np.conj(R.adjoint_apply(x.coeffs)))
 
 
@@ -104,7 +104,7 @@ def _gram_half(mu: MomentFunctional):
     the empty word, so Y[b.g, b] = mu(g) = G[b, b.g]."""
     c = mu.moments.copy()
     c[0] = 0.5 * mu.moments[0].real
-    return graded_multiplier(mu.basis, c, "right")
+    return TruncatedOperator(mu.basis, c, "right")
 
 
 def gram(mu: MomentFunctional) -> GramMatrix:
@@ -348,7 +348,7 @@ def sos_split(p: FockVector) -> NCSeries:
     every moment functional on the same basis.  u is L_p^* p, with L_p
     left multiplication by p.
     """
-    u = graded_multiplier(p.basis, p.coeffs, "left").adjoint_apply(p.coeffs)
+    u = TruncatedOperator(p.basis, p.coeffs).adjoint_apply(p.coeffs)
     u[0] = 0.5 * u[0].real
     return NCSeries(p.basis, u)
 

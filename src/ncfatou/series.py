@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import TruncatedOperator, _GradedProduct, graded_inverse, graded_multiplier
+from .fock import TruncatedOperator
 from .words import Word, WordBasis, reversals, word_from_str
 
 #: Germ conditions use strict inequalities with no tolerance; exact boundary
@@ -165,7 +165,7 @@ def _coerce(x, basis: WordBasis) -> NCSeries:
 def multiply(f: NCSeries, g: NCSeries) -> NCSeries:
     """Graded Cauchy product, exact through grade N."""
     g = _coerce(g, f.basis)
-    return NCSeries(f.basis, graded_multiplier(f.basis, f.coeffs).apply(g.coeffs))
+    return NCSeries(f.basis, TruncatedOperator(f.basis, f.coeffs).apply(g.coeffs))
 
 
 def invert(f: NCSeries) -> NCSeries:
@@ -173,11 +173,13 @@ def invert(f: NCSeries) -> NCSeries:
 
     h solves f h = 1 by forward substitution over grades,
     h_n = -(1/c) sum_{j >= 1} f_j h_{n-j} with c the germ, exact on the
-    truncation (graded_inverse; at d = 1 a substitution by blocks).
+    truncation (one TruncatedOperator.solve; at d = 1 a substitution by
+    blocks).
     """
     if f.coeffs[0] == 0:
         raise ValueError(_GERM_MSG.format("series has zero constant term, not invertible"))
-    return NCSeries(f.basis, graded_inverse(f.basis, f.coeffs).apply(NCSeries.one(f.basis).coeffs))
+    one = NCSeries.one(f.basis).coeffs
+    return NCSeries(f.basis, TruncatedOperator(f.basis, f.coeffs).solve(one))
 
 
 def radial_scale(f: NCSeries, r: float) -> NCSeries:
@@ -220,7 +222,7 @@ def _cayley(f: NCSeries, s: float) -> NCSeries:
     s = 1 maps B to H, s = -1 maps H back to B."""
     k = f.coeffs[:f.basis.sub_basis_size(f.degree())] * -s
     k[0] += 1.0
-    h = _GradedProduct(f.basis, k, "left").solve(np.full(1, 2.0 * s, dtype=complex))
+    h = TruncatedOperator(f.basis, k).solve(np.full(1, 2.0 * s, dtype=complex))
     h[0] -= s
     return NCSeries(f.basis, h)
 
@@ -366,7 +368,7 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
 def right_multiplier(f: NCSeries) -> TruncatedOperator:
     """Compression of M^R_f: e_b -> sum_a c_a e_{ba} (multiplication by f
     on the right)."""
-    return graded_multiplier(f.basis, f.coeffs, "right")
+    return TruncatedOperator(f.basis, f.coeffs, "right")
 
 
 def series_at_right_shifts(f: NCSeries) -> TruncatedOperator:

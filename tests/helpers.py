@@ -1,6 +1,7 @@
 """Checks, fixtures and references shared by the test modules.
 
-The fixtures build unit vectors of the Fock space and write series and
+The checks pair a map with its adjoint and fill a dense matrix from a
+matvec.  The fixtures build unit vectors of the Fock space and write series and
 moment files; herglotz_integral is the d = 1 reference for herglotz_eval,
 the Herglotz integral of a classical measure on the circle.  None of them
 is part of the package: no run needs them.
@@ -17,20 +18,32 @@ from ncfatou.series import NCSeries
 from ncfatou.words import Word, WordBasis, word_to_str
 
 
-def adjoint_residual(op, rng: np.random.Generator, probes: int = 4) -> float:
-    """max |<u, A v> - <A* u, v>| over random unit probes u, v, for a
-    TruncatedOperator A."""
-    n = op.basis.size
+def adjoint_residual(apply, adjoint_apply, n: int, rng: np.random.Generator,
+                     probes: int = 4) -> float:
+    """max |<u, A v> - <A* u, v>| over random unit probes u, v of n words,
+    for a map v -> A v given with its claimed adjoint: a TruncatedOperator's
+    apply and adjoint_apply, or its solve against both sides."""
     worst = 0.0
     for _ in range(probes):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        lhs = np.vdot(u, op.apply(v))
-        rhs = np.vdot(op.adjoint_apply(u), v)
+        lhs = np.vdot(u, apply(v))
+        rhs = np.vdot(adjoint_apply(u), v)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def dense_of(matvec, n: int) -> np.ndarray:
+    """The n x n matrix of matvec, one column per unit vector."""
+    A = np.empty((n, n), dtype=complex)
+    e = np.zeros(n, dtype=complex)
+    for j in range(n):
+        e[j] = 1.0
+        A[:, j] = matvec(e)
+        e[j] = 0.0
+    return A
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,35 @@ def test_coupled_schedule_beyond_its_memory_budget_exits_2(tmp_path, capsys, cfg
     assert "config error: schedule.memory_budget_mb: schedule infeasible" in err
 
 
+def test_coupled_grades_beyond_physical_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # the memory budget has no upper bound: at four times physical memory
+    # the d = 2 coupled schedule reaches a basis that does not fit.  That
+    # is a config error naming the budget, found before the coupled limit
+    # allocates anything, with one line and no output directory.  d = 1
+    # caps its grade at 2,000,000 words, so the same budget passes there
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    cfg = {"experiment": "inner-singular", "d": 2, "M": 0,
+           "schedule": {"memory_budget_mb": 4 * ram / 2 ** 20},
+           "schur_coeffs": {"1": [0.5, 0.0]}}
+    monkeypatch.setattr(cli, "rn_derivative", lambda *a, **k: pytest.fail("numerics ran"))
+    out = tmp_path / "new" / "out"
+    monkeypatch.setenv("NCFATOU_OUTDIR", str(out))
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        assert run_config(path, quiet=True) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: schedule.memory_budget_mb: d = 2, N = ")
+    assert err.count("\n") == 1 and "physical memory" in err
+    assert not (tmp_path / "new").exists()
+    assert peak < 2 ** 20
+    d1 = cli._schedule(validate({**cfg, "d": 1}))
+    assert d1.max_grade() <= 2_000_000
+
+
 @pytest.mark.parametrize("cfg, field", [
     (_with(INNER, M=9, schedule={"tail_tol": 0.1, "j_max": 2}), "schedule"),
     (_with(INNER, schedule={"memory_budget_mb": 1e-9}), "schedule.memory_budget_mb"),
@@ -612,5 +642,6 @@ def test_docs_list_the_schema_table():
                  "RadialOperator", "radial_operator", "`left_multiplier`", "`concat`",
                  "gram_matvec", "y_inv", "FockVector.inner", "FockVector.norm",
                  "basis_vector", "`vacuum`", "write_series_csv", "write_moments_csv",
-                 "herglotz_integral"):
+                 "herglotz_integral", "_GradedProduct", "graded_multiplier",
+                 "graded_inverse", "transpose_unitary"):
         assert gone not in readme and gone not in cli.__doc__

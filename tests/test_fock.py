@@ -4,8 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ncfatou import fock
-from ncfatou.fock import (FockVector, graded_inverse, graded_multiplier, left_shift,
-                          right_shift, transpose_unitary)
+from ncfatou.fock import FockVector, TruncatedOperator, left_shift, right_shift
 from ncfatou.series import NCSeries, multiply
 from ncfatou.words import WordBasis
 
@@ -15,10 +14,6 @@ from helpers import adjoint_residual, basis_vector, vacuum
 @pytest.fixture
 def basis():
     return WordBasis(2, 3)
-
-
-def as_array(op, basis):
-    return op.to_dense()
 
 
 def test_left_shift_examples(basis):
@@ -48,16 +43,19 @@ def test_shift_letter_out_of_range(basis):
 
 
 def test_transpose_unitary_examples(basis):
-    U = transpose_unitary(basis)
-    assert np.allclose(U.apply(basis_vector(basis, (1, 2)).coeffs),
-                       basis_vector(basis, (2, 1)).coeffs)
-    Ud = U.to_dense()
+    # U: e_w -> e_{transpose(w)} is indexing by the transpose permutation,
+    # a self-adjoint unitary involution
+    p = basis.transpose_permutation
+    assert np.array_equal(basis_vector(basis, (1, 2)).coeffs[p],
+                          basis_vector(basis, (2, 1)).coeffs)
+    assert np.array_equal(p[p], np.arange(basis.size))
+    Ud = np.eye(basis.size)[p]
     assert np.allclose(Ud @ Ud, np.eye(basis.size))
     assert np.allclose(Ud.conj().T @ Ud, np.eye(basis.size))
 
 
 def test_transpose_unitary_conjugates_shifts(basis):
-    U = transpose_unitary(basis).to_dense()
+    U = np.eye(basis.size)[basis.transpose_permutation]
     for k in (1, 2):
         L = left_shift(basis, k).to_dense()
         R = right_shift(basis, k).to_dense()
@@ -98,8 +96,8 @@ def test_adjoint_pairs_on_probes(basis):
     monomial = np.zeros(basis.size, dtype=complex)
     monomial[basis.index((1, 2))] = 1.0
     for op in (left_shift(basis, 1), right_shift(basis, 2),
-               transpose_unitary(basis), graded_multiplier(basis, monomial)):
-        assert adjoint_residual(op, rng) < 1e-12
+               TruncatedOperator(basis, monomial)):
+        assert adjoint_residual(op.apply, op.adjoint_apply, basis.size, rng) < 1e-12
 
 
 def test_dimension_mismatch_rejected(basis):
@@ -133,23 +131,23 @@ def test_graded_product_kernel_properties(d, N, side, sparsity, seed):
     rng = np.random.default_rng(seed)
     basis = WordBasis(d, N)
     c = random_symbol(rng, basis, sparsity)
-    op = graded_multiplier(basis, c, side)
-    inv = graded_inverse(basis, c, side)
+    op = TruncatedOperator(basis, c, side)
     # the index fill agrees with column-by-column application, and filled
     # for its first m columns alone it is those columns exactly
     cols = np.column_stack([op.apply(e) for e in np.eye(basis.size)])
     assert np.abs(op.to_dense() - cols).max() < 1e-14
     m = int(rng.integers(1, basis.size + 1))
-    assert np.array_equal(fock._GradedProduct(basis, c, side).dense(m), op.to_dense()[:, :m])
-    assert adjoint_residual(op, rng) < 1e-12
-    assert adjoint_residual(inv, rng) < 1e-12
+    assert np.array_equal(op.to_dense(m), op.to_dense()[:, :m])
+    n = basis.size
+    assert adjoint_residual(op.apply, op.adjoint_apply, n, rng) < 1e-12
+    assert adjoint_residual(op.solve, lambda u: op.solve(u, adjoint=True), n, rng) < 1e-12
     x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    assert np.abs(inv.apply(op.apply(x)) - x).max() < 1e-12
-    assert np.abs(inv.adjoint_apply(op.adjoint_apply(x)) - x).max() < 1e-12
-    assert np.abs(op.apply(inv.apply(x)) - x).max() < 1e-12
+    assert np.abs(op.solve(op.apply(x)) - x).max() < 1e-12
+    assert np.abs(op.solve(op.adjoint_apply(x), adjoint=True) - x).max() < 1e-12
+    assert np.abs(op.apply(op.solve(x)) - x).max() < 1e-12
     f = NCSeries(basis, c)
     g = NCSeries(basis, rng.standard_normal(basis.size))
-    left = graded_multiplier(f.basis, f.coeffs, "left")
+    left = TruncatedOperator(f.basis, f.coeffs, "left")
     assert np.abs(multiply(f, g).coeffs - left.apply(g.coeffs)).max() < 1e-12
 
 
@@ -158,22 +156,37 @@ def test_graded_product_sides_and_germ():
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index((1,))] = 1.0
     # multiplication by Z_1 on either side is the matching shift
-    assert np.array_equal(graded_multiplier(basis, c, "left").to_dense(),
+    assert np.array_equal(TruncatedOperator(basis, c, "left").to_dense(),
                           left_shift(basis, 1).to_dense())
-    assert np.array_equal(graded_multiplier(basis, c, "right").to_dense(),
+    assert np.array_equal(TruncatedOperator(basis, c, "right").to_dense(),
                           right_shift(basis, 1).to_dense())
     with pytest.raises(ValueError):
-        graded_inverse(basis, c)
+        TruncatedOperator(basis, c).solve(np.ones(1))
     with pytest.raises(ValueError):
-        graded_multiplier(basis, c, "middle")
+        TruncatedOperator(basis, c, "middle")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_solve_refuses_a_zero_germ(d):
+    # f with f_0 = 0 is not invertible: solve raises rather than divide by
+    # zero, on both sides and for the adjoint, with a full right-hand side
+    # and with the one-entry vacuum
+    basis = WordBasis(d, 3)
+    c = np.zeros(basis.size, dtype=complex)
+    c[basis.index((1,))] = 0.5
+    for side in ("left", "right"):
+        op = TruncatedOperator(basis, c, side)
+        for adjoint in (False, True):
+            for w in (np.ones(basis.size, dtype=complex), np.ones(1, dtype=complex)):
+                with pytest.raises(ValueError, match="nonzero constant coefficient"):
+                    op.solve(w, adjoint)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_graded_product_takes_the_coefficients_through_a_grade(d):
-    # the private product, given f through grade 2 of a grade-6 basis, acts
-    # as f padded with zeros, bit for bit; a vector that stops inside a grade
-    # or runs past the basis is rejected, and the public kernels take the
-    # whole basis only
+    # the product, given f through grade 2 of a grade-6 basis, acts as f
+    # padded with zeros, bit for bit; a vector that stops inside a grade or
+    # runs past the basis is rejected
     rng = np.random.default_rng(7)
     basis = WordBasis(d, 6)
     m = basis.sub_basis_size(2)
@@ -181,18 +194,16 @@ def test_graded_product_takes_the_coefficients_through_a_grade(d):
     c[:m] = random_symbol(rng, WordBasis(d, 2), 0.0)
     x = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     for side in ("left", "right"):
-        full = fock._GradedProduct(basis, c, side)
-        cut = fock._GradedProduct(basis, c[:m], side)
-        assert np.array_equal(full.matvec(x), cut.matvec(x))
-        assert np.array_equal(full.rmatvec(x), cut.rmatvec(x))
+        full = TruncatedOperator(basis, c, side)
+        cut = TruncatedOperator(basis, c[:m], side)
+        assert np.array_equal(full.apply(x), cut.apply(x))
+        assert np.array_equal(full.adjoint_apply(x), cut.adjoint_apply(x))
+        assert np.array_equal(full.to_dense(), cut.to_dense())
         for adjoint in (False, True):
             assert np.array_equal(full.solve(x, adjoint), cut.solve(x, adjoint))
     for bad in (c[:m + 1] if d > 1 else c[:0], np.ones(basis.size + 1)):
         with pytest.raises(ValueError):
-            fock._GradedProduct(basis, bad, "left")
-    for make in (graded_multiplier, graded_inverse):
-        with pytest.raises(ValueError, match="basis size"):
-            make(basis, c[:m])
+            TruncatedOperator(basis, bad, "left")
 
 
 def _outer_product_substitution(basis, c, side, w, adjoint):
@@ -258,8 +269,8 @@ def test_graded_solve_is_the_outer_product_substitution_bit_for_bit(d, N, f0, mo
     for c in (sparse, kernels, half, *denses):
         c[0] = f0
         for side in ("left", "right"):
-            k = fock._GradedProduct(basis, c, side)
-            A = graded_multiplier(basis, c, side).to_dense()
+            k = TruncatedOperator(basis, c, side)
+            A = k.to_dense()
             for adjoint in (False, True):
                 for rhs, given in ((vacuum, vacuum[:1]), (w, w)):
                     ref = _outer_product_substitution(basis, c, side, rhs, adjoint)
@@ -285,7 +296,7 @@ def test_graded_product_up_is_the_outer_product_bit_for_bit(side):
     # f_j dense and with every other word zero
     rng = np.random.default_rng(71)
     d = 2
-    k = fock._GradedProduct(WordBasis(d, 7), np.ones(1), side)
+    k = TruncatedOperator(WordBasis(d, 7), np.ones(1), side)
     t = np.full(d ** 7, np.nan, dtype=complex)
     for j in range(4):
         for h in range(5):
@@ -327,7 +338,7 @@ def test_graded_product_up_keeps_the_operand_order(shape):
     swapped = np.array([np.multiply(c, ai) for ai in a])
     assert not np.array_equal(swapped, ref)
     for side, fj, xh in (("left", a, c), ("right", c, a)):
-        k = fock._GradedProduct(WordBasis(2, 1), np.ones(1), side)
+        k = TruncatedOperator(WordBasis(2, 1), np.ones(1), side)
         part = np.zeros(ref.size, dtype=complex)
         k._up(fj, xh, part, 0, np.empty(max(shape), dtype=complex), op=np.add)
         assert np.array_equal(part, ref.ravel())
@@ -335,9 +346,9 @@ def test_graded_product_up_keeps_the_operand_order(shape):
 
 @pytest.mark.parametrize("d, N", [(2, 6), (3, 4)])
 def test_graded_matvec_is_the_outer_product_sum_bit_for_bit(d, N, monkeypatch):
-    # matvec sums np.outer of every block of f against every grade of x,
+    # apply sums np.outer of every block of f against every grade of x,
     # block by block, exactly, with the right side's words of x in one
-    # chunk or in chunks of 1, d and 7 words; rmatvec is its adjoint,
+    # chunk or in chunks of 1, d and 7 words; adjoint_apply is its adjoint,
     # against the matrix of those products
     rng = np.random.default_rng(79)
     basis = WordBasis(d, N)
@@ -355,13 +366,13 @@ def test_graded_matvec_is_the_outer_product_sum_bit_for_bit(d, N, monkeypatch):
         return out
 
     for side in ("left", "right"):
-        k = fock._GradedProduct(basis, c, side)
+        k = TruncatedOperator(basis, c, side)
         for chunk in (fock._CHUNK, 1, d, 7):
             monkeypatch.setattr(fock, "_CHUNK", chunk)
-            assert np.array_equal(k.matvec(x), reference(side, x))
+            assert np.array_equal(k.apply(x), reference(side, x))
         A = np.column_stack([reference(side, e) for e in np.eye(basis.size, dtype=complex)])
         ref = A.conj().T @ x
-        assert np.abs(k.rmatvec(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(k.adjoint_apply(x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("d, N", [(2, 15), (3, 9)])
@@ -383,7 +394,7 @@ def test_graded_rmatvec_in_chunks_is_the_whole_grade_product_bit_for_bit(d, N):
                 yh = y[sl[h + j]]
                 ref[sl[h]] += (fj @ yh.reshape(len(fj), -1) if side == "left"
                                else yh.reshape(-1, len(fj)) @ fj)
-        got = fock._GradedProduct(basis, c, side).rmatvec(y)
+        got = TruncatedOperator(basis, c, side).adjoint_apply(y)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -396,7 +407,7 @@ def test_graded_solve_takes_a_right_hand_side_through_a_grade(d, N):
     basis = WordBasis(d, N)
     for c in (random_symbol(rng, basis, 0.5), random_symbol(rng, basis, 0.0)):
         for side in ("left", "right"):
-            k = fock._GradedProduct(basis, c, side)
+            k = TruncatedOperator(basis, c, side)
             for g in range(N + 1):
                 m = basis.sub_basis_size(g)
                 padded = np.zeros(basis.size, dtype=complex)
@@ -412,8 +423,8 @@ def test_graded_solve_takes_a_right_hand_side_through_a_grade(d, N):
 @pytest.mark.parametrize("d, N", [(1, 9), (2, 6), (3, 4)])
 def test_graded_products_take_a_vector_through_a_grade(d, N):
     # x given through grade g multiplies as x padded with zeros, bit for
-    # bit, signed zeros too: matvec returns the words of grade <= g + deg f
-    # (at most N), the rest being zero, and rmatvec those of grade <= g;
+    # bit, signed zeros too: apply returns the words of grade <= g + deg f
+    # (at most N), the rest being zero, and adjoint_apply those of grade <= g;
     # with out, into its first words (beyond them out is left as it was)
     rng = np.random.default_rng(31)
     basis = WordBasis(d, N)
@@ -423,14 +434,14 @@ def test_graded_products_take_a_vector_through_a_grade(d, N):
               random_symbol(rng, basis, 0.0)):
         deg = max(g for g in range(N + 1) if c[basis.grade_slice(g)].any())
         for side in ("left", "right"):
-            k = fock._GradedProduct(basis, c, side)
+            k = TruncatedOperator(basis, c, side)
             for g in range(N + 1):
                 m = basis.sub_basis_size(g)
                 padded = np.zeros(basis.size, dtype=complex)
                 padded[:m] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 padded[basis.grade_slice(0)] = 0.0  # a leading zero grade
-                for apply, reach in ((k.matvec, basis.sub_basis_size(min(N, g + deg))),
-                                     (k.rmatvec, m)):
+                for apply, reach in ((k.apply, basis.sub_basis_size(min(N, g + deg))),
+                                     (k.adjoint_apply, m)):
                     ref = apply(padded)
                     short = apply(padded[:m])
                     assert len(short) == reach
@@ -443,7 +454,7 @@ def test_graded_products_take_a_vector_through_a_grade(d, N):
                     assert np.isnan(out[reach:]).all()
     if d > 1:
         with pytest.raises(ValueError, match="not the words of grade <= g"):
-            fock._GradedProduct(basis, np.ones(1), "left").matvec(np.ones(basis.size - 1))
+            TruncatedOperator(basis, np.ones(1)).apply(np.ones(basis.size - 1))
 
 
 @st.composite
@@ -468,7 +479,7 @@ def band_systems(draw):
 @given(band_systems())
 def test_d1_solve_matches_a_dense_triangular_solve(system):
     f, n, w = system
-    k = fock._GradedProduct(WordBasis(1, n - 1), f, "left")
+    k = TruncatedOperator(WordBasis(1, n - 1), f)
     A = scipy.linalg.toeplitz(np.concatenate((f, np.zeros(n - len(f)))), np.zeros(n))
     rhs = np.concatenate((w, np.zeros(n - len(w))))
     for adjoint, trans in ((False, "N"), (True, "C")):
@@ -484,8 +495,8 @@ def test_d1_solve_is_the_same_on_every_larger_basis(system, extra):
     # the blocks start at word 0 and have a length fixed by f, so the
     # solution's first n words do not depend on the basis size
     f, n, w = system
-    x = fock._GradedProduct(WordBasis(1, n - 1), f, "left").solve(w)
-    y = fock._GradedProduct(WordBasis(1, n + extra - 1), f, "left").solve(w)
+    x = TruncatedOperator(WordBasis(1, n - 1), f).solve(w)
+    y = TruncatedOperator(WordBasis(1, n + extra - 1), f).solve(w)
     assert y[:n].tobytes() == x.tobytes()
 
 
@@ -513,9 +524,9 @@ def test_graded_inverse_d1_matches_dense_triangular_solve(kind):
         c = (1.5 + 0.5j) * (0.8 * np.exp(0.7j)) ** np.arange(n)
         assert c[-1] != 0
     A = scipy.linalg.toeplitz(c, np.zeros(n))
-    inv = graded_inverse(basis, c)
+    op = TruncatedOperator(basis, c)
     rng = np.random.default_rng(11)
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for got, trans in ((inv.apply(w), "N"), (inv.adjoint_apply(w), "C")):
+    for got, trans in ((op.solve(w), "N"), (op.solve(w, adjoint=True), "C")):
         ref = scipy.linalg.solve_triangular(A, w, lower=True, trans=trans)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

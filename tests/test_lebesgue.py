@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_toeplitz, toeplitz
 
 from ncfatou import lebesgue
-from ncfatou.fock import FockVector, TruncatedOperator, graded_inverse
+from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import (DENSE_LIMIT, Schedule, _cg_corner, _eliminate, _herm,
                               _inverse_corner, _spectral_block, _stage, fatou_form_check,
                               hermitian_cg, majorant_check, resolvent_corner, rn_derivative)
@@ -19,7 +19,7 @@ from ncfatou.series import (NCSeries, radial_scale, series_at_right_shifts,
                             transpose_conjugate)
 from ncfatou.words import WordBasis
 
-from helpers import adjoint_residual
+from helpers import adjoint_residual, dense_of
 
 
 def schur_z(basis, coeff=1.0):
@@ -71,17 +71,12 @@ def clark_r(B, r):
 
 def t_r_by_inverses(B, r):
     """v -> K^{-1} v + K^{-*} v - v, K = I - B(rR): T_r of the Schur symbol
-    B from its two graded inverses (graded_inverse), computed apart from
-    the Gram matrix of mu_r and from the banded form that _cg_corner
-    solves."""
+    B from its two graded inverses (TruncatedOperator.solve), computed
+    apart from the Gram matrix of mu_r and from the banded form that
+    _cg_corner solves."""
     K = transpose_conjugate(NCSeries.one(B.basis) - radial_scale(B, r))
-    inv = graded_inverse(B.basis, K.coeffs, "right")
-    return lambda v: inv.apply(v) + inv.adjoint_apply(v) - v
-
-
-def columns(matvec, basis):
-    """The dense matrix of matvec, one column per unit vector."""
-    return TruncatedOperator(basis, matvec, matvec).to_dense()
+    op = TruncatedOperator(B.basis, K.coeffs, "right")
+    return lambda v: op.solve(v) + op.solve(v, adjoint=True) - v
 
 
 def test_radial_gram_identity_for_zero_symbol():
@@ -122,14 +117,12 @@ def test_radial_gram_and_matrix_free_t_r_agree_and_are_self_adjoint_psd():
     mu_r = clark_r(B, 0.85)
 
     g = _gram_apply(mu_r)
-    gram_op = TruncatedOperator(basis, g, g)
     T = t_r_by_inverses(B, 0.85)
-    free = TruncatedOperator(basis, T, T)
     ref = fatou_toeplitz(0.8, 0.85, 40) @ v
-    assert np.abs(gram_op.apply(v) - ref).max() < 1e-10
-    assert np.abs(free.apply(v) - ref).max() < 1e-10
-    assert adjoint_residual(gram_op, rng) < 1e-12
-    assert adjoint_residual(free, rng) < 1e-12
+    assert np.abs(g(v) - ref).max() < 1e-10
+    assert np.abs(T(v) - ref).max() < 1e-10
+    assert adjoint_residual(g, g, basis.size, rng) < 1e-12
+    assert adjoint_residual(T, T, basis.size, rng) < 1e-12
     lam = np.linalg.eigvalsh(gram(mu_r).matrix).min()
     assert lam >= -1e-10
 
@@ -212,13 +205,13 @@ def test_radial_gram_vanishes_off_prefix_comparable_pairs(d, N):
     B, measures = _radial_sources(basis)
     for mu in measures:
         mu_r = radial_measure(mu, 0.8)
-        T = columns(_gram_apply(mu_r), basis)
+        T = dense_of(_gram_apply(mu_r), basis.size)
         assert np.all(T[off] == 0.0)
         assert np.abs(T[~off]).max() > 0.0
         assert np.array_equal(gram(mu_r).matrix, T)
         assert np.array_equal(T[p, w], mu_r.moments[v])
         assert np.all(np.diag(T) == mu_r.moments[0].real)
-    free = columns(t_r_by_inverses(B, 0.8), basis)
+    free = dense_of(t_r_by_inverses(B, 0.8), basis.size)
     assert np.all(free[off] == 0.0)
     assert np.abs(free[~off]).max() > 0.0
 
@@ -251,7 +244,7 @@ def test_radial_gram_of_the_clark_measure_is_the_matrix_free_t_r(d, N, r, l1, se
     mu = clark_measure(B)
     mu_r = radial_measure(mu, r)
     T = gram(mu_r).matrix
-    free = columns(t_r_by_inverses(B, r), basis)
+    free = dense_of(t_r_by_inverses(B, r), basis.size)
     assert _close(T, free, 1e-12)
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     assert _close(_gram_apply(mu_r)(v), free @ v, 1e-12)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncfatou import measure
-from ncfatou.fock import FockVector, graded_multiplier
+from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.measure import (MomentFunctional, _gram_apply, _prefix_blocks, _prefix_sweep,
                              clark_measure, gram, herglotz_eval, herglotz_transform,
                              is_positive, left_multiplier_norm, nc_lebesgue,
@@ -83,7 +83,7 @@ def test_vector_state_gram_is_shifted_inner_products():
     for i in range(basis.size):
         c = np.zeros(big.size, dtype=complex)
         c[big.index(basis.word(i))] = 1.0
-        shifted.append(graded_multiplier(big, c).apply(x_big))
+        shifted.append(TruncatedOperator(big, c).apply(x_big))
     for i in range(basis.size):
         for j in range(basis.size):
             assert G[i, j] == pytest.approx(np.vdot(shifted[i], shifted[j]), abs=1e-12)
@@ -358,7 +358,7 @@ def test_left_multiplier_norm_is_the_norm_on_an_enlarged_basis(d, N, terms):
     f = NCSeries.from_dict(basis, entries)
     big = WordBasis(d, N + f.degree())
     g = NCSeries.from_dict(big, entries)
-    cols = graded_multiplier(big, g.coeffs, "left").to_dense()[:, :basis.size]
+    cols = TruncatedOperator(big, g.coeffs).to_dense(basis.size)
     assert left_multiplier_norm(f) == pytest.approx(np.linalg.norm(cols, 2), rel=1e-11)
 
 
