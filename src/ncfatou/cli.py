@@ -4,6 +4,8 @@ Usage:
     ncfatou run <config.json> [--threads K] [--quiet]
     ncfatou verify --suite core [--output-dir DIR] [--quiet]
 
+run accepts --threads K, which has no effect; it goes with ROADMAP item 1.
+
 Exit codes: 0 success, 2 config validation failure (the message names the
 field path; a grade whose words int64 cannot index, or whose basis at 64
 bytes a word exceeds physical memory, names its field, and a coupled
@@ -32,7 +34,6 @@ import os
 import sys
 import textwrap
 from collections import ChainMap
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +305,7 @@ def _summary_table(name, result):
              for i in range(basis.size)])
 
 
-def _classical_fatou(c, threads):
+def _classical_fatou(c):
     B = _symbol_series(c, c["d"], c["symbol_grade"])
     result = _rn_derivative(B, c)
     # oracle comparison through the Fatou symbol on the circle grid; for
@@ -321,7 +322,7 @@ def _classical_fatou(c, threads):
         f"achieved r_max = {result.achieved_r_max!r}"], True
 
 
-def _inner_singular(c, threads):
+def _inner_singular(c):
     B = _symbol_series(c, c["d"], c["symbol_grade"])
     result = _rn_derivative(B, c, recovery_buffer=c["recovery_buffer"])
     rows = [[result.primary_eps, st.r, st.N, st.vacuum_delta, st.mass,
@@ -336,7 +337,7 @@ def _inner_singular(c, threads):
         f"singular verdict = {result.singular}"], True
 
 
-def _decompose(c, threads):
+def _decompose(c):
     N = _schedule(c).max_grade()
     if "moments_file" in c:
         mu = _read(read_moments_csv, c, "moments_file", WordBasis(1, N))
@@ -358,7 +359,7 @@ def _decompose(c, threads):
         f"singular verdict = {result.singular}"], True
 
 
-def _factor(c, threads):
+def _factor(c):
     tau, basis = c["tau"], WordBasis(c["d"], c["N"])
     if tau["type"] == "radial":
         B = _symbol_series(tau, c["d"], c["N"], "tau.")
@@ -377,7 +378,7 @@ def _factor(c, threads):
     ], result.residual <= c["residual_tol"]
 
 
-def _majorant(c, threads):
+def _majorant(c):
     B = _symbol_series(c, c["d"], c["N"])
     if c["tau_mode"] == "zero":
         x = NCSeries.one(WordBasis(c["d"], c["M"]))
@@ -386,8 +387,7 @@ def _majorant(c, threads):
         # Radon-Nikodym compression equals the moment Gram matrix
         x = outer_factor(clark_measure(B), 1.0, seed=c["seed"]).y_series
     r_grid = c["r_grid"]
-    with ThreadPoolExecutor(max(threads, 1)) as pool:  # results do not depend on threads
-        reports = list(pool.map(lambda r: majorant_check(B, x, r, c["M"]), r_grid))
+    reports = [majorant_check(B, x, r, c["M"]) for r in r_grid]
     rows = [[r, rep.min_eigenvalue, rep.grade, rep.size] for r, rep in zip(r_grid, reports)]
     floor = min(rep.min_eigenvalue for rep in reports)
     return [("majorant_floors.csv", ["r", "min_eigenvalue", "M", "size"], rows)], [
@@ -395,7 +395,7 @@ def _majorant(c, threads):
     ], floor >= -c["floor_tol"]
 
 
-def _kernels(c, threads):
+def _kernels(c):
     d, N = c["d"], c["N"]
     B = _symbol_series(c, d, N)
     H = cayley_to_herglotz(B)
@@ -506,7 +506,7 @@ def _core_checks():
     return checks
 
 
-def _verify(c, threads):
+def _verify(c):
     checks = _core_checks()
     rows = [[name, value, thr, int(value <= thr)] for name, value, thr in checks]
     lines = [f"{'PASS' if value <= thr else 'FAIL'} {name}: {value:.3e} (<= {thr:.0e})"
@@ -584,7 +584,7 @@ SCHEMAS = {
 __doc__ = (__doc__ or "") + schema_doc()
 
 
-def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool) -> int:
+def _execute(cfg, base_dir: Path, out, quiet: bool) -> int:
     """Validate cfg, run it, then make out and write its tables and
     summary.txt (verify has its CSV alone); returns the exit code.  The
     output directory is NCFATOU_OUTDIR, else out (--output-dir), else
@@ -597,7 +597,7 @@ def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool) -> int:
     try:
         c = validate(cfg, base_dir)
         out = base_dir / (c["output_dir"] if out is None else out)
-        tables, lines, passed = SCHEMAS[c["experiment"]][1](c, threads)
+        tables, lines, passed = SCHEMAS[c["experiment"]][1](c)
         out.mkdir(parents=True, exist_ok=True)
         for name, header, rows in tables:
             _write_csv(out / name, header, rows, c["seed"], c["experiment"])
@@ -621,18 +621,18 @@ def _execute(cfg, base_dir: Path, out, threads: int, quiet: bool) -> int:
     return 0 if passed else 3
 
 
-def run_config(path: str, threads: int = 1, quiet: bool = False) -> int:
+def run_config(path: str, quiet: bool = False) -> int:
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
-    return _execute(cfg, Path(path).parent, None, threads, quiet)
+    return _execute(cfg, Path(path).parent, None, quiet)
 
 
 def run_verify(out, quiet: bool = False) -> int:
     """The core invariant suite, written to the directory out."""
-    return _execute({"experiment": "verify"}, Path("."), out, 1, quiet)
+    return _execute({"experiment": "verify"}, Path("."), out, quiet)
 
 
 def main(argv=None) -> int:
@@ -641,7 +641,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a named experiment from a JSON config")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, help="accepted and ignored")
     p_run.add_argument("--quiet", action="store_true")
     p_ver = sub.add_parser("verify", help="run an invariant suite")
     p_ver.add_argument("--suite", default="core", choices=["core"])
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("--output-dir", default="out")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_config(args.config, threads=args.threads, quiet=args.quiet)
+        return run_config(args.config, quiet=args.quiet)
     return run_verify(args.output_dir, args.quiet)
 
 

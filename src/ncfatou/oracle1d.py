@@ -109,7 +109,7 @@ def classical_moments(spec: MeasureSpec, N: int) -> MomentFunctional:
             raise ValueError(
                 f"grid of {spec.grid} nodes resolves moments only below {spec.grid // 2}")
         # int zeta^k h dm = conj(hat h(k)) for real h
-        moments += np.conj(np.fft.fft(spec.density)[:N + 1]) / spec.grid
+        moments += np.conj(np.fft.rfft(spec.density)[:N + 1]) / spec.grid
     return MomentFunctional(WordBasis(1, N), moments)
 
 

@@ -187,7 +187,9 @@ def radial_scale(f: NCSeries, r: float) -> NCSeries:
     if not 0.0 < r < 1.0:
         raise ValueError(f"radial parameter must lie in (0,1), got {r}")
     basis = f.basis
-    scale = np.repeat(r ** np.arange(basis.N + 1), np.diff(basis.offsets))
+    scale = r ** np.arange(basis.N + 1)
+    if basis.d > 1:  # at d = 1 every grade holds one word
+        scale = np.repeat(scale, np.diff(basis.offsets))
     return NCSeries(basis, f.coeffs * scale)
 
 

@@ -85,8 +85,11 @@ class WordBasis:
                              "int64 can index")
         self.d = d
         self.N = N
-        counts = d ** np.arange(N + 1, dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        if d == 1:
+            self.offsets = np.arange(N + 2, dtype=np.int64)
+        else:
+            counts = d ** np.arange(N + 1, dtype=np.int64)
+            self.offsets = np.concatenate(([0], np.cumsum(counts)))
 
     def __len__(self) -> int:
         return self.size

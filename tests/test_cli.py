@@ -112,7 +112,7 @@ def test_failed_allocation_exits_3_with_one_line_and_no_output(tmp_path, monkeyp
                                                               capsys):
     # numpy raises a MemoryError subclass when it cannot allocate; the
     # runner here raises it without allocating anything
-    def runner(c, threads):
+    def runner(c):
         raise MemoryError("Unable to allocate 512. TiB for an array")
 
     monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
@@ -131,7 +131,7 @@ def test_basis_beyond_int64_exits_2_with_one_line_and_no_output(tmp_path, monkey
     # or symbol_grade, naming its field, before the runner, which would
     # build WordBasis(d, grade), is called.  So it does for 2^61 - 1
     # words, which int64 indexes but no machine's memory holds
-    def runner(c, threads):
+    def runner(c):
         raise AssertionError("the runner ran")
 
     monkeypatch.delenv("NCFATOU_OUTDIR", raising=False)
@@ -203,7 +203,7 @@ CONFIGS = ROOT / "configs"
 COMMITTED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
 
 
-def _no_numerics(c, threads):
+def _no_numerics(c):
     raise AssertionError(f"{c['experiment']} reached numerics")
 
 
@@ -298,13 +298,15 @@ def test_validate_fills_every_default():
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     # neither scipy.sparse (imported lazily by left_multiplier_norm) nor
-    # scipy.linalg, which no module imports
+    # scipy.linalg, which no module imports, nor a worker pool
+    # (concurrent.futures): every run works on the calling thread
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", "import sys, ncfatou.cli; "
-                           "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"],
+                           "print(*(m in sys.modules for m in ('scipy.sparse', 'scipy.linalg', "
+                           "'concurrent.futures')))"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"
 
 
 def test_runs_with_scipy_blocked_reproduce_the_golden_files(tmp_path):
@@ -404,6 +406,42 @@ def test_config_fault_raised_by_a_runner_leaves_no_output_directory(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
     assert not (tmp_path / "new").exists()
+
+
+REFUSE_THREADS = ("import threading\n"
+                  "def refuse(self):\n"
+                  "    raise AssertionError('a thread was started')\n"
+                  "threading.Thread.start = refuse\n")
+
+
+def _run_majorant(tmp_path, config, argv_extra=(), prelude=""):
+    """Run a committed majorant config in a fresh process, BLAS at one
+    thread as the golden files, after the code prelude; return the bytes
+    it writes by file name."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               NCFATOU_OUTDIR=str(tmp_path))
+    script = prelude + "import sys\nfrom ncfatou.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    argv = ["run", str(CONFIGS / f"{config}.json"), *argv_extra, "--quiet"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+
+def test_majorant_runner_starts_no_thread(tmp_path):
+    # the r_grid runs on the calling thread: with Thread.start refused the
+    # run exits 0 and writes its golden files
+    out = _run_majorant(tmp_path, "majorant_d2", prelude=REFUSE_THREADS)
+    golden = {p.name: p.read_bytes() for p in sorted((CONFIGS / "out" / "majorant_d2").iterdir())}
+    assert out == golden
+
+
+@pytest.mark.parametrize("config", ["majorant_d1", "majorant_d2"])
+def test_run_threads_flag_has_no_effect(config, tmp_path):
+    one = _run_majorant(tmp_path / "one", config, ["--threads", "1"])
+    four = _run_majorant(tmp_path / "four", config, ["--threads", "4"])
+    assert one and one == four
 
 
 def test_verify_threads_flag_is_gone():
@@ -643,5 +681,5 @@ def test_docs_list_the_schema_table():
                  "gram_matvec", "y_inv", "FockVector.inner", "FockVector.norm",
                  "basis_vector", "`vacuum`", "write_series_csv", "write_moments_csv",
                  "herglotz_integral", "_GradedProduct", "graded_multiplier",
-                 "graded_inverse", "transpose_unitary"):
+                 "graded_inverse", "transpose_unitary", "worker pool"):
         assert gone not in readme and gone not in cli.__doc__

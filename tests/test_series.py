@@ -194,6 +194,12 @@ def test_radial_scale():
     assert np.allclose(radial_scale(const, 0.3).coeffs, const.coeffs)
     z = series_from(basis, {(1,): 1.0})
     assert radial_scale(z, 0.5).coefficient((1,)) == 0.5
+    # every grade of d = 1 holds one word; d = 2 repeats r^g over its grade
+    for basis in (WordBasis(1, 5), WordBasis(2, 4)):
+        c = np.arange(1.0, basis.size + 1)
+        powers = 0.7 ** np.arange(basis.N + 1)
+        expected = [c[i] * powers[len(w)] for i, w in enumerate(basis)]
+        assert np.array_equal(radial_scale(NCSeries(basis, c), 0.7).coeffs, expected)
     with pytest.raises(ValueError):
         radial_scale(z, 1.0)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,15 @@ def test_a_basis_beyond_int64_is_refused():
         with pytest.raises(ValueError, match=f"d = {d}, N = {N}: {word_count(d, N)} words"):
             WordBasis(d, N)
     assert WordBasis(2, 62).size == 2 ** 63 - 1
+
+
+def test_d1_offsets_match_the_general_formula():
+    # d = 1 takes arange in place of the powers and cumsum of every other d
+    for N in (0, 1, 18854):
+        counts = 1 ** np.arange(N + 1, dtype=np.int64)
+        general = np.concatenate(([0], np.cumsum(counts)))
+        offsets = WordBasis(1, N).offsets
+        assert offsets.dtype == general.dtype and np.array_equal(offsets, general)
 
 
 def test_word_count_formula():
