@@ -19,10 +19,9 @@ from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
                        fatou_symbol, fourier_coefficients, poisson_density,
                        toeplitz_from_symbol)
 from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
-                     cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
-                     invert, multiply, radial_scale, read_series_csv,
-                     right_multiplier, series_at_right_shifts, szego_kernel,
-                     szego_kernel_matrix, transpose_conjugate)
+                     cayley_to_schur, evaluate, invert, kernel_identity,
+                     radial_scale, read_series_csv, series_at_right_shifts,
+                     szego_kernel, szego_kernel_matrix, transpose_conjugate)
 from .words import Word, WordBasis, transpose, word_count
 
 __version__ = "0.1.0"

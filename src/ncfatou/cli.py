@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -44,9 +45,8 @@ from .fock import FockVector
 from .lebesgue import _WORD_BYTES, Schedule, fatou_form_check, majorant_check, rn_derivative
 from .measure import (clark_measure, hermitian_floor, nc_lebesgue, radial_measure,
                       read_moments_csv, vector_state)
-from .series import (MatrixPoint, NCSeries, cayley_to_herglotz,
-                     cayley_to_schur, dbr_kernel, evaluate, herglotz_kernel,
-                     read_series_csv, szego_kernel_matrix)
+from .series import (MatrixPoint, NCSeries, cayley_to_herglotz, cayley_to_schur,
+                     evaluate, kernel_identity, read_series_csv, szego_kernel_matrix)
 from .words import WordBasis, word_from_str, word_to_str
 
 
@@ -421,11 +421,9 @@ def _kernels(c):
     HV, BV = evaluate(H, points), evaluate(B, points)
     results = []
     for (Z, W, P), HZ, HW, BZ, BW in zip(triples, HV[::2], HV[1::2], BV[::2], BV[1::2]):
-        left = dbr_kernel(BZ, BW, Z, W, P, N)
-        inner = (np.eye(Z.n) - BZ.value) @ P @ (np.eye(W.n) - BW.value).conj().T
-        right = herglotz_kernel(HZ, HW, Z, W, inner, N)
+        left, right = kernel_identity(BZ, BW, HZ, HW, Z, W, P, N)
         resid = float(np.abs(left.value - right.value).max())
-        A = szego_kernel_matrix(Z, Z, N)
+        A = szego_kernel_matrix(Z, Z, N)  # its own sweep: the floor's W is Z
         results.append((resid, left.tail + right.tail, hermitian_floor(A)))
     rows = [[i, r, t, f] for i, (r, t, f) in enumerate(results)]
     worst = max(r for r, _, _ in results)
@@ -635,7 +633,9 @@ def run_verify(out, quiet: bool = False) -> int:
     return _execute({"experiment": "verify"}, Path("."), out, quiet)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="ncfatou", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -647,7 +647,11 @@ def main(argv=None) -> int:
     p_ver.add_argument("--suite", default="core", choices=["core"])
     p_ver.add_argument("--quiet", action="store_true")
     p_ver.add_argument("--output-dir", default="out")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return run_config(args.config, quiet=args.quiet)
     return run_verify(args.output_dir, args.quiet)

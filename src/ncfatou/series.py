@@ -8,6 +8,7 @@ tail bound is always returned with the value, never dropped.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -160,12 +161,6 @@ def _coerce(x, basis: WordBasis) -> NCSeries:
         c[0] = x
         return NCSeries(basis, c)
     raise TypeError(f"cannot interpret {type(x)} as a series")
-
-
-def multiply(f: NCSeries, g: NCSeries) -> NCSeries:
-    """Graded Cauchy product, exact through grade N."""
-    g = _coerce(g, f.basis)
-    return NCSeries(f.basis, TruncatedOperator(f.basis, f.coeffs).apply(g.coeffs))
 
 
 def invert(f: NCSeries) -> NCSeries:
@@ -367,15 +362,10 @@ def evaluate(f: NCSeries, Z: MatrixPoint | Sequence[MatrixPoint]
 # ---------------------------------------------------------------------------
 # multiplier operators
 
-def right_multiplier(f: NCSeries) -> TruncatedOperator:
-    """Compression of M^R_f: e_b -> sum_a c_a e_{ba} (multiplication by f
-    on the right)."""
-    return TruncatedOperator(f.basis, f.coeffs, "right")
-
-
 def series_at_right_shifts(f: NCSeries) -> TruncatedOperator:
-    """The operator f(R) = U_t f(L) U_t = M^R of the transpose-conjugate."""
-    return right_multiplier(transpose_conjugate(f))
+    """The operator f(R) = U_t f(L) U_t: multiplication on the right by the
+    transpose-conjugate g of f, e_b -> sum_a g_a e_{ba}."""
+    return TruncatedOperator(f.basis, transpose_conjugate(f).coeffs, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -419,27 +409,27 @@ def szego_kernel_matrix(Z: MatrixPoint, W: MatrixPoint, order: int) -> np.ndarra
     return np.ascontiguousarray(K.transpose(2, 1, 0).reshape(n * m, n * m))
 
 
-def herglotz_kernel(HZ: EvalResult, HW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
-                    P: np.ndarray, order: int) -> EvalResult:
-    """(1/2) K(Z,W)[H(Z) P + P H(W)^*] with combined tail bound, from the
-    values HZ = evaluate(H, Z) and HW = evaluate(H, W)."""
-    A = 0.5 * (HZ.value @ P + P @ HW.value.conj().T)
-    base = szego_kernel(Z, W, A, order)
-    rr = Z.row_norm * W.row_norm
-    amplification = np.linalg.norm(P, 2) / (1.0 - rr)
-    tail = base.tail + 0.5 * (HZ.tail + HW.tail) * amplification
-    return EvalResult(base.value, float(tail))
+def kernel_identity(BZ: EvalResult, BW: EvalResult, HZ: EvalResult, HW: EvalResult,
+                    Z: MatrixPoint, W: MatrixPoint, P: np.ndarray,
+                    order: int) -> tuple[EvalResult, EvalResult]:
+    """Both sides of the kernel identity of a Schur symbol B and its Cayley
+    transform H, from the values BZ = evaluate(B, Z), BW, HZ and HW:
 
+        left  = K(Z,W)[P] - K(Z,W)[B(Z) P B(W)^*]  (de Branges-Rovnyak)
+        right = (1/2) K(Z,W)[H(Z) Q + Q H(W)^*]     (Herglotz)
 
-def dbr_kernel(BZ: EvalResult, BW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
-               P: np.ndarray, order: int) -> EvalResult:
-    """de Branges-Rovnyak kernel K(Z,W)[P] - K(Z,W)[B(Z) P B(W)^*], from the
-    values BZ = evaluate(B, Z) and BW = evaluate(B, W)."""
-    both = szego_kernel(Z, W, np.stack([P, BZ.value @ P @ BW.value.conj().T]), order)
-    rr = Z.row_norm * W.row_norm
-    amplification = np.linalg.norm(P, 2) / (1.0 - rr)
-    tail = both.tail[0] + both.tail[1] + (BZ.tail + BW.tail) * amplification
-    return EvalResult(both.value[0] - both.value[1], float(tail))
+    with Q = (I - B(Z)) P (I - B(W))^*, from one Szego sweep over the stack
+    of the three matrices.  Each tail adds the sweep's to the evaluation
+    tails times ||P|| / (1 - rho_Z rho_W), or ||Q|| / (1 - rho_Z rho_W).
+    """
+    Q = (np.eye(Z.n) - BZ.value) @ P @ (np.eye(W.n) - BW.value).conj().T
+    A = 0.5 * (HZ.value @ Q + Q @ HW.value.conj().T)
+    K = szego_kernel(Z, W, np.stack([P, BZ.value @ P @ BW.value.conj().T, A]), order)
+    gap = 1.0 - Z.row_norm * W.row_norm
+    left_tail = K.tail[0] + K.tail[1] + (BZ.tail + BW.tail) * (np.linalg.norm(P, 2) / gap)
+    right_tail = K.tail[2] + 0.5 * (HZ.tail + HW.tail) * (np.linalg.norm(Q, 2) / gap)
+    return (EvalResult(K.value[0] - K.value[1], float(left_tail)),
+            EvalResult(K.value[2], float(right_tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +437,7 @@ def dbr_kernel(BZ: EvalResult, BW: EvalResult, Z: MatrixPoint, W: MatrixPoint,
 
 def read_word_csv(path, basis: WordBasis) -> dict:
     """{basis index: value} over the rows of a word,re,im file; a word
-    given twice raises instead of keeping its last row."""
+    given twice, or a value that is not finite, raises naming the word."""
     values = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -457,7 +447,11 @@ def read_word_csv(path, basis: WordBasis) -> dict:
             i = basis.index(word_from_str(row["word"], d=basis.d))
             if i in values:
                 raise ValueError(f"{path}: repeated word {row['word'].strip()!r}")
-            values[i] = float(row["re"]) + 1j * float(row["im"])
+            re, im = float(row["re"]), float(row["im"])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"{path}: word {row['word'].strip()!r} has a value "
+                                 f"that is not finite: {re!r}, {im!r}")
+            values[i] = re + 1j * im
     return values
 
 

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,26 @@ def test_experiment_outputs_are_bit_identical(tmp_path):
 def test_main_entry_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # the parser and its two subcommands are built on the first call alone
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built[0] == "ncfatou" and len(built) == 3
+    assert capsys.readouterr().err.count("config: ") == 3
 
 
 def test_inner_singular_d2_small(tmp_path):
@@ -459,6 +481,8 @@ BAD_FILES = {
     "value": "word,re,im\ne,1.0,0.0\n1,half,0.0\n",
     "short row": "word,re,im\ne,1.0,0.0\n1,0.5\n",
     "repeated word": "word,re,im\ne,1.0,0.0\n1,0.5,0\n1,0.3,0\n",
+    "nan value": "word,re,im\ne,1.0,0.0\n1,nan,0\n",
+    "inf value": "word,re,im\ne,inf,0.0\n1,0.5,0\n",
 }
 
 
@@ -472,9 +496,12 @@ BAD_FILES = {
 def test_bad_file_contents_exit_2(cfg, field, problem, tmp_path, capsys):
     cfg = {k: v for k, v in cfg.items() if v is not None}
     (tmp_path / "b.csv").write_text(BAD_FILES[problem])
-    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numerics could warn
+        assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
     err = capsys.readouterr().err
-    assert f"config error: {field}: " in err and "b.csv" in err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert "b.csv" in err
 
 
 def test_non_positive_symbol_exits_3(tmp_path, capsys):
@@ -662,6 +689,25 @@ def test_kernels_evaluate_each_series_once(tmp_path, monkeypatch):
     cfg = _with(KERNELS, N=14, point_pairs=3, output_dir=str(tmp_path))
     assert run_config(write_cfg(tmp_path, "k.json", cfg), quiet=True) == 0
     assert calls == [(1.0, 6), (0.0, 6)]  # H(0) = 1 first, then B(0) = 0
+
+
+def test_kernels_make_one_szego_sweep_for_the_identity_and_one_for_the_floor(tmp_path,
+                                                                             monkeypatch):
+    # per point pair: both sides of the identity from one stacked sweep, and
+    # the PSD floor's K(Z, Z) from another
+    calls = []
+    real = series.szego_kernel
+
+    def counted(Z, W, P, order):
+        calls.append(np.shape(P))
+        return real(Z, W, P, order)
+
+    monkeypatch.setattr(series, "szego_kernel", counted)
+    monkeypatch.setenv("NCFATOU_OUTDIR", str(tmp_path))
+    assert main(["run", str(CONFIGS / "kernels_d2.json"), "--quiet"]) == 0
+    pairs = COMMITTED["kernels_d2"]["point_pairs"]
+    assert len(calls) == 2 * pairs
+    assert all(shape[0] == 3 for shape in calls[::2])
 
 
 def test_committed_configs_validate():

@@ -5,11 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 from ncfatou.fock import TruncatedOperator
 from ncfatou.measure import left_multiplier_norm
 from ncfatou.series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
-                            cayley_to_schur, dbr_kernel, evaluate,
-                            herglotz_kernel, invert, multiply, radial_scale,
-                            read_series_csv, right_multiplier,
-                            series_at_right_shifts, szego_kernel,
-                            szego_kernel_matrix, transpose_conjugate)
+                            cayley_to_schur, evaluate, invert, kernel_identity,
+                            radial_scale, read_series_csv, series_at_right_shifts,
+                            szego_kernel, szego_kernel_matrix, transpose_conjugate)
 from ncfatou.words import WordBasis
 from helpers import write_series_csv
 from test_measure import brute_cayley_herglotz
@@ -45,14 +43,19 @@ def series_from(basis, entries):
     return NCSeries.from_dict(basis, entries)
 
 
+def product(f, g):
+    """The graded Cauchy product f g: f's left multiplier applied to g."""
+    return NCSeries(f.basis, TruncatedOperator(f.basis, f.coeffs).apply(g.coeffs))
+
+
 def test_multiply_examples():
     basis = WordBasis(2, 4)
     z1 = series_from(basis, {(1,): 1.0})
     z2 = series_from(basis, {(2,): 1.0})
-    prod = multiply(z1, z2)
+    prod = product(z1, z2)
     assert prod.coefficient((1, 2)) == 1.0
     assert prod.coefficient((2, 1)) == 0.0
-    assert np.abs(multiply(z1, z2).coeffs - multiply(z2, z1).coeffs).max() == 1.0
+    assert np.abs(product(z1, z2).coeffs - product(z2, z1).coeffs).max() == 1.0
 
 
 def test_geometric_inverse_d1():
@@ -60,7 +63,7 @@ def test_geometric_inverse_d1():
     f = series_from(basis, {(): 1.0, (1,): -1.0})
     g = invert(f)
     assert np.allclose(g.coeffs, np.ones(13))
-    assert np.allclose(multiply(f, g).coeffs, NCSeries.one(basis).coeffs)
+    assert np.allclose(product(f, g).coeffs, NCSeries.one(basis).coeffs)
 
 
 @pytest.mark.parametrize("d, N, f, tol", [
@@ -76,7 +79,7 @@ def test_invert_matches_brute_oracle(d, N, f, tol):
     g = invert(series_from(basis, f))
     for w, val in brute_invert(f, d, N).items():
         assert g.coefficient(w) == pytest.approx(val, abs=tol * max(1.0, abs(val)))
-    assert np.abs(multiply(series_from(basis, f), g).coeffs
+    assert np.abs(product(series_from(basis, f), g).coeffs
                   - NCSeries.one(basis).coeffs).max() < 1e-14
 
 
@@ -95,7 +98,7 @@ def test_multiply_matches_brute_oracle_random():
     fb = {basis.word(i): complex(x, y) for i, x, y in
           zip(rng.integers(0, basis.size, 6), rng.standard_normal(6),
               rng.standard_normal(6))}
-    prod = multiply(series_from(basis, fa), series_from(basis, fb))
+    prod = product(series_from(basis, fa), series_from(basis, fb))
     oracle = brute_multiply(fa, fb, 5)
     for i in range(basis.size):
         w = basis.word(i)
@@ -237,7 +240,7 @@ def test_right_multiplier_is_transposed_left_multiplier():
     f = series_from(basis, {(1,): 0.7, (2, 1): -0.4j, (1, 1, 2): 0.2})
     p = basis.transpose_permutation  # U: e_w -> e_{transpose(w)}
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    lhs = right_multiplier(f).apply(v)
+    lhs = TruncatedOperator(basis, f.coeffs, "right").apply(v)
     ft = transpose_conjugate(f)
     rhs = TruncatedOperator(basis, ft.coeffs).apply(v[p])[p]
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -265,7 +268,7 @@ def test_left_multiplier_homomorphism_exact():
     f = series_from(basis, {(1,): 0.5, (2, 1): 0.25})
     g = series_from(basis, {(): 1.0, (2,): -0.5j})
     v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    fg = multiply(f, g)
+    fg = product(f, g)
     lhs = TruncatedOperator(basis, fg.coeffs, "left").apply(v)
     rhs = TruncatedOperator(basis, f.coeffs, "left").apply(
         TruncatedOperator(basis, g.coeffs, "left").apply(v))
@@ -279,7 +282,7 @@ def test_remark_example_right_isometry_and_left_norm():
     basis = WordBasis(2, N)
     c = 2 ** -0.5
     B = series_from(basis, {(2,): c, (2, 1): -c})
-    M = right_multiplier(B)
+    M = TruncatedOperator(basis, B.coeffs, "right")
     m_low = basis.sub_basis_size(N - 2)
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -482,22 +485,32 @@ def test_szego_kernel_is_the_per_letter_loop_bit_for_bit(d):
             assert np.array_equal(szego_kernel(Z, W, P, order).value, total)
 
 
-def test_dbr_kernel_is_the_difference_of_two_szego_kernels_bit_for_bit():
+def test_kernel_identity_is_three_lone_szego_kernels_bit_for_bit():
+    # left is K[P] - K[B(Z) P B(W)^*] and right is K[A], A = (H(Z) Q + Q H(W)^*)/2,
+    # each kernel value and tail the bytes of a lone szego_kernel call
     rng = np.random.default_rng(31)
     basis = WordBasis(2, 8)
     B = series_from(basis, {(1,): 0.3, (2,): 0.25j, (1, 2): 0.2})
+    H = cayley_to_herglotz(B)
     for n, m in ((1, 1), (1, 3), (2, 2), (3, 2)):
         Z, W = (MatrixPoint(tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
                                   for _ in range(2))) for k in (n, m))
         Z, W = Z.scaled(0.4 / Z.row_norm), W.scaled(0.3 / W.row_norm)
         BZ, BW = evaluate(B, [Z, W])
-        P = rng.standard_normal((n, m))
+        HZ, HW = evaluate(H, [Z, W])
+        P = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        Q = (np.eye(n) - BZ.value) @ P @ (np.eye(m) - BW.value).conj().T
         first = szego_kernel(Z, W, P, basis.N)
         second = szego_kernel(Z, W, BZ.value @ P @ BW.value.conj().T, basis.N)
-        amplification = np.linalg.norm(P, 2) / (1.0 - Z.row_norm * W.row_norm)
-        value, tail = dbr_kernel(BZ, BW, Z, W, P, basis.N)
-        assert value.tobytes() == (first.value - second.value).tobytes()
-        assert tail == first.tail + second.tail + (BZ.tail + BW.tail) * amplification
+        third = szego_kernel(Z, W, 0.5 * (HZ.value @ Q + Q @ HW.value.conj().T), basis.N)
+        gap = 1.0 - Z.row_norm * W.row_norm
+        left, right = kernel_identity(BZ, BW, HZ, HW, Z, W, P, basis.N)
+        assert left.value.tobytes() == (first.value - second.value).tobytes()
+        assert left.tail == first.tail + second.tail + \
+            (BZ.tail + BW.tail) * (np.linalg.norm(P, 2) / gap)
+        assert right.value.tobytes() == third.value.tobytes()
+        assert right.tail == third.tail + 0.5 * (HZ.tail + HW.tail) * (np.linalg.norm(Q, 2) / gap)
+        assert type(left.tail) is float and type(right.tail) is float
 
 
 def test_kernel_identity_small():
@@ -514,18 +527,15 @@ def test_kernel_identity_small():
         Z = MatrixPoint(tuple(0.15 / Zr.row_norm * M for M in Zr.Z))
         W = MatrixPoint(tuple(0.15 / Wr.row_norm * M for M in Wr.Z))
         P = rng.standard_normal((2, 2))
-        BZ, BW = evaluate(B, [Z, W])
-        HZ, HW = evaluate(H, [Z, W])
-        left = dbr_kernel(BZ, BW, Z, W, P, basis.N)
-        right = herglotz_kernel(HZ, HW, Z, W,
-                                (np.eye(2) - BZ.value) @ P @ (np.eye(2) - BW.value).conj().T,
-                                basis.N)
+        left, right = kernel_identity(*evaluate(B, [Z, W]), *evaluate(H, [Z, W]), Z, W, P,
+                                      basis.N)
         assert np.abs(left.value - right.value).max() < 1e-9
-    # sanity: H = 1 reduces the Herglotz kernel to Szego
-    one = NCSeries.one(basis)
-    val, _ = herglotz_kernel(*evaluate(one, [Z, W]), Z, W, P, 10)
+    # sanity: B = 0 and H = 1 reduce both sides to the Szego kernel K[P]
+    zero, one = (evaluate(f, [Z, W]) for f in (NCSeries.zero(basis), NCSeries.one(basis)))
+    left, right = kernel_identity(*zero, *one, Z, W, P, 10)
     ref, _ = szego_kernel(Z, W, P, 10)
-    assert np.abs(val - ref).max() < 1e-14
+    assert np.abs(left.value - ref).max() < 1e-14
+    assert np.abs(right.value - ref).max() < 1e-14
 
 
 def test_series_csv_round_trip(tmp_path):
@@ -537,6 +547,12 @@ def test_series_csv_round_trip(tmp_path):
     assert np.abs(f.coeffs - g.coeffs).max() == 0.0
     with pytest.raises(ValueError):
         read_series_csv(path, WordBasis(1, 3))
+    # a value that is not finite is refused naming the file and the word
+    for row in ("21,nan,0", "e,1,inf", "1,1e400,0"):
+        path.write_text(f"word,re,im\n{row}\n")
+        word = row.split(",")[0]
+        with pytest.raises(ValueError, match=f"series.csv: word '{word}' has a value that is not"):
+            read_series_csv(path, basis)
 
 
 def test_norm_and_degree_are_cached_and_cannot_go_stale():
@@ -646,6 +662,6 @@ def test_multiply_distributes_over_addition(fa, fb):
     for i, re, im in fb:
         g.coeffs[i] += re + 1j * im
     h = series_from(basis, {(1,): 0.5, (2,): -1.0})
-    lhs = multiply(f + g, h)
-    rhs = multiply(f, h) + multiply(g, h)
+    lhs = product(f + g, h)
+    rhs = product(f, h) + product(g, h)
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-12
