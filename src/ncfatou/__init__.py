@@ -9,12 +9,12 @@ and cross-validates everything against the classical one-variable theory.
 from .factor import FactorResult, outer_factor
 from .fock import FockVector, TruncatedOperator, left_shift, right_shift
 from .lebesgue import (RNResult, Schedule, StageRecord, fatou_form_check,
-                       majorant_check, rn_derivative, resolvent_corner)
+                       majorant_check, rn_derivative)
 from .measure import (GramMatrix, MomentFunctional, PositivityReport,
                       clark_measure, gram, herglotz_eval, herglotz_transform,
-                      hermitian_floor, is_positive, left_multiplier_norm,
-                      nc_lebesgue, quadratic_form, radial_measure,
-                      read_moments_csv, sos_split, vector_state)
+                      hermitian_floor, is_positive, nc_lebesgue,
+                      quadratic_form, radial_measure, read_moments_csv,
+                      sos_split, vector_state)
 from .oracle1d import (MeasureSpec, classical_moments, circle_grid,
                        fatou_symbol, fourier_coefficients, poisson_density,
                        toeplitz_from_symbol)

@@ -193,6 +193,8 @@ def _coeffs(grade, v, path, ctx):
             w = word_from_str(key, d=ctx["d"])
         except ValueError as exc:
             _fail(f"{path}.{key}", str(exc))
+        if w in out:
+            _fail(f"{path}.{key}", f"repeated word {word_to_str(w)!r}")
         if len(w) > grade:
             _fail(f"{path}.{key}", f"word longer than the grade {grade}")
         re, im = _check(("real", "real"), pair, f"{path}.{key}", ctx)
@@ -286,8 +288,8 @@ def _write_csv(path: Path, header, rows, seed: int, experiment: str):
 
 
 # ---------------------------------------------------------------------------
-# experiments: each takes a validated config and the thread count and
-# returns (tables, summary lines, passed); a table is (file, header, rows)
+# experiments: each takes a validated config and returns (tables,
+# summary lines, passed); a table is (file, header, rows)
 
 def _convergence_rows(result, eps):
     # one row per stage for the resolvent vacuum entry, then the recovered

@@ -85,7 +85,6 @@ class Schedule:
 
     stages: tuple
     achieved_r_max: float
-    requested_r_max: float
 
     @staticmethod
     def coupled(d: int, tail_tol: float = 1e-8, j_max: int = 10, j_min: int = 1,
@@ -113,18 +112,15 @@ class Schedule:
                 f"hold even a grade-1 basis for d={d}")
         r_cap = tail_tol ** (1.0 / n_cap)
         stages = []
-        requested = 0.0
         for j in range(j_min, j_max + 1):
             r = 1.0 - 0.5 ** j
-            requested = max(requested, r)
             if r > r_cap:
                 r = r_cap
             N = int(np.ceil(np.log(tail_tol) / np.log(r)))
             N = min(N, n_cap)
             if not stages or (r, N) != stages[-1]:
                 stages.append((r, N))
-        return Schedule(tuple(stages), achieved_r_max=stages[-1][0],
-                        requested_r_max=requested)
+        return Schedule(tuple(stages), achieved_r_max=stages[-1][0])
 
     @staticmethod
     def explicit(stages) -> "Schedule":
@@ -136,8 +132,7 @@ class Schedule:
                 raise ValueError(f"radius {r} outside (0,1)")
             if N < 0:
                 raise ValueError(f"negative truncation grade {N}")
-        return Schedule(stages, achieved_r_max=max(r for r, _ in stages),
-                        requested_r_max=max(r for r, _ in stages))
+        return Schedule(stages, achieved_r_max=max(r for r, _ in stages))
 
     def max_grade(self) -> int:
         return max(N for _, N in self.stages)
@@ -147,8 +142,7 @@ class Schedule:
 # stage routes
 
 #: A Schur symbol on a d >= 2 basis of more words runs the matrix-free
-#: stage (CG); the dense reference corner (resolvent_corner) takes no
-#: larger basis.  Every other stage is eliminated at every size.
+#: stage (CG).  Every other stage takes mu_r, at every size.
 DENSE_LIMIT = 2048
 #: the matrix-free stage's CG tolerance and iteration cap per corner column,
 #: and the tolerance of rn_derivative's positivity check of mu_ac
@@ -320,30 +314,6 @@ def _stage(op, r: float, eps: float, m: int, m_out: int) -> tuple:
     return (*_spectral_block(op, r, eps, m, m_out), {"mode": "toeplitz"})
 
 
-def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
-    """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1} and T_r
-    = gram(mu_r).matrix, as an m x m matrix (m counts basis words); eps
-    must be positive.
-
-    This is the exact corner of the truncated resolvent, the reference the
-    coupled limit is checked against, computed independently of the
-    stages of rn_derivative: it factors the dense eps I + T_r = L L^H and
-    reads the corner as X^H X, X = L^{-1} E_m (_inverse_corner), so the
-    basis may hold at most DENSE_LIMIT words.  Returns the Hermitized
-    corner; raises LinAlgError if eps I + T_r is not positive definite.
-    """
-    if not eps > 0:
-        raise ValueError(f"resolvent parameter must be positive, got {eps}")
-    basis = mu_r.basis
-    if m > basis.size:
-        raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
-    if basis.size > DENSE_LIMIT:
-        raise ValueError(
-            f"the dense reference corner needs at most {DENSE_LIMIT} basis "
-            f"words, got {basis.size}")
-    return _inverse_corner(gram(mu_r).matrix + eps * np.eye(basis.size), m)
-
-
 def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
     """The matrix-free corner of the Schur symbol B at radius r: the first
     m columns of (eps I + T_r)^{-1} on the truncated basis, on the corner
@@ -371,8 +341,9 @@ def _cg_corner(B: NCSeries, r: float, eps: float, m: int) -> tuple:
             "practical; use a smaller corner")
     basis = B.basis
     support = WordBasis(basis.d, B.degree())
-    k = NCSeries.one(support) - radial_scale(NCSeries(support, B.coeffs[:support.size]), r)
-    K = TruncatedOperator(basis, transpose_conjugate(k).coeffs, "right")
+    k = -radial_scale(NCSeries(support, B.coeffs[:support.size]), r).coeffs
+    k[0] += 1.0
+    K = TruncatedOperator(basis, k[support.transpose_permutation], "right")
     work = np.empty((2, basis.size), dtype=complex)
 
     def matvec(v):

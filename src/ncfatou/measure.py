@@ -17,9 +17,6 @@ from .series import (EvalResult, MatrixPoint, NCSeries, cayley_to_herglotz,
                      radial_scale, read_word_csv)
 from .words import WordBasis
 
-#: eigsh's relative tolerance in left_multiplier_norm
-_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MomentFunctional:
@@ -246,30 +243,6 @@ def is_positive(mu: MomentFunctional, tol: float = 1e-10) -> PositivityReport:
     return PositivityReport(hermitian_floor(gram(mu).matrix), mu.basis.N, mu.basis.size, tol)
 
 
-def left_multiplier_norm(f: NCSeries) -> float:
-    """Norm of M^L_f restricted to the grade <= N subspace.
-
-    M^L_f e_b = R^b f and R^b = U L^{transpose(b)} U, U the transpose
-    unitary, so M^L_f* M^L_f is the Gram matrix of the vector state of
-    U f with its basis permuted by transposition, exact on f's own basis.
-    Its top eigenvalue is read by eigvalsh up to 64 words, else by eigsh
-    on the Gram matvec.  This is a lower bound for the full-space
-    multiplier norm; certifying Schur-class membership of a general
-    polynomial is the caller's responsibility.
-    """
-    m = f.basis.size
-    mu = vector_state(FockVector(f.basis, f.coeffs[f.basis.transpose_permutation]))
-    if m <= 64:
-        lam = float(np.linalg.eigvalsh(gram(mu).matrix).max())
-    else:
-        import scipy.sparse.linalg  # here only: importing ncfatou need not load scipy.sparse
-        lin = scipy.sparse.linalg.LinearOperator((m, m), matvec=_gram_apply(mu), dtype=complex)
-        lam = float(scipy.sparse.linalg.eigsh(
-            lin, k=1, which="LA", tol=_NORM_TOL, v0=np.ones(m) / np.sqrt(m),
-            maxiter=10000, return_eigenvectors=False)[0])
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # Clark measure <-> Herglotz transform
 
@@ -365,7 +338,7 @@ def quadratic_form(mu: MomentFunctional, p: FockVector) -> float:
 def read_moments_csv(path, basis: WordBasis) -> MomentFunctional:
     values = read_word_csv(path, basis)
     if 0 not in values:
-        raise ValueError(f"{path}: moment file must contain the unit word 'e'")
+        raise ValueError("moment file must contain the unit word 'e'")
     moments = np.zeros(basis.size, dtype=complex)
     for i, c in values.items():
         moments[i] = c

@@ -127,41 +127,6 @@ class NCSeries:
         v = self.coeffs[:self.basis.sub_basis_size(self.degree())].view(float)
         return float(np.sqrt(np.einsum("i,i", v, v)))
 
-    def __add__(self, other):
-        other = _coerce(other, self.basis)
-        return NCSeries(self.basis, self.coeffs + other.coeffs)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        other = _coerce(other, self.basis)
-        return NCSeries(self.basis, self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        other = _coerce(other, self.basis)
-        return NCSeries(self.basis, other.coeffs - self.coeffs)
-
-    def __mul__(self, c: complex) -> "NCSeries":
-        return NCSeries(self.basis, self.coeffs * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "NCSeries":
-        return NCSeries(self.basis, -self.coeffs)
-
-
-def _coerce(x, basis: WordBasis) -> NCSeries:
-    if isinstance(x, NCSeries):
-        if x.basis != basis:
-            raise ValueError(f"basis mismatch: {x.basis} vs {basis}")
-        return x
-    if np.isscalar(x):
-        c = np.zeros(basis.size, dtype=complex)
-        c[0] = x
-        return NCSeries(basis, c)
-    raise TypeError(f"cannot interpret {type(x)} as a series")
-
 
 def invert(f: NCSeries) -> NCSeries:
     """Multiplicative inverse through grade N; requires a nonzero germ.
@@ -437,19 +402,21 @@ def kernel_identity(BZ: EvalResult, BW: EvalResult, HZ: EvalResult, HW: EvalResu
 
 def read_word_csv(path, basis: WordBasis) -> dict:
     """{basis index: value} over the rows of a word,re,im file; a word
-    given twice, or a value that is not finite, raises naming the word."""
+    given twice, or a value that is not finite, raises naming the word.
+    The messages leave the path to the caller, which knows the field that
+    named the file."""
     values = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["word", "re", "im"]:
-            raise ValueError(f"{path}: expected header word,re,im")
+            raise ValueError("expected header word,re,im")
         for row in reader:
             i = basis.index(word_from_str(row["word"], d=basis.d))
             if i in values:
-                raise ValueError(f"{path}: repeated word {row['word'].strip()!r}")
+                raise ValueError(f"repeated word {row['word'].strip()!r}")
             re, im = float(row["re"]), float(row["im"])
             if not (math.isfinite(re) and math.isfinite(im)):
-                raise ValueError(f"{path}: word {row['word'].strip()!r} has a value "
+                raise ValueError(f"word {row['word'].strip()!r} has a value "
                                  f"that is not finite: {re!r}, {im!r}")
             values[i] = re + 1j * im
     return values

@@ -2,20 +2,29 @@
 
 The checks pair a map with its adjoint and fill a dense matrix from a
 matvec.  The fixtures build unit vectors of the Fock space and write series and
-moment files; herglotz_integral is the d = 1 reference for herglotz_eval,
-the Herglotz integral of a classical measure on the circle.  None of them
-is part of the package: no run needs them.
+moment files.  The references compute what the package computes another
+way: herglotz_integral is the d = 1 reference for herglotz_eval, the
+Herglotz integral of a classical measure on the circle; resolvent_corner
+is the dense corner of the truncated resolvent that the stages of
+rn_derivative are checked against; left_multiplier_norm bounds the
+multiplier norm of a Schur symbol.  None of them is part of the package:
+no run needs them, and only left_multiplier_norm needs scipy.
 """
 
 import csv
 
 import numpy as np
+import scipy.sparse.linalg
 
+from ncfatou import lebesgue
 from ncfatou.fock import FockVector
-from ncfatou.measure import MomentFunctional
+from ncfatou.measure import MomentFunctional, _gram_apply, gram, vector_state
 from ncfatou.oracle1d import MeasureSpec, circle_grid
 from ncfatou.series import NCSeries
 from ncfatou.words import Word, WordBasis, word_to_str
+
+#: eigsh's relative tolerance in left_multiplier_norm
+_NORM_TOL = 1e-12
 
 
 def adjoint_residual(apply, adjoint_apply, n: int, rng: np.random.Generator,
@@ -94,3 +103,49 @@ def herglotz_integral(spec: MeasureSpec, z: complex) -> complex:
         vals = (1 + z * zetas.conj()) / (1 - z * zetas.conj())
         total += np.mean(vals * spec.density)
     return complex(total)
+
+
+def resolvent_corner(mu_r: MomentFunctional, eps: float, m: int) -> np.ndarray:
+    """P_m Delta_r(eps) P_m with Delta_r(eps) = (eps I + T_r)^{-1} and T_r
+    = gram(mu_r).matrix, as an m x m matrix (m counts basis words); eps
+    must be positive.
+
+    This is the exact corner of the truncated resolvent, computed
+    independently of the stages of rn_derivative: it factors the dense
+    eps I + T_r = L L^H and reads the corner as X^H X, X = L^{-1} E_m
+    (lebesgue._inverse_corner), so the basis may hold at most
+    lebesgue.DENSE_LIMIT words.  Returns the Hermitized corner; raises
+    LinAlgError if eps I + T_r is not positive definite.
+    """
+    if not eps > 0:
+        raise ValueError(f"resolvent parameter must be positive, got {eps}")
+    basis = mu_r.basis
+    if m > basis.size:
+        raise ValueError(f"corner of {m} words exceeds basis size {basis.size}")
+    if basis.size > lebesgue.DENSE_LIMIT:
+        raise ValueError(
+            f"the dense reference corner needs at most {lebesgue.DENSE_LIMIT} basis "
+            f"words, got {basis.size}")
+    return lebesgue._inverse_corner(gram(mu_r).matrix + eps * np.eye(basis.size), m)
+
+
+def left_multiplier_norm(f: NCSeries) -> float:
+    """Norm of M^L_f restricted to the grade <= N subspace.
+
+    M^L_f e_b = R^b f and R^b = U L^{transpose(b)} U, U the transpose
+    unitary, so M^L_f* M^L_f is the Gram matrix of the vector state of
+    U f with its basis permuted by transposition, exact on f's own basis.
+    Its top eigenvalue is read by eigvalsh up to 64 words, else by eigsh
+    on the Gram matvec.  This is a lower bound for the full-space
+    multiplier norm.
+    """
+    m = f.basis.size
+    mu = vector_state(FockVector(f.basis, f.coeffs[f.basis.transpose_permutation]))
+    if m <= 64:
+        lam = float(np.linalg.eigvalsh(gram(mu).matrix).max())
+    else:
+        lin = scipy.sparse.linalg.LinearOperator((m, m), matvec=_gram_apply(mu), dtype=complex)
+        lam = float(scipy.sparse.linalg.eigsh(
+            lin, k=1, which="LA", tol=_NORM_TOL, v0=np.ones(m) / np.sqrt(m),
+            maxiter=10000, return_eigenvectors=False)[0])
+    return float(np.sqrt(max(lam, 0.0)))

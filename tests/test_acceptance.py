@@ -12,14 +12,16 @@ from ncfatou.cli import run_verify
 from ncfatou.factor import outer_factor
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.lebesgue import Schedule, majorant_check, rn_derivative
-from ncfatou.measure import (clark_measure, herglotz_transform, left_multiplier_norm,
-                             radial_measure, vector_state)
+from ncfatou.measure import (clark_measure, herglotz_transform, radial_measure,
+                             vector_state)
 from ncfatou.oracle1d import (MeasureSpec, circle_grid, classical_moments,
                               fatou_symbol, toeplitz_from_symbol)
 from ncfatou.series import (MatrixPoint, NCSeries, cayley_to_herglotz,
                             cayley_to_schur, evaluate, kernel_identity,
                             szego_kernel_matrix)
 from ncfatou.words import WordBasis
+
+from helpers import left_multiplier_norm
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -177,7 +179,7 @@ def test_a8_round_trips():
         B = NCSeries.from_dict(basis, entries)
         norm = left_multiplier_norm(
             NCSeries.from_dict(WordBasis(d, 6), entries))
-        B = B * (0.9 / max(norm, 1e-12))
+        B = NCSeries(basis, B.coeffs * (0.9 / max(norm, 1e-12)))
         H = cayley_to_herglotz(B)
         worst_cayley = max(worst_cayley, float(
             np.abs(cayley_to_schur(H).coeffs - B.coeffs).max()))

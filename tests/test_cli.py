@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import json
 import os
@@ -319,23 +320,38 @@ def test_validate_fills_every_default():
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    # neither scipy.sparse (imported lazily by left_multiplier_norm) nor
-    # scipy.linalg, which no module imports, nor a worker pool
-    # (concurrent.futures): every run works on the calling thread
+    # no scipy module, which no module of the package imports, nor a
+    # worker pool (concurrent.futures): every run works on the calling thread
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", "import sys, ncfatou.cli; "
-                           "print(*(m in sys.modules for m in ('scipy.sparse', 'scipy.linalg', "
-                           "'concurrent.futures')))"],
+                           "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures')))"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False"
+    assert proc.stdout.strip() == "False False"
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # numpy is the one runtime dependency: no import of scipy in the
+    # package's source, at module level or inside a function
+    found = []
+    for path in sorted((ROOT / "src" / "ncfatou").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_runs_with_scipy_blocked_reproduce_the_golden_files(tmp_path):
     # with every scipy import failing, classical-fatou, factor_toeplitz and
     # verify reach every Toeplitz fill, Cholesky factor, numpy solve and d = 1
-    # band solve of a run but resolvent_corner's, exit 0 and write their
-    # golden files byte for byte (BLAS at one thread, as the golden files)
+    # band solve of a run, exit 0 and write their golden files byte for byte
+    # (BLAS at one thread, as the golden files)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     runs = {"classical_fatou": ["run", str(CONFIGS / "classical_fatou.json"), "--quiet"],
@@ -475,14 +491,27 @@ def test_verify_threads_flag_is_gone():
 # ---------------------------------------------------------------------------
 # file contents are config too
 
+def _message(fn, arg):
+    """The message of the exception fn(arg) raises, as this Python words it."""
+    try:
+        fn(arg)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{fn.__name__}({arg!r}) raised nothing")
+
+
+# problem -> (file contents, the message after "config error: <field>: <path>: ")
 BAD_FILES = {
-    "header": "word,real,imag\n1,0.5,0.0\n",
-    "long word": "word,re,im\ne,1.0,0.0\n11111,0.5,0.0\n",
-    "value": "word,re,im\ne,1.0,0.0\n1,half,0.0\n",
-    "short row": "word,re,im\ne,1.0,0.0\n1,0.5\n",
-    "repeated word": "word,re,im\ne,1.0,0.0\n1,0.5,0\n1,0.3,0\n",
-    "nan value": "word,re,im\ne,1.0,0.0\n1,nan,0\n",
-    "inf value": "word,re,im\ne,inf,0.0\n1,0.5,0\n",
+    "header": ("word,real,imag\n1,0.5,0.0\n", "expected header word,re,im"),
+    "long word": ("word,re,im\ne,1.0,0.0\n11111,0.5,0.0\n",
+                  "word of length 5 exceeds truncation 4"),
+    "value": ("word,re,im\ne,1.0,0.0\n1,half,0.0\n", _message(float, "half")),
+    "short row": ("word,re,im\ne,1.0,0.0\n1,0.5\n", _message(float, None)),
+    "repeated word": ("word,re,im\ne,1.0,0.0\n1,0.5,0\n1,0.3,0\n", "repeated word '1'"),
+    "nan value": ("word,re,im\ne,1.0,0.0\n1,nan,0\n",
+                  "word '1' has a value that is not finite: nan, 0.0"),
+    "inf value": ("word,re,im\ne,inf,0.0\n1,0.5,0\n",
+                  "word 'e' has a value that is not finite: inf, 0.0"),
 }
 
 
@@ -494,14 +523,36 @@ BAD_FILES = {
     ({**DECOMPOSE, "measure_spec": None, "moments_file": "b.csv"}, "moments_file"),
 ], ids=["symbol", "tau", "moments"])
 def test_bad_file_contents_exit_2(cfg, field, problem, tmp_path, capsys):
+    # one line that names the field and the path once
     cfg = {k: v for k, v in cfg.items() if v is not None}
-    (tmp_path / "b.csv").write_text(BAD_FILES[problem])
+    text, message = BAD_FILES[problem]
+    (tmp_path / "b.csv").write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any numerics could warn
         assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
-    assert "b.csv" in err
+    assert err == f"config error: {field}: {tmp_path / 'b.csv'}: {message}\n"
+
+
+@pytest.mark.parametrize("first,second,word", [("1", " 1", "1"), ("e", "", "e")])
+@pytest.mark.parametrize("cfg,field", [({"experiment": "classical-fatou"}, "schur_coeffs"),
+                                       (FACTOR, "tau__coeffs")], ids=["symbol", "tau"])
+def test_inline_word_given_twice_exits_2(cfg, field, first, second, word, tmp_path, capsys):
+    # as a file's repeated word: the second key is refused, not kept over the first
+    cfg = _with(cfg, **{field: {first: [0.5, 0.0], second: [0.1, 0.0]}})
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {field.replace('__', '.')}.{second}: repeated word {word!r}\n"
+
+
+def test_moments_file_without_the_unit_word_exits_2(tmp_path, capsys):
+    (tmp_path / "b.csv").write_text("word,re,im\n1,0.5,0\n")
+    cfg = {**DECOMPOSE, "moments_file": "b.csv"}
+    del cfg["measure_spec"]
+    assert run_config(write_cfg(tmp_path, "cfg.json", cfg), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: moments_file: {tmp_path / 'b.csv'}: "
+                   "moment file must contain the unit word 'e'\n")
 
 
 def test_non_positive_symbol_exits_3(tmp_path, capsys):
@@ -592,11 +643,18 @@ def mutations(draw):
     name = draw(st.sampled_from(sorted(COMMITTED)))
     cfg = copy.deepcopy(COMMITTED[name])
     paths = list(_paths(cfg))
-    kind = draw(st.sampled_from(["replace", "add", "drop"]))
+    kind = draw(st.sampled_from(["replace", "add", "drop", "repeat"]))
     drops = [p for p, _ in paths if p and _required(name, p)]
     if kind == "drop" and drops:
         path = draw(st.sampled_from(drops))
         del _get(cfg, path[:-1])[path[-1]]
+        return name, cfg, True
+    repeats = [p for p, leaf in paths if not leaf and p[-1:] in (("coeffs",), ("schur_coeffs",))]
+    if kind == "repeat" and repeats:
+        # a second key that names a word already given
+        coeffs = _get(cfg, draw(st.sampled_from(repeats)))
+        key = draw(st.sampled_from(sorted(coeffs)))
+        coeffs["" if key == "e" else " " + key] = [0.0, 0.0]
         return name, cfg, True
     if kind == "add":
         path = draw(st.sampled_from([p for p, leaf in paths if not leaf]))

@@ -6,12 +6,13 @@ from ncfatou import measure
 from ncfatou.fock import FockVector, TruncatedOperator
 from ncfatou.measure import (MomentFunctional, _gram_apply, _prefix_blocks, _prefix_sweep,
                              clark_measure, gram, herglotz_eval, herglotz_transform,
-                             is_positive, left_multiplier_norm, nc_lebesgue,
-                             quadratic_form, read_moments_csv, sos_split, vector_state)
+                             is_positive, nc_lebesgue, quadratic_form, read_moments_csv,
+                             sos_split, vector_state)
 from ncfatou.series import MatrixPoint, NCSeries, cayley_to_herglotz, evaluate
 from ncfatou.words import WordBasis
 
-from helpers import basis_vector, herglotz_integral, vacuum, write_moments_csv
+from helpers import (basis_vector, herglotz_integral, left_multiplier_norm, vacuum,
+                     write_moments_csv)
 
 
 # -- independent oracle: formal Cayley transform by brute division ----------
